@@ -44,7 +44,7 @@ class AlgebraElement:
         return self.field == other.field and self.group == other.group and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, self.group.id, self.coeffs))
+        return hash((self.field, self.group, self.coeffs))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)

@@ -52,6 +52,8 @@ class Group:
         self._inverses: np.ndarray | None = None
         self._orders: list[int] | None = None
         self._special: SpecialSets | None = None
+        # equality compares tables, so the hash is of the table alone
+        self._hash = hash(np.asarray(table, dtype=np.int64).tobytes())
 
     def __eq__(self, other):
         if not isinstance(other, Group):
@@ -59,7 +61,7 @@ class Group:
         return self.n == other.n and np.array_equal(self.table, other.table)
 
     def __hash__(self):
-        return hash((self.n, self.id))
+        return self._hash
 
     def __repr__(self):
         return f"Group({self.id!r}, n={self.n})"

@@ -41,9 +41,9 @@ from .group_algebra import (
     apply_involution,
     basis_element,
     canonical_star,
-    ideal_and_quotient,
+    format_algebra_literal,
 )
-from .group_core import Group
+from .group_core import Group, coset_representatives
 
 DEFAULT_SEARCH_CAP = 1 << 24
 DEFAULT_BASE_ORDER_CAP = 8
@@ -84,8 +84,6 @@ class UnitaryResult:
     subsidiary: dict | None = None
 
     def to_dict(self) -> dict:
-        from .group_algebra import format_algebra_literal
-
         out = {
             "group": self.group_id,
             "field": self.field.literal(),
@@ -167,24 +165,40 @@ def unitary_order_odd(group: Group, inv: GroupInvolution, field: FieldSpec) -> i
 
 # --- oracle ----------------------------------------------------------------------
 
+def _inconsistency(ctx: AlgebraContext, what: str, row: np.ndarray | None = None,
+                   c: int | None = None) -> InternalInconsistency:
+    """A failed proved identity, naming the group, the field, c and the element at fault."""
+    where = f"{ctx.group.id} over {ctx.field.literal()}"
+    if c is not None:
+        where += f", c = g{c}"
+    if row is not None:
+        where += f", element {format_algebra_literal(ctx.element_of(row))}"
+    return InternalInconsistency(f"{what} ({where})")
+
+
 def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.ndarray,
-                          full_space: int, batch: int = DEFAULT_BATCH):
+                          full_space: int, batch: int = DEFAULT_BATCH, c: int | None = None):
     """Prove the key set is a subgroup of V(FG).
 
     Identity membership and closure under the involution (= inversion for
     unitary elements) are checked on every element. Multiplicative closure is
     certified by showing the set equals the subgroup generated by greedily
-    chosen members, with every BFS product checked for membership. When the
-    set is all of V(FG), closure is the multiplicativity of the augmentation
-    map, which is property-tested separately; the walk is skipped."""
+    chosen members, with every BFS product checked for membership. The
+    elements known when a generator is added form the subgroup generated by
+    the older ones, so only their products with the new generator can be
+    new; fresh elements are multiplied by every generator. When the set is
+    all of V(FG), closure is the multiplicativity of the augmentation map,
+    which is property-tested separately; the walk is skipped. A failure
+    names c, when the set comes from the recursion over H = <c>."""
     S = uset_keys
     if not keys_contain(S, np.array([ctx.identity_key], dtype=np.uint64))[0]:
-        raise InternalInconsistency("unitary set misses the identity")
+        raise _inconsistency(ctx, "unitary set misses the identity", ctx.identity, c)
     for start in range(0, S.size, batch):
         rows = ctx.unpack(S[start:start + batch])
-        starred = ctx.pack(ctx.involute(rows, sigma))
-        if not keys_contain(S, starred).all():
-            raise InternalInconsistency("unitary set is not closed under the involution")
+        escaped = ~keys_contain(S, ctx.pack(ctx.involute(rows, sigma)))
+        if escaped.any():
+            raise _inconsistency(ctx, "unitary set is not closed under the involution",
+                                 rows[np.flatnonzero(escaped)[0]], c)
     if S.size == full_space:
         return
     known = np.zeros(S.size, dtype=bool)
@@ -195,21 +209,25 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
         gpos = int(np.flatnonzero(~known)[0])
         gens.append(ctx.unpack(S[gpos:gpos + 1])[0])
         frontier = ctx.unpack(S[np.flatnonzero(known)])
+        frontier_gens = gens[-1:]
         while frontier.shape[0]:
             fresh_positions = []
             for chunk_start in range(0, frontier.shape[0], batch):
                 chunk = frontier[chunk_start:chunk_start + batch]
-                for g in gens:
+                for g in frontier_gens:
                     prods = ctx.pack(ctx.mul(chunk, g[None, :]))
                     pos = np.searchsorted(S, prods)
                     clipped = np.minimum(pos, S.size - 1)
-                    if not ((pos < S.size) & (S[clipped] == prods)).all():
-                        raise InternalInconsistency(
-                            "product of two claimed unitary elements escapes the set")
+                    escaped = (pos == S.size) | (S[clipped] != prods)
+                    if escaped.any():
+                        raise _inconsistency(
+                            ctx, "product of two claimed unitary elements escapes the set",
+                            ctx.unpack(prods[escaped][:1])[0], c)
                     new = np.unique(clipped[~known[clipped]])
                     if new.size:
                         known[new] = True
                         fresh_positions.append(new)
+            frontier_gens = gens
             if fresh_positions:
                 frontier = ctx.unpack(S[np.concatenate(fresh_positions)])
             else:
@@ -271,81 +289,185 @@ def _least_central_involution(group: Group) -> int:
 def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
                 search_cap: int, base_order_cap: int,
                 collect_unitary: bool) -> tuple[np.ndarray | None, np.ndarray, dict]:
-    """Traverse N*_Psi fiber by fiber (u in V(F[G/H]), w in ker Psi).
+    """S_H for H = <c>, and V_*(FG) when collect_unitary, from the affine fibers
+    of Psi: FG -> F[Gb], Gb = G/H, over Vb = V_*(F[Gb]).
 
     Returns (unitary keys or None, distinct S_H keys, context info). Every
-    collected y = x x* is verified symmetric, supported away from order-two
-    elements, and inside I(H)^+."""
+    y in S_H is verified symmetric, supported away from order-two elements,
+    and inside I(H)^+; every collected x is verified to satisfy x x* = 1.
+
+    Proof. Let char F = 2, lift the section supported on the least coset
+    representatives, and L = lift(u) for u in Vb. The kernel of Psi is
+    (1+c)FG, and (1+c)z depends only on Psi(z), so as u is a unit every x
+    over u is x = L + (1+c) lift(b u) for a unique b in F[Gb]. Since c is
+    central, (1+c)* = 1+c and (1+c)^2 = 0, while Psi commutes with * and
+    u u* = 1; hence
+
+        x x* = L L* + (1+c) lift(u (b u)* + b u u*) = L L* + (1+c) lift(b + b*).
+
+    * The fiber over u maps onto the coset L L* + W of
+      W = (1+c) lift{b + b*} = span{(1+c) lift(g + g^-1) : g != g^-1 in Gb},
+      |W| = q^((|Gb| - |Gb{2}|)/2), and S_H is the union of these cosets.
+    * x is unitary iff 1 + L L* = (1+c) lift(beta) lies in W. Then
+      beta = b0 + b0* for b0 = sum of beta_g g over g < g^-1, and the
+      solutions are b = b0 + k over the symmetric k in F[Gb]: a solvable
+      fiber holds |K| = q^((|Gb| + |Gb{2}|)/2) unitary elements.
+    * x x* = x' x'* iff x' in x V(FG), so u and u' give one coset iff
+      u' in u Psi(V(FG)), and Psi(V(FG)) is the set of solvable u. Each
+      coset is the image of exactly #solvable fibers, and
+      q^(|G|/2) |Vb| = |S_H| * #solvable * |K|.
+
+    Cosets are compared through a canonical representative: adding
+    y[lift(g)] (1+c) lift(g + g^-1) for each g < g^-1 clears the coefficient
+    at lift(g), which no other basis vector of W touches; u is solvable iff
+    L L* reduces to 1. This costs one product per u where a scan of the
+    fiber costs q^(|G|/2)."""
     t_c = group.square_roots(c)  # also validates c
-    sub = group.subgroup_generated([c])
-    ideal, psi, lift = ideal_and_quotient(group, sub, field)
-    gbar = ideal.quotient_group
+    ctx = AlgebraContext(field, group)  # refuses a group too large for packed keys
+    gbar, projection = group.quotient(group.subgroup_generated([c]))
     vbar = _char2_set(gbar, field, search_cap=search_cap, base_order_cap=base_order_cap)
-    ctx = AlgebraContext(field, group)
-    kernel_dim = ideal.dimension
-    fibers = vbar.order * field.order ** kernel_dim
-    if fibers > search_cap:
-        raise SearchSpaceTooLarge(fibers, search_cap, context=f"fiber scan over {group.id}")
+    q, n, nbar = field.order, group.n, gbar.n
+    bar_inverse = np.array([gbar.inverse(k) for k in gbar.elements()], dtype=np.intp)
+    pairs = np.flatnonzero(np.arange(nbar) < bar_inverse)  # one g per pair g != g^-1
+    w_size = q ** pairs.size
+    k_size = q ** (nbar - pairs.size)
+    if vbar.order * w_size > search_cap:
+        raise SearchSpaceTooLarge(vbar.order * w_size, search_cap,
+                                  context=f"S_H cosets over {group.id}")
 
-    basis_rows = np.stack([ctx.codes_of(b) for b in ideal.kernel_basis])
-    kernel_rows = np.concatenate(list(ctx.span_batches(basis_rows)), axis=0)
-    reps = np.array(ideal.representatives, dtype=np.intp)
+    bctx = vbar.ctx
+    one = ctx.tabs.one
     sigma = np.array(canonical_star(group).sigma, dtype=np.intp)
+    reps = np.array(coset_representatives(projection, nbar), dtype=np.intp)
+    reps_c = ctx.gtable[reps, c]
+    # the support of (1+c) lift(g + g^-1), one column per g in pairs
+    w_support = np.stack([reps[pairs], reps_c[pairs],
+                          reps[bar_inverse[pairs]], reps_c[bar_inverse[pairs]]])
+    w_basis = np.zeros((pairs.size, n), dtype=np.uint16)
+    for cols in w_support:
+        w_basis[np.arange(pairs.size), cols] = one
 
-    vbar_chunk = max(1, DEFAULT_BATCH // max(1, kernel_rows.shape[0]))
-    unitary_parts: list[np.ndarray] = []
-    s_h_parts: list[np.ndarray] = []
-    for start in range(0, vbar.order, vbar_chunk):
-        ubar = vbar.ctx.unpack(vbar.keys[start:start + vbar_chunk])
-        lifted = np.zeros((ubar.shape[0], group.n), dtype=np.uint16)
+    # one product L L* per u; canonical coset representatives, and b0 for
+    # solvable fibers (its coefficients are the ones the reduction clears)
+    reduced_parts, solvable_u, solvable_b0 = [], [], []
+    for start in range(0, vbar.order, DEFAULT_BATCH):
+        ubar = bctx.unpack(vbar.keys[start:start + DEFAULT_BATCH])
+        lifted = np.zeros((ubar.shape[0], n), dtype=np.uint16)
         lifted[:, reps] = ubar
-        X = ctx.add(lifted[:, None, :], kernel_rows[None, :, :]).reshape(-1, group.n)
-        Y = ctx.mul(X, ctx.involute(X, sigma))
+        Y = ctx.mul(lifted, ctx.involute(lifted, sigma))
+        beta = Y[:, reps[pairs]]
+        for cols in w_support:
+            Y[:, cols] = ctx.add(Y[:, cols], beta)
+        keys = ctx.pack(Y)
+        reduced_parts.append(keys)
         if collect_unitary:
-            mask = ctx.is_one(Y)
-            if mask.any():
-                unitary_parts.append(ctx.pack(X[mask]))
-        s_h_parts.append(np.unique(ctx.pack(Y)))
+            solvable = keys == ctx.identity_key
+            solvable_u.append(ubar[solvable])
+            b0 = np.zeros((int(solvable.sum()), nbar), dtype=np.uint16)
+            b0[:, pairs] = beta[solvable]
+            solvable_b0.append(b0)
+    cosets, hits = np.unique(np.concatenate(reduced_parts), return_counts=True)
+    solvable_fibers = int(hits[cosets == ctx.identity_key].sum())
+    uneven = np.flatnonzero(hits != solvable_fibers)
+    if uneven.size:
+        raise _inconsistency(ctx, f"a coset of W is hit by {hits[uneven[0]]} fibers, "
+                             f"not {solvable_fibers}", ctx.unpack(cosets[uneven[:1]])[0], c)
+    unitary_order = solvable_fibers * k_size
+    if collect_unitary and unitary_order > search_cap:
+        raise SearchSpaceTooLarge(unitary_order, search_cap,
+                                  context=f"unitary elements of {group.id}")
+
+    w_rows = np.concatenate(list(ctx.span_batches(w_basis)))
+    chunk = max(1, DEFAULT_BATCH // w_size)
+    s_h_parts = []
+    for start in range(0, cosets.size, chunk):
+        base = ctx.unpack(cosets[start:start + chunk])
+        s_h_parts.append(ctx.pack(ctx.add(base[:, None, :], w_rows[None, :, :]).reshape(-1, n)))
     s_h_keys = np.unique(np.concatenate(s_h_parts))
 
     # S_H membership properties
     ys = ctx.unpack(s_h_keys)
-    if not np.array_equal(ctx.involute(ys, sigma), ys):
-        raise InternalInconsistency("an element of S_H is not symmetric")
+    bad = np.flatnonzero((ctx.involute(ys, sigma) != ys).any(axis=1))
+    if bad.size:
+        raise _inconsistency(ctx, "an element of S_H is not symmetric", ys[bad[0]], c)
     order_two = [g for g in group.special_sets().order_two if g != 0]
-    if order_two and ys[:, order_two].any():
-        raise InternalInconsistency("an element of S_H is supported on an order-two element")
-    proj = np.array(ideal.projection, dtype=np.intp)
-    pushed = np.zeros((ys.shape[0], gbar.n), dtype=np.uint16)
-    for g in range(group.n):
+    bad = np.flatnonzero(ys[:, order_two].any(axis=1))
+    if bad.size:
+        raise _inconsistency(ctx, "an element of S_H is supported on an order-two element",
+                             ys[bad[0]], c)
+    proj = np.array(projection, dtype=np.intp)
+    pushed = np.zeros((ys.shape[0], nbar), dtype=np.uint16)
+    for g in range(n):
         pushed[:, proj[g]] = ctx.add(pushed[:, proj[g]], ys[:, g])
-    bar_identity = np.zeros(gbar.n, dtype=np.uint16)
-    bar_identity[0] = ctx.tabs.one
-    if not (pushed == bar_identity[None, :]).all():
-        raise InternalInconsistency("an element of S_H falls outside I(H)^+")
+    bar_identity = np.zeros(nbar, dtype=np.uint16)
+    bar_identity[0] = one
+    bad = np.flatnonzero((pushed != bar_identity[None, :]).any(axis=1))
+    if bad.size:
+        raise _inconsistency(ctx, "an element of S_H falls outside I(H)^+", ys[bad[0]], c)
+    if q ** nbar * vbar.order != s_h_keys.size * unitary_order:
+        raise _inconsistency(
+            ctx, f"q^(|G|/2) |Vb| = {q ** nbar * vbar.order} != |S_H| #solvable |K| = "
+                 f"{s_h_keys.size} * {solvable_fibers} * {k_size}", c=c)
 
     unitary_keys = None
     if collect_unitary:
-        unitary_keys = (np.sort(np.concatenate(unitary_parts))
-                        if unitary_parts else np.empty(0, dtype=np.uint64))
+        unitary_keys = _solvable_fiber_elements(
+            ctx, bctx, c, np.concatenate(solvable_u), np.concatenate(solvable_b0),
+            pairs, bar_inverse, reps, reps_c, sigma)
     info = {
-        "c": c,
         "t_c_size": len(t_c),
         "t_c_commuting": group.is_pairwise_commuting(t_c),
         "vbar_order": vbar.order,
-        "kernel_dim": kernel_dim,
-        "quotient": gbar,
         "ctx": ctx,
     }
     return unitary_keys, s_h_keys, info
+
+
+def _solvable_fiber_elements(ctx: AlgebraContext, bctx: AlgebraContext, c: int,
+                             ubar: np.ndarray, b0: np.ndarray, pairs: np.ndarray,
+                             bar_inverse: np.ndarray, reps: np.ndarray, reps_c: np.ndarray,
+                             sigma: np.ndarray) -> np.ndarray:
+    """Sorted keys of x = lift(u) + (1+c) lift((b0 + k) u) over the solvable u
+    (rows of ubar, with b0 beside them) and the symmetric k, each verified
+    unitary and collected once."""
+    one = bctx.tabs.one
+    gbar = bctx.group
+    involutions = list(gbar.special_sets().order_two)
+    sym_basis = np.zeros((pairs.size + len(involutions), gbar.n), dtype=np.uint16)
+    sym_basis[np.arange(pairs.size), pairs] = one
+    sym_basis[np.arange(pairs.size), bar_inverse[pairs]] = one
+    sym_basis[pairs.size + np.arange(len(involutions)), involutions] = one
+    k_size = bctx.q ** sym_basis.shape[0]
+    u_chunk = max(1, DEFAULT_BATCH // k_size)
+    parts = []
+    for start in range(0, ubar.shape[0], u_chunk):
+        u_rows, b0_rows = ubar[start:start + u_chunk], b0[start:start + u_chunk]
+        for sym in bctx.span_batches(sym_basis):
+            B = bctx.add(b0_rows[:, None, :], sym[None, :, :]).reshape(-1, gbar.n)
+            U = np.repeat(u_rows, sym.shape[0], axis=0)
+            A = bctx.mul(B, U)
+            X = np.empty((A.shape[0], ctx.n), dtype=np.uint16)
+            X[:, reps] = bctx.add(U, A)
+            X[:, reps_c] = A
+            bad = np.flatnonzero(~ctx.is_one(ctx.mul(X, ctx.involute(X, sigma))))
+            if bad.size:
+                raise _inconsistency(ctx, "a collected element is not unitary", X[bad[0]], c)
+            parts.append(ctx.pack(X))
+    keys = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeated.size:
+        raise _inconsistency(ctx, "an element is collected twice",
+                             ctx.unpack(keys[repeated[:1]])[0], c)
+    return keys
 
 
 def _char2_set(group: Group, field: FieldSpec, *, search_cap: int,
                base_order_cap: int) -> UnitarySet:
     """Full element set of V_*(FG) in characteristic two.
 
-    Base case by oracle; above the base cap, fiber filtering over the
-    recursion's quotient, with the division identity asserted en route."""
+    Base case by oracle; above the base cap, the solvable fibers of the
+    recursion's quotient (see _fiber_scan, which asserts the recursion
+    identity), certified as a subgroup."""
     star = canonical_star(group)
     if group.n <= base_order_cap:
         return _oracle_set(group, star, field, search_cap)
@@ -354,18 +476,13 @@ def _char2_set(group: Group, field: FieldSpec, *, search_cap: int,
     if hit is not None:
         return hit
     c = _least_central_involution(group)
-    unitary_keys, s_h_keys, info = _fiber_scan(
+    unitary_keys, _, info = _fiber_scan(
         group, c, field, search_cap=search_cap, base_order_cap=base_order_cap,
         collect_unitary=True)
-    numerator = field.order ** (group.n // 2) * info["vbar_order"]
-    if numerator % s_h_keys.size or numerator // s_h_keys.size != unitary_keys.size:
-        raise InternalInconsistency(
-            f"recursion identity failed over {group.id}: "
-            f"{numerator}/{s_h_keys.size} != {unitary_keys.size}")
     unitary_keys.setflags(write=False)
     ctx = info["ctx"]
     _subgroup_certificate(ctx, unitary_keys, np.array(star.sigma, dtype=np.intp),
-                          full_space=field.order ** (group.n - 1))
+                          full_space=field.order ** (group.n - 1), c=c)
     uset = UnitarySet(ctx, star, unitary_keys)
     _SET_CACHE[cache_key] = uset
     return uset
@@ -422,11 +539,8 @@ def unitary_order_char2(group: Group, field: FieldSpec, *, c: int | None = None,
     _, s_h_keys, info = _fiber_scan(group, c, field, search_cap=search_cap,
                                     base_order_cap=base_order_cap, collect_unitary=False)
     s_h = int(s_h_keys.size)
-    numerator = field.order ** (group.n // 2) * info["vbar_order"]
-    if numerator % s_h:
-        raise InternalInconsistency(
-            f"recursion division is not exact over {group.id}: {numerator} / {s_h}")
-    order = numerator // s_h
+    # exact: _fiber_scan asserts the recursion identity
+    order = field.order ** (group.n // 2) * info["vbar_order"] // s_h
     upper, lower = _s_h_bounds(group, c, field)
     subsidiary = {
         "c": c,

@@ -275,6 +275,13 @@ def test_kernel_dimension_for_larger_subgroup():
         assert psi(b).is_zero()
 
 
+def test_equal_elements_over_equal_groups_hash_equal():
+    a = ga.basis_element(GF2, build("elementary_abelian:2:3"), 3)
+    b = ga.basis_element(GF2, build("abelian:2:[1,1,1]"), 3)
+    assert a.group.id != b.group.id and a == b
+    assert hash(a) == hash(b)
+
+
 def test_spec_mismatch_between_algebras():
     c4, c2 = build("cyclic:4"), build("cyclic:2")
     x = ga.algebra_one(GF2, c4)

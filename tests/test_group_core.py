@@ -201,6 +201,15 @@ def test_group_equality_and_key():
     assert a.key == b.key
 
 
+def test_equal_groups_hash_equal():
+    # same table under two ids: equal, so the hashes must agree
+    a = cat.build("elementary_abelian:2:3")
+    b = cat.abelian(2, [1, 1, 1])
+    assert a.id != b.id and a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_sampled_associativity_accepts_large_group():
     import unitary_lab.group_catalog as cat
     g = cat.build("product:dihedral:64*cyclic:2")  # order 128: sampled path

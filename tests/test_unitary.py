@@ -1,13 +1,17 @@
 """Unitary orders: pointwise checks, the three computation routes, bounds."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from unitary_lab import group_algebra as ga
 from unitary_lab import unitary as un
+from unitary_lab.engine import AlgebraContext
 from unitary_lab.errors import (
     EvenCharacteristic,
+    InternalInconsistency,
     NotCentralInvolution,
     NotInvertible,
     NotNormalized,
@@ -23,6 +27,7 @@ GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
 GF4 = make_field(2, 2)
 GF5 = make_field(5, 1)
+GF8 = make_field(2, 3)
 
 
 # --- is_unitary / cayley -------------------------------------------------------
@@ -175,6 +180,49 @@ def test_s_h_requires_central_involution():
         un.s_h_enumerate(build("dihedral:8"), 4, GF2)
 
 
+def _scalar_s_h(group, c, field):
+    """S_H = {x x* : Psi(x) unitary} over every normalized x, in scalar arithmetic."""
+    star = ga.canonical_star(group)
+    ideal, psi, _ = ga.ideal_and_quotient(group, group.subgroup_generated([c]), field)
+    bar_star = ga.canonical_star(ideal.quotient_group)
+    bar_one = ga.algebra_one(field, ideal.quotient_group)
+    out = set()
+    for coeffs in itertools.product(field.elements(), repeat=group.n):
+        x = ga.AlgebraElement(field, group, coeffs)
+        if not x.is_normalized_unit():
+            continue
+        u = psi(x)
+        if u * ga.apply_involution(u, bar_star) == bar_one:
+            out.add(x * ga.apply_involution(x, star))
+    return out
+
+
+@pytest.mark.parametrize("name", ["dihedral:8", "quaternion:8", "abelian:2:[1,2]"])
+def test_s_h_matches_scalar_brute_force(name):
+    group = build(name)
+    for c in group.special_sets().central_order_two:
+        size, samples = un.s_h_enumerate(group, c, GF2, max_samples=1 << 20)
+        expected = _scalar_s_h(group, c, GF2)
+        assert size == len(samples) == len(expected), (name, c)
+        assert set(samples) == expected, (name, c)
+
+
+def test_s_h_failure_names_group_field_c_and_element(monkeypatch):
+    # hand the fiber step every normalized unit of F[Q16/<c>] in place of the unitary ones
+    q16 = build("quaternion:16")
+    c = q16.special_sets().central_order_two[0]
+    gbar, _ = q16.quotient(q16.subgroup_generated([c]))
+    bctx = AlgebraContext(GF2, gbar)
+    units = np.sort(np.concatenate([bctx.pack(X) for X in bctx.normalized_batches()]))
+    monkeypatch.setattr(un, "_char2_set",
+                        lambda *a, **k: un.UnitarySet(bctx, ga.canonical_star(gbar), units))
+    with pytest.raises(InternalInconsistency) as exc:
+        un.s_h_enumerate(q16, c, GF2)
+    message = str(exc.value)
+    assert "quaternion:16 over 2^1" in message and f"c = g{c}" in message
+    assert "element " in message and "*g" in message
+
+
 # --- characteristic-two recursion -----------------------------------------------------
 
 def test_char2_regressions():
@@ -215,6 +263,58 @@ def test_char2_choice_of_central_involution_does_not_matter():
             for c in group.special_sets().central_order_two
         }
         assert len(orders) == 1, name
+
+
+@pytest.mark.parametrize("field, max_order", [(GF2, 16), (GF4, 8), (GF8, 8)])
+def test_forced_fiber_step_matches_oracle(field, max_order):
+    for entry in catalog_entries(max_order, 2):
+        group = entry.build()
+        if group.n == 1:
+            continue
+        forced = un._char2_set(group, field, search_cap=un.DEFAULT_SEARCH_CAP,
+                               base_order_cap=group.n // 2)
+        oracle = un._oracle_set(group, ga.canonical_star(group), field)
+        assert np.array_equal(forced.keys, oracle.keys), entry.name
+
+
+def test_char2_refuses_by_the_rows_of_its_own_route():
+    e32 = build("elementary_abelian:2:5")
+    assert un.theta(e32, GF2) == 1  # |V| = 2^31, counted without listing it
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        un._char2_set(e32, GF2, search_cap=un.DEFAULT_SEARCH_CAP,
+                      base_order_cap=un.DEFAULT_BASE_ORDER_CAP)
+    assert exc.value.size == 2 ** 31
+    # C16 over <c>: |V(F C8)| = 32 and |W| = 2^3; the quotient's own 2^7 candidates fit
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        un.s_h_enumerate(build("cyclic:16"), 8, GF2, search_cap=200)
+    assert exc.value.size == 256 and "S_H cosets" in exc.value.context
+    # order 64 over GF(2) outgrows packed keys: refused before its quotient is listed
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        un.theta(build("dihedral:64"), GF2)
+    assert "key packing" in exc.value.context
+
+
+def test_theta_order_32_regressions():
+    named = {"dihedral:32": 1, "quaternion:32": 4, "elementary_abelian:2:5": 1}
+    checked = 0
+    for entry in catalog_entries(32, 2):
+        group = entry.build()
+        if group.n != 32:
+            continue
+        checked += 1
+        value = un.theta(group, GF2)
+        if entry.name in named:
+            assert value == named[entry.name], entry.name
+        if group.is_abelian():
+            assert value == len(group.special_sets().square_order_two), entry.name
+    assert checked == 9
+
+
+def test_theta_order_16_field_independent():
+    for entry in catalog_entries(16, 2):
+        group = entry.build()
+        if group.n == 16:
+            assert un.theta(group, GF4) == un.theta(group, GF2), entry.name
 
 
 def test_theta_abelian_equals_square_involutions():
