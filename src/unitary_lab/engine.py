@@ -3,9 +3,15 @@
 Internal plumbing shared by the brute-force oracle, the S_H enumeration,
 and the subgroup certificates. A batch is a (B, |G|) uint16 array of field
 codes (little-endian base-p packing of each coefficient vector); a whole
-element packs into a uint64 key for set membership work. Field arithmetic
-is table-driven, with the tables derived once per field from the scalar
-FieldElement implementation (which the tests cross-check independently).
+element packs into a uint64 key for set membership work.
+
+Odd characteristic is table-driven, with the tables derived once per field
+from the scalar FieldElement implementation (which the tests cross-check
+independently). In characteristic two a code's bit a is the coefficient of
+x^a, so addition is XOR and products run bitsliced: a batch becomes
+bit-planes, one bit per row in uint64 words, and a GF(2^m) product is m^2
+plane ANDs and XORs plus the reduction by the field's modulus. The table
+kernel stays the reference the tests hold the bitsliced one to.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from .group_core import Group
 
 MAX_TABLE_FIELD_ORDER = 512
 DEFAULT_BATCH = 1 << 16
+WORD_BITS = 64
+PLANE_CHUNK_ROWS = 1 << 14  # rows converted at a time: whole words, a transpose that stays in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +100,64 @@ def field_tables(spec: FieldSpec) -> FieldTables:
     return tabs
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique(values), found by a sort and a scan for adjacent repeats;
+    np.unique without return_counts hashes instead, many times slower."""
+    values = np.sort(values)
+    if values.size < 2:
+        return values
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+# --- characteristic-two bit-planes ----------------------------------------------
+
+def to_planes(X: np.ndarray, m: int) -> np.ndarray:
+    """(B, n) codes over GF(2^m) as (n, m, ceil(B/64)) uint64 bit-planes.
+
+    Plane a of column i holds bit a of its codes, the coefficient of x^a;
+    row r is bit r % 64 of word r // 64, and the pad rows of the last word
+    are zero."""
+    B, n = X.shape
+    planes = np.empty((n, m, -(-B // WORD_BITS)), dtype=np.uint64)
+    for start in range(0, B, PLANE_CHUNK_ROWS):
+        Xt = np.ascontiguousarray(X[start:start + PLANE_CHUNK_ROWS].T)
+        rows = Xt.shape[1]
+        words = -(-rows // WORD_BITS)
+        bits = np.zeros((n, m, words * WORD_BITS), dtype=np.uint8)
+        for a in range(m):
+            np.bitwise_and(Xt >> a, 1, out=bits[:, a, :rows], casting="unsafe")
+        first = start // WORD_BITS
+        planes[:, :, first:first + words] = (
+            np.packbits(bits, axis=-1, bitorder="little").view(np.uint64))
+    return planes
+
+
+def constant_planes(row: np.ndarray, m: int) -> np.ndarray:
+    """One (n,) code row as (n, m, 1) planes of constant words, 0 or ~0: the
+    same element in every row of a batch, without B copies of it."""
+    bits = (row[:, None] >> np.arange(m)) & 1
+    return np.where(bits == 1, ~np.uint64(0), np.uint64(0))[:, :, None]
+
+
+def from_planes(P: np.ndarray, B: int) -> np.ndarray:
+    """The first B rows of (n, m, words) bit-planes as (B, n) uint16 codes."""
+    n, m, _ = P.shape
+    out = np.empty((B, n), dtype=np.uint16)
+    for start in range(0, B, PLANE_CHUNK_ROWS):
+        stop = min(B, start + PLANE_CHUNK_ROWS)
+        chunk = P[:, :, start // WORD_BITS:-(-stop // WORD_BITS)]
+        bits = np.unpackbits(chunk.view(np.uint8), axis=-1, count=stop - start,
+                             bitorder="little")
+        codes = bits[:, 0].astype(np.uint16)
+        for a in range(1, m):
+            codes |= bits[:, a].astype(np.uint16) << a
+        out[start:stop] = codes.T
+    return out
+
+
 def keys_contain(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Membership mask of queries against a sorted uint64 key array."""
     if sorted_keys.size == 0:
@@ -102,7 +168,10 @@ def keys_contain(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 class AlgebraContext:
-    """Batch arithmetic for one (field, group) pair."""
+    """Batch arithmetic for one (field, group) pair.
+
+    Characteristic two multiplies bitsliced and adds by XOR; odd
+    characteristic gathers from the field tables."""
 
     def __init__(self, field: FieldSpec, group: Group):
         self.field = field
@@ -113,6 +182,11 @@ class AlgebraContext:
         if self.q ** self.n > (1 << 63):
             raise SearchSpaceTooLarge(self.q ** self.n, 1 << 63, context="uint64 key packing")
         self.gtable = np.asarray(group.table, dtype=np.intp)
+        self.char2 = field.p == 2
+        if self.char2:
+            # left_div[i, k] = j with g_i g_j = g_k; taps: x^m = sum of x^t over them
+            self.left_div = np.argsort(self.gtable, axis=1)
+            self.taps = [t for t in range(field.m) if field.modulus[t]]
         self.powers = np.array([self.q ** i for i in range(self.n)], dtype=np.uint64)
         self.identity = np.zeros(self.n, dtype=np.uint16)
         self.identity[0] = self.tabs.one
@@ -143,10 +217,18 @@ class AlgebraContext:
     # --- arithmetic ----------------------------------------------------------
 
     def add(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        if self.char2:
+            return X ^ Y
         return self.tabs.add[X, Y]
 
     def mul(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Convolution product of batches; Y may be (1, n) for a fixed factor."""
+        if self.char2:
+            return self.mul_planes(X, Y)
+        return self.mul_table(X, Y)
+
+    def mul_table(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """mul through the field tables: out[g_i g_j] += X[i] Y[j]."""
         add_t, mul_t = self.tabs.add, self.tabs.mul
         B = max(X.shape[0], Y.shape[0])
         out = np.zeros((B, self.n), dtype=np.uint16)
@@ -159,13 +241,40 @@ class AlgebraContext:
             out[:, dest] = add_t[out[:, dest], prod]
         return out
 
+    def mul_planes(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """mul in characteristic two over bit-planes.
+
+        out[g_k] = XOR over i of X[i] Y[j], g_i g_j = g_k. Each coefficient
+        product is schoolbook: plane a of X[i] ANDed with plane b of Y[j]
+        lands in plane a + b of an unreduced product of 2m - 1 planes. The
+        reduction by the modulus is linear, so it runs once on the sum."""
+        m = self.field.m
+        B = max(X.shape[0], Y.shape[0])
+        xp, yp = (constant_planes(Z[0], m) if Z.shape[0] == 1 else to_planes(Z, m)
+                  for Z in (X, Y))
+        words = max(xp.shape[2], yp.shape[2])
+        out = np.zeros((self.n, 2 * m - 1, words), dtype=np.uint64)
+        term = np.empty((self.n, m, words), dtype=np.uint64)
+        for i in range(self.n):
+            xi = xp[i]
+            if not xi.any():
+                continue
+            y_over = yp[self.left_div[i]]
+            for a in range(m):
+                np.bitwise_and(xi[a], y_over, out=term)
+                np.bitwise_xor(out[:, a:a + m], term, out=out[:, a:a + m])
+        for k in range(2 * m - 2, m - 1, -1):
+            for t in self.taps:
+                out[:, k - m + t] ^= out[:, k]
+        return from_planes(out[:, :m], B)
+
     def involute(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return X[:, sigma]
 
     def augmentation(self, X: np.ndarray) -> np.ndarray:
         s = X[:, 0].copy()
-        for i in range(1, self.n):
-            s = self.tabs.add[s, X[:, i]]
+        for i in range(1, X.shape[1]):
+            s = self.add(s, X[:, i])
         return s
 
     def is_one(self, Y: np.ndarray) -> np.ndarray:
@@ -194,11 +303,10 @@ class AlgebraContext:
                 v //= q
             if self.n == 1:
                 X[:, 0] = one
+            elif self.char2:
+                X[:, 0] = self.augmentation(X[:, 1:]) ^ one
             else:
-                s = X[:, 1].copy()
-                for i in range(2, self.n):
-                    s = self.tabs.add[s, X[:, i]]
-                X[:, 0] = self.tabs.add[one, self.tabs.neg[s]]
+                X[:, 0] = self.tabs.add[one, self.tabs.neg[self.augmentation(X[:, 1:])]]
             yield X
 
     def span_batches(self, basis: np.ndarray, batch: int = DEFAULT_BATCH,
@@ -221,5 +329,5 @@ class AlgebraContext:
                 dj = coeffs[(v % r).astype(np.intp)]
                 v //= r
                 scaled = self.tabs.mul[dj[:, None], basis[j][None, :]]
-                X = self.tabs.add[X, scaled]
+                X = self.add(X, scaled)
             yield X

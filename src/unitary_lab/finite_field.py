@@ -286,26 +286,6 @@ class FieldElement:
         return f"FieldElement({self.spec.literal()}, {''.join(map(str, self.coeffs))})"
 
 
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a - b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
 def tau(a: FieldElement) -> FieldElement:
     """The additive map a + a^2; defined on characteristic-two fields only."""
     if a.spec.p != 2:

@@ -204,10 +204,6 @@ def apply_involution(x: AlgebraElement, inv: GroupInvolution) -> AlgebraElement:
     return AlgebraElement(x.field, x.group, tuple(x.coeffs[inv.sigma[k]] for k in range(x.group.n)))
 
 
-def fixed_points(inv: GroupInvolution) -> tuple[int, ...]:
-    return inv.fixed_points()
-
-
 def skew_symmetric_basis(group: Group, inv: GroupInvolution, field: FieldSpec) -> list[AlgebraElement]:
     """Basis {g - sigma(g)} over the pairs with g != sigma(g); odd characteristic only
     (in characteristic two skew coincides with symmetric)."""

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import DEFAULT_BATCH, AlgebraContext, keys_contain
+from .engine import DEFAULT_BATCH, AlgebraContext, keys_contain, sorted_unique
 from .errors import (
     EvenCharacteristic,
     InternalInconsistency,
@@ -119,10 +119,6 @@ class UnitarySet:
         take = self.keys if limit is None else self.keys[:limit]
         rows = self.ctx.unpack(take)
         return [self.ctx.element_of(rows[i]) for i in range(rows.shape[0])]
-
-    def contains(self, x: AlgebraElement) -> bool:
-        key = self.ctx.pack(self.ctx.codes_of(x)[None, :])
-        return bool(keys_contain(self.keys, key)[0])
 
 
 _SET_CACHE: dict[tuple, UnitarySet] = {}
@@ -223,7 +219,7 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
                         raise _inconsistency(
                             ctx, "product of two claimed unitary elements escapes the set",
                             ctx.unpack(prods[escaped][:1])[0], c)
-                    new = np.unique(clipped[~known[clipped]])
+                    new = sorted_unique(clipped[~known[clipped]])
                     if new.size:
                         known[new] = True
                         fresh_positions.append(new)
@@ -383,7 +379,7 @@ def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
     for start in range(0, cosets.size, chunk):
         base = ctx.unpack(cosets[start:start + chunk])
         s_h_parts.append(ctx.pack(ctx.add(base[:, None, :], w_rows[None, :, :]).reshape(-1, n)))
-    s_h_keys = np.unique(np.concatenate(s_h_parts))
+    s_h_keys = sorted_unique(np.concatenate(s_h_parts))
 
     # S_H membership properties
     ys = ctx.unpack(s_h_keys)
@@ -689,7 +685,7 @@ def _span_plus_one_keys(ctx: AlgebraContext, group: Group, vectors: list[np.ndar
         shifted = X.copy()
         shifted[:, 0] = ctx.tabs.add[shifted[:, 0], ctx.tabs.one]
         parts.append(ctx.pack(shifted))
-    return np.unique(np.concatenate(parts))
+    return sorted_unique(np.concatenate(parts))
 
 
 def _pair_span_keys(ctx: AlgebraContext, group: Group, n1_vectors: list[np.ndarray],
@@ -702,7 +698,7 @@ def _pair_span_keys(ctx: AlgebraContext, group: Group, n1_vectors: list[np.ndarr
         coefficient_codes=im_codes)))
     combined = ctx.add(n1_rows[:, None, :], n2_rows[None, :, :]).reshape(-1, group.n)
     combined[:, 0] = ctx.tabs.add[combined[:, 0], ctx.tabs.one]
-    return np.unique(ctx.pack(combined))
+    return sorted_unique(ctx.pack(combined))
 
 
 def _check_generator_identity(group: Group, field: FieldSpec, c: int,

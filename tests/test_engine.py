@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from unitary_lab import group_algebra as ga
-from unitary_lab.engine import AlgebraContext, field_tables, keys_contain
+from unitary_lab.engine import AlgebraContext, field_tables, keys_contain, sorted_unique
 from unitary_lab.finite_field import make_field
 from unitary_lab.group_catalog import build
 
@@ -70,6 +70,63 @@ def test_batch_mul_fixed_right_factor():
     u_scalar = ctx.element_of(u[0])
     for i in range(20):
         assert np.array_equal(got[i], ctx.codes_of(ctx.element_of(X[i]) * u_scalar))
+
+
+# every field GF(2^1..5) (GF(32) takes its modulus from the search) on groups of
+# order 2 to 32, as far as q^|G| fits the packed keys
+CHAR2_CASES = [
+    ("cyclic:2", 5), ("cyclic:4", 4), ("quaternion:8", 3), ("dihedral:8", 5),
+    ("abelian:2:[1,2]", 2), ("dihedral:16", 2), ("semidihedral:16", 1),
+    ("abelian:2:[1,1,3]", 1), ("dihedral:32", 1), ("quaternion:32", 1),
+]
+
+
+@pytest.mark.parametrize("group_name,m", CHAR2_CASES)
+def test_char2_mul_matches_table_kernel_and_scalar(group_name, m):
+    spec, group = make_field(2, m), build(group_name)
+    ctx = AlgebraContext(spec, group)
+    rng = np.random.default_rng(m * 100 + group.n)
+    for B in (1, 63, 64, 65, 1000):
+        X = rng.integers(0, ctx.q, size=(B, ctx.n)).astype(np.uint16)
+        Y = rng.integers(0, ctx.q, size=(B, ctx.n)).astype(np.uint16)
+        X[:, B % ctx.n] = 0  # an all-zero column is skipped
+        got, fixed = ctx.mul(X, Y), ctx.mul(X, Y[:1])  # a batch, and a fixed (1, n) factor
+        for out, right in ((got, Y), (fixed, Y[:1])):
+            assert out.dtype == np.uint16 and out.shape == (B, ctx.n)
+            assert np.array_equal(out, ctx.mul_table(X, right))
+        for r in {0, B // 2, B - 1}:
+            x = ctx.element_of(X[r])
+            assert np.array_equal(got[r], ctx.codes_of(x * ctx.element_of(Y[r])))
+            assert np.array_equal(fixed[r], ctx.codes_of(x * ctx.element_of(Y[0])))
+
+
+@pytest.mark.parametrize("group_name,m", [("quaternion:8", 3), ("dihedral:16", 1), ("cyclic:4", 2)])
+def test_char2_xor_addition_matches_tables(group_name, m):
+    spec, group = make_field(2, m), build(group_name)
+    ctx = AlgebraContext(spec, group)
+    tabs = ctx.tabs
+    rng = np.random.default_rng(m)
+    X = rng.integers(0, ctx.q, size=(100, ctx.n)).astype(np.uint16)
+    Y = rng.integers(0, ctx.q, size=(100, ctx.n)).astype(np.uint16)
+    assert np.array_equal(ctx.add(X, Y), tabs.add[X, Y])
+    assert np.array_equal(ctx.add(X[:, None, :], Y[None, :5, :]), tabs.add[X[:, None, :], Y[None, :5, :]])
+    aug = X[:, 0].copy()
+    for i in range(1, ctx.n):
+        aug = tabs.add[aug, X[:, i]]
+    assert np.array_equal(ctx.augmentation(X), aug)
+
+    rows = np.concatenate(list(ctx.normalized_batches(batch=1000)))
+    total = ctx.q ** (ctx.n - 1)
+    expected = np.zeros((total, ctx.n), dtype=np.uint16)
+    v = np.arange(total)
+    for i in range(1, ctx.n):
+        expected[:, i] = v % ctx.q
+        v //= ctx.q
+    s = expected[:, 1].copy()
+    for i in range(2, ctx.n):
+        s = tabs.add[s, expected[:, i]]
+    expected[:, 0] = tabs.add[tabs.one, tabs.neg[s]]
+    assert np.array_equal(rows, expected)
 
 
 def test_involute_and_augmentation_match_scalar():
@@ -141,3 +198,13 @@ def test_keys_contain():
     keys = np.array([2, 5, 9], dtype=np.uint64)
     queries = np.array([1, 2, 5, 9, 10], dtype=np.uint64)
     assert keys_contain(keys, queries).tolist() == [False, True, True, True, False]
+
+
+def test_sorted_unique_is_np_unique():
+    rng = np.random.default_rng(4)
+    for values in (rng.integers(0, 50, size=1000).astype(np.uint64),
+                   rng.integers(0, 10, size=300).astype(np.intp),
+                   np.array([7], dtype=np.uint64), np.empty(0, dtype=np.uint64)):
+        got = sorted_unique(values)
+        assert got.dtype == values.dtype
+        assert got.tobytes() == np.unique(values).tobytes()
