@@ -50,45 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated invocation: what to compute, how, and under which caps."""
-
-    command: str
-    groups: tuple[str, ...] = ()
-    group_files: tuple[str, ...] = ()
-    fields: tuple[str, ...] = ()
-    method: str = "auto"
-    format: str = "json"
-    max_order: int = 16
-    p: int = 2
-    max_witnesses: int = 8
-    search_cap: int = DEFAULT_SEARCH_CAP
-    seed: int = 0
-    timings: bool = False
-
-    def __post_init__(self):
-        if self.search_cap <= 0 or self.max_witnesses < 0 or self.max_order <= 0:
-            raise UsageError("caps must be positive")
-
-
-def _config_from(args, command: str) -> RunConfig:
-    return RunConfig(
-        command=command,
-        groups=tuple(getattr(args, "group", None) or ()),
-        group_files=tuple(getattr(args, "group_file", None) or ()),
-        fields=tuple(getattr(args, "field", None) or ()),
-        method=getattr(args, "method", "auto"),
-        format=getattr(args, "format", "json"),
-        max_order=getattr(args, "max_order", 16),
-        p=getattr(args, "p", 2),
-        max_witnesses=getattr(args, "max_witnesses", 8),
-        search_cap=getattr(args, "search_cap", DEFAULT_SEARCH_CAP),
-        seed=getattr(args, "seed", 0),
-        timings=getattr(args, "timings", False),
-    )
-
-
 @dataclass
 class UnitaryReport:
     """One computed cell plus its cross-check and timing."""
@@ -121,11 +82,16 @@ def _map_cells(fn, cells):
         return list(pool.map(fn, cells))
 
 
-def _resolve_groups(config: RunConfig) -> list[Group]:
-    groups = []
-    for name in config.groups:
-        groups.append(build(name))
-    for path in config.group_files:
+def _check_caps(args):
+    """--search-cap and --max-order must be positive, --max-witnesses not negative."""
+    if (getattr(args, "search_cap", 1) <= 0 or getattr(args, "max_witnesses", 0) < 0
+            or getattr(args, "max_order", 1) <= 0):
+        raise UsageError("caps must be positive")
+
+
+def _resolve_groups(args) -> list[Group]:
+    groups = [build(name) for name in args.group or ()]
+    for path in args.group_file or ():
         with open(path) as fh:
             payload = json.load(fh)
         group = validate_group(payload["table"], id=payload.get("id", path))
@@ -137,10 +103,10 @@ def _resolve_groups(config: RunConfig) -> list[Group]:
     return groups
 
 
-def _resolve_fields(config: RunConfig) -> list[FieldSpec]:
-    if not config.fields:
+def _resolve_fields(literals) -> list[FieldSpec]:
+    if not literals:
         raise UsageError("no field given; use --field p^m (repeatable)")
-    return [parse_field_literal(text) for text in config.fields]
+    return [parse_field_literal(text) for text in literals]
 
 
 def _compute_cell(group: Group, field: FieldSpec, method: str,
@@ -192,8 +158,8 @@ def _render_table(headers: list[str], rows: list[list[str]], fmt: str) -> str:
     raise UsageError(f"unknown format {fmt!r}")
 
 
-def cmd_groups(config: RunConfig) -> int:
-    entries = catalog_entries(config.max_order, config.p)
+def cmd_groups(args) -> int:
+    entries = catalog_entries(args.max_order, args.p)
     rows = []
     for entry in entries:
         group = entry.build()
@@ -202,25 +168,25 @@ def cmd_groups(config: RunConfig) -> int:
             "order": group.n,
             "order_two": len(group.special_sets().order_two),
         })
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
     else:
         table = [[r["name"], str(r["order"]), str(r["order_two"])] for r in rows]
-        print(_render_table(["group", "order", "|G{2}|"], table, config.format))
+        print(_render_table(["group", "order", "|G{2}|"], table, args.format))
     return 0
 
 
-def cmd_compute(config: RunConfig) -> int:
-    groups = _resolve_groups(config)
-    fields = _resolve_fields(config)
+def cmd_compute(args) -> int:
+    groups = _resolve_groups(args)
+    fields = _resolve_fields(args.field)
     cells = [(g, f) for g in groups for f in fields]
     reports = _map_cells(
-        lambda cell: _compute_cell(cell[0], cell[1], config.method,
-                                   config.search_cap, config.max_witnesses),
+        lambda cell: _compute_cell(cell[0], cell[1], args.method,
+                                   args.search_cap, args.max_witnesses),
         cells)
     reports.sort(key=lambda rep: (rep.result.group_id, rep.result.field.literal()))
-    if config.format == "json":
-        payload = [rep.to_dict(include_timings=config.timings) for rep in reports]
+    if args.format == "json":
+        payload = [rep.to_dict(include_timings=args.timings) for rep in reports]
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         rows = []
@@ -230,24 +196,22 @@ def cmd_compute(config: RunConfig) -> int:
                          rep.result.method, str(rep.result.order),
                          str(rep.result.theta), cross])
         print(_render_table(["group", "field", "method", "order", "theta", "cross_check"],
-                            rows, config.format))
+                            rows, args.format))
     return 0
 
 
-def cmd_theta_table(config: RunConfig) -> int:
-    if not config.fields:
-        config = RunConfig(**{**config.__dict__, "fields": ("2^1", "2^2")})
-    fields = _resolve_fields(config)
+def cmd_theta_table(args) -> int:
+    fields = _resolve_fields(args.field or ("2^1", "2^2"))
     for f in fields:
         if f.p != 2:
             raise UsageError(f"theta-table takes characteristic-two fields, got {f.literal()}")
-    entries = catalog_entries(config.max_order, 2)
+    entries = catalog_entries(args.max_order, 2)
 
     def cell(pair):
         entry, f = pair
         group = built[entry.name]
         try:
-            return str(theta(group, f, search_cap=config.search_cap))
+            return str(theta(group, f, search_cap=args.search_cap))
         except SearchSpaceTooLarge as exc:
             return {"unavailable": str(exc)}
 
@@ -275,7 +239,7 @@ def cmd_theta_table(config: RunConfig) -> int:
             "t_c_commutative": commuting,
             "theta_agrees": agrees,
         })
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps({"fields": [f.literal() for f in fields], "rows": rows},
                          sort_keys=True, indent=2))
     else:
@@ -288,12 +252,12 @@ def cmd_theta_table(config: RunConfig) -> int:
             body.append([row["group"], str(row["order"])] + cells_txt +
                         [str(row["t_c_commutative"]),
                          "—" if row["theta_agrees"] is None else str(row["theta_agrees"])])
-        print(_render_table(headers, body, config.format))
+        print(_render_table(headers, body, args.format))
     return 0
 
 
-def cmd_verify(args, config: RunConfig) -> int:
-    results = run_suite(args.suite, seed=config.seed, search_cap=config.search_cap)
+def cmd_verify(args) -> int:
+    results = run_suite(args.suite, seed=args.seed, search_cap=args.search_cap)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -313,6 +277,7 @@ def _build_parser() -> _Parser:
     groups_p.add_argument("--max-order", type=int, default=16)
     groups_p.add_argument("--p", type=int, default=2)
     groups_p.add_argument("--format", choices=["json", "csv", "markdown"], default="markdown")
+    groups_p.set_defaults(run=cmd_groups)
 
     compute_p = sub.add_parser("compute", help="compute |V(FG)| per (group, field)")
     compute_p.add_argument("--group", action="append", help="catalog name (repeatable)")
@@ -324,20 +289,21 @@ def _build_parser() -> _Parser:
     compute_p.add_argument("--format", choices=["json", "csv", "markdown"], default="json")
     compute_p.add_argument("--max-witnesses", type=int, default=8)
     compute_p.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP)
-    compute_p.add_argument("--seed", type=int, default=0)
     compute_p.add_argument("--timings", action="store_true")
+    compute_p.set_defaults(run=cmd_compute)
 
     ttab_p = sub.add_parser("theta-table", help="theta across catalog 2-groups x fields")
     ttab_p.add_argument("--field", action="append", help="field literal 2^m (repeatable)")
     ttab_p.add_argument("--max-order", type=int, default=16)
     ttab_p.add_argument("--format", choices=["json", "csv", "markdown"], default="markdown")
     ttab_p.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP)
-    ttab_p.add_argument("--seed", type=int, default=0)
+    ttab_p.set_defaults(run=cmd_theta_table)
 
     verify_p = sub.add_parser("verify", help="run a named verification suite")
     verify_p.add_argument("--suite", required=True, choices=sorted(SUITES))
     verify_p.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP)
     verify_p.add_argument("--seed", type=int, default=0)
+    verify_p.set_defaults(run=cmd_verify)
     return parser
 
 
@@ -345,16 +311,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from(args, args.command)
-        if args.command == "groups":
-            return cmd_groups(config)
-        if args.command == "compute":
-            return cmd_compute(config)
-        if args.command == "theta-table":
-            return cmd_theta_table(config)
-        if args.command == "verify":
-            return cmd_verify(args, config)
-        raise UsageError(f"unknown command {args.command!r}")
+        _check_caps(args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return 1

@@ -39,7 +39,6 @@ class FieldTables:
     add: np.ndarray   # (q, q)
     mul: np.ndarray   # (q, q)
     neg: np.ndarray   # (q,)
-    inv: np.ndarray   # (q,), inv[0] = 0 sentinel
     one: int
 
 
@@ -89,15 +88,29 @@ def field_tables(spec: FieldSpec) -> FieldTables:
     if q > 1:
         ks = (log[1:, None] + log[None, 1:]) % (q - 1)
         mul[1:, 1:] = expv[ks]
-    inv = np.zeros(q, dtype=np.int64)
-    inv[1:] = expv[(-log[1:]) % (q - 1)]
 
     u16 = np.uint16
-    tabs = FieldTables(q, add.astype(u16), mul.astype(u16), neg.astype(u16),
-                       inv.astype(u16), spec.one.code)
-    for arr in (tabs.add, tabs.mul, tabs.neg, tabs.inv):
+    tabs = FieldTables(q, add.astype(u16), mul.astype(u16), neg.astype(u16), spec.one.code)
+    for arr in (tabs.add, tabs.mul, tabs.neg):
         arr.setflags(write=False)
     return tabs
+
+
+def digits(values: np.ndarray, radix: int, count: int) -> np.ndarray:
+    """(size, count) uint16 base-radix digits of uint64 values, least
+    significant first; a power-of-two radix shifts and masks instead of
+    dividing."""
+    out = np.empty((values.size, count), dtype=np.uint16)
+    if radix & (radix - 1) == 0:
+        width, mask = radix.bit_length() - 1, np.uint64(radix - 1)
+        for i in range(count):
+            out[:, i] = (values >> np.uint64(width * i)) & mask
+        return out
+    v, r = values.copy(), np.uint64(radix)
+    for i in range(count):
+        out[:, i] = v % r
+        v //= r
+    return out
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -205,14 +218,7 @@ class AlgebraContext:
         return (X.astype(np.uint64) * self.powers[None, :]).sum(axis=1)
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        X = np.empty((keys.size, self.n), dtype=np.uint16)
-        v = keys.copy()
-        q = np.uint64(self.q)
-        for i in range(self.n):
-            X[:, i] = (v % q).astype(np.uint16)
-            v //= q
-        return X
+        return digits(np.asarray(keys, dtype=np.uint64), self.q, self.n)
 
     # --- arithmetic ----------------------------------------------------------
 
@@ -290,17 +296,12 @@ class AlgebraContext:
 
         Coefficients at indices 1..n-1 run over all q^(n-1) combinations;
         the identity coefficient is the dependent one."""
-        total = self.q ** (self.n - 1)
+        q, total = self.q, self.q ** (self.n - 1)
         one = self.tabs.one
         for start in range(0, total, batch):
             stop = min(start + batch, total)
-            idx = np.arange(start, stop, dtype=np.uint64)
-            X = np.empty((idx.size, self.n), dtype=np.uint16)
-            v = idx.copy()
-            q = np.uint64(self.q)
-            for i in range(1, self.n):
-                X[:, i] = (v % q).astype(np.uint16)
-                v //= q
+            # q i has digit 0 zero and the digits of i above it
+            X = digits(np.arange(start * q, stop * q, q, dtype=np.uint64), q, self.n)
             if self.n == 1:
                 X[:, 0] = one
             elif self.char2:
@@ -321,13 +322,9 @@ class AlgebraContext:
         total = radix ** k
         for start in range(0, total, batch):
             stop = min(start + batch, total)
-            idx = np.arange(start, stop, dtype=np.uint64)
-            X = np.zeros((idx.size, self.n), dtype=np.uint16)
-            v = idx.copy()
-            r = np.uint64(radix)
+            X = np.zeros((stop - start, self.n), dtype=np.uint16)
+            D = coeffs[digits(np.arange(start, stop, dtype=np.uint64), radix, k)]
             for j in range(k):
-                dj = coeffs[(v % r).astype(np.intp)]
-                v //= r
-                scaled = self.tabs.mul[dj[:, None], basis[j][None, :]]
+                scaled = self.tabs.mul[D[:, j, None], basis[j][None, :]]
                 X = self.add(X, scaled)
             yield X

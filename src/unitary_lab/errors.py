@@ -144,10 +144,6 @@ class InternalInconsistency(UnitaryLabError):
     """A proved identity failed; signals a bug, never user error."""
 
 
-class TcNotCommutative(UnitaryLabError):
-    """The square-root set of c is not pairwise commuting."""
-
-
 class Ambiguous(UnitaryLabError):
     def __init__(self, candidates):
         self.candidates = list(candidates)

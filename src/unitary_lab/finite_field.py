@@ -53,6 +53,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_power_of(n: int, p: int) -> bool:
+    """True iff n = p^k for some k >= 0."""
+    if n < 1:
+        return False
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 # --- polynomials over Z/p as little-endian int lists ------------------------
 
 def _poly_trim(a: list[int]) -> list[int]:

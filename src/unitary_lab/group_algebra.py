@@ -22,7 +22,13 @@ from .errors import (
     NotPGroupOverField,
     SpecMismatch,
 )
-from .finite_field import FieldElement, FieldSpec, format_element_literal, parse_element_literal
+from .finite_field import (
+    FieldElement,
+    FieldSpec,
+    format_element_literal,
+    is_power_of,
+    parse_element_literal,
+)
 from .group_core import Group, SubgroupHandle, coset_representatives
 
 
@@ -99,7 +105,7 @@ class AlgebraElement:
         Valid because the augmentation ideal of FG is nilpotent when G is a
         p-group over a field of characteristic p; refuses other algebras.
         """
-        _require_p_group(self.group, self.field)
+        require_p_group(self.group, self.field)
         aug = self.augmentation()
         if aug.is_zero():
             raise NotAUnit("augmentation is zero")
@@ -125,12 +131,11 @@ class AlgebraElement:
         return f"AlgebraElement({self.field.literal()}, {self.group.id}, {format_algebra_literal(self)!r})"
 
 
-def _require_p_group(group: Group, field: FieldSpec):
-    n = group.n
-    while n % field.p == 0:
-        n //= field.p
-    if n != 1:
-        raise NotPGroupOverField(f"|G|={group.n} is not a power of char(F)={field.p}")
+def require_p_group(group: Group, field: FieldSpec):
+    """Refuse a group whose order is not a power of char(F)."""
+    if not is_power_of(group.n, field.p):
+        raise NotPGroupOverField(
+            f"|G|={group.n} for {group.id} is not a power of char(F)={field.p}")
 
 
 def algebra_zero(field: FieldSpec, group: Group) -> AlgebraElement:

@@ -25,18 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, UnknownName
-from .finite_field import is_prime
+from .finite_field import is_power_of, is_prime
 from .group_core import Group, validate_group
 
 MAX_SWEEP_ORDER = 64
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def cyclic(n: int) -> Group:
@@ -114,13 +106,13 @@ def _two_generator_group(order: int, family: str, conj_exp: int, s_square_rot: i
 
 
 def dihedral(order: int) -> Group:
-    if order < 8 or not _is_power_of(order, 2):
+    if order < 8 or not is_power_of(order, 2):
         raise BadParameter(f"dihedral order must be 2^n with n >= 3, got {order}")
     return _two_generator_group(order, "dihedral", conj_exp=-1, s_square_rot=0)
 
 
 def quaternion(order: int) -> Group:
-    if order < 8 or not _is_power_of(order, 2):
+    if order < 8 or not is_power_of(order, 2):
         raise BadParameter(f"quaternion order must be 2^n with n >= 3, got {order}")
     return _two_generator_group(order, "quaternion", conj_exp=-1, s_square_rot=order // 4)
 
@@ -244,7 +236,7 @@ def catalog_entries(max_order: int, p: int) -> list[CatalogEntry]:
         raise BadParameter(f"{p} is not prime")
     if max_order > MAX_SWEEP_ORDER:
         raise BadParameter(f"sweep is capped at order {MAX_SWEEP_ORDER}")
-    if not _is_power_of(max_order, p):
+    if not is_power_of(max_order, p):
         raise BadParameter(f"max_order {max_order} is not a power of {p}")
     entries: dict[str, CatalogEntry] = {}
 

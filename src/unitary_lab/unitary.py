@@ -27,10 +27,8 @@ from .errors import (
     NoCentralInvolution,
     NotInvertible,
     NotNormalized,
-    NotPGroupOverField,
     OddCharacteristic,
     SearchSpaceTooLarge,
-    TcNotCommutative,
     Ambiguous,
 )
 from .finite_field import FieldSpec, tau_image
@@ -42,20 +40,13 @@ from .group_algebra import (
     basis_element,
     canonical_star,
     format_algebra_literal,
+    require_p_group,
 )
 from .group_core import Group, coset_representatives
 
 DEFAULT_SEARCH_CAP = 1 << 24
 DEFAULT_BASE_ORDER_CAP = 8
 DEFAULT_MAX_WITNESSES = 64
-
-
-def _require_power_of(n: int, p: int, what: str):
-    m = n
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        raise NotPGroupOverField(f"{what}: |G|={n} is not a power of {p}")
 
 
 def theta_exponent(group: Group) -> int:
@@ -108,7 +99,6 @@ class UnitarySet:
     """Full element set of a unitary subgroup as sorted packed keys."""
 
     ctx: AlgebraContext
-    inv: GroupInvolution
     keys: np.ndarray
 
     @property
@@ -152,7 +142,7 @@ def unitary_order_odd(group: Group, inv: GroupInvolution, field: FieldSpec) -> i
     """|F|^((|G| - |G_sigma|)/2), exact."""
     if field.p == 2:
         raise EvenCharacteristic("odd-characteristic formula requested over characteristic 2")
-    _require_power_of(group.n, field.p, "odd-order formula")
+    require_p_group(group, field)
     fixed = len(inv.fixed_points())
     if (group.n - fixed) % 2:
         raise InternalInconsistency("|G| - |G_sigma| must be even")
@@ -232,7 +222,7 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
 
 def _oracle_set(group: Group, inv: GroupInvolution, field: FieldSpec,
                 search_cap: int = DEFAULT_SEARCH_CAP) -> UnitarySet:
-    _require_power_of(group.n, field.p, "oracle")
+    require_p_group(group, field)
     space = field.order ** (group.n - 1)
     if space > search_cap:
         raise SearchSpaceTooLarge(space, search_cap, context=f"oracle over {group.id}")
@@ -251,7 +241,7 @@ def _oracle_set(group: Group, inv: GroupInvolution, field: FieldSpec,
     keys = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
     keys.setflags(write=False)
     _subgroup_certificate(ctx, keys, sigma, full_space=space)
-    uset = UnitarySet(ctx, inv, keys)
+    uset = UnitarySet(ctx, keys)
     _SET_CACHE[cache_key] = uset
     return uset
 
@@ -479,7 +469,7 @@ def _char2_set(group: Group, field: FieldSpec, *, search_cap: int,
     ctx = info["ctx"]
     _subgroup_certificate(ctx, unitary_keys, np.array(star.sigma, dtype=np.intp),
                           full_space=field.order ** (group.n - 1), c=c)
-    uset = UnitarySet(ctx, star, unitary_keys)
+    uset = UnitarySet(ctx, unitary_keys)
     _SET_CACHE[cache_key] = uset
     return uset
 
@@ -491,7 +481,7 @@ def s_h_enumerate(group: Group, c: int, field: FieldSpec, *,
     """|S_H| for H = <c>, plus sample elements of S_H."""
     if field.p != 2:
         raise OddCharacteristic("S_H enumeration requires characteristic 2")
-    _require_power_of(group.n, 2, "S_H enumeration")
+    require_p_group(group, field)
     _, s_h_keys, info = _fiber_scan(group, c, field, search_cap=search_cap,
                                     base_order_cap=base_order_cap, collect_unitary=False)
     ctx = info["ctx"]
@@ -523,7 +513,7 @@ def unitary_order_char2(group: Group, field: FieldSpec, *, c: int | None = None,
     which is how choice-independence is exercised."""
     if field.p != 2:
         raise OddCharacteristic("characteristic-two recursion over an odd field")
-    _require_power_of(group.n, 2, "characteristic-two recursion")
+    require_p_group(group, field)
     if c is None and group.n <= base_order_cap:
         uset = _oracle_set(group, canonical_star(group), field, search_cap)
         order = uset.order
@@ -587,11 +577,11 @@ class BoundsReport:
     generator_identity_ok: bool | None
 
 
-def _orbit_representatives(group: Group, c: int) -> list[int]:
-    """One representative per {g, g^-1, gc, (gc)^-1} orbit over g with g^2 not in <c>."""
+def _n1_orbits(group: Group, c: int) -> list[tuple[int, ...]]:
+    """The {g, g^-1, gc, (gc)^-1} orbits over g with g^2 not in <c>, each sorted."""
     h_members = {0, c}
     seen = set()
-    reps = []
+    orbits = []
     for g in group.elements():
         if g in seen or group.mul(g, g) in h_members:
             continue
@@ -599,8 +589,8 @@ def _orbit_representatives(group: Group, c: int) -> list[int]:
         if len(orbit) != 4:
             raise InternalInconsistency("orbit of size != 4 outside G{2} and T_c")
         seen |= orbit
-        reps.append(min(orbit))
-    return reps
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
 
 
 def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
@@ -622,11 +612,12 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
     upper, lower = _s_h_bounds(group, c, field)
 
     # N1: full field span over the orbit vectors, shifted by 1
-    orbit_reps = _orbit_representatives(group, c)
+    orbits = _n1_orbits(group, c)
     expected_k1 = (group.n - g2 - len(t_c)) // 4
-    if len(orbit_reps) != expected_k1:
+    if len(orbits) != expected_k1:
         raise InternalInconsistency("orbit count disagrees with (|G|-|G{2}|-|T_c|)/4")
-    n1_keys = _span_plus_one_keys(ctx, group, [_orbit_vector(ctx, group, g, c) for g in orbit_reps])
+    n1_part = ([_basis_sum(ctx, orbit) for orbit in orbits], None)
+    n1_keys = _one_plus_span_keys(ctx, n1_part)
     n1_size = int(n1_keys.size)
     if n1_size != field.order ** expected_k1:
         raise InternalInconsistency("|N1| disagrees with |F|^((|G|-|G{2}|-|T_c|)/4)")
@@ -639,15 +630,14 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
     if commuting:
         pair_reps = sorted({min(g, group.inverse(g)) for g in t_c})
         im_codes = np.array(sorted(a.code for a in tau_image(field)), dtype=np.uint16)
-        n2_vectors = [_pair_vector(ctx, group, g, c) for g in pair_reps]
-        n2_keys = _span_plus_one_keys(ctx, group, n2_vectors, coefficient_codes=im_codes)
+        n2_part = ([_basis_sum(ctx, (g, group.mul(g, c))) for g in pair_reps], im_codes)
+        n2_keys = _one_plus_span_keys(ctx, n2_part)
         n2_size = int(n2_keys.size)
         expected_n2 = (field.order // 2) ** (len(t_c) // 2)
         if n2_size != expected_n2:
             raise InternalInconsistency("|N2| disagrees with (|F|/2)^(|T_c|/2)")
         n2_inside = bool(keys_contain(s_h_keys, n2_keys).all())
-        combined = [_orbit_vector(ctx, group, g, c) for g in orbit_reps]
-        prod_keys = _pair_span_keys(ctx, group, combined, n2_vectors, im_codes)
+        prod_keys = _one_plus_span_keys(ctx, n1_part, n2_part)
         if prod_keys.size != n1_size * n2_size:
             raise InternalInconsistency("|N1 x N2| is not the size product")
         product_inside = bool(keys_contain(s_h_keys, prod_keys).all())
@@ -658,47 +648,24 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
                         product_inside, identity_ok)
 
 
-def _orbit_vector(ctx: AlgebraContext, group: Group, g: int, c: int) -> np.ndarray:
-    """(g + g^-1)(1 + c) as a code row."""
-    row = np.zeros(group.n, dtype=np.uint16)
-    one = ctx.tabs.one
-    for idx in (g, group.inverse(g), group.mul(g, c), group.mul(group.inverse(g), c)):
-        row[idx] = ctx.tabs.add[row[idx], one]
+def _basis_sum(ctx: AlgebraContext, indices) -> np.ndarray:
+    """The sum of the basis elements at the given group indices, as a code row:
+    (g + g^-1)(1 + c) spans N1, g(1 + c) for g a square root of c spans N2."""
+    row = np.zeros(ctx.n, dtype=np.uint16)
+    for idx in indices:
+        row[idx] = ctx.tabs.add[row[idx], ctx.tabs.one]
     return row
 
 
-def _pair_vector(ctx: AlgebraContext, group: Group, g: int, c: int) -> np.ndarray:
-    """g(1 + c) as a code row, for g a square root of c."""
-    row = np.zeros(group.n, dtype=np.uint16)
-    one = ctx.tabs.one
-    for idx in (g, group.mul(g, c)):
-        row[idx] = ctx.tabs.add[row[idx], one]
-    return row
-
-
-def _span_plus_one_keys(ctx: AlgebraContext, group: Group, vectors: list[np.ndarray],
-                        coefficient_codes: np.ndarray | None = None) -> np.ndarray:
-    basis = (np.stack(vectors) if vectors
-             else np.empty((0, group.n), dtype=np.uint16))
-    parts = []
-    for X in ctx.span_batches(basis, coefficient_codes=coefficient_codes):
-        shifted = X.copy()
-        shifted[:, 0] = ctx.tabs.add[shifted[:, 0], ctx.tabs.one]
-        parts.append(ctx.pack(shifted))
-    return sorted_unique(np.concatenate(parts))
-
-
-def _pair_span_keys(ctx: AlgebraContext, group: Group, n1_vectors: list[np.ndarray],
-                    n2_vectors: list[np.ndarray], im_codes: np.ndarray) -> np.ndarray:
-    """Keys of {x*y : x in N1, y in N2} = 1 + span(N1) + span(N2)."""
-    n1_rows = np.concatenate(list(ctx.span_batches(
-        np.stack(n1_vectors) if n1_vectors else np.empty((0, group.n), dtype=np.uint16))))
-    n2_rows = np.concatenate(list(ctx.span_batches(
-        np.stack(n2_vectors) if n2_vectors else np.empty((0, group.n), dtype=np.uint16),
-        coefficient_codes=im_codes)))
-    combined = ctx.add(n1_rows[:, None, :], n2_rows[None, :, :]).reshape(-1, group.n)
-    combined[:, 0] = ctx.tabs.add[combined[:, 0], ctx.tabs.one]
-    return sorted_unique(ctx.pack(combined))
+def _one_plus_span_keys(ctx: AlgebraContext, *parts) -> np.ndarray:
+    """Sorted keys of 1 + span(part) + ... over (vectors, coefficient codes)
+    parts; codes None is the whole field. Both parts give {x y : x in N1, y in N2}."""
+    rows = ctx.identity[None, :]
+    for vectors, codes in parts:
+        basis = np.stack(vectors) if vectors else np.empty((0, ctx.n), dtype=np.uint16)
+        span = np.concatenate(list(ctx.span_batches(basis, coefficient_codes=codes)))
+        rows = ctx.add(rows[:, None, :], span[None, :, :]).reshape(-1, ctx.n)
+    return sorted_unique(ctx.pack(rows))
 
 
 def _check_generator_identity(group: Group, field: FieldSpec, c: int,
@@ -717,18 +684,6 @@ def _check_generator_identity(group: Group, field: FieldSpec, c: int,
             if lhs != rhs:
                 return False
     return True
-
-
-def build_n2_subgroup(group: Group, c: int, field: FieldSpec) -> np.ndarray:
-    """Keys of N2; refuses when T_c is not commutative."""
-    t_c = group.square_roots(c)
-    if not group.is_pairwise_commuting(t_c):
-        raise TcNotCommutative(f"T_c for c={c} in {group.id} is not pairwise commuting")
-    ctx = AlgebraContext(field, group)
-    pair_reps = sorted({min(g, group.inverse(g)) for g in t_c})
-    im_codes = np.array(sorted(a.code for a in tau_image(field)), dtype=np.uint16)
-    vectors = [_pair_vector(ctx, group, g, c) for g in pair_reps]
-    return _span_plus_one_keys(ctx, group, vectors, coefficient_codes=im_codes)
 
 
 # --- order recovery -----------------------------------------------------------------

@@ -247,6 +247,8 @@ def suite_bounds(seed: int = 0, search_cap: int = DEFAULT_SEARCH_CAP) -> list[Ch
             if rep.t_c_commuting:
                 _check(results, "bounds", f"{tag} lower", True,
                        Fraction(rep.s_h_size) >= rep.lower_bound)
+                _check(results, "bounds", f"{tag} |N2|",
+                       (gf2.order // 2) ** (rep.t_c_size // 2), rep.n2_size)
                 _check(results, "bounds", f"{tag} N2 in S_H", True, rep.n2_inside_s_h)
                 _check(results, "bounds", f"{tag} N1xN2 in S_H", True, rep.product_inside_s_h)
                 _check(results, "bounds", f"{tag} generator identity", True,

@@ -1,12 +1,15 @@
 """Acceptance criteria, one test per criterion, exact arithmetic throughout.
 
-Each test prints a single pass/fail line (visible with `pytest -s`); the
-stated wall-clock budgets are asserted where the criterion carries one.
+Criteria 1, 3, 5, 6, 7, 8 and 9 are the verify suites thm1, prop2, prop1,
+lemma1, bounds, thm2 and cor1 (`unitary_lab.verify`): each test runs its
+suite and fails on any failed check. Criteria 2, 4 and 10 have no suite of
+their own and are written out here. Each test prints a single pass/fail line
+(visible with `pytest -s`); the stated wall-clock budgets are asserted where
+the criterion carries one.
 """
 
 import itertools
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -14,12 +17,10 @@ from unitary_lab import group_algebra as ga
 from unitary_lab import unitary as un
 from unitary_lab.finite_field import make_field
 from unitary_lab.group_catalog import build, catalog_entries
+from unitary_lab.verify import run_suite
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
-GF4 = make_field(2, 2)
-GF5 = make_field(5, 1)
-GF8 = make_field(2, 3)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -33,22 +34,22 @@ def report(num: int, ok: bool, detail: str):
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_1_odd_p_formula():
+def report_suite(num: int, suite: str, budget_s: float | None):
+    """Criterion num holds iff every check of the verify suite passes, within the
+    budget when the criterion has one (budget_s None: it has none)."""
     start = time.perf_counter()
-    cases = [("cyclic:3", GF3), ("cyclic:9", GF3), ("elementary_abelian:3:2", GF3),
-             ("cyclic:5", GF5)]
-    mismatches = []
-    for name, field in cases:
-        group = build(name)
-        star = ga.canonical_star(group)
-        formula = un.unitary_order_odd(group, star, field)
-        oracle = un.unitary_enumerate_oracle(group, star, field).order
-        if formula != oracle:
-            mismatches.append((name, formula, oracle))
+    results = run_suite(suite)
     elapsed = time.perf_counter() - start
-    report(1, not mismatches and elapsed < 10.0,
-           f"oracle == |F|^((|G|-|G_*|)/2) on {len(cases)} cases, "
-           f"mismatches={mismatches}, {elapsed:.2f}s (< 10s)")
+    failed = [f"{r.name}: expected={r.expected} measured={r.measured}"
+              for r in results if not r.passed]
+    budget = "" if budget_s is None else f" (< {budget_s:g}s)"
+    report(num, not failed and (budget_s is None or elapsed < budget_s),
+           f"suite {suite}: {len(results) - len(failed)}/{len(results)} checks passed, "
+           f"failed={failed}, {elapsed:.2f}s{budget}")
+
+
+def test_criterion_1_odd_p_formula():
+    report_suite(1, "thm1", budget_s=10.0)
 
 
 def test_criterion_2_cayley_bijection():
@@ -85,24 +86,7 @@ def test_criterion_2_cayley_bijection():
 
 
 def test_criterion_3_prop2_regressions():
-    start = time.perf_counter()
-    cases = [("dihedral:8", GF2, 1), ("dihedral:8", GF4, 1),
-             ("quaternion:8", GF2, 4), ("quaternion:8", GF4, 4),
-             ("dihedral:16", GF2, 1), ("quaternion:16", GF2, 4)]
-    failures = []
-    for name, field, expected in cases:
-        group = build(name)
-        res = un.unitary_order_char2(group, field)
-        if res.theta != expected:
-            failures.append((name, field.literal(), "theta", res.theta, expected))
-        if field.order ** (group.n - 1) <= un.DEFAULT_SEARCH_CAP:
-            oracle = un.unitary_enumerate_oracle(group, ga.canonical_star(group), field)
-            if oracle.order != res.order:
-                failures.append((name, field.literal(), "oracle", oracle.order, res.order))
-    elapsed = time.perf_counter() - start
-    report(3, not failures and elapsed < 60.0,
-           f"theta(D8)=1, theta(Q8)=4 over GF(2),GF(4); theta(D16)=1, theta(Q16)=4 "
-           f"over GF(2), oracle cross-checked; failures={failures}, {elapsed:.2f}s (< 60s)")
+    report_suite(3, "prop2", budget_s=60.0)
 
 
 def test_criterion_4_semidihedral_remark():
@@ -115,127 +99,23 @@ def test_criterion_4_semidihedral_remark():
 
 
 def test_criterion_5_prop1_abelian_theta():
-    failures = []
-    checked = 0
-    for field, max_order in ((GF2, 16), (GF4, 8)):
-        for entry in catalog_entries(max_order, 2):
-            group = entry.build()
-            if not group.is_abelian():
-                continue
-            checked += 1
-            expected = len(group.special_sets().square_order_two)
-            measured = un.theta(group, field)
-            if measured != expected:
-                failures.append((entry.name, field.literal(), measured, expected))
-    report(5, not failures,
-           f"theta = |G^2{{2}}| on {checked} abelian (group, field) cells; "
-           f"failures={failures}")
+    report_suite(5, "prop1", budget_s=None)
 
 
 def test_criterion_6_lemma1_identity():
-    failures = []
-    checked = 0
-    for entry in catalog_entries(16, 2):
-        group = entry.build()
-        star = ga.canonical_star(group)
-        full = un.unitary_enumerate_oracle(group, star, GF2).order
-        for c in group.special_sets().central_order_two:
-            checked += 1
-            gbar, _ = group.quotient(group.subgroup_generated([c]))
-            bar = un.unitary_enumerate_oracle(gbar, ga.canonical_star(gbar), GF2).order
-            s_h, _ = un.s_h_enumerate(group, c, GF2)
-            numerator = GF2.order ** (group.n // 2) * bar
-            if numerator % s_h != 0:
-                failures.append((entry.name, c, "non-exact division"))
-            elif numerator // s_h != full:
-                failures.append((entry.name, c, numerator // s_h, full))
-    report(6, not failures,
-           f"|V(FG)| = |F|^(|G|/2) |V(F[G/H])| / |S_H| exactly on {checked} "
-           f"(group, c) pairs over GF(2); failures={failures}")
+    report_suite(6, "lemma1", budget_s=None)
 
 
 def test_criterion_7_s_h_bounds_and_constructions():
-    failures = []
-    checked = 0
-    for entry in catalog_entries(16, 2):
-        group = entry.build()
-        g2 = len(group.special_sets().order_two)
-        for c in group.special_sets().central_order_two:
-            checked += 1
-            rep = un.bounds_and_constructions(group, c, GF2)
-            tag = (entry.name, c)
-            if rep.s_h_size > rep.upper_bound:
-                failures.append(tag + ("above upper bound",))
-            n1_expected = GF2.order ** ((group.n - g2 - rep.t_c_size) // 4)
-            if rep.n1_size != n1_expected or not rep.n1_inside_s_h:
-                failures.append(tag + ("N1",))
-            if rep.t_c_commuting:
-                if Fraction(rep.s_h_size) < rep.lower_bound:
-                    failures.append(tag + ("below lower bound",))
-                n2_expected = (GF2.order // 2) ** (rep.t_c_size // 2)
-                if rep.n2_size != n2_expected or not rep.n2_inside_s_h \
-                        or not rep.product_inside_s_h or not rep.generator_identity_ok:
-                    failures.append(tag + ("N2",))
-    report(7, not failures,
-           f"|S_H| within the proved bracket and N1/N2 inside S_H on {checked} "
-           f"(group, c) pairs; failures={failures}")
+    report_suite(7, "bounds", budget_s=None)
 
 
 def test_criterion_8_divisibility_and_field_independence():
-    failures = []
-    runs = 0
-    for entry in catalog_entries(16, 2):
-        group = entry.build()
-        exponent = un.theta_exponent(group)
-        value = un.unitary_order_char2(group, GF2).order
-        runs += 1
-        if value % (GF2.order ** exponent) != 0:
-            failures.append((entry.name, "2^1", "divisibility"))
-    theta_rows = {}
-    for field in (GF2, GF4, GF8):
-        for entry in catalog_entries(8, 2):
-            group = entry.build()
-            exponent = un.theta_exponent(group)
-            res = un.unitary_order_char2(group, field)
-            runs += 1
-            if res.order % (field.order ** exponent) != 0:
-                failures.append((entry.name, field.literal(), "divisibility"))
-            theta_rows.setdefault(entry.name, []).append(res.theta)
-    for name, values in theta_rows.items():
-        if len(set(values)) != 1:
-            failures.append((name, "theta varies across GF(2), GF(4), GF(8)", values))
-    report(8, not failures,
-           f"|F|^((|G|+|G{{2}}|)/2-1) divides |V| in {runs} char-2 runs; theta "
-           f"field-independent for all order-<=8 2-groups; failures={failures}")
+    report_suite(8, "thm2", budget_s=None)
 
 
 def test_criterion_9_order_recovery():
-    failures = []
-    per_field: dict[str, list[tuple[str, int, int]]] = {}
-    for field, max_order in ((GF2, 16), (GF4, 8)):
-        rows = per_field.setdefault(field.literal(), [])
-        for entry in catalog_entries(max_order, 2):
-            group = entry.build()
-            order = un.unitary_order_char2(group, field).order
-            rows.append((entry.name, group.n, order))
-            if un.recover_group_order(order, field, 2) != group.n:
-                failures.append((entry.name, field.literal(), "recovery"))
-    for field, p, max_order in ((GF3, 3, 27), (GF5, 5, 25)):
-        rows = per_field.setdefault(field.literal(), [])
-        for entry in catalog_entries(max_order, p):
-            group = entry.build()
-            order = un.unitary_order_odd(group, ga.canonical_star(group), field)
-            rows.append((entry.name, group.n, order))
-            if un.recover_group_order(order, field, p) != group.n:
-                failures.append((entry.name, field.literal(), "recovery"))
-    for literal, rows in per_field.items():
-        for a, b in itertools.combinations(rows, 2):
-            if a[1] != b[1] and a[2] == b[2]:
-                failures.append((literal, a[0], b[0], "|V| collision across orders"))
-    total = sum(len(rows) for rows in per_field.values())
-    report(9, not failures,
-           f"per fixed field no |V| collision across distinct orders and "
-           f"recover_group_order correct on {total} results; failures={failures}")
+    report_suite(9, "cor1", budget_s=None)
 
 
 def test_criterion_10_oracle_and_s_h_self_consistency():

@@ -95,6 +95,23 @@ def test_compute_usage_errors(capsys):
     assert code == 1
 
 
+def test_nonpositive_caps_exit_one(capsys):
+    for argv in (("compute", "--group", "cyclic:4", "--field", "2^1", "--search-cap", "0"),
+                 ("compute", "--group", "cyclic:4", "--field", "2^1", "--max-witnesses", "-1"),
+                 ("groups", "list", "--max-order", "0")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and "caps must be positive" in err, argv
+
+
+def test_seed_is_a_verify_option_only(capsys):
+    code, _, _ = run_cli(capsys, "compute", "--group", "cyclic:4", "--field", "2^1", "--seed", "1")
+    assert code == 1
+    code, _, _ = run_cli(capsys, "theta-table", "--seed", "1")
+    assert code == 1
+    code, out, _ = run_cli(capsys, "verify", "--suite", "thm1", "--seed", "1")
+    assert code == 0 and "[FAIL]" not in out
+
+
 def test_compute_unknown_group_exits_one(capsys):
     code, _, err = run_cli(capsys, "compute", "--group", "nope:1", "--field", "2^1")
     assert code == 1 and "nope:1" in err

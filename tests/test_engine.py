@@ -21,8 +21,6 @@ def test_field_tables_match_scalar_ops(p, m):
     elems = list(spec.elements())
     for a in elems:
         assert tabs.neg[a.code] == (-a).code
-        if not a.is_zero():
-            assert tabs.inv[a.code] == a.inverse().code
         for b in elems:
             assert tabs.add[a.code, b.code] == (a + b).code
             assert tabs.mul[a.code, b.code] == (a * b).code
@@ -144,8 +142,9 @@ def test_involute_and_augmentation_match_scalar():
         assert aug[i] == x.augmentation().code
 
 
-def test_pack_unpack_round_trip():
-    spec, group = make_field(2, 3), build("quaternion:8")
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (5, 2)])
+def test_pack_unpack_round_trip(p, m):
+    spec, group = make_field(p, m), build("quaternion:8")
     ctx = AlgebraContext(spec, group)
     rng = random.Random(3)
     X = _random_codes(rng, ctx, 100)

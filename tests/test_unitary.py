@@ -18,7 +18,6 @@ from unitary_lab.errors import (
     NotPGroupOverField,
     OddCharacteristic,
     SearchSpaceTooLarge,
-    TcNotCommutative,
 )
 from unitary_lab.finite_field import make_field
 from unitary_lab.group_catalog import build, catalog_entries
@@ -215,7 +214,7 @@ def test_s_h_failure_names_group_field_c_and_element(monkeypatch):
     bctx = AlgebraContext(GF2, gbar)
     units = np.sort(np.concatenate([bctx.pack(X) for X in bctx.normalized_batches()]))
     monkeypatch.setattr(un, "_char2_set",
-                        lambda *a, **k: un.UnitarySet(bctx, ga.canonical_star(gbar), units))
+                        lambda *a, **k: un.UnitarySet(bctx, units))
     with pytest.raises(InternalInconsistency) as exc:
         un.s_h_enumerate(q16, c, GF2)
     message = str(exc.value)
@@ -383,11 +382,6 @@ def test_bounds_gf4_nontrivial_n2():
     assert rep.n2_inside_s_h and rep.generator_identity_ok
     assert Fraction(rep.s_h_size) >= rep.lower_bound
     assert rep.s_h_size <= rep.upper_bound
-
-
-def test_build_n2_refuses_non_commuting():
-    with pytest.raises(TcNotCommutative):
-        un.build_n2_subgroup(build("quaternion:8"), 2, GF2)
 
 
 # --- order recovery -------------------------------------------------------------------------
