@@ -302,7 +302,8 @@ def _build_parser() -> _Parser:
     verify_p = sub.add_parser("verify", help="run a named verification suite")
     verify_p.add_argument("--suite", required=True, choices=sorted(SUITES))
     verify_p.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP)
-    verify_p.add_argument("--seed", type=int, default=0)
+    verify_p.add_argument("--seed", type=int, default=None,
+                          help="seed of the sampled elements (cayley suite only; default 0)")
     verify_p.set_defaults(run=cmd_verify)
     return parser
 

@@ -198,7 +198,7 @@ class AlgebraContext:
         self.char2 = field.p == 2
         if self.char2:
             # left_div[i, k] = j with g_i g_j = g_k; taps: x^m = sum of x^t over them
-            self.left_div = np.argsort(self.gtable, axis=1)
+            self.left_div = group.left_division()
             self.taps = [t for t in range(field.m) if field.modulus[t]]
         self.powers = np.array([self.q ** i for i in range(self.n)], dtype=np.uint64)
         self.identity = np.zeros(self.n, dtype=np.uint16)
@@ -215,7 +215,10 @@ class AlgebraContext:
         return AlgebraElement(self.field, self.group, coeffs)
 
     def pack(self, X: np.ndarray) -> np.ndarray:
-        return (X.astype(np.uint64) * self.powers[None, :]).sum(axis=1)
+        # one matrix-vector product: numpy's sum over the short second axis is
+        # slow, and a loop over the columns is slow on small batches; every key
+        # is below q^n <= 2^63, so uint64 arithmetic is exact
+        return X.astype(np.uint64) @ self.powers
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         return digits(np.asarray(keys, dtype=np.uint64), self.q, self.n)
@@ -284,10 +287,8 @@ class AlgebraContext:
         return s
 
     def is_one(self, Y: np.ndarray) -> np.ndarray:
-        mask = Y[:, 0] == self.tabs.one
-        if self.n > 1:
-            mask &= ~Y[:, 1:].any(axis=1)
-        return mask
+        # keys are base-q digit strings, so only the identity's row has its key
+        return Y.astype(np.uint64) @ self.powers == self.identity_key
 
     # --- enumerators ----------------------------------------------------------
 

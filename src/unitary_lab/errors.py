@@ -96,10 +96,6 @@ class NotAUnit(UnitaryLabError):
     """Augmentation is zero, so the element is not invertible."""
 
 
-class NilpotencyCapExceeded(UnitaryLabError):
-    """Neumann series did not terminate; signals an internal bug."""
-
-
 class NotAntiAutomorphism(UnitaryLabError):
     def __init__(self, witness):
         self.witness = witness

@@ -50,6 +50,7 @@ class Group:
         self.id = id or f"group:{self.n}"
         self.labels = tuple(labels) if labels is not None else None
         self._inverses: np.ndarray | None = None
+        self._left_division: np.ndarray | None = None
         self._orders: list[int] | None = None
         self._special: SpecialSets | None = None
         # equality compares tables, so the hash is of the table alone
@@ -85,6 +86,14 @@ class Group:
         if self._inverses is None:
             self._inverses = np.argmin(self.table, axis=1)  # position of 0 in each row
         return int(self._inverses[g])
+
+    def left_division(self) -> np.ndarray:
+        """(n, n) intp table ldiv with g_i g_ldiv[i, k] = g_k, i.e. g_i^-1 g_k."""
+        if self._left_division is None:
+            ldiv = np.argsort(self.table, axis=1)  # each row of the table is a permutation
+            ldiv.setflags(write=False)
+            self._left_division = ldiv
+        return self._left_division
 
     def order_of(self, g: int) -> int:
         self._bounds(g)

@@ -108,7 +108,9 @@ def test_seed_is_a_verify_option_only(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "theta-table", "--seed", "1")
     assert code == 1
-    code, out, _ = run_cli(capsys, "verify", "--suite", "thm1", "--seed", "1")
+    code, _, err = run_cli(capsys, "verify", "--suite", "thm1", "--seed", "1")
+    assert code == 1 and "cayley suite only" in err
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cayley", "--seed", "1")
     assert code == 0 and "[FAIL]" not in out
 
 

@@ -151,6 +151,23 @@ def test_pack_unpack_round_trip(p, m):
     assert np.array_equal(ctx.unpack(ctx.pack(X)), X)
 
 
+@pytest.mark.parametrize("group_name,p,m", [
+    ("cyclic:1", 3, 1), ("cyclic:1", 2, 2), ("dihedral:8", 2, 3),
+    ("elementary_abelian:3:2", 3, 1), ("quaternion:8", 5, 1),
+])
+def test_pack_and_is_one_match_axis_reductions(group_name, p, m):
+    ctx = AlgebraContext(make_field(p, m), build(group_name))
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, ctx.q, size=(2000, ctx.n), dtype=np.uint16)
+    X[::5] = ctx.identity            # the identity itself
+    X[1::5, 0] = ctx.tabs.one        # identity coefficient one, the rest random
+    keys = ctx.pack(X)
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, (X.astype(np.uint64) * ctx.powers[None, :]).sum(axis=1))
+    ones = (X[:, 0] == ctx.tabs.one) & ~X[:, 1:].any(axis=1)
+    assert ones.any() and np.array_equal(ctx.is_one(X), ones)
+
+
 def test_normalized_batches_enumerate_augmentation_one():
     spec, group = make_field(3, 1), build("cyclic:4")
     ctx = AlgebraContext(spec, group)

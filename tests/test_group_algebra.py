@@ -3,11 +3,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from unitary_lab import group_algebra as ga
 from unitary_lab.errors import (
     EvenCharacteristic,
+    InternalInconsistency,
     NotAntiAutomorphism,
     NotAUnit,
     NotOrderTwo,
@@ -24,6 +26,43 @@ GF4 = make_field(2, 2)
 
 def _random_element(rng, field, group):
     return ga.from_coeffs(field, group, [rng.randrange(field.p) for _ in range(group.n)])
+
+
+def _reference_mul(x, y):
+    """The convolution out[g_i g_j] += x_i y_j, one FieldElement product at a time."""
+    out = [x.field.zero] * x.group.n
+    for i, a in enumerate(x.coeffs):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(y.coeffs):
+            if not b.is_zero():
+                k = x.group.mul(i, j)
+                out[k] = out[k] + a * b
+    return ga.AlgebraElement(x.field, x.group, tuple(out))
+
+
+def _reference_inverse(x):
+    """chi(x)^-1 times the Neumann series sum of (-nu)^k, u = 1 + nu = x / chi(x),
+    summed term by term until a term vanishes."""
+    aug_inv = x.augmentation().inverse()
+    one = ga.algebra_one(x.field, x.group)
+    neg_nu = one - x.scale(aug_inv)
+    acc = term = one
+    for _ in range(x.group.n):
+        term = _reference_mul(term, neg_nu)
+        if term.is_zero():
+            return acc.scale(aug_inv)
+        acc = acc + term
+    raise AssertionError(f"series did not terminate within {x.group.n} terms")
+
+
+def _any_element(rng, field, group, nonzero=None):
+    """Coefficients drawn from all of F; nonzero=k keeps k random positions only."""
+    coeffs = [field.from_code(rng.randrange(field.order)) for _ in range(group.n)]
+    if nonzero is not None:
+        keep = set(rng.sample(range(group.n), nonzero))
+        coeffs = [c if g in keep else field.zero for g, c in enumerate(coeffs)]
+    return ga.AlgebraElement(field, group, tuple(coeffs))
 
 
 def _all_elements(field, group):
@@ -137,6 +176,46 @@ def test_invert_random_units(group_name, field):
         count += 1
         inv = x.invert()
         assert x * inv == one and inv * x == one
+
+
+@pytest.mark.parametrize("group_name", [
+    "cyclic:25", "heisenberg:3", "dihedral:8", "quaternion:8", "elementary_abelian:3:2",
+])
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2), (3, 6)])
+def test_algebra_mul_matches_reference(group_name, p, m):
+    field, group = make_field(p, m), build(group_name)
+    rng = random.Random(6)
+    for nonzero in (None, None, 1, 3):
+        x = _any_element(rng, field, group, nonzero)
+        y = _any_element(rng, field, group, nonzero)
+        assert x * y == _reference_mul(x, y)
+        assert y * x == _reference_mul(y, x)
+
+
+@pytest.mark.parametrize("group_name,p,m", [
+    ("cyclic:25", 5, 1), ("heisenberg:3", 3, 1), ("quaternion:8", 2, 2),
+])
+def test_invert_matches_neumann_series(group_name, p, m):
+    field, group = make_field(p, m), build(group_name)
+    rng = random.Random(7)
+    count = 0
+    while count < 6:
+        x = _any_element(rng, field, group, nonzero=None if count % 2 else 2)
+        if x.augmentation().is_zero():
+            continue
+        count += 1
+        assert x.invert() == _reference_inverse(x)
+
+
+def test_inverse_failure_names_group_field_and_element(monkeypatch):
+    c9 = build("cyclic:9")
+    x = ga.from_coeffs(GF3, c9, [1, 2, 0, 1, 0, 0, 0, 0, 0])
+    monkeypatch.setattr(ga, "_fold_matrix",
+                        lambda field: np.zeros((field.m ** 2, field.m), dtype=np.int64))
+    with pytest.raises(InternalInconsistency) as exc:
+        x.invert()
+    assert str(exc.value) == ("inverse failed verification multiply "
+                              "(cyclic:9 over 3^1, element 1*g0 + 2*g1 + 1*g3)")
 
 
 def test_canonical_star_abelian_is_automorphism():
