@@ -292,7 +292,7 @@ class FieldElement:
         return format_element_literal(self)
 
     def __repr__(self):
-        return f"FieldElement({self.spec.literal()}, {''.join(map(str, self.coeffs))})"
+        return f"FieldElement({self.spec.literal()}, {format_element_literal(self)})"
 
 
 def tau(a: FieldElement) -> FieldElement:
@@ -326,16 +326,14 @@ def parse_field_literal(text: str) -> FieldSpec:
 
 
 def parse_element_literal(spec: FieldSpec, text: str) -> FieldElement:
-    """Parse "c0c1...": one digit per coefficient, little-endian."""
-    if spec.p > 10:
-        raise ValueError("element literals are defined for p <= 10 only")
+    """Parse "c0c1...", one digit per coefficient, little-endian; for p > 10
+    the coefficients are decimal numbers joined by dots, "c0.c1...."."""
     text = text.strip()
-    if not text or not text.isdigit():
+    parts = text.split(".") if spec.p > 10 else list(text)
+    if not parts or not all(part.isdigit() for part in parts):
         raise ValueError(f"bad element literal {text!r}")
-    return spec.element([int(ch) for ch in text])
+    return spec.element([int(part) for part in parts])
 
 
 def format_element_literal(a: FieldElement) -> str:
-    if a.spec.p > 10:
-        raise ValueError("element literals are defined for p <= 10 only")
-    return "".join(str(c) for c in a.coeffs)
+    return ("." if a.spec.p > 10 else "").join(str(c) for c in a.coeffs)

@@ -5,7 +5,10 @@ Three routes to |V(FG)| under an involution arising from G:
 * odd characteristic: the closed formula |F|^((|G|-|G_sigma|)/2), with the
   Cayley transform realizing the bijection behind it;
 * characteristic two: the recursion |V(FG)| = |F|^(|G|/2) * |V(F[G/H])| / |S_H|
-  over H generated by a central involution, with exact division enforced;
+  over H generated by a central involution, down to order 1. Each level
+  returns |V| and generators of V; Schreier's orbit algorithm on the cosets
+  of S_H counts the next level and lifts its generators, so no unitary
+  group is listed;
 * any characteristic: the exhaustive oracle over all normalized units, which
   certifies its output is a subgroup.
 
@@ -45,7 +48,6 @@ from .group_algebra import (
 from .group_core import Group, coset_representatives
 
 DEFAULT_SEARCH_CAP = 1 << 24
-DEFAULT_BASE_ORDER_CAP = 8
 DEFAULT_MAX_WITNESSES = 64
 
 
@@ -116,6 +118,7 @@ _SET_CACHE: dict[tuple, UnitarySet] = {}
 
 def clear_caches():
     _SET_CACHE.clear()
+    _ORBITS.clear()
 
 
 # --- pointwise operations ------------------------------------------------------
@@ -145,25 +148,27 @@ def unitary_order_odd(group: Group, inv: GroupInvolution, field: FieldSpec) -> i
     require_p_group(group, field)
     fixed = len(inv.fixed_points())
     if (group.n - fixed) % 2:
-        raise InternalInconsistency("|G| - |G_sigma| must be even")
+        raise _inconsistency(group, field, "|G| - |G_sigma| must be even")
     return field.order ** ((group.n - fixed) // 2)
 
 
 # --- oracle ----------------------------------------------------------------------
 
-def _inconsistency(ctx: AlgebraContext, what: str, row: np.ndarray | None = None,
+def _inconsistency(group: Group, field: FieldSpec, what: str, row: np.ndarray | None = None,
                    c: int | None = None) -> InternalInconsistency:
-    """A failed proved identity, naming the group, the field, c and the element at fault."""
-    where = f"{ctx.group.id} over {ctx.field.literal()}"
+    """A failed proved identity, naming the group, the field, c and the element
+    at fault (a row of field codes)."""
+    where = f"{group.id} over {field.literal()}"
     if c is not None:
         where += f", c = g{c}"
     if row is not None:
-        where += f", element {format_algebra_literal(ctx.element_of(row))}"
+        coeffs = tuple(field.from_code(int(code)) for code in row)
+        where += f", element {format_algebra_literal(AlgebraElement(field, group, coeffs))}"
     return InternalInconsistency(f"{what} ({where})")
 
 
 def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.ndarray,
-                          full_space: int, batch: int = DEFAULT_BATCH, c: int | None = None):
+                          full_space: int, batch: int = DEFAULT_BATCH):
     """Prove the key set is a subgroup of V(FG).
 
     Identity membership and closure under the involution (= inversion for
@@ -174,17 +179,16 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
     the older ones, so only their products with the new generator can be
     new; fresh elements are multiplied by every generator. When the set is
     all of V(FG), closure is the multiplicativity of the augmentation map,
-    which is property-tested separately; the walk is skipped. A failure
-    names c, when the set comes from the recursion over H = <c>."""
-    S = uset_keys
+    which is property-tested separately; the walk is skipped."""
+    S, group, field = uset_keys, ctx.group, ctx.field
     if not keys_contain(S, np.array([ctx.identity_key], dtype=np.uint64))[0]:
-        raise _inconsistency(ctx, "unitary set misses the identity", ctx.identity, c)
+        raise _inconsistency(group, field, "unitary set misses the identity", ctx.identity)
     for start in range(0, S.size, batch):
         rows = ctx.unpack(S[start:start + batch])
         escaped = ~keys_contain(S, ctx.pack(ctx.involute(rows, sigma)))
         if escaped.any():
-            raise _inconsistency(ctx, "unitary set is not closed under the involution",
-                                 rows[np.flatnonzero(escaped)[0]], c)
+            raise _inconsistency(group, field, "unitary set is not closed under the involution",
+                                 rows[np.flatnonzero(escaped)[0]])
     if S.size == full_space:
         return
     known = np.zeros(S.size, dtype=bool)
@@ -207,8 +211,8 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
                     escaped = (pos == S.size) | (S[clipped] != prods)
                     if escaped.any():
                         raise _inconsistency(
-                            ctx, "product of two claimed unitary elements escapes the set",
-                            ctx.unpack(prods[escaped][:1])[0], c)
+                            group, field, "product of two claimed unitary elements escapes the set",
+                            ctx.unpack(prods[escaped][:1])[0])
                     new = sorted_unique(clipped[~known[clipped]])
                     if new.size:
                         known[new] = True
@@ -272,15 +276,36 @@ def _least_central_involution(group: Group) -> int:
     return centrals[0]
 
 
-def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
-                search_cap: int, base_order_cap: int,
-                collect_unitary: bool) -> tuple[np.ndarray | None, np.ndarray, dict]:
-    """S_H for H = <c>, and V_*(FG) when collect_unitary, from the affine fibers
-    of Psi: FG -> F[Gb], Gb = G/H, over Vb = V_*(F[Gb]).
+@dataclass(eq=False)
+class _CosetOrbit:
+    """The recursion step over H = <c> for one (G, c, F); see _coset_orbit."""
 
-    Returns (unitary keys or None, distinct S_H keys, context info). Every
-    y in S_H is verified symmetric, supported away from order-two elements,
-    and inside I(H)^+; every collected x is verified to satisfy x x* = 1.
+    order: int               # |V_*(FG)|
+    vbar_order: int          # |V_*(F[Gb])|
+    cosets: np.ndarray       # sorted canonical keys of the cosets of W in S_H, one per point
+    generators: np.ndarray   # code rows generating V_*(FG)
+    w_basis: np.ndarray      # (1+c) lift(g + g^-1), one row per pair g != g^-1 of Gb
+    reps: np.ndarray         # the least representative of each coset of H, and c times it
+    reps_c: np.ndarray
+    s_h_keys: np.ndarray | None = None  # listed by _fiber_scan when first asked for
+
+
+_ORBITS: dict[tuple, _CosetOrbit] = {}
+
+
+def _unitary_generators(group: Group, field: FieldSpec, search_cap: int) -> tuple[int, np.ndarray]:
+    """|V_*(FG)| and code rows generating it in characteristic two, by the
+    recursion over the least central involution down to order 1."""
+    if group.n == 1:
+        return 1, np.empty((0, 1), dtype=np.uint16)
+    orbit = _coset_orbit(group, _least_central_involution(group), field, search_cap)
+    return orbit.order, orbit.generators
+
+
+def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _CosetOrbit:
+    """|V_*(FG)|, a generating set of it, and the cosets making up S_H, from
+    the orbit of Psi(V) under Vb = V_*(F[Gb]), Gb = G/H, H = <c>, where
+    Psi: FG -> F[Gb] and V = V_*(FG).
 
     Proof. Let char F = 2, lift the section supported on the least coset
     representatives, and L = lift(u) for u in Vb. The kernel of Psi is
@@ -296,195 +321,173 @@ def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
       |W| = q^((|Gb| - |Gb{2}|)/2), and S_H is the union of these cosets.
     * x is unitary iff 1 + L L* = (1+c) lift(beta) lies in W. Then
       beta = b0 + b0* for b0 = sum of beta_g g over g < g^-1, and the
-      solutions are b = b0 + k over the symmetric k in F[Gb]: a solvable
-      fiber holds |K| = q^((|Gb| + |Gb{2}|)/2) unitary elements.
-    * x x* = x' x'* iff x' in x V(FG), so u and u' give one coset iff
-      u' in u Psi(V(FG)), and Psi(V(FG)) is the set of solvable u. Each
-      coset is the image of exactly #solvable fibers, and
-      q^(|G|/2) |Vb| = |S_H| * #solvable * |K|.
+      solutions are b = b0 + k over the symmetric k in F[Gb]. The unitary
+      elements over u = 1 form the kernel K of Psi on V, the elementary
+      abelian group of the 1 + (1+c) lift(k), |K| = q^((|Gb| + |Gb{2}|)/2).
+    * x x* = x' x'* iff x' in x V, so u and u' give one coset iff u' in
+      u Psi(V). Thus phi(u) = the coset of L L* names the left coset
+      u Psi(V), Vb acts on these by left multiplication, and the orbit of
+      phi(1) = W under generators of Vb has index = [Vb : Psi(V)] points.
+      Hence |S_H| = index |W| and |V| = |K| |Vb| / index.
+    * By Schreier's lemma the t_k* g t_j, for g t_j in t_k Psi(V), generate
+      Psi(V) (a unitary element's inverse is its involute). Each lifts to
+      the unitary x = L + (1+c) lift(b0 u), and these with the generators
+      1 + (1+c) lift(x^a k) of K, over a < m and a basis of the symmetric
+      k, generate V.
 
     Cosets are compared through a canonical representative: adding
     y[lift(g)] (1+c) lift(g + g^-1) for each g < g^-1 clears the coefficient
     at lift(g), which no other basis vector of W touches; u is solvable iff
-    L L* reduces to 1. This costs one product per u where a scan of the
-    fiber costs q^(|G|/2)."""
+    L L* reduces to 1. Each point costs one product per generator of Vb;
+    the paper's bound |S_H| <= q^((|G| - |G{2}| + |T_c|)/4) bounds the
+    points by q^(|T_c|/2), as |Gb{2}| = (|G{2}| + |T_c|)/2, and that
+    product is refused beyond search_cap before any arithmetic here."""
+    cache_key = (group, c, field, search_cap)
+    hit = _ORBITS.get(cache_key)
+    if hit is not None:
+        return hit
     t_c = group.square_roots(c)  # also validates c
     ctx = AlgebraContext(field, group)  # refuses a group too large for packed keys
     gbar, projection = group.quotient(group.subgroup_generated([c]))
-    vbar = _char2_set(gbar, field, search_cap=search_cap, base_order_cap=base_order_cap)
-    q, n, nbar = field.order, group.n, gbar.n
-    bar_inverse = np.array([gbar.inverse(k) for k in gbar.elements()], dtype=np.intp)
-    pairs = np.flatnonzero(np.arange(nbar) < bar_inverse)  # one g per pair g != g^-1
-    w_size = q ** pairs.size
-    k_size = q ** (nbar - pairs.size)
-    if vbar.order * w_size > search_cap:
-        raise SearchSpaceTooLarge(vbar.order * w_size, search_cap,
-                                  context=f"S_H cosets over {group.id}")
+    vbar_order, vbar_gens = _unitary_generators(gbar, field, search_cap)
+    work = field.order ** (len(t_c) // 2) * vbar_gens.shape[0]
+    if work > search_cap:
+        raise SearchSpaceTooLarge(work, search_cap, context=f"S_H coset orbit over {group.id}")
 
-    bctx = vbar.ctx
+    q, n, nbar = field.order, group.n, gbar.n
+    bctx = AlgebraContext(field, gbar)
     one = ctx.tabs.one
+    bar_inverse = np.array(canonical_star(gbar).sigma, dtype=np.intp)
+    pairs = np.flatnonzero(np.arange(nbar) < bar_inverse)  # one g per pair g != g^-1
     sigma = np.array(canonical_star(group).sigma, dtype=np.intp)
     reps = np.array(coset_representatives(projection, nbar), dtype=np.intp)
     reps_c = ctx.gtable[reps, c]
-    # the support of (1+c) lift(g + g^-1), one column per g in pairs
-    w_support = np.stack([reps[pairs], reps_c[pairs],
-                          reps[bar_inverse[pairs]], reps_c[bar_inverse[pairs]]])
-    w_basis = np.zeros((pairs.size, n), dtype=np.uint16)
-    for cols in w_support:
-        w_basis[np.arange(pairs.size), cols] = one
+    sym_basis = np.zeros((nbar, nbar), dtype=np.uint16)  # row g: g + g^-1, or g if g = g^-1
+    sym_basis[np.arange(nbar), np.arange(nbar)] = one
+    sym_basis[np.arange(nbar), bar_inverse] = one
+    w_basis = np.zeros((pairs.size, n), dtype=np.uint16)  # (1+c) lift(g + g^-1), g in pairs
+    w_basis[:, reps] = w_basis[:, reps_c] = sym_basis[pairs]
 
-    # one product L L* per u; canonical coset representatives, and b0 for
-    # solvable fibers (its coefficients are the ones the reduction clears)
-    reduced_parts, solvable_u, solvable_b0 = [], [], []
-    for start in range(0, vbar.order, DEFAULT_BATCH):
-        ubar = bctx.unpack(vbar.keys[start:start + DEFAULT_BATCH])
-        lifted = np.zeros((ubar.shape[0], n), dtype=np.uint16)
-        lifted[:, reps] = ubar
-        Y = ctx.mul(lifted, ctx.involute(lifted, sigma))
+    def reduced(U):
+        """Canonical keys of the cosets L L* + W over the rows u of U, beta, and L."""
+        L = np.zeros((U.shape[0], n), dtype=np.uint16)
+        L[:, reps] = U
+        Y = ctx.mul(L, ctx.involute(L, sigma))
         beta = Y[:, reps[pairs]]
-        for cols in w_support:
-            Y[:, cols] = ctx.add(Y[:, cols], beta)
-        keys = ctx.pack(Y)
-        reduced_parts.append(keys)
-        if collect_unitary:
-            solvable = keys == ctx.identity_key
-            solvable_u.append(ubar[solvable])
-            b0 = np.zeros((int(solvable.sum()), nbar), dtype=np.uint16)
-            b0[:, pairs] = beta[solvable]
-            solvable_b0.append(b0)
-    cosets, hits = np.unique(np.concatenate(reduced_parts), return_counts=True)
-    solvable_fibers = int(hits[cosets == ctx.identity_key].sum())
-    uneven = np.flatnonzero(hits != solvable_fibers)
-    if uneven.size:
-        raise _inconsistency(ctx, f"a coset of W is hit by {hits[uneven[0]]} fibers, "
-                             f"not {solvable_fibers}", ctx.unpack(cosets[uneven[:1]])[0], c)
-    unitary_order = solvable_fibers * k_size
-    if collect_unitary and unitary_order > search_cap:
-        raise SearchSpaceTooLarge(unitary_order, search_cap,
-                                  context=f"unitary elements of {group.id}")
+        # the rows of w_basis have disjoint supports, so the product adds no two codes
+        return ctx.pack(ctx.add(Y, beta @ w_basis)), beta, L
 
-    w_rows = np.concatenate(list(ctx.span_batches(w_basis)))
+    # Schreier's orbit algorithm: one product batch per round over every
+    # (generator, frontier point) pair
+    transversal = bctx.identity[None, :]
+    points = np.array([ctx.identity_key], dtype=np.uint64)  # the coset key of each row
+    frontier = np.zeros(1, dtype=np.intp)
+    schreier_parts = [np.empty(0, dtype=np.uint64)]
+    chunk = max(1, DEFAULT_BATCH // max(1, vbar_gens.shape[0]))
+    while frontier.size:
+        fresh = []
+        for start in range(0, frontier.size, chunk):
+            T = transversal[frontier[start:start + chunk]]
+            P = bctx.mul(np.repeat(vbar_gens, T.shape[0], axis=0),
+                         np.tile(T, (vbar_gens.shape[0], 1)))
+            keys = reduced(P)[0]
+            distinct, first = np.unique(keys, return_index=True)
+            new = ~np.isin(distinct, points)
+            fresh.append(np.arange(points.size, points.size + int(new.sum())))
+            transversal = np.concatenate([transversal, P[first[new]]])
+            points = np.concatenate([points, distinct[new]])
+            by_key = np.argsort(points)
+            coset_rep = transversal[by_key[np.searchsorted(points, keys, sorter=by_key)]]
+            schreier_parts.append(bctx.pack(bctx.mul(bctx.involute(coset_rep, bar_inverse), P)))
+        frontier = np.concatenate(fresh)
+    index = points.size
+    if vbar_order % index:
+        raise _inconsistency(group, field, f"the orbit's {index} points do not divide "
+                                           f"|Vb| = {vbar_order}", c=c)
+
+    # lifted Schreier generators, then the generators of K; all checked unitary
+    schreier = sorted_unique(np.concatenate(schreier_parts))
+    S = bctx.unpack(schreier[schreier != bctx.identity_key])
+    keys, beta, L = reduced(S)
+    bad = np.flatnonzero(keys != ctx.identity_key)
+    if bad.size:
+        raise _inconsistency(group, field, "a Schreier generator is not solvable", L[bad[0]], c)
+    b0 = np.zeros((S.shape[0], nbar), dtype=np.uint16)
+    b0[:, pairs] = beta
+    sym_basis = sym_basis[np.arange(nbar) <= bar_inverse]
+    powers_of_x = np.array([1 << a for a in range(field.m)], dtype=np.uint16)
+    k_parts = (powers_of_x[:, None, None] * sym_basis[None, :, :]).reshape(-1, nbar)
+    U = np.concatenate([S, np.repeat(bctx.identity[None, :], k_parts.shape[0], axis=0)])
+    A = np.concatenate([bctx.mul(b0, S), k_parts])
+    X = np.empty((U.shape[0], n), dtype=np.uint16)
+    X[:, reps] = bctx.add(U, A)
+    X[:, reps_c] = A
+    bad = np.flatnonzero(~ctx.is_one(ctx.mul(X, ctx.involute(X, sigma))))
+    if bad.size:
+        raise _inconsistency(group, field, "a generator is not unitary", X[bad[0]], c)
+
+    k_size = q ** (nbar - pairs.size)
+    orbit = _CosetOrbit(k_size * vbar_order // index, vbar_order, np.sort(points), X,
+                        w_basis, reps, reps_c)
+    _ORBITS[cache_key] = orbit
+    return orbit
+
+
+def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
+                search_cap: int) -> tuple[_CosetOrbit, np.ndarray, AlgebraContext]:
+    """S_H for H = <c>, the union of the orbit's cosets of W (see _coset_orbit).
+
+    Returns (the orbit, distinct S_H keys, the context of FG). |S_H| = index |W|
+    is asserted, and every y in S_H is verified symmetric, supported away
+    from order-two elements, and inside I(H)^+."""
+    orbit = _coset_orbit(group, c, field, search_cap)
+    ctx = AlgebraContext(field, group)
+    w_size = field.order ** orbit.w_basis.shape[0]
+    rows = orbit.cosets.size * w_size
+    if rows > search_cap:
+        raise SearchSpaceTooLarge(rows, search_cap, context=f"S_H cosets over {group.id}")
+    if orbit.s_h_keys is not None:
+        return orbit, orbit.s_h_keys, ctx
+    w_rows = np.concatenate(list(ctx.span_batches(orbit.w_basis)))
     chunk = max(1, DEFAULT_BATCH // w_size)
     s_h_parts = []
-    for start in range(0, cosets.size, chunk):
-        base = ctx.unpack(cosets[start:start + chunk])
-        s_h_parts.append(ctx.pack(ctx.add(base[:, None, :], w_rows[None, :, :]).reshape(-1, n)))
+    for start in range(0, orbit.cosets.size, chunk):
+        base = ctx.unpack(orbit.cosets[start:start + chunk])
+        s_h_parts.append(ctx.pack(ctx.add(base[:, None, :], w_rows[None, :, :]).reshape(-1, group.n)))
     s_h_keys = sorted_unique(np.concatenate(s_h_parts))
+    if s_h_keys.size != rows:
+        raise _inconsistency(group, field, f"|S_H| = {s_h_keys.size} != index |W| = "
+                                           f"{orbit.cosets.size} * {w_size}", c=c)
 
     # S_H membership properties
     ys = ctx.unpack(s_h_keys)
+    sigma = np.array(canonical_star(group).sigma, dtype=np.intp)
     bad = np.flatnonzero((ctx.involute(ys, sigma) != ys).any(axis=1))
     if bad.size:
-        raise _inconsistency(ctx, "an element of S_H is not symmetric", ys[bad[0]], c)
+        raise _inconsistency(group, field, "an element of S_H is not symmetric", ys[bad[0]], c)
     order_two = [g for g in group.special_sets().order_two if g != 0]
     bad = np.flatnonzero(ys[:, order_two].any(axis=1))
     if bad.size:
-        raise _inconsistency(ctx, "an element of S_H is supported on an order-two element",
-                             ys[bad[0]], c)
-    proj = np.array(projection, dtype=np.intp)
-    pushed = np.zeros((ys.shape[0], nbar), dtype=np.uint16)
-    for g in range(n):
-        pushed[:, proj[g]] = ctx.add(pushed[:, proj[g]], ys[:, g])
-    bar_identity = np.zeros(nbar, dtype=np.uint16)
-    bar_identity[0] = one
-    bad = np.flatnonzero((pushed != bar_identity[None, :]).any(axis=1))
+        raise _inconsistency(group, field, "an element of S_H is supported on an order-two "
+                                           "element", ys[bad[0]], c)
+    pushed = ctx.add(ys[:, orbit.reps], ys[:, orbit.reps_c])  # Psi(y)
+    pushed[:, 0] = ctx.add(pushed[:, 0], ctx.tabs.one)       # Psi(y) - 1, in characteristic 2
+    bad = np.flatnonzero(pushed.any(axis=1))
     if bad.size:
-        raise _inconsistency(ctx, "an element of S_H falls outside I(H)^+", ys[bad[0]], c)
-    if q ** nbar * vbar.order != s_h_keys.size * unitary_order:
-        raise _inconsistency(
-            ctx, f"q^(|G|/2) |Vb| = {q ** nbar * vbar.order} != |S_H| #solvable |K| = "
-                 f"{s_h_keys.size} * {solvable_fibers} * {k_size}", c=c)
-
-    unitary_keys = None
-    if collect_unitary:
-        unitary_keys = _solvable_fiber_elements(
-            ctx, bctx, c, np.concatenate(solvable_u), np.concatenate(solvable_b0),
-            pairs, bar_inverse, reps, reps_c, sigma)
-    info = {
-        "t_c_size": len(t_c),
-        "t_c_commuting": group.is_pairwise_commuting(t_c),
-        "vbar_order": vbar.order,
-        "ctx": ctx,
-    }
-    return unitary_keys, s_h_keys, info
-
-
-def _solvable_fiber_elements(ctx: AlgebraContext, bctx: AlgebraContext, c: int,
-                             ubar: np.ndarray, b0: np.ndarray, pairs: np.ndarray,
-                             bar_inverse: np.ndarray, reps: np.ndarray, reps_c: np.ndarray,
-                             sigma: np.ndarray) -> np.ndarray:
-    """Sorted keys of x = lift(u) + (1+c) lift((b0 + k) u) over the solvable u
-    (rows of ubar, with b0 beside them) and the symmetric k, each verified
-    unitary and collected once."""
-    one = bctx.tabs.one
-    gbar = bctx.group
-    involutions = list(gbar.special_sets().order_two)
-    sym_basis = np.zeros((pairs.size + len(involutions), gbar.n), dtype=np.uint16)
-    sym_basis[np.arange(pairs.size), pairs] = one
-    sym_basis[np.arange(pairs.size), bar_inverse[pairs]] = one
-    sym_basis[pairs.size + np.arange(len(involutions)), involutions] = one
-    k_size = bctx.q ** sym_basis.shape[0]
-    u_chunk = max(1, DEFAULT_BATCH // k_size)
-    parts = []
-    for start in range(0, ubar.shape[0], u_chunk):
-        u_rows, b0_rows = ubar[start:start + u_chunk], b0[start:start + u_chunk]
-        for sym in bctx.span_batches(sym_basis):
-            B = bctx.add(b0_rows[:, None, :], sym[None, :, :]).reshape(-1, gbar.n)
-            U = np.repeat(u_rows, sym.shape[0], axis=0)
-            A = bctx.mul(B, U)
-            X = np.empty((A.shape[0], ctx.n), dtype=np.uint16)
-            X[:, reps] = bctx.add(U, A)
-            X[:, reps_c] = A
-            bad = np.flatnonzero(~ctx.is_one(ctx.mul(X, ctx.involute(X, sigma))))
-            if bad.size:
-                raise _inconsistency(ctx, "a collected element is not unitary", X[bad[0]], c)
-            parts.append(ctx.pack(X))
-    keys = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
-    repeated = np.flatnonzero(keys[1:] == keys[:-1])
-    if repeated.size:
-        raise _inconsistency(ctx, "an element is collected twice",
-                             ctx.unpack(keys[repeated[:1]])[0], c)
-    return keys
-
-
-def _char2_set(group: Group, field: FieldSpec, *, search_cap: int,
-               base_order_cap: int) -> UnitarySet:
-    """Full element set of V_*(FG) in characteristic two.
-
-    Base case by oracle; above the base cap, the solvable fibers of the
-    recursion's quotient (see _fiber_scan, which asserts the recursion
-    identity), certified as a subgroup."""
-    star = canonical_star(group)
-    if group.n <= base_order_cap:
-        return _oracle_set(group, star, field, search_cap)
-    cache_key = (group.key, field, star.sigma, "char2")
-    hit = _SET_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    c = _least_central_involution(group)
-    unitary_keys, _, info = _fiber_scan(
-        group, c, field, search_cap=search_cap, base_order_cap=base_order_cap,
-        collect_unitary=True)
-    unitary_keys.setflags(write=False)
-    ctx = info["ctx"]
-    _subgroup_certificate(ctx, unitary_keys, np.array(star.sigma, dtype=np.intp),
-                          full_space=field.order ** (group.n - 1), c=c)
-    uset = UnitarySet(ctx, unitary_keys)
-    _SET_CACHE[cache_key] = uset
-    return uset
+        raise _inconsistency(group, field, "an element of S_H falls outside I(H)^+",
+                             ys[bad[0]], c)
+    orbit.s_h_keys = s_h_keys
+    return orbit, s_h_keys, ctx
 
 
 def s_h_enumerate(group: Group, c: int, field: FieldSpec, *,
                   search_cap: int = DEFAULT_SEARCH_CAP,
-                  base_order_cap: int = DEFAULT_BASE_ORDER_CAP,
                   max_samples: int = DEFAULT_MAX_WITNESSES) -> tuple[int, list[AlgebraElement]]:
     """|S_H| for H = <c>, plus sample elements of S_H."""
     if field.p != 2:
         raise OddCharacteristic("S_H enumeration requires characteristic 2")
     require_p_group(group, field)
-    _, s_h_keys, info = _fiber_scan(group, c, field, search_cap=search_cap,
-                                    base_order_cap=base_order_cap, collect_unitary=False)
-    ctx = info["ctx"]
+    _, s_h_keys, ctx = _fiber_scan(group, c, field, search_cap=search_cap)
     rows = ctx.unpack(s_h_keys[:max_samples])
     samples = [ctx.element_of(rows[i]) for i in range(rows.shape[0])]
     return int(s_h_keys.size), samples
@@ -496,7 +499,7 @@ def _s_h_bounds(group: Group, c: int, field: FieldSpec) -> tuple[int, Fraction |
     t = len(group.square_roots(c))
     num = group.n - g2 + t
     if num % 4:
-        raise InternalInconsistency("bound exponent is not an integer")
+        raise _inconsistency(group, field, "bound exponent is not an integer", c=c)
     upper = field.order ** (num // 4)
     lower = None
     if group.is_pairwise_commuting(group.square_roots(c)):
@@ -505,51 +508,41 @@ def _s_h_bounds(group: Group, c: int, field: FieldSpec) -> tuple[int, Fraction |
 
 
 def unitary_order_char2(group: Group, field: FieldSpec, *, c: int | None = None,
-                        search_cap: int = DEFAULT_SEARCH_CAP,
-                        base_order_cap: int = DEFAULT_BASE_ORDER_CAP) -> UnitaryResult:
-    """|V_*(FG)| by the quotient recursion (oracle below the base cap).
+                        search_cap: int = DEFAULT_SEARCH_CAP) -> UnitaryResult:
+    """|V_*(FG)| by the quotient recursion over H = <c>, down to order 1.
 
-    With an explicit c the recursion step is forced even below the base cap,
-    which is how choice-independence is exercised."""
+    c defaults to the least central involution; choosing another is how
+    choice-independence is exercised."""
     if field.p != 2:
         raise OddCharacteristic("characteristic-two recursion over an odd field")
     require_p_group(group, field)
-    if c is None and group.n <= base_order_cap:
-        uset = _oracle_set(group, canonical_star(group), field, search_cap)
-        order = uset.order
-        return UnitaryResult(group.id, field, "*", "recursive", order,
-                             theta_from_order(order, field, group),
-                             subsidiary={"base": "oracle"})
     if c is None:
+        if group.n == 1:
+            return UnitaryResult(group.id, field, "*", "recursive", 1,
+                                 theta_from_order(1, field, group))
         c = _least_central_involution(group)
-    _, s_h_keys, info = _fiber_scan(group, c, field, search_cap=search_cap,
-                                    base_order_cap=base_order_cap, collect_unitary=False)
-    s_h = int(s_h_keys.size)
-    # exact: _fiber_scan asserts the recursion identity
-    order = field.order ** (group.n // 2) * info["vbar_order"] // s_h
+    orbit, s_h_keys, _ = _fiber_scan(group, c, field, search_cap=search_cap)
+    t_c = group.square_roots(c)
     upper, lower = _s_h_bounds(group, c, field)
     subsidiary = {
         "c": c,
-        "t_c_size": info["t_c_size"],
-        "t_c_commuting": info["t_c_commuting"],
-        "s_h_size": s_h,
-        "vbar_order": info["vbar_order"],
+        "t_c_size": len(t_c),
+        "t_c_commuting": group.is_pairwise_commuting(t_c),
+        "s_h_size": int(s_h_keys.size),
+        "vbar_order": orbit.vbar_order,
         "s_h_upper_bound": upper,
         "s_h_lower_bound": lower,
     }
-    return UnitaryResult(group.id, field, "*", "recursive", order,
-                         theta_from_order(order, field, group), subsidiary=subsidiary)
+    return UnitaryResult(group.id, field, "*", "recursive", orbit.order,
+                         theta_from_order(orbit.order, field, group), subsidiary=subsidiary)
 
 
 def theta(group: Group, field: FieldSpec, *,
-          search_cap: int = DEFAULT_SEARCH_CAP,
-          base_order_cap: int = DEFAULT_BASE_ORDER_CAP) -> Fraction:
+          search_cap: int = DEFAULT_SEARCH_CAP) -> Fraction:
     """|V_*(FG)| / |F|^((|G|+|G{2}|)/2 - 1), asserted integral."""
     if field.p != 2:
         raise OddCharacteristic("theta is defined over characteristic-two fields")
-    result = unitary_order_char2(group, field, search_cap=search_cap,
-                                 base_order_cap=base_order_cap)
-    value = result.theta
+    value = unitary_order_char2(group, field, search_cap=search_cap).theta
     if value.denominator != 1:
         raise InternalInconsistency(f"non-integer theta {value} for {group.id} over {field}")
     return value
@@ -577,7 +570,7 @@ class BoundsReport:
     generator_identity_ok: bool | None
 
 
-def _n1_orbits(group: Group, c: int) -> list[tuple[int, ...]]:
+def _n1_orbits(group: Group, c: int, field: FieldSpec) -> list[tuple[int, ...]]:
     """The {g, g^-1, gc, (gc)^-1} orbits over g with g^2 not in <c>, each sorted."""
     h_members = {0, c}
     seen = set()
@@ -587,15 +580,15 @@ def _n1_orbits(group: Group, c: int) -> list[tuple[int, ...]]:
             continue
         orbit = {g, group.inverse(g), group.mul(g, c), group.mul(group.inverse(g), c)}
         if len(orbit) != 4:
-            raise InternalInconsistency("orbit of size != 4 outside G{2} and T_c")
+            raise _inconsistency(group, field, "orbit of size != 4 outside G{2} and T_c",
+                                 np.eye(group.n, dtype=np.uint16)[g], c)
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
     return orbits
 
 
 def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
-                             search_cap: int = DEFAULT_SEARCH_CAP,
-                             base_order_cap: int = DEFAULT_BASE_ORDER_CAP) -> BoundsReport:
+                             search_cap: int = DEFAULT_SEARCH_CAP) -> BoundsReport:
     """Build N1 (and N2 when T_c commutes), verify sizes and containment in S_H.
 
     N1 is spanned over F by (g + g^-1)(1+c) across the order-4 orbits; N2 by
@@ -605,22 +598,22 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
         raise OddCharacteristic("bound constructions require characteristic 2")
     t_c = group.square_roots(c)
     commuting = group.is_pairwise_commuting(t_c)
-    _, s_h_keys, info = _fiber_scan(group, c, field, search_cap=search_cap,
-                                    base_order_cap=base_order_cap, collect_unitary=False)
-    ctx = info["ctx"]
+    _, s_h_keys, ctx = _fiber_scan(group, c, field, search_cap=search_cap)
     g2 = len(group.special_sets().order_two)
     upper, lower = _s_h_bounds(group, c, field)
 
     # N1: full field span over the orbit vectors, shifted by 1
-    orbits = _n1_orbits(group, c)
+    orbits = _n1_orbits(group, c, field)
     expected_k1 = (group.n - g2 - len(t_c)) // 4
     if len(orbits) != expected_k1:
-        raise InternalInconsistency("orbit count disagrees with (|G|-|G{2}|-|T_c|)/4")
+        raise _inconsistency(group, field, f"{len(orbits)} orbits, not "
+                                           f"(|G|-|G{{2}}|-|T_c|)/4 = {expected_k1}", c=c)
     n1_part = ([_basis_sum(ctx, orbit) for orbit in orbits], None)
     n1_keys = _one_plus_span_keys(ctx, n1_part)
     n1_size = int(n1_keys.size)
     if n1_size != field.order ** expected_k1:
-        raise InternalInconsistency("|N1| disagrees with |F|^((|G|-|G{2}|-|T_c|)/4)")
+        raise _inconsistency(group, field, f"|N1| = {n1_size} disagrees with "
+                                           f"|F|^((|G|-|G{{2}}|-|T_c|)/4)", c=c)
     n1_inside = bool(keys_contain(s_h_keys, n1_keys).all())
 
     n2_size = None
@@ -635,11 +628,13 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
         n2_size = int(n2_keys.size)
         expected_n2 = (field.order // 2) ** (len(t_c) // 2)
         if n2_size != expected_n2:
-            raise InternalInconsistency("|N2| disagrees with (|F|/2)^(|T_c|/2)")
+            raise _inconsistency(group, field, f"|N2| = {n2_size} disagrees with "
+                                               f"(|F|/2)^(|T_c|/2) = {expected_n2}", c=c)
         n2_inside = bool(keys_contain(s_h_keys, n2_keys).all())
         prod_keys = _one_plus_span_keys(ctx, n1_part, n2_part)
         if prod_keys.size != n1_size * n2_size:
-            raise InternalInconsistency("|N1 x N2| is not the size product")
+            raise _inconsistency(group, field, f"|N1 x N2| = {prod_keys.size} is not "
+                                               f"|N1| |N2| = {n1_size} * {n2_size}", c=c)
         product_inside = bool(keys_contain(s_h_keys, prod_keys).all())
         identity_ok = _check_generator_identity(group, field, c, pair_reps)
 

@@ -1,7 +1,11 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
 import json
+import sys
 
+import numpy as np
+
+from unitary_lab import clear_caches, unitary
 from unitary_lab.cli import main
 
 
@@ -139,16 +143,15 @@ def test_theta_table_markdown(capsys):
 
 
 def test_theta_table_json_large_rows_render_unavailable(capsys):
-    # under this cap the GF(4) oracle on the quotient D8 (4^7 candidates) is refused
-    code, out, _ = run_cli(capsys, "theta-table", "--max-order", "16",
-                           "--field", "2^1", "--field", "2^2",
-                           "--search-cap", str(1 << 12), "--format", "json")
+    # 4^32 = 2^64 coefficient strings do not fit the uint64 keys, so D32 over GF(4) is refused
+    code, out, _ = run_cli(capsys, "theta-table", "--max-order", "32",
+                           "--field", "2^1", "--field", "2^2", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    d16 = next(r for r in payload["rows"] if r["group"] == "dihedral:16")
-    assert d16["cells"]["2^1"] == "1"
-    assert "unavailable" in d16["cells"]["2^2"]
-    assert d16["theta_agrees"] is None
+    d32 = next(r for r in payload["rows"] if r["group"] == "dihedral:32")
+    assert d32["cells"]["2^1"] == "1"
+    assert "key packing" in d32["cells"]["2^2"]["unavailable"]
+    assert d32["theta_agrees"] is None
 
 
 def test_theta_table_rejects_odd_fields(capsys):
@@ -168,9 +171,28 @@ def test_verify_unknown_suite_usage_error(capsys):
 
 
 def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    args = ("compute", "--group", "dihedral:8", "--group", "cyclic:8",
-            "--field", "2^1", "--field", "2^2")
-    _, out1, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("UNITARY_LAB_THREADS", "4")
-    _, out2, _ = run_cli(capsys, *args)
-    assert out1 == out2
+    # the cells share the orbit cache; a short switch interval interleaves its fills
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for args in (("compute", "--group", "dihedral:8", "--group", "cyclic:8",
+                      "--field", "2^1", "--field", "2^2"),
+                     ("theta-table", "--max-order", "32", "--format", "json")):
+            clear_caches()
+            _, out1, _ = run_cli(capsys, *args)
+            clear_caches()
+            monkeypatch.setenv("UNITARY_LAB_THREADS", "4")
+            _, out2, _ = run_cli(capsys, *args)
+            monkeypatch.delenv("UNITARY_LAB_THREADS")
+            assert out1 == out2
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_internal_inconsistency_over_gf11_exits_two(capsys, monkeypatch):
+    # an oracle certificate failure names its element in the dotted literal form for p > 10
+    monkeypatch.setattr(unitary, "keys_contain", lambda keys, queries: np.zeros(queries.shape, bool))
+    code, _, err = run_cli(capsys, "compute", "--group", "cyclic:1", "--field", "11^2",
+                           "--method", "oracle")
+    assert code == 2
+    assert "misses the identity (cyclic:1 over 11^2, element 1.0*g0)" in err

@@ -172,6 +172,16 @@ def test_element_literal_round_trip():
     assert ff.format_element_literal(a) == "21"
 
 
+def test_element_literal_round_trip_above_ten():
+    for spec in (ff.make_field(11, 1), ff.make_field(13, 2)):
+        for a in spec.elements():
+            text = ff.format_element_literal(a)
+            assert "+" not in text and "*" not in text
+            assert ff.parse_element_literal(spec, text) == a
+    assert ff.format_element_literal(ff.make_field(13, 2).element([5, 12])) == "5.12"
+    assert ff.format_element_literal(ff.make_field(11, 1).from_int(10)) == "10"
+
+
 def test_code_round_trip():
     spec = ff.make_field(3, 2)
     for code in range(spec.order):

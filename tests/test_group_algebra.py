@@ -378,3 +378,12 @@ def test_algebra_literals_round_trip():
     assert text == "10*g0 + 01*g1 + 10*g3"
     assert ga.parse_algebra_literal(GF4, c4, text) == x
     assert ga.format_algebra_literal(ga.algebra_zero(GF4, c4)) == "0"
+
+
+def test_algebra_literals_round_trip_above_ten():
+    f169 = make_field(13, 2)
+    c11 = build("cyclic:11")
+    x = ga.from_coeffs(f169, c11, [f169.element([5, 12]), f169.one] + [f169.zero] * 9)
+    assert ga.format_algebra_literal(x) == "5.12*g0 + 1.0*g1"
+    assert ga.parse_algebra_literal(f169, c11, ga.format_algebra_literal(x)) == x
+    assert repr(ga.basis_element(make_field(11, 1), c11, 1)) == "AlgebraElement(11^1, cyclic:11, '1*g1')"

@@ -8,7 +8,7 @@ import pytest
 
 from unitary_lab import group_algebra as ga
 from unitary_lab import unitary as un
-from unitary_lab.engine import AlgebraContext
+from unitary_lab.engine import AlgebraContext, keys_contain
 from unitary_lab.errors import (
     EvenCharacteristic,
     InternalInconsistency,
@@ -207,17 +207,19 @@ def test_s_h_matches_scalar_brute_force(name):
 
 
 def test_s_h_failure_names_group_field_c_and_element(monkeypatch):
-    # hand the fiber step every normalized unit of F[Q16/<c>] in place of the unitary ones
+    # hand the orbit every normalized unit of F[Q16/<c>] as generators in place of unitary ones
     q16 = build("quaternion:16")
     c = q16.special_sets().central_order_two[0]
     gbar, _ = q16.quotient(q16.subgroup_generated([c]))
-    bctx = AlgebraContext(GF2, gbar)
-    units = np.sort(np.concatenate([bctx.pack(X) for X in bctx.normalized_batches()]))
-    monkeypatch.setattr(un, "_char2_set",
-                        lambda *a, **k: un.UnitarySet(bctx, units))
+    units = np.concatenate(list(AlgebraContext(GF2, gbar).normalized_batches()))
+    generators = un._unitary_generators
+    monkeypatch.setattr(un, "_unitary_generators", lambda group, field, cap: (
+        (units.shape[0], units) if group == gbar else generators(group, field, cap)))
+    un.clear_caches()
     with pytest.raises(InternalInconsistency) as exc:
         un.s_h_enumerate(q16, c, GF2)
     message = str(exc.value)
+    assert "Schreier generator is not solvable" in message
     assert "quaternion:16 over 2^1" in message and f"c = g{c}" in message
     assert "element " in message and "*g" in message
 
@@ -247,10 +249,13 @@ def test_char2_requires_2_group():
         un.unitary_order_char2(build("cyclic:9"), GF2)
 
 
-def test_char2_base_case_delegates_to_oracle():
+def test_char2_recursion_runs_down_to_order_one():
     res = un.unitary_order_char2(build("cyclic:4"), GF2)
-    assert res.subsidiary == {"base": "oracle"}
-    assert res.method == "recursive"
+    assert res.method == "recursive" and res.order == 8
+    assert (res.subsidiary["c"], res.subsidiary["vbar_order"], res.subsidiary["s_h_size"]) == (2, 2, 1)
+    trivial = un.unitary_order_char2(build("cyclic:1"), GF4)
+    assert (trivial.order, trivial.subsidiary) == (1, None)
+    assert un._unitary_generators(build("cyclic:1"), GF4, un.DEFAULT_SEARCH_CAP)[1].shape[0] == 0
 
 
 def test_char2_choice_of_central_involution_does_not_matter():
@@ -264,30 +269,51 @@ def test_char2_choice_of_central_involution_does_not_matter():
         assert len(orders) == 1, name
 
 
+def _closure_keys(ctx, generators):
+    """Sorted keys of the group the rows generate, by Dimino's algorithm: each
+    generator not yet reached extends the group so far, H, by right cosets H e
+    until right multiplication by every generator so far stays inside."""
+    known = np.array([ctx.identity_key], dtype=np.uint64)
+    for i in range(generators.shape[0]):
+        if keys_contain(known, ctx.pack(generators[i:i + 1]))[0]:
+            continue
+        H = ctx.unpack(known)
+        reps = ctx.identity[None, :]
+        while reps.shape[0]:
+            candidates = ctx.mul(np.repeat(reps, i + 1, axis=0),
+                                 np.tile(generators[:i + 1], (reps.shape[0], 1)))
+            fresh = []
+            for row in candidates:
+                if not keys_contain(known, ctx.pack(row[None, :]))[0]:
+                    known = np.union1d(known, ctx.pack(ctx.mul(H, row[None, :])))
+                    fresh.append(row)
+            reps = np.array(fresh, dtype=np.uint16).reshape(-1, ctx.n)
+    return known
+
+
 @pytest.mark.parametrize("field, max_order", [(GF2, 16), (GF4, 8), (GF8, 8)])
-def test_forced_fiber_step_matches_oracle(field, max_order):
+def test_generators_generate_the_oracle_set(field, max_order):
     for entry in catalog_entries(max_order, 2):
         group = entry.build()
-        if group.n == 1:
-            continue
-        forced = un._char2_set(group, field, search_cap=un.DEFAULT_SEARCH_CAP,
-                               base_order_cap=group.n // 2)
+        order, generators = un._unitary_generators(group, field, un.DEFAULT_SEARCH_CAP)
         oracle = un._oracle_set(group, ga.canonical_star(group), field)
-        assert np.array_equal(forced.keys, oracle.keys), entry.name
+        assert order == oracle.order, entry.name
+        closure = _closure_keys(AlgebraContext(field, group), generators)
+        assert np.array_equal(closure, oracle.keys), entry.name
 
 
 def test_char2_refuses_by_the_rows_of_its_own_route():
     e32 = build("elementary_abelian:2:5")
-    assert un.theta(e32, GF2) == 1  # |V| = 2^31, counted without listing it
+    assert un.theta(e32, GF2) == 1  # |V| = 2^31 from 31 generators, never listed
+    # C16 over <c>: at most 2 points (the bound), each times the 5 generators of
+    # V(F C8); then S_H lists 2 cosets of |W| = 2^3
     with pytest.raises(SearchSpaceTooLarge) as exc:
-        un._char2_set(e32, GF2, search_cap=un.DEFAULT_SEARCH_CAP,
-                      base_order_cap=un.DEFAULT_BASE_ORDER_CAP)
-    assert exc.value.size == 2 ** 31
-    # C16 over <c>: |V(F C8)| = 32 and |W| = 2^3; the quotient's own 2^7 candidates fit
+        un.s_h_enumerate(build("cyclic:16"), 8, GF2, search_cap=12)
+    assert exc.value.size == 16 and exc.value.context == "S_H cosets over cyclic:16"
     with pytest.raises(SearchSpaceTooLarge) as exc:
-        un.s_h_enumerate(build("cyclic:16"), 8, GF2, search_cap=200)
-    assert exc.value.size == 256 and "S_H cosets" in exc.value.context
-    # order 64 over GF(2) outgrows packed keys: refused before its quotient is listed
+        un.s_h_enumerate(build("cyclic:16"), 8, GF2, search_cap=9)
+    assert exc.value.size == 10 and exc.value.context == "S_H coset orbit over cyclic:16"
+    # order 64 over GF(2) outgrows packed keys: refused before its quotient is reached
     with pytest.raises(SearchSpaceTooLarge) as exc:
         un.theta(build("dihedral:64"), GF2)
     assert "key packing" in exc.value.context
@@ -382,6 +408,15 @@ def test_bounds_gf4_nontrivial_n2():
     assert rep.n2_inside_s_h and rep.generator_identity_ok
     assert Fraction(rep.s_h_size) >= rep.lower_bound
     assert rep.s_h_size <= rep.upper_bound
+
+
+def test_n1_failure_names_group_field_and_c(monkeypatch):
+    orbits = un._n1_orbits
+    monkeypatch.setattr(un, "_n1_orbits", lambda group, c, field: orbits(group, c, field)[1:])
+    with pytest.raises(InternalInconsistency) as exc:
+        un.bounds_and_constructions(build("dihedral:16"), 4, GF4)
+    assert str(exc.value) == ("0 orbits, not (|G|-|G{2}|-|T_c|)/4 = 1 "
+                              "(dihedral:16 over 2^2, c = g4)")
 
 
 # --- order recovery -------------------------------------------------------------------------
