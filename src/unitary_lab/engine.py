@@ -12,6 +12,11 @@ x^a, so addition is XOR and products run bitsliced: a batch becomes
 bit-planes, one bit per row in uint64 words, and a GF(2^m) product is m^2
 plane ANDs and XORs plus the reduction by the field's modulus. The table
 kernel stays the reference the tests hold the bitsliced one to.
+
+The oracle's scan (`AlgebraContext.unitary_keys`) stays in bit-planes in
+characteristic two: it builds each batch's planes from the candidate
+indices, takes the involute's planes as a permutation of them, tests
+x x^sigma = 1 word by word and packs only the hits.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ MAX_TABLE_FIELD_ORDER = 512
 DEFAULT_BATCH = 1 << 16
 WORD_BITS = 64
 PLANE_CHUNK_ROWS = 1 << 14  # rows converted at a time: whole words, a transpose that stays in cache
+# bit b of word k is bit k of b: bits 0..5 of the indices of 64 consecutive rows
+LOW_BIT_PATTERNS = (0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+                    0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,16 +259,22 @@ class AlgebraContext:
         return out
 
     def mul_planes(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """mul in characteristic two over bit-planes.
+        """mul in characteristic two over bit-planes."""
+        m = self.field.m
+        B = max(X.shape[0], Y.shape[0])
+        xp, yp = (constant_planes(Z[0], m) if Z.shape[0] == 1 else to_planes(Z, m)
+                  for Z in (X, Y))
+        return from_planes(self.plane_product(xp, yp), B)
+
+    def plane_product(self, xp: np.ndarray, yp: np.ndarray) -> np.ndarray:
+        """The product of two (n, m, words) bit-plane batches, as planes; a
+        one-word operand of constant words is a fixed factor.
 
         out[g_k] = XOR over i of X[i] Y[j], g_i g_j = g_k. Each coefficient
         product is schoolbook: plane a of X[i] ANDed with plane b of Y[j]
         lands in plane a + b of an unreduced product of 2m - 1 planes. The
         reduction by the modulus is linear, so it runs once on the sum."""
         m = self.field.m
-        B = max(X.shape[0], Y.shape[0])
-        xp, yp = (constant_planes(Z[0], m) if Z.shape[0] == 1 else to_planes(Z, m)
-                  for Z in (X, Y))
         words = max(xp.shape[2], yp.shape[2])
         out = np.zeros((self.n, 2 * m - 1, words), dtype=np.uint64)
         term = np.empty((self.n, m, words), dtype=np.uint64)
@@ -275,7 +289,7 @@ class AlgebraContext:
         for k in range(2 * m - 2, m - 1, -1):
             for t in self.taps:
                 out[:, k - m + t] ^= out[:, k]
-        return from_planes(out[:, :m], B)
+        return out[:, :m]
 
     def involute(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return X[:, sigma]
@@ -289,6 +303,69 @@ class AlgebraContext:
     def is_one(self, Y: np.ndarray) -> np.ndarray:
         # keys are base-q digit strings, so only the identity's row has its key
         return Y.astype(np.uint64) @ self.powers == self.identity_key
+
+    # --- the oracle scan -------------------------------------------------------
+
+    def unitary_keys(self, sigma: np.ndarray, batch: int = DEFAULT_BATCH) -> np.ndarray:
+        """Sorted keys of the normalized x with x x^sigma = 1, scanning
+        batch candidates (a multiple of 64) at a time.
+
+        Candidate i carries i's base-q digits at indices 1..n-1 and the
+        dependent identity coefficient, so its key is q i + (its column 0).
+        In characteristic two a batch never leaves bit-planes: they are built
+        from i, the planes of X^sigma are X's permuted, x x^sigma = 1 is tested
+        64 rows to a word, and only the hits become keys, already in order."""
+        if batch % WORD_BITS:
+            raise ValueError(f"batch {batch} is not a multiple of {WORD_BITS}")
+        if not self.char2:
+            parts = []
+            for X in self.normalized_batches(batch):
+                Y = self.mul(X, self.involute(X, sigma))
+                mask = self.is_one(Y)
+                if mask.any():
+                    parts.append(self.pack(X[mask]))
+            return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
+        m, total = self.field.m, self.q ** (self.n - 1)
+        identity = constant_planes(self.identity, m)
+        parts = []
+        for start in range(0, total, batch):
+            rows = min(batch, total - start)
+            P = self._candidate_planes(start, rows)
+            differs = self.plane_product(P, P[sigma]) ^ identity
+            hits = ~np.bitwise_or.reduce(differs.reshape(-1, differs.shape[2]), axis=0)
+            if rows % WORD_BITS:  # fewer than 64 candidates: the pad rows are not candidates
+                hits[-1] &= np.uint64((1 << (rows % WORD_BITS)) - 1)
+            r = np.flatnonzero(np.unpackbits(hits.view(np.uint8), bitorder="little"))
+            if r.size:
+                # q = 2^m, so column 0's code fills the low m bits of q i
+                column0 = np.unpackbits(P[0].view(np.uint8), axis=-1, bitorder="little")[:, r]
+                keys = (start + r).astype(np.uint64) << np.uint64(m)
+                for a in range(m):
+                    keys |= column0[a].astype(np.uint64) << np.uint64(a)
+                parts.append(keys)
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+
+    def _candidate_planes(self, start: int, rows: int) -> np.ndarray:
+        """Bit-planes of the normalized candidates start, ..., start + rows - 1,
+        in characteristic two, for start a multiple of 64.
+
+        Bit a of column j >= 1 is bit k = m(j - 1) + a of the index. For
+        k < 6 that is bit k of the row's place in its word, a fixed pattern;
+        above it is bit k - 6 of the word's index, so the word is 0 or ~0.
+        Column 0 is the XOR of the others and of the identity's bits, which
+        gives every candidate augmentation 1."""
+        m, words = self.field.m, -(-rows // WORD_BITS)
+        P = np.empty((self.n, m, words), dtype=np.uint64)
+        first = start // WORD_BITS
+        word_index = np.arange(first, first + words, dtype=np.uint64)
+        index_bits = P[1:].reshape(-1, words)  # row k: bit k of the index
+        for k in range(index_bits.shape[0]):
+            if k < len(LOW_BIT_PATTERNS):
+                index_bits[k] = LOW_BIT_PATTERNS[k]
+            else:
+                index_bits[k] = -((word_index >> np.uint64(k - len(LOW_BIT_PATTERNS))) & np.uint64(1))
+        P[0] = np.bitwise_xor.reduce(P[1:], axis=0) ^ constant_planes(self.identity[:1], m)[0]
+        return P
 
     # --- enumerators ----------------------------------------------------------
 

@@ -327,10 +327,11 @@ def parse_field_literal(text: str) -> FieldSpec:
 
 def parse_element_literal(spec: FieldSpec, text: str) -> FieldElement:
     """Parse "c0c1...", one digit per coefficient, little-endian; for p > 10
-    the coefficients are decimal numbers joined by dots, "c0.c1...."."""
+    the coefficients are decimal numbers joined by dots, "c0.c1....". Every
+    coefficient is below p."""
     text = text.strip()
     parts = text.split(".") if spec.p > 10 else list(text)
-    if not parts or not all(part.isdigit() for part in parts):
+    if not parts or not all(part.isdigit() and int(part) < spec.p for part in parts):
         raise ValueError(f"bad element literal {text!r}")
     return spec.element([int(part) for part in parts])
 

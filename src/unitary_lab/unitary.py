@@ -51,16 +51,16 @@ DEFAULT_SEARCH_CAP = 1 << 24
 DEFAULT_MAX_WITNESSES = 64
 
 
-def theta_exponent(group: Group) -> int:
+def theta_exponent(group: Group, field: FieldSpec) -> int:
     """(|G| + |G{2}|)/2 - 1; integral because G{2} includes the identity."""
     g2 = len(group.special_sets().order_two)
     if (group.n + g2) % 2:
-        raise InternalInconsistency(f"|G|+|G{{2}}| odd for {group.id}")
+        raise _inconsistency(group, field, "|G|+|G{2}| is odd")
     return (group.n + g2) // 2 - 1
 
 
 def theta_from_order(order: int, field: FieldSpec, group: Group) -> Fraction:
-    return Fraction(order, field.order ** theta_exponent(group))
+    return Fraction(order, field.order ** theta_exponent(group, field))
 
 
 @dataclass(frozen=True)
@@ -236,13 +236,7 @@ def _oracle_set(group: Group, inv: GroupInvolution, field: FieldSpec,
         return hit
     ctx = AlgebraContext(field, group)
     sigma = np.array(inv.sigma, dtype=np.intp)
-    parts = []
-    for X in ctx.normalized_batches():
-        Y = ctx.mul(X, ctx.involute(X, sigma))
-        mask = ctx.is_one(Y)
-        if mask.any():
-            parts.append(ctx.pack(X[mask]))
-    keys = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
+    keys = ctx.unitary_keys(sigma)
     keys.setflags(write=False)
     _subgroup_certificate(ctx, keys, sigma, full_space=space)
     uset = UnitarySet(ctx, keys)
@@ -257,7 +251,7 @@ def unitary_enumerate_oracle(group: Group, inv: GroupInvolution, field: FieldSpe
     uset = _oracle_set(group, inv, field, search_cap)
     order = uset.order
     if order > field.order ** (group.n - 1):
-        raise InternalInconsistency("unitary order exceeds the normalized unit count")
+        raise _inconsistency(group, field, "unitary order exceeds the normalized unit count")
     witnesses = tuple(uset.elements(max_witnesses))
     subsidiary = {
         "search_space": field.order ** (group.n - 1),
@@ -544,7 +538,7 @@ def theta(group: Group, field: FieldSpec, *,
         raise OddCharacteristic("theta is defined over characteristic-two fields")
     value = unitary_order_char2(group, field, search_cap=search_cap).theta
     if value.denominator != 1:
-        raise InternalInconsistency(f"non-integer theta {value} for {group.id} over {field}")
+        raise _inconsistency(group, field, f"non-integer theta {value}")
     return value
 
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from unitary_lab import group_algebra as ga
-from unitary_lab.engine import AlgebraContext, field_tables, keys_contain, sorted_unique
+from unitary_lab.engine import DEFAULT_BATCH, AlgebraContext, field_tables, keys_contain, sorted_unique
 from unitary_lab.finite_field import make_field
-from unitary_lab.group_catalog import build
+from unitary_lab.group_catalog import build, catalog_entries
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
@@ -140,6 +140,50 @@ def test_involute_and_augmentation_match_scalar():
         x = ctx.element_of(X[i])
         assert np.array_equal(st[i], ctx.codes_of(ga.apply_involution(x, star)))
         assert aug[i] == x.augmentation().code
+
+
+# every catalog 2-group with q^(|G|-1) <= 2^24 over GF(2) to GF(32), and the trivial group
+SCAN_CELLS = [(entry.name, m) for m, max_order in ((1, 16), (2, 8), (3, 8), (4, 4), (5, 4))
+              for entry in catalog_entries(max_order, 2)] + [("cyclic:1", 1), ("cyclic:1", 3)]
+
+
+def _reference_unitary_keys(ctx, sigma):
+    parts = []
+    for X in ctx.normalized_batches():
+        mask = ctx.is_one(ctx.mul_table(X, ctx.involute(X, sigma)))
+        parts.append(ctx.pack(X[mask]))
+    return np.sort(np.concatenate(parts))
+
+
+@pytest.mark.parametrize("group_name,m", SCAN_CELLS)
+def test_char2_unitary_keys_match_table_kernel_scan(group_name, m):
+    # batches of 64 and 128 cross word and batch boundaries; cyclic:1, cyclic:2 and
+    # cyclic:4 over GF(2) have 1, 2 and 8 candidates, so most of their one word is pad
+    ctx = AlgebraContext(make_field(2, m), build(group_name))
+    sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
+    expected = _reference_unitary_keys(ctx, sigma)
+    batches = (64, 128, DEFAULT_BATCH) if ctx.q ** (ctx.n - 1) <= 1 << 15 else (DEFAULT_BATCH,)
+    for batch in batches:
+        got = ctx.unitary_keys(sigma, batch=batch)
+        assert got.dtype == np.uint64 and got.tobytes() == expected.tobytes(), batch
+
+
+def test_char2_unitary_keys_under_a_non_canonical_involution():
+    d8 = build("dihedral:8")
+    inv = ga.involution_from_map(d8, [d8.mul(d8.mul(1, d8.inverse(g)), 3) for g in d8.elements()])
+    assert inv.sigma != ga.canonical_star(d8).sigma
+    sigma = np.array(inv.sigma, dtype=np.intp)
+    for m in (1, 2):
+        ctx = AlgebraContext(make_field(2, m), d8)
+        expected = _reference_unitary_keys(ctx, sigma)
+        for batch in (64, 128, DEFAULT_BATCH):
+            assert ctx.unitary_keys(sigma, batch=batch).tobytes() == expected.tobytes(), (m, batch)
+
+
+def test_unitary_keys_batch_is_whole_words():
+    ctx = AlgebraContext(make_field(2, 1), build("cyclic:4"))
+    with pytest.raises(ValueError, match="multiple of 64"):
+        ctx.unitary_keys(np.arange(4), batch=100)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (5, 2)])

@@ -182,6 +182,13 @@ def test_element_literal_round_trip_above_ten():
     assert ff.format_element_literal(ff.make_field(11, 1).from_int(10)) == "10"
 
 
+def test_element_literal_refuses_coefficients_outside_the_prime_field():
+    for spec, text in ((ff.make_field(3, 1), "9"), (ff.make_field(11, 1), "25"),
+                       (ff.make_field(13, 2), "5.13")):
+        with pytest.raises(ValueError, match="bad element literal"):
+            ff.parse_element_literal(spec, text)
+
+
 def test_code_round_trip():
     spec = ff.make_field(3, 2)
     for code in range(spec.order):

@@ -380,6 +380,11 @@ def test_algebra_literals_round_trip():
     assert ga.format_algebra_literal(ga.algebra_zero(GF4, c4)) == "0"
 
 
+def test_algebra_literal_refuses_coefficients_outside_the_prime_field():
+    with pytest.raises(ValueError, match="bad element literal"):
+        ga.parse_algebra_literal(make_field(3, 1), build("cyclic:3"), "7*g1")
+
+
 def test_algebra_literals_round_trip_above_ten():
     f169 = make_field(13, 2)
     c11 = build("cyclic:11")

@@ -146,6 +146,22 @@ def test_oracle_elements_verify_scalar_side():
             assert x * y in elems
 
 
+def test_oracle_order_check_names_group_and_field(monkeypatch):
+    # the zero element passes the certificate (0 x = 0 = 0*) but is no unit, so a
+    # scan that adds its key (0) reports one element more than there are normalized units
+    scan = AlgebraContext.unitary_keys
+    monkeypatch.setattr(AlgebraContext, "unitary_keys",
+                        lambda ctx, sigma: np.concatenate(([np.uint64(0)], scan(ctx, sigma))))
+    c2 = build("cyclic:2")
+    un.clear_caches()
+    try:
+        with pytest.raises(InternalInconsistency) as exc:
+            un.unitary_enumerate_oracle(c2, ga.canonical_star(c2), GF2)
+    finally:
+        un.clear_caches()
+    assert str(exc.value) == "unitary order exceeds the normalized unit count (cyclic:2 over 2^1)"
+
+
 # --- S_H -------------------------------------------------------------------------------
 
 def test_s_h_d8():
