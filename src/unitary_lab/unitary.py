@@ -173,12 +173,17 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
 
     Identity membership and closure under the involution (= inversion for
     unitary elements) are checked on every element. Multiplicative closure is
-    certified by showing the set equals the subgroup generated by greedily
-    chosen members, with every BFS product checked for membership. The
-    elements known when a generator is added form the subgroup generated by
-    the older ones, so only their products with the new generator can be
-    new; fresh elements are multiplied by every generator. When the set is
-    all of V(FG), closure is the multiplicativity of the augmentation map,
+    certified by Dimino's coset walk: the set must equal the subgroup
+    generated by greedily chosen members, and every product the walk forms is
+    checked for membership. Each new generator g, the least member not yet
+    reached, extends the subgroup H reached so far by whole right cosets: H g
+    first, then H (r s) for every coset representative r and generator s with
+    r s not yet reached, r s becoming a representative. H is a group by
+    induction. A reached r s lies in a reached coset H r', so H (r s) = H r';
+    the union of the reached cosets is therefore closed under right
+    multiplication by every generator, and being finite and containing 1 it
+    is <H, g>. So the walk forms about one product per element. When the set
+    is all of V(FG), closure is the multiplicativity of the augmentation map,
     which is property-tested separately; the walk is skipped."""
     S, group, field = uset_keys, ctx.group, ctx.field
     if not keys_contain(S, np.array([ctx.identity_key], dtype=np.uint64))[0]:
@@ -191,37 +196,31 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
                                  rows[np.flatnonzero(escaped)[0]])
     if S.size == full_space:
         return
+
+    def positions(products: np.ndarray) -> np.ndarray:
+        keys = ctx.pack(products)
+        pos = np.minimum(np.searchsorted(S, keys), S.size - 1)
+        escaped = S[pos] != keys
+        if escaped.any():
+            raise _inconsistency(group, field, "product of two claimed unitary elements escapes the set",
+                                 products[np.flatnonzero(escaped)[0]])
+        return pos
+
     known = np.zeros(S.size, dtype=bool)
-    id_pos = int(np.searchsorted(S, np.uint64(ctx.identity_key)))
-    known[id_pos] = True
-    gens: list[np.ndarray] = []
-    while known.sum() < S.size:
-        gpos = int(np.flatnonzero(~known)[0])
-        gens.append(ctx.unpack(S[gpos:gpos + 1])[0])
-        frontier = ctx.unpack(S[np.flatnonzero(known)])
-        frontier_gens = gens[-1:]
-        while frontier.shape[0]:
-            fresh_positions = []
-            for chunk_start in range(0, frontier.shape[0], batch):
-                chunk = frontier[chunk_start:chunk_start + batch]
-                for g in frontier_gens:
-                    prods = ctx.pack(ctx.mul(chunk, g[None, :]))
-                    pos = np.searchsorted(S, prods)
-                    clipped = np.minimum(pos, S.size - 1)
-                    escaped = (pos == S.size) | (S[clipped] != prods)
-                    if escaped.any():
-                        raise _inconsistency(
-                            group, field, "product of two claimed unitary elements escapes the set",
-                            ctx.unpack(prods[escaped][:1])[0])
-                    new = sorted_unique(clipped[~known[clipped]])
-                    if new.size:
-                        known[new] = True
-                        fresh_positions.append(new)
-            frontier_gens = gens
-            if fresh_positions:
-                frontier = ctx.unpack(S[np.concatenate(fresh_positions)])
-            else:
-                frontier = np.empty((0, ctx.n), dtype=np.uint16)
+    known[int(np.searchsorted(S, np.uint64(ctx.identity_key)))] = True
+    gens = np.empty((0, ctx.n), dtype=np.uint16)
+    while not known.all():
+        gpos = int(np.argmin(known))
+        H = ctx.unpack(S[known])
+        gens = np.concatenate([gens, ctx.unpack(S[gpos:gpos + 1])])
+        known[positions(ctx.mul(H, gens[-1:]))] = True
+        reps = [gens[-1]]
+        for r in reps:  # grows while it is walked
+            products = ctx.mul(np.tile(r, (gens.shape[0], 1)), gens)
+            for x, pos in zip(products, positions(products)):
+                if not known[pos]:
+                    known[positions(ctx.mul(H, x[None, :]))] = True
+                    reps.append(x)
 
 
 def _oracle_set(group: Group, inv: GroupInvolution, field: FieldSpec,

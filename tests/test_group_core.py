@@ -210,16 +210,15 @@ def test_equal_groups_hash_equal():
     assert len({a, b}) == 1
 
 
-def test_sampled_associativity_accepts_large_group():
+def test_light_associativity_accepts_large_group():
     import unitary_lab.group_catalog as cat
-    g = cat.build("product:dihedral:64*cyclic:2")  # order 128: sampled path
+    g = cat.build("product:dihedral:64*cyclic:2")  # order 128: Light's test
     assert g.n == 128
     assert g.order_of(2) == 32  # (r, 1) sits at index 1*|B| = 2
 
 
-def test_sampled_associativity_catches_large_loop():
-    # direct cube of the order-5 loop: still Latin with identity, and roughly
-    # 79% of triples fail associativity, so the seeded sample must find one
+def test_light_associativity_catches_large_loop():
+    # direct cube of the order-5 loop: still Latin with identity, but not associative
     base = np.array(NONASSOC_LOOP)
     n = 125
     table = np.zeros((n, n), dtype=np.int64)
@@ -229,5 +228,24 @@ def test_sampled_associativity_catches_large_loop():
             b = (j % 5, j // 5 % 5, j // 25)
             c = (base[a[0], b[0]], base[a[1], b[1]], base[a[2], b[2]])
             table[i, j] = c[0] + 5 * c[1] + 25 * c[2]
-    with pytest.raises(NotAssociative):
+    with pytest.raises(NotAssociative) as exc:
         validate_group(table)
+    i, j, k = exc.value.witness
+    assert table[table[i, j], k] != table[i, table[j, k]]
+
+
+def test_light_associativity_catches_one_swapped_intercalate():
+    # rows g, g u and columns h, u h of a group table, u an involution, form a
+    # 2x2 Latin subsquare; swapping its two symbols keeps the table a loop
+    import unitary_lab.group_catalog as cat
+    t = np.array(cat.build("product:dihedral:64*cyclic:2").table)
+    assert t.shape == (128, 128)
+    u = next(x for x in range(2, 128) if t[x, x] == 0)
+    rows, cols = [1, t[1, u]], [1, t[u, 1]]  # g = h = g1
+    block = t[np.ix_(rows, cols)]
+    assert block[0, 0] == block[1, 1] != block[0, 1] == block[1, 0]
+    t[np.ix_(rows, cols)] = block[::-1]
+    with pytest.raises(NotAssociative) as exc:
+        validate_group(t)
+    i, j, k = exc.value.witness
+    assert t[t[i, j], k] != t[i, t[j, k]]

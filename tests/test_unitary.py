@@ -21,6 +21,7 @@ from unitary_lab.errors import (
 )
 from unitary_lab.finite_field import make_field
 from unitary_lab.group_catalog import build, catalog_entries
+from unitary_lab.group_core import validate_group
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -160,6 +161,110 @@ def test_oracle_order_check_names_group_and_field(monkeypatch):
     finally:
         un.clear_caches()
     assert str(exc.value) == "unitary order exceeds the normalized unit count (cyclic:2 over 2^1)"
+
+
+# --- the subgroup certificate, called directly ------------------------------------------
+
+def _scan(group, field):
+    """The oracle's uncertified key set under the canonical star, with its context."""
+    ctx = AlgebraContext(field, group)
+    sigma = np.array(ga.canonical_star(group).sigma, dtype=np.intp)
+    return ctx, sigma, ctx.unitary_keys(sigma)
+
+
+def _certify(ctx, sigma, keys):
+    un._subgroup_certificate(ctx, keys, sigma, full_space=ctx.q ** (ctx.n - 1))
+
+
+@pytest.mark.parametrize("name, field", [
+    ("dihedral:8", GF2), ("dihedral:8", GF4), ("quaternion:8", GF2), ("quaternion:8", GF4),
+    ("cyclic:9", GF3), ("elementary_abelian:3:2", GF3),
+])
+def test_certificate_accepts_the_oracle_set(name, field):
+    ctx, sigma, keys = _scan(build(name), field)
+    assert 1 < keys.size < ctx.q ** (ctx.n - 1)  # a proper subset: the coset walk runs
+    # each generator at least multiplies the subgroup reached by p, so the walk
+    # takes at most log_p |S| of them; the widest right factor it multiplies
+    # by is the list of generators
+    widths = []
+    mul = ctx.mul
+    ctx.mul = lambda X, Y: widths.append(Y.shape[0]) or mul(X, Y)
+    _certify(ctx, sigma, keys)
+    assert field.p ** max(widths) <= keys.size
+
+
+def test_certificate_accepts_a_proper_subgroup():
+    ctx, sigma, keys = _scan(build("dihedral:8"), GF4)
+    sub = _closure_keys(ctx, ctx.unpack(keys[1:4]))
+    assert 1 < sub.size < keys.size
+    _certify(ctx, sigma, sub)
+
+
+@pytest.mark.parametrize("name, field", [("dihedral:8", GF2), ("quaternion:8", GF2)])
+def test_certificate_refuses_every_dropped_pair(name, field):
+    # V minus {x, x*} keeps 1 and the involution, but is too large for a proper
+    # subgroup, so some product of its members must land on x or x*
+    group = build(name)
+    ctx, sigma, keys = _scan(group, field)
+    for key in keys[keys != ctx.identity_key]:
+        x = ctx.unpack(np.array([key]))
+        pair = np.concatenate([x, ctx.involute(x, sigma)])
+        with pytest.raises(InternalInconsistency) as exc:
+            _certify(ctx, sigma, keys[~np.isin(keys, ctx.pack(pair))])
+        named = [ga.format_algebra_literal(ctx.element_of(row)) for row in pair]
+        assert str(exc.value) in {
+            f"product of two claimed unitary elements escapes the set "
+            f"({name} over {field.literal()}, element {literal})" for literal in named
+        }
+
+
+def test_certificate_follows_each_new_representative():
+    # F2 C4 under the identity involution (C4 is abelian): the walk reaches
+    # g2 = g1 g1 as a new representative, and g2 g1 escapes {1, g1, g2}
+    c4 = build("cyclic:4")
+    ctx = AlgebraContext(GF2, c4)
+    sigma = np.array(ga.involution_from_map(c4, range(4)).sigma, dtype=np.intp)
+    with pytest.raises(InternalInconsistency) as exc:
+        _certify(ctx, sigma, np.array([1, 2, 4], dtype=np.uint64))
+    assert str(exc.value) == ("product of two claimed unitary elements escapes the set "
+                              "(cyclic:4 over 2^1, element 1*g3)")
+
+
+def test_certificate_multiplies_by_every_generator_so_far():
+    # D8 listed by words in reflections s, t with st of order 4. The involution
+    # g -> phi(g^-1), phi swapping s and t, keeps {1, s, t, st}; that set is
+    # closed under right multiplication by t, the newest generator, but t s escapes
+    d8 = build("dihedral:8")
+    s = 4
+    t = next(j for j in range(5, 8) if d8.order_of(d8.mul(s, j)) == 4)
+    st, ts = d8.mul(s, t), d8.mul(t, s)
+    words = [0, s, t, st, ts, d8.mul(st, s), d8.mul(ts, t), d8.mul(st, st)]
+    relabeled = validate_group([[words.index(d8.mul(a, b)) for b in words] for a in words],
+                               id="dihedral:8")
+    inv = ga.involution_from_map(relabeled, [0, 2, 1, 3, 4, 6, 5, 7])
+    ctx = AlgebraContext(GF2, relabeled)
+    with pytest.raises(InternalInconsistency) as exc:
+        _certify(ctx, np.array(inv.sigma, dtype=np.intp), np.array([1, 2, 4, 8], dtype=np.uint64))
+    assert str(exc.value) == ("product of two claimed unitary elements escapes the set "
+                              "(dihedral:8 over 2^1, element 1*g4)")
+
+
+def test_certificate_refuses_a_set_without_the_identity():
+    ctx, sigma, keys = _scan(build("quaternion:8"), GF4)
+    with pytest.raises(InternalInconsistency) as exc:
+        _certify(ctx, sigma, keys[keys != ctx.identity_key])
+    assert str(exc.value) == "unitary set misses the identity (quaternion:8 over 2^2, element 10*g0)"
+
+
+def test_certificate_refuses_a_set_not_closed_under_the_involution():
+    # {1, g1} in F3 C9: g1* = g8 is missing
+    ctx, sigma, _ = _scan(build("cyclic:9"), GF3)
+    rows = np.zeros((2, ctx.n), dtype=np.uint16)
+    rows[0, 0] = rows[1, 1] = 1
+    with pytest.raises(InternalInconsistency) as exc:
+        _certify(ctx, sigma, np.sort(ctx.pack(rows)))
+    assert str(exc.value) == ("unitary set is not closed under the involution "
+                              "(cyclic:9 over 3^1, element 1*g1)")
 
 
 # --- S_H -------------------------------------------------------------------------------
