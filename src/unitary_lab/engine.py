@@ -16,7 +16,10 @@ kernel stays the reference the tests hold the bitsliced one to.
 The oracle's scan (`AlgebraContext.unitary_keys`) stays in bit-planes in
 characteristic two: it builds each batch's planes from the candidate
 indices, takes the involute's planes as a permutation of them, tests
-x x^sigma = 1 word by word and packs only the hits.
+x x^sigma = 1 word by word and builds the hits' keys from their indices.
+The certificate's involution check stays in key space there
+(`AlgebraContext.involute_keys`): a key is n fields of m bits, and an
+involution of G only moves the fields.
 """
 
 from __future__ import annotations
@@ -294,6 +297,37 @@ class AlgebraContext:
     def involute(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return X[:, sigma]
 
+    def involute_keys(self, keys: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """pack(involute(unpack(keys), sigma)), batch by batch so that no
+        temporary grows with the key count.
+
+        In characteristic two the batch never leaves key space: a key is n
+        fields of m bits, field i holding column i's code, and the involution
+        only moves fields, field sigma[i] to field i, a shift by m (i - sigma[i]).
+        The fields that share a shift move under one mask, so the keys are
+        masked, shifted and ORed once per distinct shift. Odd characteristic
+        unpacks, permutes and packs."""
+        out = np.empty(keys.shape, dtype=np.uint64)
+        if not self.char2:
+            for start in range(0, keys.size, DEFAULT_BATCH):
+                rows = self.unpack(keys[start:start + DEFAULT_BATCH])
+                out[start:start + rows.shape[0]] = self.pack(self.involute(rows, sigma))
+            return out
+        m, masks = self.field.m, {}
+        for i, j in enumerate(sigma.tolist()):
+            masks[m * (i - j)] = masks.get(m * (i - j), 0) | ((self.q - 1) << (m * j))
+        for start in range(0, keys.size, DEFAULT_BATCH):
+            batch, star = keys[start:start + DEFAULT_BATCH], out[start:start + DEFAULT_BATCH]
+            star[:] = 0
+            for shift, mask in masks.items():
+                moved = batch & np.uint64(mask)
+                if shift > 0:
+                    moved <<= np.uint64(shift)
+                elif shift < 0:
+                    moved >>= np.uint64(-shift)
+                star |= moved
+        return out
+
     def augmentation(self, X: np.ndarray) -> np.ndarray:
         s = X[:, 0].copy()
         for i in range(1, X.shape[1]):
@@ -313,8 +347,10 @@ class AlgebraContext:
         Candidate i carries i's base-q digits at indices 1..n-1 and the
         dependent identity coefficient, so its key is q i + (its column 0).
         In characteristic two a batch never leaves bit-planes: they are built
-        from i, the planes of X^sigma are X's permuted, x x^sigma = 1 is tested
-        64 rows to a word, and only the hits become keys, already in order."""
+        from i, the planes of X^sigma are X's permuted, and x x^sigma = 1 is
+        tested 64 rows to a word. Only the hits become keys, already in order,
+        and from their indices alone: column 0's code is the identity's code
+        XOR i's digits, so the planes are never read back."""
         if batch % WORD_BITS:
             raise ValueError(f"batch {batch} is not a multiple of {WORD_BITS}")
         if not self.char2:
@@ -326,6 +362,7 @@ class AlgebraContext:
                     parts.append(self.pack(X[mask]))
             return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
         m, total = self.field.m, self.q ** (self.n - 1)
+        width, digit = np.uint64(m), np.uint64(self.q - 1)
         identity = constant_planes(self.identity, m)
         parts = []
         for start in range(0, total, batch):
@@ -335,14 +372,17 @@ class AlgebraContext:
             hits = ~np.bitwise_or.reduce(differs.reshape(-1, differs.shape[2]), axis=0)
             if rows % WORD_BITS:  # fewer than 64 candidates: the pad rows are not candidates
                 hits[-1] &= np.uint64((1 << (rows % WORD_BITS)) - 1)
-            r = np.flatnonzero(np.unpackbits(hits.view(np.uint8), bitorder="little"))
-            if r.size:
-                # q = 2^m, so column 0's code fills the low m bits of q i
-                column0 = np.unpackbits(P[0].view(np.uint8), axis=-1, bitorder="little")[:, r]
-                keys = (start + r).astype(np.uint64) << np.uint64(m)
-                for a in range(m):
-                    keys |= column0[a].astype(np.uint64) << np.uint64(a)
-                parts.append(keys)
+            index = np.flatnonzero(np.unpackbits(hits.view(np.uint8), bitorder="little"))
+            if index.size:
+                # q = 2^m, so a key is (i << m) | column 0's code, and column 0's
+                # code is the identity's code XOR the n - 1 m-bit digits of i
+                index = (index + start).astype(np.uint64)
+                column0 = np.full(index.shape, self.tabs.one, dtype=np.uint64)
+                rest = index.copy()
+                for _ in range(self.n - 1):
+                    column0 ^= rest & digit
+                    rest >>= width
+                parts.append((index << width) | column0)
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
 
     def _candidate_planes(self, start: int, rows: int) -> np.ndarray:

@@ -82,9 +82,12 @@ class Group:
 
     def inverse(self, g: int) -> int:
         self._bounds(g)
+        return int(self._inverse_table()[g])
+
+    def _inverse_table(self) -> np.ndarray:
         if self._inverses is None:
             self._inverses = np.argmin(self.table, axis=1)  # position of 0 in each row
-        return int(self._inverses[g])
+        return self._inverses
 
     def left_division(self) -> np.ndarray:
         """(n, n) intp table ldiv with g_i g_ldiv[i, k] = g_k, i.e. g_i^-1 g_k."""
@@ -165,30 +168,21 @@ class Group:
         """
         if sub.parent is not self and sub.parent != self:
             raise ValueError("subgroup belongs to a different group")
-        members = set(sub.members)
-        for g in self.elements():
-            ginv = self.inverse(g)
-            for h in sub.members:
-                if self.mul(self.mul(g, h), ginv) not in members:
-                    raise NotNormal(g)
-        coset_rep: dict[int, int] = {}
-        rep_of_element = [0] * self.n
-        for g in self.elements():
-            if g in coset_rep:
-                continue
-            coset = sorted(self.mul(g, h) for h in sub.members)
-            rep = coset[0]
-            for x in coset:
-                coset_rep[x] = rep
-                rep_of_element[x] = rep
-        reps = sorted(set(rep_of_element))
-        index_of_rep = {rep: i for i, rep in enumerate(reps)}
-        projection = tuple(index_of_rep[rep_of_element[g]] for g in self.elements())
-        nq = len(reps)
-        table = np.zeros((nq, nq), dtype=np.int64)
-        for a, ra in enumerate(reps):
-            for b, rb in enumerate(reps):
-                table[a, b] = projection[self.mul(ra, rb)]
+        t = np.asarray(self.table, dtype=np.intp)
+        members = np.array(sub.members, dtype=np.intp)
+        in_sub = np.zeros(self.n, dtype=bool)
+        in_sub[members] = True
+        # conjugates[g, k] = g h_k g^-1; the first g with one outside H is named
+        conjugates = t[t[:, members], self._inverse_table()[:, None]]
+        outside = ~in_sub[conjugates].all(axis=1)
+        if outside.any():
+            raise NotNormal(int(np.argmax(outside)))
+        # g H is the coset of g, and its least member is its representative
+        rep_of_element = t[:, members].min(axis=1)
+        reps = np.flatnonzero(rep_of_element == np.arange(self.n))
+        projection = np.searchsorted(reps, rep_of_element)
+        table = projection[t[reps][:, reps]].astype(np.int64)
+        projection, reps = tuple(projection.tolist()), reps.tolist()
         labels = None
         if self.labels is not None:
             labels = [f"[{self.labels[rep]}]" for rep in reps]

@@ -168,32 +168,41 @@ def _inconsistency(group: Group, field: FieldSpec, what: str, row: np.ndarray | 
 
 
 def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.ndarray,
-                          full_space: int, batch: int = DEFAULT_BATCH):
-    """Prove the key set is a subgroup of V(FG).
+                          full_space: int):
+    """Prove the sorted, repeat-free key set S is a subgroup of V(FG).
 
     Identity membership and closure under the involution (= inversion for
-    unitary elements) are checked on every element. Multiplicative closure is
-    certified by Dimino's coset walk: the set must equal the subgroup
-    generated by greedily chosen members, and every product the walk forms is
-    checked for membership. Each new generator g, the least member not yet
-    reached, extends the subgroup H reached so far by whole right cosets: H g
-    first, then H (r s) for every coset representative r and generator s with
-    r s not yet reached, r s becoming a representative. H is a group by
-    induction. A reached r s lies in a reached coset H r', so H (r s) = H r';
-    the union of the reached cosets is therefore closed under right
-    multiplication by every generator, and being finite and containing 1 it
-    is <H, g>. So the walk forms about one product per element. When the set
-    is all of V(FG), closure is the multiplicativity of the augmentation map,
+    unitary elements) are checked on every element, in key space: star holds
+    the key of x* for every key x of S. The involution is a bijection on
+    keys, so star has |S| distinct entries, and sorted(star) == S holds
+    exactly when x* lies in S for every x in S. When star == S already
+    (x* = x throughout, as for an elementary abelian group under the
+    canonical star) nothing is sorted; on failure a membership search names
+    the least key whose involute is missing.
+
+    Multiplicative closure is certified by Dimino's coset walk: the set must
+    equal the subgroup generated by greedily chosen members, and every product
+    the walk forms is checked for membership. Each new generator g, the least
+    member not yet reached, extends the subgroup H reached so far by whole
+    right cosets: H g first, then H (r s) for every coset representative r and
+    generator s with r s not yet reached, r s becoming a representative. H is
+    a group by induction. A reached r s lies in a reached coset H r', so
+    H (r s) = H r'; the union of the reached cosets is therefore closed under
+    right multiplication by every generator, and being finite and containing 1
+    it is <H, g>. So the walk forms about one product per element. When the set is
+    all of V(FG), closure is the multiplicativity of the augmentation map,
     which is property-tested separately; the walk is skipped."""
     S, group, field = uset_keys, ctx.group, ctx.field
     if not keys_contain(S, np.array([ctx.identity_key], dtype=np.uint64))[0]:
         raise _inconsistency(group, field, "unitary set misses the identity", ctx.identity)
-    for start in range(0, S.size, batch):
-        rows = ctx.unpack(S[start:start + batch])
-        escaped = ~keys_contain(S, ctx.pack(ctx.involute(rows, sigma)))
-        if escaped.any():
+    star = ctx.involute_keys(S, sigma)
+    if not np.array_equal(star, S):
+        star.sort()
+        if not np.array_equal(star, S):
+            escaped = np.flatnonzero(~keys_contain(S, ctx.involute_keys(S, sigma)))[0]
             raise _inconsistency(group, field, "unitary set is not closed under the involution",
-                                 rows[np.flatnonzero(escaped)[0]])
+                                 ctx.unpack(S[escaped:escaped + 1])[0])
+    del star
     if S.size == full_space:
         return
 

@@ -168,6 +168,46 @@ def test_quotient_rejects_non_normal():
         d8.quotient(d8.subgroup_generated([4]))  # <s> is not normal in D8
 
 
+def _reference_quotient(g, sub):
+    """Group.quotient element by element: the normality loop, then the least
+    member of each coset g H as its representative; (table, projection) or
+    the NotNormal witness."""
+    members = set(sub.members)
+    for x in g.elements():
+        for h in sub.members:
+            if g.mul(g.mul(x, h), g.inverse(x)) not in members:
+                return x
+    rep_of_element = [min(g.mul(x, h) for h in sub.members) for x in g.elements()]
+    reps = sorted(set(rep_of_element))
+    projection = tuple(reps.index(r) for r in rep_of_element)
+    table = np.array([[projection[g.mul(a, b)] for b in reps] for a in reps], dtype=np.int64)
+    return table, projection
+
+
+def test_quotient_matches_the_loop_reference():
+    # every catalog 2-group up to order 64 by each central involution, and by
+    # each non-central one, whose order-two subgroup is not normal
+    refused = 0
+    for g in cat.sweep(64, 2):
+        for c in g.special_sets().order_two[1:]:
+            sub = g.subgroup_generated([c])
+            expected = _reference_quotient(g, sub)
+            if isinstance(expected, int):
+                with pytest.raises(NotNormal) as exc:
+                    g.quotient(sub)
+                assert exc.value.witness == expected, (g.id, c)
+                refused += 1
+                continue
+            gbar, proj = g.quotient(sub)
+            assert gbar.table.dtype == np.int64 and gbar.table.tobytes() == expected[0].tobytes(), (g.id, c)
+            assert proj == expected[1] and all(type(k) is int for k in proj), (g.id, c)
+            assert gbar.id == f"{g.id}/{{0,{c}}}"
+            if g.labels is not None:
+                reps = coset_representatives(proj, gbar.n)
+                assert gbar.labels == tuple(f"[{g.labels[r]}]" for r in reps), (g.id, c)
+    assert refused > 0
+
+
 def test_projection_lift_round_trip():
     for name in ("dihedral:8", "cyclic:16", "quaternion:16"):
         g = cat.build(name)

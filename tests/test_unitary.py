@@ -8,7 +8,7 @@ import pytest
 
 from unitary_lab import group_algebra as ga
 from unitary_lab import unitary as un
-from unitary_lab.engine import AlgebraContext, keys_contain
+from unitary_lab.engine import DEFAULT_BATCH, AlgebraContext, keys_contain
 from unitary_lab.errors import (
     EvenCharacteristic,
     InternalInconsistency,
@@ -230,10 +230,9 @@ def test_certificate_follows_each_new_representative():
                               "(cyclic:4 over 2^1, element 1*g3)")
 
 
-def test_certificate_multiplies_by_every_generator_so_far():
-    # D8 listed by words in reflections s, t with st of order 4. The involution
-    # g -> phi(g^-1), phi swapping s and t, keeps {1, s, t, st}; that set is
-    # closed under right multiplication by t, the newest generator, but t s escapes
+def _d8_by_reflections():
+    """D8 listed by words in reflections s, t with st of order 4, and the
+    involution g -> phi(g^-1), phi swapping s and t."""
     d8 = build("dihedral:8")
     s = 4
     t = next(j for j in range(5, 8) if d8.order_of(d8.mul(s, j)) == 4)
@@ -241,7 +240,13 @@ def test_certificate_multiplies_by_every_generator_so_far():
     words = [0, s, t, st, ts, d8.mul(st, s), d8.mul(ts, t), d8.mul(st, st)]
     relabeled = validate_group([[words.index(d8.mul(a, b)) for b in words] for a in words],
                                id="dihedral:8")
-    inv = ga.involution_from_map(relabeled, [0, 2, 1, 3, 4, 6, 5, 7])
+    return relabeled, ga.involution_from_map(relabeled, [0, 2, 1, 3, 4, 6, 5, 7])
+
+
+def test_certificate_multiplies_by_every_generator_so_far():
+    # The involution of _d8_by_reflections keeps {1, s, t, st}; that set is
+    # closed under right multiplication by t, the newest generator, but t s escapes
+    relabeled, inv = _d8_by_reflections()
     ctx = AlgebraContext(GF2, relabeled)
     with pytest.raises(InternalInconsistency) as exc:
         _certify(ctx, np.array(inv.sigma, dtype=np.intp), np.array([1, 2, 4, 8], dtype=np.uint64))
@@ -265,6 +270,75 @@ def test_certificate_refuses_a_set_not_closed_under_the_involution():
         _certify(ctx, sigma, np.sort(ctx.pack(rows)))
     assert str(exc.value) == ("unitary set is not closed under the involution "
                               "(cyclic:9 over 3^1, element 1*g1)")
+
+
+@pytest.mark.parametrize("name, field", [
+    ("dihedral:8", GF2), ("dihedral:8", GF4), ("dihedral:8", GF8),
+    ("quaternion:8", GF2), ("quaternion:8", GF4), ("quaternion:8", GF8),
+])
+def test_certificate_names_the_least_key_whose_involute_is_missing(name, field):
+    # drop the involutes of a few x with x* != x: the least remaining key whose
+    # involute is gone, found here by the row route, is the element named
+    group = build(name)
+    ctx, sigma, keys = _scan(group, field)
+    star = ctx.pack(ctx.involute(ctx.unpack(keys), sigma))
+    moved = np.flatnonzero(star != keys)
+    rng = np.random.default_rng(field.order)
+    for picks in (moved[:1], moved[-1:], rng.choice(moved, size=5, replace=False)):
+        kept = keys[~np.isin(keys, star[picks])]
+        missing = ~np.isin(ctx.pack(ctx.involute(ctx.unpack(kept), sigma)), kept)
+        witness = ctx.element_of(ctx.unpack(kept[missing][:1])[0])
+        with pytest.raises(InternalInconsistency) as exc:
+            _certify(ctx, sigma, kept)
+        assert str(exc.value) == (f"unitary set is not closed under the involution "
+                                  f"({name} over {field.literal()}, "
+                                  f"element {ga.format_algebra_literal(witness)})")
+
+
+def _involutions(group, rng, count):
+    """The canonical star and count random involutions g -> t g^-1 t^-1 with
+    t^2 central, each validated by involution_from_map."""
+    center = set(group.special_sets().center)
+    ts = [t for t in group.elements() if group.mul(t, t) in center]
+    sigmas = [ga.canonical_star(group).sigma]
+    for t in rng.choice(ts, size=count):
+        t = int(t)
+        sigmas.append(ga.involution_from_map(group, [
+            group.mul(group.mul(t, group.inverse(g)), group.inverse(t)) for g in group.elements()]).sigma)
+    return [np.array(sig, dtype=np.intp) for sig in sigmas]
+
+
+@pytest.mark.parametrize("name, field", [
+    ("dihedral:8", GF2), ("quaternion:8", GF4), ("dihedral:8", GF8), ("abelian:2:[1,2]", GF8),
+    ("dihedral:16", GF2), ("quaternion:16", GF4), ("semidihedral:16", GF8),
+    ("elementary_abelian:2:4", GF8), ("cyclic:9", GF3), ("heisenberg:3", GF3),
+])
+def test_involute_keys_match_the_row_route(name, field):
+    # random keys fill the whole key range, 48 bits for order 16 over GF(8),
+    # and run past one batch; the oracle's own key set is added wherever its
+    # scan is small
+    group = build(name)
+    ctx = AlgebraContext(field, group)
+    rng = np.random.default_rng(group.n * field.order)
+    keys = rng.integers(0, ctx.q ** ctx.n, size=DEFAULT_BATCH + 3000, dtype=np.uint64)
+    keys[:2] = (0, ctx.q ** ctx.n - 1)
+    key_sets = [keys]
+    if ctx.q ** (ctx.n - 1) <= 1 << 21:
+        key_sets.append(ctx.unitary_keys(np.array(ga.canonical_star(group).sigma, dtype=np.intp)))
+    for sigma in _involutions(group, rng, 3) + [rng.permutation(group.n)]:
+        for k in key_sets:
+            expected = ctx.pack(ctx.involute(ctx.unpack(k), sigma))
+            assert ctx.involute_keys(k, sigma).tobytes() == expected.tobytes(), sigma
+
+
+@pytest.mark.parametrize("field", [GF2, GF4, GF8])
+def test_involute_keys_under_the_relabeled_d8_involution(field):
+    relabeled, inv = _d8_by_reflections()
+    ctx = AlgebraContext(field, relabeled)
+    sigma = np.array(inv.sigma, dtype=np.intp)
+    keys = ctx.unitary_keys(sigma)
+    assert ctx.involute_keys(keys, sigma).tobytes() == ctx.pack(ctx.involute(ctx.unpack(keys), sigma)).tobytes()
+    _certify(ctx, sigma, keys)
 
 
 # --- S_H -------------------------------------------------------------------------------
