@@ -29,6 +29,7 @@ from .group_core import Group, validate_group
 from .unitary import (
     DEFAULT_SEARCH_CAP,
     UnitaryResult,
+    oracle_search_space,
     theta,
     theta_from_order,
     unitary_enumerate_oracle,
@@ -115,7 +116,7 @@ def _compute_cell(group: Group, field: FieldSpec, method: str,
     cross = None
     if method == "auto":
         method = "formula" if field.p != 2 else "recursive"
-        if method == "recursive" and field.order ** (group.n - 1) <= search_cap:
+        if method == "recursive" and oracle_search_space(group, field) <= search_cap:
             cross = "pending"
     if method == "formula":
         if field.p == 2:

@@ -5,13 +5,18 @@ and the subgroup certificates. A batch is a (B, |G|) uint16 array of field
 codes (little-endian base-p packing of each coefficient vector); a whole
 element packs into a uint64 key for set membership work.
 
-Odd characteristic is table-driven, with the tables derived once per field
-from the scalar FieldElement implementation (which the tests cross-check
-independently). In characteristic two a code's bit a is the coefficient of
-x^a, so addition is XOR and products run bitsliced: a batch becomes
-bit-planes, one bit per row in uint64 words, and a GF(2^m) product is m^2
-plane ANDs and XORs plus the reduction by the field's modulus. The table
-kernel stays the reference the tests hold the bitsliced one to.
+Odd characteristic is table-driven. The (q, q) tables are built once per
+field from the codes' base-p digits: addition and negation digit by digit
+mod p, multiplication by contracting the digits' outer product with the
+field's fold matrix (`finite_field.fold_matrix`, which the scalar algebra
+product reduces by too). The tests check every table entry against
+FieldElement's polynomial arithmetic.
+
+In characteristic two a code's bit a is the coefficient of x^a, so addition
+is XOR and products run bitsliced: a batch becomes bit-planes, one bit per
+row in uint64 words, and a GF(2^m) product is m^2 plane ANDs and XORs plus
+the reduction by the field's modulus. The table kernel stays the reference
+the tests hold the bitsliced one to.
 
 The oracle's scan (`AlgebraContext.unitary_keys`) stays in bit-planes in
 characteristic two: it builds each batch's planes from the candidate
@@ -30,8 +35,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InternalInconsistency, SearchSpaceTooLarge
-from .finite_field import FieldSpec
+from .errors import SearchSpaceTooLarge
+from .finite_field import FieldSpec, fold_matrix
 from .group_algebra import AlgebraElement
 from .group_core import Group
 
@@ -46,62 +51,30 @@ LOW_BIT_PATTERNS = (0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
 
 @dataclass(frozen=True, eq=False)
 class FieldTables:
-    q: int
     add: np.ndarray   # (q, q)
     mul: np.ndarray   # (q, q)
     neg: np.ndarray   # (q,)
     one: int
 
 
-def _find_generator(spec: FieldSpec) -> list[int]:
-    """exp table of a multiplicative generator: exp[k] = code of gen^k."""
-    q = spec.order
-    for cand_code in range(1, q):
-        cand = spec.from_code(cand_code)
-        exp = []
-        e = spec.one
-        ok = True
-        seen = set()
-        for _ in range(q - 1):
-            code = e.code
-            if code in seen:
-                ok = False
-                break
-            seen.add(code)
-            exp.append(code)
-            e = e * cand
-        if ok and e == spec.one:
-            return exp
-    raise InternalInconsistency(f"no multiplicative generator found for {spec}")
-
-
 @functools.lru_cache(maxsize=None)
 def field_tables(spec: FieldSpec) -> FieldTables:
+    """add, mul and neg on codes, from the codes' base-p digits d.
+
+    add and neg work digit by digit mod p. mul contracts the outer product of
+    the digits with the fold matrix, mul[x, y] = sum over a, b of d[x, a]
+    d[y, b] fold[a m + b] mod p, in one einsum that never forms the (q, q, m, m)
+    outer product. Each result is packed back into codes by powers of p."""
     q, p, m = spec.order, spec.p, spec.m
     if q > MAX_TABLE_FIELD_ORDER:
         raise SearchSpaceTooLarge(q, MAX_TABLE_FIELD_ORDER, context="field table build")
-    codes = np.arange(q)
-    digits = np.zeros((q, m), dtype=np.int64)
-    v = codes.copy()
-    for i in range(m):
-        digits[:, i] = v % p
-        v //= p
+    d = digits(np.arange(q, dtype=np.uint64), p, m).astype(np.int64)
     powers = p ** np.arange(m)
-    add = (((digits[:, None, :] + digits[None, :, :]) % p) * powers).sum(axis=2)
-    neg = (((-digits) % p) * powers).sum(axis=1)
-
-    exp = _find_generator(spec)
-    log = np.zeros(q, dtype=np.int64)
-    for k, code in enumerate(exp):
-        log[code] = k
-    expv = np.array(exp, dtype=np.int64)
-    mul = np.zeros((q, q), dtype=np.int64)
-    if q > 1:
-        ks = (log[1:, None] + log[None, 1:]) % (q - 1)
-        mul[1:, 1:] = expv[ks]
-
-    u16 = np.uint16
-    tabs = FieldTables(q, add.astype(u16), mul.astype(u16), neg.astype(u16), spec.one.code)
+    add = (d[:, None, :] + d[None, :, :]) % p @ powers
+    neg = -d % p @ powers
+    fold = fold_matrix(spec).reshape(m, m, m)
+    mul = np.einsum("xa,yb,abk->xyk", d, d, fold, optimize=True) % p @ powers
+    tabs = FieldTables(*(t.astype(np.uint16) for t in (add, mul, neg)), one=spec.one.code)
     for arr in (tabs.add, tabs.mul, tabs.neg):
         arr.setflags(write=False)
     return tabs
@@ -422,8 +395,6 @@ class AlgebraContext:
             X = digits(np.arange(start * q, stop * q, q, dtype=np.uint64), q, self.n)
             if self.n == 1:
                 X[:, 0] = one
-            elif self.char2:
-                X[:, 0] = self.augmentation(X[:, 1:]) ^ one
             else:
                 X[:, 0] = self.tabs.add[one, self.tabs.neg[self.augmentation(X[:, 1:])]]
             yield X

@@ -10,9 +10,12 @@ fields, whose image has index two in the additive group.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import (
     DivisionByZero,
@@ -182,6 +185,20 @@ class FieldSpec:
 
     def __str__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
+
+
+@functools.lru_cache(maxsize=None)
+def fold_matrix(field: FieldSpec) -> np.ndarray:
+    """(m^2, m) int64: row a m + b holds the digits of x^(a+b) mod the modulus.
+
+    Reducing modulo the modulus is linear, so a product's unreduced digit
+    products (row a m + b weighing x^a x^b) reduce through it in one matrix
+    product and one mod p. The scalar algebra product and the batch field
+    tables both multiply this way."""
+    monomials = [field.element([0] * a + [1]) for a in range(field.m)]
+    fold = np.array([(xa * xb).coeffs for xa in monomials for xb in monomials], dtype=np.int64)
+    fold.setflags(write=False)
+    return fold
 
 
 def make_field(p: int, m: int) -> FieldSpec:

@@ -10,7 +10,6 @@ F[G/H] with its kernel ideal and lift section.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -28,6 +27,7 @@ from .errors import (
 from .finite_field import (
     FieldElement,
     FieldSpec,
+    fold_matrix as _fold_matrix,
     format_element_literal,
     is_power_of,
     parse_element_literal,
@@ -146,15 +146,6 @@ class AlgebraElement:
 def _digit_array(x: AlgebraElement) -> np.ndarray:
     """(n, m) int64: row g holds the base-p digits of the coefficient of g."""
     return np.array([c.coeffs for c in x.coeffs], dtype=np.int64)
-
-
-@functools.lru_cache(maxsize=None)
-def _fold_matrix(field: FieldSpec) -> np.ndarray:
-    """(m^2, m) int64: row a m + b holds the digits of x^(a+b) mod the modulus."""
-    monomials = [field.element([0] * a + [1]) for a in range(field.m)]
-    fold = np.array([(xa * xb).coeffs for xa in monomials for xb in monomials], dtype=np.int64)
-    fold.setflags(write=False)
-    return fold
 
 
 def require_p_group(group: Group, field: FieldSpec):

@@ -66,10 +66,6 @@ class Group:
     def __repr__(self):
         return f"Group({self.id!r}, n={self.n})"
 
-    @property
-    def key(self) -> tuple:
-        return (self.id, self.n, self.table.tobytes())
-
     def elements(self) -> range:
         return range(self.n)
 
@@ -264,11 +260,13 @@ def validate_group(table, id: str = "", labels: Sequence[str] | None = None) -> 
     rng = np.arange(n)
     if not (np.array_equal(t[0, :], rng) and np.array_equal(t[:, 0], rng)):
         raise NoIdentity("index 0 is not a two-sided identity")
-    for i in range(n):
-        if len(set(t[i, :].tolist())) != n:
-            raise NotLatin("row", i)
-        if len(set(t[:, i].tolist())) != n:
-            raise NotLatin("column", i)
+    # entries lie in [0, n), so a row or column is a permutation iff sorted it is 0..n-1
+    rows_ok = (np.sort(t, axis=1) == rng).all(axis=1)
+    columns_ok = (np.sort(t, axis=0) == rng[:, None]).all(axis=0)
+    latin = rows_ok & columns_ok
+    if not latin.all():
+        i = int(np.argmin(latin))  # the least failing index, its row named first
+        raise NotLatin("row" if not rows_ok[i] else "column", i)
     if n <= EXHAUSTIVE_ASSOC_LIMIT:
         left = t[t, :]            # left[i,j,k] = (ij)k
         right = t[:, t]           # right[i,j,k] = i(jk)

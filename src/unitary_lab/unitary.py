@@ -96,24 +96,7 @@ class UnitaryResult:
         return out
 
 
-@dataclass(eq=False)
-class UnitarySet:
-    """Full element set of a unitary subgroup as sorted packed keys."""
-
-    ctx: AlgebraContext
-    keys: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return int(self.keys.size)
-
-    def elements(self, limit: int | None = None) -> list[AlgebraElement]:
-        take = self.keys if limit is None else self.keys[:limit]
-        rows = self.ctx.unpack(take)
-        return [self.ctx.element_of(rows[i]) for i in range(rows.shape[0])]
-
-
-_SET_CACHE: dict[tuple, UnitarySet] = {}
+_SET_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def clear_caches():
@@ -232,37 +215,43 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
                     reps.append(x)
 
 
+def oracle_search_space(group: Group, field: FieldSpec) -> int:
+    """q^(|G|-1): the normalized units of FG, every one of which the oracle scans."""
+    return field.order ** (group.n - 1)
+
+
 def _oracle_set(group: Group, inv: GroupInvolution, field: FieldSpec,
-                search_cap: int = DEFAULT_SEARCH_CAP) -> UnitarySet:
+                search_cap: int = DEFAULT_SEARCH_CAP) -> np.ndarray:
+    """The sorted, read-only keys of V(FG), scanned and certified once per
+    (Cayley table, field, involution): groups with equal tables share them."""
     require_p_group(group, field)
-    space = field.order ** (group.n - 1)
+    space = oracle_search_space(group, field)
     if space > search_cap:
         raise SearchSpaceTooLarge(space, search_cap, context=f"oracle over {group.id}")
-    cache_key = (group.key, field, inv.sigma, "oracle")
-    hit = _SET_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    ctx = AlgebraContext(field, group)
-    sigma = np.array(inv.sigma, dtype=np.intp)
-    keys = ctx.unitary_keys(sigma)
-    keys.setflags(write=False)
-    _subgroup_certificate(ctx, keys, sigma, full_space=space)
-    uset = UnitarySet(ctx, keys)
-    _SET_CACHE[cache_key] = uset
-    return uset
+    cache_key = (group, field, inv.sigma)
+    keys = _SET_CACHE.get(cache_key)
+    if keys is None:
+        ctx = AlgebraContext(field, group)
+        sigma = np.array(inv.sigma, dtype=np.intp)
+        keys = ctx.unitary_keys(sigma)
+        keys.setflags(write=False)
+        _subgroup_certificate(ctx, keys, sigma, full_space=space)
+        _SET_CACHE[cache_key] = keys
+    return keys
 
 
 def unitary_enumerate_oracle(group: Group, inv: GroupInvolution, field: FieldSpec, *,
                              search_cap: int = DEFAULT_SEARCH_CAP,
                              max_witnesses: int | None = DEFAULT_MAX_WITNESSES) -> UnitaryResult:
     """Filter every normalized unit by x * x^inv = 1 and certify the result."""
-    uset = _oracle_set(group, inv, field, search_cap)
-    order = uset.order
-    if order > field.order ** (group.n - 1):
+    keys = _oracle_set(group, inv, field, search_cap)
+    order, space = int(keys.size), oracle_search_space(group, field)
+    if order > space:
         raise _inconsistency(group, field, "unitary order exceeds the normalized unit count")
-    witnesses = tuple(uset.elements(max_witnesses))
+    ctx = AlgebraContext(field, group)
+    witnesses = tuple(ctx.element_of(row) for row in ctx.unpack(keys[:max_witnesses]))
     subsidiary = {
-        "search_space": field.order ** (group.n - 1),
+        "search_space": space,
         "witnesses_truncated": max_witnesses is not None and order > max_witnesses,
     }
     return UnitaryResult(group.id, field, inv.name, "oracle", order,

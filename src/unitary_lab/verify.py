@@ -25,6 +25,7 @@ from .unitary import (
     bounds_and_constructions,
     cayley,
     is_unitary,
+    oracle_search_space,
     recover_group_order,
     s_h_enumerate,
     theta,
@@ -171,7 +172,7 @@ def suite_prop2(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
         group = build(name)
         res = unitary_order_char2(group, f, search_cap=search_cap)
         _check(results, "prop2", f"{name}/{f.literal()} theta", expected, res.theta)
-        if f.order ** (group.n - 1) <= search_cap:
+        if oracle_search_space(group, f) <= search_cap:
             oracle = unitary_enumerate_oracle(group, canonical_star(group), f,
                                               search_cap=search_cap).order
             _check(results, "prop2", f"{name}/{f.literal()} oracle agrees",

@@ -7,14 +7,22 @@ import numpy as np
 import pytest
 
 from unitary_lab import group_algebra as ga
-from unitary_lab.engine import DEFAULT_BATCH, AlgebraContext, field_tables, keys_contain, sorted_unique
+from unitary_lab.engine import (
+    DEFAULT_BATCH,
+    MAX_TABLE_FIELD_ORDER,
+    AlgebraContext,
+    field_tables,
+    keys_contain,
+    sorted_unique,
+)
+from unitary_lab.errors import SearchSpaceTooLarge
 from unitary_lab.finite_field import make_field
 from unitary_lab.group_catalog import build, catalog_entries
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
 
-@pytest.mark.parametrize("p,m", FIELDS)
+@pytest.mark.parametrize("p,m", FIELDS + [(2, 4), (5, 2), (3, 3), (7, 2), (11, 2)])
 def test_field_tables_match_scalar_ops(p, m):
     spec = make_field(p, m)
     tabs = field_tables(spec)
@@ -24,6 +32,25 @@ def test_field_tables_match_scalar_ops(p, m):
         for b in elems:
             assert tabs.add[a.code, b.code] == (a + b).code
             assert tabs.mul[a.code, b.code] == (a * b).code
+
+
+@pytest.mark.parametrize("p,m", [(2, 9), (3, 5), (509, 1)])
+def test_field_tables_at_the_size_cap(p, m):
+    spec = make_field(p, m)
+    assert spec.order <= MAX_TABLE_FIELD_ORDER < spec.order * p  # the largest table for p
+    tabs = field_tables(spec)
+    elems = list(spec.elements())
+    for a in random.Random(p).sample(elems, 8):
+        assert tabs.neg[a.code] == (-a).code
+        for b in elems:
+            assert tabs.add[a.code, b.code] == (a + b).code
+            assert tabs.mul[a.code, b.code] == (a * b).code
+
+
+def test_field_tables_refuse_beyond_the_size_cap():
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        field_tables(make_field(2, 10))
+    assert exc.value.context == "field table build"
 
 
 def _random_codes(rng, ctx, rows):

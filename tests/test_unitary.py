@@ -20,7 +20,7 @@ from unitary_lab.errors import (
     SearchSpaceTooLarge,
 )
 from unitary_lab.finite_field import make_field
-from unitary_lab.group_catalog import build, catalog_entries
+from unitary_lab.group_catalog import abelian, build, catalog_entries
 from unitary_lab.group_core import validate_group
 
 GF2 = make_field(2, 1)
@@ -131,6 +131,24 @@ def test_oracle_witness_cap():
     res = un.unitary_enumerate_oracle(c4, ga.canonical_star(c4), GF2, max_witnesses=3)
     assert len(res.elements) == 3
     assert res.subsidiary["witnesses_truncated"] is True
+
+
+def test_oracle_groups_with_equal_tables_share_one_cache_entry():
+    # one Cayley table under two ids: one certified scan, each result over its own group
+    a, b = build("elementary_abelian:2:3"), abelian(2, [1, 1, 1])
+    assert a == b and a.id != b.id
+    un.clear_caches()
+    try:
+        ra, rb = (un.unitary_enumerate_oracle(g, ga.canonical_star(g), GF2, max_witnesses=5)
+                  for g in (a, b))
+        assert len(un._SET_CACHE) == 1
+        assert un._oracle_set(a, ga.canonical_star(a), GF2) is un._oracle_set(b, ga.canonical_star(b), GF2)
+    finally:
+        un.clear_caches()
+    assert (ra.group_id, rb.group_id) == (a.id, b.id)
+    assert ra.order == rb.order == 2 ** 7
+    assert all(x.group is a for x in ra.elements) and all(x.group is b for x in rb.elements)
+    assert [x.coeffs for x in ra.elements] == [x.coeffs for x in rb.elements]
 
 
 def test_oracle_elements_verify_scalar_side():
@@ -492,9 +510,9 @@ def test_generators_generate_the_oracle_set(field, max_order):
         group = entry.build()
         order, generators = un._unitary_generators(group, field, un.DEFAULT_SEARCH_CAP)
         oracle = un._oracle_set(group, ga.canonical_star(group), field)
-        assert order == oracle.order, entry.name
+        assert order == oracle.size, entry.name
         closure = _closure_keys(AlgebraContext(field, group), generators)
-        assert np.array_equal(closure, oracle.keys), entry.name
+        assert np.array_equal(closure, oracle), entry.name
 
 
 def test_char2_refuses_by_the_rows_of_its_own_route():
