@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     EvenCharacteristic,
+    FieldMismatch,
     InternalInconsistency,
     NotAntiAutomorphism,
     NotAUnit,
@@ -69,30 +70,18 @@ class AlgebraElement:
         return AlgebraElement(self.field, self.group, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        """out[k] = sum over i of x_i y_j with g_i g_j = g_k, on the (n, m) digit arrays.
-
-        The outer products of the digits, summed over i, give the unreduced
-        coefficient of x^a x^b for every (a, b); reducing modulo the field's
-        modulus is linear, so one product with the fold matrix and one mod p
-        reduce the whole sum. Every entry stays below n m^2 p^3, far inside int64."""
         self._check(other)
-        field, n = self.field, self.group.n
-        y_over = _digit_array(other)[self.group.left_division()]
-        terms = np.einsum("ia,ikb->kab", _digit_array(self), y_over)
-        out = terms.reshape(n, -1) @ _fold_matrix(field) % field.p
-        return AlgebraElement(field, self.group,
-                              tuple(FieldElement(field, tuple(row)) for row in out.tolist()))
+        out = _digit_product(self.field, self.group, _digit_array(self), _digit_array(other))
+        return _from_digits(self.field, self.group, out)
 
     def scale(self, alpha: FieldElement) -> "AlgebraElement":
         if alpha.spec != self.field:
             raise SpecMismatch("scalar from a different field")
-        return AlgebraElement(self.field, self.group, tuple(alpha * c for c in self.coeffs))
+        return _from_digits(self.field, self.group, _scale_digits(self.field, _digit_array(self), alpha))
 
     def augmentation(self) -> FieldElement:
-        total = self.field.zero
-        for c in self.coeffs:
-            total = total + c
-        return total
+        """chi(x), the sum of the coefficients: a column sum of the digits mod p."""
+        return FieldElement(self.field, tuple(_augmentation_digits(self.field, _digit_array(self)).tolist()))
 
     def is_normalized_unit(self) -> bool:
         return self.augmentation() == self.field.one
@@ -117,27 +106,37 @@ class AlgebraElement:
         u^|G| = 1 + nu^|G| = 1, so u^-1 = u^(|G|-1), which square-and-multiply
         reaches in at most 2 log2 |G| products.
 
+        The whole computation runs on the (n, m) digit array of x: chi(x) is
+        its column sum mod p, and only chi(x)^-1 is taken as a FieldElement.
+        The powers and the two-sided check (both products compared with the
+        identity's digits) use the digit product that __mul__ uses; the two
+        scalings by chi(x)^-1 reduce through the same fold matrix.
+        FieldElements are built for the result alone.
+
         Refuses a zero augmentation and algebras whose group is not a p-group
         for p = char(F); the result is checked as a two-sided inverse.
         """
         require_p_group(self.group, self.field)
-        aug = self.augmentation()
-        if aug.is_zero():
+        field, group = self.field, self.group
+        x = _digit_array(self)
+        aug = _augmentation_digits(field, x)
+        if not aug.any():
             raise NotAUnit("augmentation is zero")
-        one = algebra_one(self.field, self.group)
-        aug_inv = aug.inverse()
-        normalized = self.scale(aug_inv)
+        aug_inv = FieldElement(field, tuple(aug.tolist())).inverse()
+        normalized = _scale_digits(field, x, aug_inv)
         power = normalized  # u^1; for |G| = 1, u is already 1 = u^0
-        for bit in bin(self.group.n - 1)[3:]:
-            power = power * power
+        for bit in bin(group.n - 1)[3:]:
+            power = _digit_product(field, group, power, power)
             if bit == "1":
-                power = power * normalized
-        result = power.scale(aug_inv)
-        if result * self != one or self * result != one:
+                power = _digit_product(field, group, power, normalized)
+        result = _scale_digits(field, power, aug_inv)
+        one = _identity_digits(field, group)
+        if not (np.array_equal(_digit_product(field, group, result, x), one)
+                and np.array_equal(_digit_product(field, group, x, result), one)):
             raise InternalInconsistency(
-                f"inverse failed verification multiply ({self.group.id} over "
-                f"{self.field.literal()}, element {format_algebra_literal(self)})")
-        return result
+                f"inverse failed verification multiply ({group.id} over "
+                f"{field.literal()}, element {format_algebra_literal(self)})")
+        return _from_digits(field, group, result)
 
     def __repr__(self):
         return f"AlgebraElement({self.field.literal()}, {self.group.id}, {format_algebra_literal(self)!r})"
@@ -146,6 +145,40 @@ class AlgebraElement:
 def _digit_array(x: AlgebraElement) -> np.ndarray:
     """(n, m) int64: row g holds the base-p digits of the coefficient of g."""
     return np.array([c.coeffs for c in x.coeffs], dtype=np.int64)
+
+
+def _from_digits(field: FieldSpec, group: Group, digits: np.ndarray) -> AlgebraElement:
+    """The element whose coefficient of g has the base-p digits in row g."""
+    return AlgebraElement(field, group, tuple(FieldElement(field, tuple(row)) for row in digits.tolist()))
+
+
+def _digit_product(field: FieldSpec, group: Group, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product xy on (n, m) digit arrays: out[k] = sum over i of x_i y_j with g_i g_j = g_k.
+
+    The outer products of the digits, summed over i, give the unreduced
+    coefficient of x^a x^b for every (a, b); reducing modulo the field's
+    modulus is linear, so one product with the fold matrix and one mod p
+    reduce the whole sum. Every entry stays below n m^2 p^3, far inside int64."""
+    terms = np.einsum("ia,ikb->kab", x, y[group.left_division()])
+    return terms.reshape(group.n, -1) @ _fold_matrix(field) % field.p
+
+
+def _scale_digits(field: FieldSpec, x: np.ndarray, alpha: FieldElement) -> np.ndarray:
+    """alpha x on an (n, m) digit array, each row reduced through the fold matrix."""
+    terms = np.einsum("ia,b->iab", x, np.array(alpha.coeffs, dtype=np.int64))
+    return terms.reshape(len(x), -1) @ _fold_matrix(field) % field.p
+
+
+def _identity_digits(field: FieldSpec, group: Group) -> np.ndarray:
+    """The digit array of 1 = g_0."""
+    one = np.zeros((group.n, field.m), dtype=np.int64)
+    one[0, 0] = 1
+    return one
+
+
+def _augmentation_digits(field: FieldSpec, x: np.ndarray) -> np.ndarray:
+    """(m,) digits of chi(x), the coefficient sum: addition in GF(p^m) is digitwise mod p."""
+    return x.sum(axis=0) % field.p
 
 
 def require_p_group(group: Group, field: FieldSpec):
@@ -164,15 +197,27 @@ def algebra_one(field: FieldSpec, group: Group) -> AlgebraElement:
 
 
 def basis_element(field: FieldSpec, group: Group, g: int) -> AlgebraElement:
+    _check_basis_index(group, g)
     coeffs = [field.zero] * group.n
     coeffs[g] = field.one
     return AlgebraElement(field, group, tuple(coeffs))
 
 
+def _check_basis_index(group: Group, g: int):
+    if not 0 <= g < group.n:
+        raise ValueError(f"basis index {g} outside group of order {group.n}")
+
+
 def from_coeffs(field: FieldSpec, group: Group, coeffs: Iterable) -> AlgebraElement:
+    """Coefficients as FieldElements of `field` or as integers, read mod p."""
     out = []
     for c in coeffs:
-        out.append(c if isinstance(c, FieldElement) else field.from_int(int(c)))
+        if isinstance(c, FieldElement):
+            if c.spec != field:
+                raise FieldMismatch(f"coefficient from {c.spec} in an algebra over {field}")
+            out.append(c)
+        else:
+            out.append(field.from_int(int(c)))
     if len(out) != group.n:
         raise ValueError(f"need {group.n} coefficients, got {len(out)}")
     return AlgebraElement(field, group, tuple(out))
@@ -362,7 +407,6 @@ def parse_algebra_literal(field: FieldSpec, group: Group, text: str) -> AlgebraE
         if not gname.startswith("g"):
             raise ValueError(f"bad basis name {gname!r}")
         g = int(gname[1:])
-        if not 0 <= g < group.n:
-            raise ValueError(f"basis index {g} outside group of order {group.n}")
+        _check_basis_index(group, g)
         coeffs[g] = coeffs[g] + parse_element_literal(field, lit.strip())
     return AlgebraElement(field, group, tuple(coeffs))

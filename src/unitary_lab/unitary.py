@@ -44,6 +44,11 @@ from .group_algebra import (
     canonical_star,
     format_algebra_literal,
     require_p_group,
+    _augmentation_digits,
+    _digit_array,
+    _digit_product,
+    _from_digits,
+    _identity_digits,
 )
 from .group_core import Group, coset_representatives
 
@@ -114,12 +119,17 @@ def is_unitary(x: AlgebraElement, inv: GroupInvolution) -> bool:
 
 
 def cayley(x: AlgebraElement) -> AlgebraElement:
-    """(1-x)(1+x)^-1; swaps skew-symmetric elements and unitary units."""
-    one = algebra_one(x.field, x.group)
-    denom = one + x
-    if denom.augmentation().is_zero():
+    """(1-x)(1+x)^-1; swaps skew-symmetric elements and unitary units.
+
+    1 - x, 1 + x and the final product are formed on digit arrays; only the
+    inverse of 1 + x goes through AlgebraElement.invert."""
+    field, group = x.field, x.group
+    digits, one = _digit_array(x), _identity_digits(field, group)
+    plus = (one + digits) % field.p
+    if not _augmentation_digits(field, plus).any():
         raise NotInvertible("1+x has augmentation zero")
-    return (one - x) * denom.invert()
+    inverse = _digit_array(_from_digits(field, group, plus).invert())
+    return _from_digits(field, group, _digit_product(field, group, (one - digits) % field.p, inverse))
 
 
 # --- odd characteristic ---------------------------------------------------------

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from unitary_lab import group_algebra as ga
+from unitary_lab import unitary as un
 from unitary_lab.errors import (
     EvenCharacteristic,
+    FieldMismatch,
     InternalInconsistency,
     NotAntiAutomorphism,
     NotAUnit,
@@ -194,6 +196,7 @@ def test_algebra_mul_matches_reference(group_name, p, m):
 
 @pytest.mark.parametrize("group_name,p,m", [
     ("cyclic:25", 5, 1), ("heisenberg:3", 3, 1), ("quaternion:8", 2, 2),
+    ("heisenberg:3", 3, 2), ("cyclic:5", 5, 2), ("dihedral:8", 2, 3),
 ])
 def test_invert_matches_neumann_series(group_name, p, m):
     field, group = make_field(p, m), build(group_name)
@@ -214,6 +217,34 @@ def test_inverse_failure_names_group_field_and_element(monkeypatch):
                         lambda field: np.zeros((field.m ** 2, field.m), dtype=np.int64))
     with pytest.raises(InternalInconsistency) as exc:
         x.invert()
+    assert str(exc.value) == ("inverse failed verification multiply "
+                              "(cyclic:9 over 3^1, element 1*g0 + 2*g1 + 1*g3)")
+
+
+@pytest.mark.parametrize("group_name,p,m", [
+    ("cyclic:9", 3, 1), ("elementary_abelian:3:2", 3, 2), ("cyclic:5", 5, 2), ("quaternion:8", 2, 2),
+])
+def test_cayley_matches_reference(group_name, p, m):
+    """cayley(x) against (1 - x) (1 + x)^-1 formed from the scalar references alone."""
+    field, group = make_field(p, m), build(group_name)
+    one = ga.algebra_one(field, group)
+    rng = random.Random(8)
+    count = 0
+    while count < 6:
+        x = _any_element(rng, field, group, nonzero=None if count % 2 else 2)
+        if (one + x).augmentation().is_zero():
+            continue
+        count += 1
+        assert un.cayley(x) == _reference_mul(one - x, _reference_inverse(one + x))
+
+
+def test_cayley_inverse_failure_names_one_plus_x(monkeypatch):
+    c9 = build("cyclic:9")
+    x = ga.from_coeffs(GF3, c9, [0, 2, 0, 1, 0, 0, 0, 0, 0])
+    monkeypatch.setattr(ga, "_fold_matrix",
+                        lambda field: np.zeros((field.m ** 2, field.m), dtype=np.int64))
+    with pytest.raises(InternalInconsistency) as exc:
+        un.cayley(x)
     assert str(exc.value) == ("inverse failed verification multiply "
                               "(cyclic:9 over 3^1, element 1*g0 + 2*g1 + 1*g3)")
 
@@ -369,6 +400,21 @@ def test_spec_mismatch_between_algebras():
         x + y
     with pytest.raises(SpecMismatch):
         x * ga.algebra_one(GF4, c4)
+
+
+@pytest.mark.parametrize("g", [-1, 9])
+def test_basis_element_refuses_index_outside_group(g):
+    with pytest.raises(ValueError) as exc:
+        ga.basis_element(GF3, build("cyclic:9"), g)
+    assert str(exc.value) == f"basis index {g} outside group of order 9"
+
+
+def test_from_coeffs_refuses_coefficients_from_another_field():
+    c3 = build("cyclic:3")
+    with pytest.raises(FieldMismatch):
+        ga.from_coeffs(GF3, c3, [make_field(5, 1).from_int(4), 0, 0])
+    with pytest.raises(FieldMismatch):
+        ga.from_coeffs(GF3, c3, [make_field(5, 2).element([1, 1]), 0, 0])
 
 
 def test_algebra_literals_round_trip():
