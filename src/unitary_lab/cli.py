@@ -38,6 +38,8 @@ from .unitary import (
 )
 from .verify import SUITES, run_suite
 
+ORACLE_WITNESSES = 8  # witnesses --method oracle lists unless --max-witnesses is given
+
 
 class UsageError(Exception):
     def __init__(self, message):
@@ -85,7 +87,7 @@ def _map_cells(fn, cells):
 
 def _check_caps(args):
     """--search-cap and --max-order must be positive, --max-witnesses not negative."""
-    if (getattr(args, "search_cap", 1) <= 0 or getattr(args, "max_witnesses", 0) < 0
+    if (getattr(args, "search_cap", 1) <= 0 or (getattr(args, "max_witnesses", None) or 0) < 0
             or getattr(args, "max_order", 1) <= 0):
         raise UsageError("caps must be positive")
 
@@ -178,12 +180,17 @@ def cmd_groups(args) -> int:
 
 
 def cmd_compute(args) -> int:
+    witnesses = args.max_witnesses
+    if witnesses is None:
+        witnesses = ORACLE_WITNESSES
+    elif args.method != "oracle":
+        raise UsageError("--max-witnesses applies to --method oracle only")
     groups = _resolve_groups(args)
     fields = _resolve_fields(args.field)
     cells = [(g, f) for g in groups for f in fields]
     reports = _map_cells(
         lambda cell: _compute_cell(cell[0], cell[1], args.method,
-                                   args.search_cap, args.max_witnesses),
+                                   args.search_cap, witnesses),
         cells)
     reports.sort(key=lambda rep: (rep.result.group_id, rep.result.field.literal()))
     if args.format == "json":
@@ -288,7 +295,8 @@ def _build_parser() -> _Parser:
     compute_p.add_argument("--method", choices=["auto", "formula", "recursive", "oracle"],
                            default="auto")
     compute_p.add_argument("--format", choices=["json", "csv", "markdown"], default="json")
-    compute_p.add_argument("--max-witnesses", type=int, default=8)
+    compute_p.add_argument("--max-witnesses", type=int, default=None,
+                           help=f"witnesses listed (--method oracle only; default {ORACLE_WITNESSES})")
     compute_p.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP)
     compute_p.add_argument("--timings", action="store_true")
     compute_p.set_defaults(run=cmd_compute)

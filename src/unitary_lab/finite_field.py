@@ -103,13 +103,6 @@ def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[in
 def _poly_is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg/2."""
     m = len(poly) - 1
-    if m == 1:
-        return True
-    if m <= 3:
-        # degree 2 or 3: a root would give a linear factor
-        for r in range(p):
-            if sum(c * pow(r, i, p) for i, c in enumerate(poly)) % p == 0:
-                return False
     target = list(poly)
     for d in range(1, m // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
@@ -143,10 +136,6 @@ class FieldSpec:
     @property
     def order(self) -> int:
         return self.p ** self.m
-
-    @property
-    def char(self) -> int:
-        return self.p
 
     def element(self, coeffs: Iterable[int]) -> "FieldElement":
         cs = [int(c) % self.p for c in coeffs]

@@ -233,9 +233,6 @@ class GroupInvolution:
     sigma: tuple[int, ...]
     name: str = "sigma"
 
-    def __call__(self, g: int) -> int:
-        return self.sigma[g]
-
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(g for g in self.group.elements() if self.sigma[g] == g)
 

@@ -12,9 +12,13 @@ Name grammar (all orders/parameters validated):
     heisenberg:p   (p odd)      upper unitriangular 3x3 over Z/p
     product:A*B  (also A×B)     direct product, index = iA*|B| + iB
 
-Element indexing is fixed per family (rotations first for the 2-generator
-2-groups: r^i at index i, r^i s at index 2^{n-1}+i; mixed-radix little-endian
-for abelian and Heisenberg groups) so derived test values are reproducible.
+Element indexing is fixed per family so derived test values are reproducible:
+- the 2-generator 2-groups put rotations first: r^i at index i, r^i s at
+  index 2^{n-1}+i;
+- abelian groups (elementary abelian ones included) are direct products of
+  cyclic groups built by `product`, the first factor varying fastest, so
+  C_{p^k1} x C_{p^k2} puts (a1, a2) at index a1 + p^k1*a2;
+- Heisenberg groups are mixed-radix little-endian in (a, b, c).
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ def cyclic(n: int) -> Group:
     if n < 1:
         raise BadParameter(f"cyclic order must be positive, got {n}")
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    labels = ["1"] + [f"g{'' if k == 1 else '^' + str(k)}" for k in range(1, n)]
-    return validate_group(table, id=f"cyclic:{n}", labels=labels)
+    return validate_group(table, id=f"cyclic:{n}")
 
 
 def abelian(p: int, ks: list[int]) -> Group:
@@ -44,38 +47,18 @@ def abelian(p: int, ks: list[int]) -> Group:
         raise BadParameter(f"{p} is not prime")
     if not ks or any(k < 1 for k in ks):
         raise BadParameter(f"bad abelian type {ks}")
-    moduli = [p ** k for k in ks]
-    n = 1
-    for m in moduli:
-        n *= m
-    # little-endian mixed radix: first factor varies fastest
-    def decode(i):
-        out = []
-        for m in moduli:
-            i, r = divmod(i, m)
-            out.append(r)
-        return out
-
-    def encode(digits):
-        v = 0
-        for d, m in zip(reversed(digits), reversed(moduli)):
-            v = v * m + d
-        return v
-
-    table = np.zeros((n, n), dtype=np.int64)
-    codes = [decode(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            table[i, j] = encode([(a + b) % m for a, b, m in zip(codes[i], codes[j], moduli)])
-    name = f"abelian:{p}:[{','.join(map(str, ks))}]"
-    return validate_group(table, id=name)
+    # each later factor goes in front, so the first factor varies fastest
+    g = cyclic(p ** ks[0])
+    for k in ks[1:]:
+        g = product(cyclic(p ** k), g)
+    return Group(g.table, id=f"abelian:{p}:[{','.join(map(str, ks))}]")
 
 
 def elementary_abelian(p: int, k: int) -> Group:
     if k < 1:
         raise BadParameter(f"rank must be positive, got {k}")
     g = abelian(p, [1] * k)
-    return Group(g.table, id=f"elementary_abelian:{p}:{k}", labels=g.labels)
+    return Group(g.table, id=f"elementary_abelian:{p}:{k}")
 
 
 def _two_generator_group(order: int, family: str, conj_exp: int, s_square_rot: int) -> Group:
@@ -91,10 +74,7 @@ def _two_generator_group(order: int, family: str, conj_exp: int, s_square_rot: i
             table[a, q + b] = q + (a + b) % q                         # r^a (r^b s)
             table[q + a, b] = q + (a + conj_exp * b) % q              # (r^a s) r^b
             table[q + a, q + b] = (a + conj_exp * b + s_square_rot) % q
-    labels = [f"r^{i}" for i in range(q)] + [f"r^{i}s" for i in range(q)]
-    labels[0] = "1"
-    labels[q] = "s"
-    g = validate_group(table, id=f"{family}:{order}", labels=labels)
+    g = validate_group(table, id=f"{family}:{order}")
     # presentation sanity: relations hold in the emitted table
     r, s = 1, q
     s_inv = g.inverse(s)
@@ -149,13 +129,8 @@ def heisenberg(p: int) -> Group:
 def product(a: Group, b: Group) -> Group:
     n = a.n * b.n
     ia, ib = np.divmod(np.arange(n), b.n)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        table[i, :] = a.table[ia[i], ia] * b.n + b.table[ib[i], ib]
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        labels = [f"({a.labels[x]},{b.labels[y]})" for x, y in zip(ia, ib)]
-    return validate_group(table, id=f"product:{a.id}*{b.id}", labels=labels)
+    table = a.table[ia[:, None], ia] * b.n + b.table[ib[:, None], ib]
+    return validate_group(table, id=f"product:{a.id}*{b.id}")
 
 
 _ABELIAN_RE = re.compile(r"^abelian:(\d+):\[?([0-9,]+)\]?$")

@@ -41,13 +41,15 @@ class SpecialSets:
 
 
 class Group:
-    """An immutable validated Cayley table; construct via validate_group."""
+    """An immutable validated Cayley table and its id; construct via validate_group.
 
-    def __init__(self, table: np.ndarray, id: str = "", labels: Sequence[str] | None = None):
+    Elements are known by index alone: the id names the group, and nothing
+    names its elements."""
+
+    def __init__(self, table: np.ndarray, id: str = ""):
         self.table = table
         self.n = table.shape[0]
         self.id = id or f"group:{self.n}"
-        self.labels = tuple(labels) if labels is not None else None
         self._inverses: np.ndarray | None = None
         self._left_division: np.ndarray | None = None
         self._orders: list[int] | None = None
@@ -178,12 +180,8 @@ class Group:
         reps = np.flatnonzero(rep_of_element == np.arange(self.n))
         projection = np.searchsorted(reps, rep_of_element)
         table = projection[t[reps][:, reps]].astype(np.int64)
-        projection, reps = tuple(projection.tolist()), reps.tolist()
-        labels = None
-        if self.labels is not None:
-            labels = [f"[{self.labels[rep]}]" for rep in reps]
         quotient_id = f"{self.id}/{{{','.join(map(str, sub.members))}}}"
-        return validate_group(table, id=quotient_id, labels=labels), projection
+        return validate_group(table, id=quotient_id), tuple(projection.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,8 +238,24 @@ def _magma_generators(t: np.ndarray) -> list[int]:
     return gens
 
 
-def validate_group(table, id: str = "", labels: Sequence[str] | None = None) -> Group:
-    """Check identity position, Latin property, and associativity; wrap.
+def _int64_table(table) -> np.ndarray:
+    """The table as int64. Before the cast, refuse every entry that is not an
+    integer: a float, a str, a bool, or the row a ragged table nests as an entry."""
+    if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
+        return table.astype(np.int64, copy=False)
+    entries = np.array(table, dtype=object)
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+               for x in entries.flat):
+        raise ValueError("table entries must be integers")
+    try:
+        return entries.astype(np.int64)
+    except OverflowError:
+        raise ValueError("table entries must be indices < n") from None
+
+
+def validate_group(table, id: str = "") -> Group:
+    """Check integer entries, identity position, Latin property and
+    associativity; wrap the table under the id.
 
     Associativity is checked on every triple up to order 64, and above by
     Light's test over magma generators A: (x a) y = x (a y) for all x, y and
@@ -249,7 +263,7 @@ def validate_group(table, id: str = "", labels: Sequence[str] | None = None) -> 
     under the product, so the test holds for every z once it holds on A
     (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1, 1961).
     """
-    t = np.asarray(table, dtype=np.int64)
+    t = _int64_table(table)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("table must be square")
     n = t.shape[0]
@@ -282,4 +296,4 @@ def validate_group(table, id: str = "", labels: Sequence[str] | None = None) -> 
                 raise NotAssociative(int(x), a, int(y))
     t = t.copy()
     t.setflags(write=False)
-    return Group(t, id=id, labels=labels)
+    return Group(t, id=id)

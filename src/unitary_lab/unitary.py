@@ -597,6 +597,7 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
     commute, N2 and the lower bound are reported as skipped, not raised."""
     if field.p != 2:
         raise OddCharacteristic("bound constructions require characteristic 2")
+    require_p_group(group, field)
     t_c = group.square_roots(c)
     commuting = group.is_pairwise_commuting(t_c)
     _, s_h_keys, ctx = _fiber_scan(group, c, field, search_cap=search_cap)

@@ -89,6 +89,14 @@ def test_compute_group_file(tmp_path, capsys):
     assert payload[0]["order"] == "64"
 
 
+def test_compute_group_file_with_non_integer_entries_exits_one(tmp_path, capsys):
+    for table in ([[0, 1], [1, 0.9]], [[0, 1], [1, "0"]], [[0, 1], [1, True]], [[0, 1], [1]]):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"id": "bad", "n": 2, "table": table}))
+        code, out, err = run_cli(capsys, "compute", "--group-file", str(path), "--field", "2^1")
+        assert (code, out, err) == (1, "", "error: table entries must be integers\n"), table
+
+
 def test_compute_usage_errors(capsys):
     code, _, err = run_cli(capsys, "compute", "--field", "2^1")
     assert code == 1 and "no group" in err
@@ -105,6 +113,18 @@ def test_nonpositive_caps_exit_one(capsys):
                  ("groups", "list", "--max-order", "0")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and "caps must be positive" in err, argv
+
+
+def test_max_witnesses_is_an_oracle_option_only(capsys):
+    base = ("compute", "--group", "cyclic:4", "--field", "2^2")  # |V| = 32
+    for method in ("auto", "formula", "recursive"):
+        code, out, err = run_cli(capsys, *base, "--method", method, "--max-witnesses", "3")
+        assert (code, out) == (1, "") and "--max-witnesses applies to --method oracle only" in err
+    code, out, _ = run_cli(capsys, *base, "--method", "oracle", "--max-witnesses", "3")
+    assert code == 0 and len(json.loads(out)[0]["witnesses"]) == 3
+    code, out, _ = run_cli(capsys, *base, "--method", "oracle")
+    payload = json.loads(out)[0]
+    assert code == 0 and payload["order"] == "32" and len(payload["witnesses"]) == 8
 
 
 def test_seed_is_a_verify_option_only(capsys):

@@ -623,6 +623,20 @@ def test_bounds_gf4_nontrivial_n2():
     assert rep.s_h_size <= rep.upper_bound
 
 
+def test_bounds_require_2_group_like_the_other_char2_routes():
+    # C6 has the central involution 3, but its order is not a power of 2
+    c6 = build("cyclic:6")
+    routes = (lambda: un.bounds_and_constructions(c6, 3, GF2),
+              lambda: un.s_h_enumerate(c6, 3, GF2),
+              lambda: un.unitary_order_char2(c6, GF2, c=3))
+    messages = set()
+    for route in routes:
+        with pytest.raises(NotPGroupOverField) as exc:
+            route()
+        messages.add(str(exc.value))
+    assert messages == {"|G|=6 for cyclic:6 is not a power of char(F)=2"}
+
+
 def test_n1_failure_names_group_field_and_c(monkeypatch):
     orbits = un._n1_orbits
     monkeypatch.setattr(un, "_n1_orbits", lambda group, c, field: orbits(group, c, field)[1:])
