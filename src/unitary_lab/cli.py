@@ -96,7 +96,15 @@ def _resolve_groups(args) -> list[Group]:
     groups = [build(name) for name in args.group or ()]
     for path in args.group_file or ():
         with open(path) as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"{path}: not JSON ({exc})") from None
+        if not isinstance(payload, dict):
+            raise UsageError(f"{path}: top level must be an object with a \"table\" key, "
+                             f"got {type(payload).__name__}")
+        if "table" not in payload:
+            raise UsageError(f"{path}: no \"table\" key")
         group = validate_group(payload["table"], id=payload.get("id", path))
         if "n" in payload and payload["n"] != group.n:
             raise UsageError(f"{path}: declared n={payload['n']} but table has {group.n} rows")

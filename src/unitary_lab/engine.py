@@ -18,7 +18,11 @@ row in uint64 words, and a GF(2^m) product is m^2 plane ANDs and XORs plus
 the reduction by the field's modulus. The table kernel stays the reference
 the tests hold the bitsliced one to.
 
-The oracle's scan (`AlgebraContext.unitary_keys`) stays in bit-planes in
+The oracle's scan (`AlgebraContext.unitary_keys`) tests x x^sigma = 1 one
+coefficient at a time in odd characteristic: coefficient k is one gather
+from the multiplication table and an addition chain over the rows still in
+play, and a row leaves at its first coefficient that differs from 1's, so
+after coefficient 0 about one row in q is left. It stays in bit-planes in
 characteristic two: it builds each batch's planes from the candidate
 indices, takes the involute's planes as a permutation of them, tests
 x x^sigma = 1 word by word and builds the hits' keys from their indices.
@@ -180,9 +184,10 @@ class AlgebraContext:
             raise SearchSpaceTooLarge(self.q ** self.n, 1 << 63, context="uint64 key packing")
         self.gtable = np.asarray(group.table, dtype=np.intp)
         self.char2 = field.p == 2
+        # left_div[i, k] = j with g_i g_j = g_k
+        self.left_div = group.left_division()
         if self.char2:
-            # left_div[i, k] = j with g_i g_j = g_k; taps: x^m = sum of x^t over them
-            self.left_div = group.left_division()
+            # taps: x^m = sum of x^t over them
             self.taps = [t for t in range(field.m) if field.modulus[t]]
         self.powers = np.array([self.q ** i for i in range(self.n)], dtype=np.uint64)
         self.identity = np.zeros(self.n, dtype=np.uint16)
@@ -318,7 +323,15 @@ class AlgebraContext:
         batch candidates (a multiple of 64) at a time.
 
         Candidate i carries i's base-q digits at indices 1..n-1 and the
-        dependent identity coefficient, so its key is q i + (its column 0).
+        dependent identity coefficient, so its key is q i + (its column 0),
+        and the keys come out in order.
+
+        In odd characteristic coefficient k of x x^sigma is the sum over i of
+        x_i x_sigma(j), g_i g_j = g_k: one gather from the multiplication
+        table over the rows still in play, then the addition chain of
+        `augmentation`. A row is dropped at its first coefficient that
+        differs from 1's, and only the rows that pass all n are packed.
+
         In characteristic two a batch never leaves bit-planes: they are built
         from i, the planes of X^sigma are X's permuted, and x x^sigma = 1 is
         tested 64 rows to a word. Only the hits become keys, already in order,
@@ -327,13 +340,18 @@ class AlgebraContext:
         if batch % WORD_BITS:
             raise ValueError(f"batch {batch} is not a multiple of {WORD_BITS}")
         if not self.char2:
+            # partner[k, i] = sigma(left_div[i, k]), the column x_i meets in coefficient k
+            partner = np.ascontiguousarray(sigma[self.left_div].T)
             parts = []
             for X in self.normalized_batches(batch):
-                Y = self.mul(X, self.involute(X, sigma))
-                mask = self.is_one(Y)
-                if mask.any():
-                    parts.append(self.pack(X[mask]))
-            return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.uint64)
+                for k in range(self.n):
+                    coeff = self.augmentation(self.tabs.mul[X, X[:, partner[k]]])
+                    X = X[coeff == self.identity[k]]
+                    if not X.shape[0]:
+                        break
+                else:
+                    parts.append(self.pack(X))
+            return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
         m, total = self.field.m, self.q ** (self.n - 1)
         width, digit = np.uint64(m), np.uint64(self.q - 1)
         identity = constant_planes(self.identity, m)

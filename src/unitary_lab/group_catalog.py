@@ -67,13 +67,10 @@ def _two_generator_group(order: int, family: str, conj_exp: int, s_square_rot: i
     s r^b s^-1 = r^{conj_exp * b}; s^2 = r^{s_square_rot}.
     """
     q = order // 2
-    table = np.zeros((order, order), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            table[a, b] = (a + b) % q                                 # r^a r^b
-            table[a, q + b] = q + (a + b) % q                         # r^a (r^b s)
-            table[q + a, b] = q + (a + conj_exp * b) % q              # (r^a s) r^b
-            table[q + a, q + b] = (a + conj_exp * b + s_square_rot) % q
+    a, b = np.arange(q)[:, None], np.arange(q)[None, :]
+    rot = (a + b) % q                  # r^a r^b = r^rot, r^a (r^b s) = r^rot s
+    conj = (a + conj_exp * b) % q      # (r^a s) r^b = r^conj s, (r^a s)(r^b s) = r^(conj + s_square_rot)
+    table = np.block([[rot, q + rot], [q + conj, (conj + s_square_rot) % q]])
     g = validate_group(table, id=f"{family}:{order}")
     # presentation sanity: relations hold in the emitted table
     r, s = 1, q
@@ -114,15 +111,10 @@ def heisenberg(p: int) -> Group:
     upper unitriangular 3x3 matrices over Z/p, encoded (a,b,c) -> a + p*b + p^2*c."""
     if not is_prime(p) or p == 2:
         raise BadParameter(f"heisenberg requires an odd prime, got {p}")
-    n = p ** 3
-    table = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        a, rest = i % p, i // p
-        b, c = rest % p, rest // p
-        for j in range(n):
-            a2, rest2 = j % p, j // p
-            b2, c2 = rest2 % p, rest2 // p
-            table[i, j] = ((a + a2) % p) + p * ((b + b2) % p) + p * p * ((c + c2 + a * b2) % p)
+    i = np.arange(p ** 3)
+    a, b, c = i % p, i // p % p, i // (p * p)
+    table = ((a[:, None] + a) % p + p * ((b[:, None] + b) % p)
+             + p * p * ((c[:, None] + c + a[:, None] * b) % p))
     return validate_group(table, id=f"heisenberg:{p}")
 
 

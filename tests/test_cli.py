@@ -97,6 +97,18 @@ def test_compute_group_file_with_non_integer_entries_exits_one(tmp_path, capsys)
         assert (code, out, err) == (1, "", "error: table entries must be integers\n"), table
 
 
+def test_compute_group_file_with_a_malformed_payload_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for text, message in (
+            ("[[0, 1], [1, 0]]", 'top level must be an object with a "table" key, got list'),
+            ('{"id": "c2", "n": 2}', 'no "table" key'),
+            ("{table: [[0]]}", "not JSON (Expecting property name enclosed in double quotes: "
+                               "line 1 column 2 (char 1))")):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "compute", "--group-file", str(path), "--field", "2^1")
+        assert (code, out, err) == (1, "", f"error: {path}: {message}\n"), text
+
+
 def test_compute_usage_errors(capsys):
     code, _, err = run_cli(capsys, "compute", "--field", "2^1")
     assert code == 1 and "no group" in err

@@ -182,17 +182,21 @@ def _reference_unitary_keys(ctx, sigma):
     return np.sort(np.concatenate(parts))
 
 
+def _assert_scan_matches_reference(ctx, sigma, batches):
+    expected = _reference_unitary_keys(ctx, sigma)
+    for batch in batches:
+        got = ctx.unitary_keys(sigma, batch=batch)
+        assert got.dtype == np.uint64 and got.tobytes() == expected.tobytes(), batch
+
+
 @pytest.mark.parametrize("group_name,m", SCAN_CELLS)
 def test_char2_unitary_keys_match_table_kernel_scan(group_name, m):
     # batches of 64 and 128 cross word and batch boundaries; cyclic:1, cyclic:2 and
     # cyclic:4 over GF(2) have 1, 2 and 8 candidates, so most of their one word is pad
     ctx = AlgebraContext(make_field(2, m), build(group_name))
     sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
-    expected = _reference_unitary_keys(ctx, sigma)
     batches = (64, 128, DEFAULT_BATCH) if ctx.q ** (ctx.n - 1) <= 1 << 15 else (DEFAULT_BATCH,)
-    for batch in batches:
-        got = ctx.unitary_keys(sigma, batch=batch)
-        assert got.dtype == np.uint64 and got.tobytes() == expected.tobytes(), batch
+    _assert_scan_matches_reference(ctx, sigma, batches)
 
 
 def test_char2_unitary_keys_under_a_non_canonical_involution():
@@ -201,10 +205,43 @@ def test_char2_unitary_keys_under_a_non_canonical_involution():
     assert inv.sigma != ga.canonical_star(d8).sigma
     sigma = np.array(inv.sigma, dtype=np.intp)
     for m in (1, 2):
-        ctx = AlgebraContext(make_field(2, m), d8)
-        expected = _reference_unitary_keys(ctx, sigma)
-        for batch in (64, 128, DEFAULT_BATCH):
-            assert ctx.unitary_keys(sigma, batch=batch).tobytes() == expected.tobytes(), (m, batch)
+        _assert_scan_matches_reference(AlgebraContext(make_field(2, m), d8), sigma, (64, 128, DEFAULT_BATCH))
+
+
+# every odd catalog p-group with q^(|G|-1) <= 2^19 over GF(3), GF(5), GF(7), GF(9),
+# GF(25), GF(27) and GF(81), and the trivial group (order p^3 is past 2^19 for every
+# q); 2^19 takes in C5 over GF(25), the benchmark's largest odd oracle cell
+ODD_SCAN_CELLS = [(entry.name, p, m) for p, m in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4))
+                  for entry in catalog_entries(p ** 2, p)
+                  if (p ** m) ** (entry.order - 1) <= 1 << 19] + [("cyclic:1", 3, 1), ("cyclic:1", 5, 2)]
+
+
+@pytest.mark.parametrize("group_name,p,m", ODD_SCAN_CELLS)
+def test_odd_unitary_keys_match_table_kernel_scan(group_name, p, m):
+    # the scan drops a row at its first coefficient that differs from 1's;
+    # batches of 64 and 128 cross batch boundaries inside the smaller cells
+    ctx = AlgebraContext(make_field(p, m), build(group_name))
+    sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
+    batches = (64, 128, DEFAULT_BATCH) if ctx.q ** (ctx.n - 1) <= 1 << 15 else (DEFAULT_BATCH,)
+    _assert_scan_matches_reference(ctx, sigma, batches)
+
+
+@pytest.mark.parametrize("group_name", ["cyclic:9", "elementary_abelian:3:2"])
+def test_odd_unitary_keys_under_the_identity_involution(group_name):
+    # on an abelian group the identity map is an anti-automorphism of order two
+    group = build(group_name)
+    sigma = np.array(ga.involution_from_map(group, list(group.elements())).sigma, dtype=np.intp)
+    assert sigma.tolist() != list(ga.canonical_star(group).sigma)
+    _assert_scan_matches_reference(AlgebraContext(make_field(3, 1), group), sigma, (64, 128, DEFAULT_BATCH))
+
+
+def test_odd_scan_coefficient_zero_alone_admits_more_rows():
+    # a scan that stopped after coefficient 0 would keep these extra rows
+    ctx = AlgebraContext(make_field(3, 1), build("cyclic:9"))
+    sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
+    X = np.concatenate(list(ctx.normalized_batches()))
+    Y = ctx.mul_table(X, ctx.involute(X, sigma))
+    assert (Y[:, 0] == ctx.identity[0]).sum() > ctx.is_one(Y).sum() == ctx.unitary_keys(sigma).size
 
 
 def test_unitary_keys_batch_is_whole_words():

@@ -165,3 +165,45 @@ def test_abelian_groups_match_the_mixed_radix_reference():
         g = cat.build(name)
         assert g.id == name
         assert g.table.dtype == np.int64 and np.array_equal(g.table, _mixed_radix_abelian(p, ks)), name
+
+
+def _two_generator_loop(order, conj_exp, s_square_rot):
+    """The two-generator table entry by entry: r^i at index i, r^i s at q + i."""
+    q = order // 2
+    table = np.zeros((order, order), dtype=np.int64)
+    for a in range(q):
+        for b in range(q):
+            table[a, b] = (a + b) % q
+            table[a, q + b] = q + (a + b) % q
+            table[q + a, b] = q + (a + conj_exp * b) % q
+            table[q + a, q + b] = (a + conj_exp * b + s_square_rot) % q
+    return table
+
+
+def _heisenberg_loop(p):
+    """Upper unitriangular (a, b, c) at a + p b + p^2 c, entry by entry."""
+    n = p ** 3
+    table = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        a, b, c = i % p, i // p % p, i // (p * p)
+        for j in range(n):
+            a2, b2, c2 = j % p, j // p % p, j // (p * p)
+            table[i, j] = (a + a2) % p + p * ((b + b2) % p) + p * p * ((c + c2 + a * b2) % p)
+    return table
+
+
+def _loop_references():
+    for k in range(3, 9):
+        yield f"dihedral:{2 ** k}", _two_generator_loop(2 ** k, -1, 0)
+        yield f"quaternion:{2 ** k}", _two_generator_loop(2 ** k, -1, 2 ** (k - 2))
+    yield "semidihedral:16", _two_generator_loop(16, 3, 0)
+    yield "modular:16", _two_generator_loop(16, 5, 0)
+    for p in (3, 5, 7):
+        yield f"heisenberg:{p}", _heisenberg_loop(p)
+
+
+def test_non_abelian_builders_match_the_entry_by_entry_reference():
+    for name, expected in _loop_references():
+        g = cat.build(name)
+        assert g.id == name
+        assert g.table.dtype == np.int64 and g.table.tobytes() == expected.tobytes(), name
