@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage or refused computation, 2 internal
 inconsistency (a proved identity failed). Identical configurations produce
-byte-identical JSON; wall-clock timings only appear under --timings.
+byte-identical JSON; wall-clock timings only appear under --timings,
+which only JSON carries.
 """
 
 from __future__ import annotations
@@ -193,6 +194,8 @@ def cmd_compute(args) -> int:
         witnesses = ORACLE_WITNESSES
     elif args.method != "oracle":
         raise UsageError("--max-witnesses applies to --method oracle only")
+    if args.timings and args.format != "json":
+        raise UsageError("--timings applies to --format json only")
     groups = _resolve_groups(args)
     fields = _resolve_fields(args.field)
     cells = [(g, f) for g in groups for f in fields]
@@ -306,7 +309,8 @@ def _build_parser() -> _Parser:
     compute_p.add_argument("--max-witnesses", type=int, default=None,
                            help=f"witnesses listed (--method oracle only; default {ORACLE_WITNESSES})")
     compute_p.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP)
-    compute_p.add_argument("--timings", action="store_true")
+    compute_p.add_argument("--timings", action="store_true",
+                           help="add wall-clock times (--format json only)")
     compute_p.set_defaults(run=cmd_compute)
 
     ttab_p = sub.add_parser("theta-table", help="theta across catalog 2-groups x fields")

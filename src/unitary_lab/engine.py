@@ -24,8 +24,12 @@ from the multiplication table and an addition chain over the rows still in
 play, and a row leaves at its first coefficient that differs from 1's, so
 after coefficient 0 about one row in q is left. It stays in bit-planes in
 characteristic two: it builds each batch's planes from the candidate
-indices, takes the involute's planes as a permutation of them, tests
-x x^sigma = 1 word by word and builds the hits' keys from their indices.
+indices, tests x x^sigma = 1 word by word on one coefficient per
+sigma-orbit, and builds the hits' keys from their indices. x x^sigma is
+sigma-symmetric, so of each moved pair {k, sigma(k)} only k is formed, by the
+bitsliced product of the planes and their permutation by sigma. A
+sigma-fixed coefficient is the square of the sum of the x_g with
+g sigma(g) = k, so it is tested linearly, by an XOR of planes.
 The certificate's involution check stays in key space there
 (`AlgebraContext.involute_keys`): a key is n fields of m bits, and an
 involution of G only moves the fields.
@@ -247,23 +251,27 @@ class AlgebraContext:
                   for Z in (X, Y))
         return from_planes(self.plane_product(xp, yp), B)
 
-    def plane_product(self, xp: np.ndarray, yp: np.ndarray) -> np.ndarray:
+    def plane_product(self, xp: np.ndarray, yp: np.ndarray,
+                      coeffs: np.ndarray | None = None) -> np.ndarray:
         """The product of two (n, m, words) bit-plane batches, as planes; a
-        one-word operand of constant words is a fixed factor.
+        one-word operand of constant words is a fixed factor. coeffs lists
+        the coefficients k to form, in the order they come out; the default
+        is all n.
 
         out[g_k] = XOR over i of X[i] Y[j], g_i g_j = g_k. Each coefficient
         product is schoolbook: plane a of X[i] ANDed with plane b of Y[j]
         lands in plane a + b of an unreduced product of 2m - 1 planes. The
         reduction by the modulus is linear, so it runs once on the sum."""
         m = self.field.m
+        left_div = self.left_div if coeffs is None else self.left_div[:, coeffs]
         words = max(xp.shape[2], yp.shape[2])
-        out = np.zeros((self.n, 2 * m - 1, words), dtype=np.uint64)
-        term = np.empty((self.n, m, words), dtype=np.uint64)
+        out = np.zeros((left_div.shape[1], 2 * m - 1, words), dtype=np.uint64)
+        term = np.empty((left_div.shape[1], m, words), dtype=np.uint64)
         for i in range(self.n):
             xi = xp[i]
             if not xi.any():
                 continue
-            y_over = yp[self.left_div[i]]
+            y_over = yp[left_div[i]]
             for a in range(m):
                 np.bitwise_and(xi[a], y_over, out=term)
                 np.bitwise_xor(out[:, a:a + m], term, out=out[:, a:a + m])
@@ -333,10 +341,24 @@ class AlgebraContext:
         differs from 1's, and only the rows that pass all n are packed.
 
         In characteristic two a batch never leaves bit-planes: they are built
-        from i, the planes of X^sigma are X's permuted, and x x^sigma = 1 is
-        tested 64 rows to a word. Only the hits become keys, already in order,
-        and from their indices alone: column 0's code is the identity's code
-        XOR i's digits, so the planes are never read back."""
+        from i, and x x^sigma = 1 is tested 64 rows to a word on one
+        coefficient per sigma-orbit, by two facts:
+        - (x x^sigma)^sigma = (x^sigma)^sigma x^sigma = x x^sigma, so
+          coefficient sigma(k) equals coefficient k, in any characteristic.
+          Of each moved pair {k, sigma(k)} only k < sigma(k) is formed, by
+          `plane_product` on X and X^sigma, whose planes are X's permuted.
+        - Let sigma(k) = k. The term x_g x_h, g != h, lands on g sigma(h) = k,
+          and then x_h x_g lands on h sigma(g) = sigma(g sigma(h)) = k too, so
+          in characteristic two the two cancel: (x x^sigma)_k is the sum of
+          x_g^2 over g sigma(g) = k, that is (sum of x_g over them)^2.
+          Squaring is a bijection of GF(2^m) fixing 0 and 1, so the test is
+          sum of x_g over g sigma(g) = k equal to 1 at k = 1 and 0 elsewhere:
+          an XOR of planes. Every g sigma(g) is sigma-fixed, since
+          sigma(g sigma(g)) = g sigma(g), and a fixed k that no g sigma(g)
+          reaches is 0 in every x x^sigma, so it needs no test.
+        Only the hits become keys, already in order, and from their indices
+        alone: column 0's code is the identity's code XOR i's digits, so the
+        planes are never read back."""
         if batch % WORD_BITS:
             raise ValueError(f"batch {batch} is not a multiple of {WORD_BITS}")
         if not self.char2:
@@ -353,27 +375,39 @@ class AlgebraContext:
                     parts.append(self.pack(X))
             return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
         m, total = self.field.m, self.q ** (self.n - 1)
-        width, digit = np.uint64(m), np.uint64(self.q - 1)
+        squares = self.gtable[np.arange(self.n), sigma]  # g sigma(g), which sigma fixes
+        linear = [(k, np.flatnonzero(squares == k)) for k in sorted(set(squares.tolist()))]
+        moved = np.flatnonzero(np.arange(self.n) < sigma)  # where 1's coefficient is 0
         identity = constant_planes(self.identity, m)
+        # digit 0 of i after the XOR-shifts by m, 2m, 4m, ... is the XOR of i's digits
+        folds = [np.uint64(m << s) for s in range(max(self.n - 2, 0).bit_length())]
+        width, digit, one = np.uint64(m), np.uint64(self.q - 1), np.uint64(self.tabs.one)
         parts = []
         for start in range(0, total, batch):
             rows = min(batch, total - start)
             P = self._candidate_planes(start, rows)
-            differs = self.plane_product(P, P[sigma]) ^ identity
-            hits = ~np.bitwise_or.reduce(differs.reshape(-1, differs.shape[2]), axis=0)
+            differs = np.zeros(P.shape[2], dtype=np.uint64)
+            for k, roots in linear:
+                differs |= np.bitwise_or.reduce(np.bitwise_xor.reduce(P[roots]) ^ identity[k])
+            if moved.size:
+                product = self.plane_product(P, P[sigma], moved)
+                differs |= np.bitwise_or.reduce(product.reshape(-1, P.shape[2]))
+            hits = ~differs
             if rows % WORD_BITS:  # fewer than 64 candidates: the pad rows are not candidates
                 hits[-1] &= np.uint64((1 << (rows % WORD_BITS)) - 1)
             index = np.flatnonzero(np.unpackbits(hits.view(np.uint8), bitorder="little"))
             if index.size:
                 # q = 2^m, so a key is (i << m) | column 0's code, and column 0's
                 # code is the identity's code XOR the n - 1 m-bit digits of i
-                index = (index + start).astype(np.uint64)
-                column0 = np.full(index.shape, self.tabs.one, dtype=np.uint64)
-                rest = index.copy()
-                for _ in range(self.n - 1):
-                    column0 ^= rest & digit
-                    rest >>= width
-                parts.append((index << width) | column0)
+                index = index.astype(np.uint64)
+                index += np.uint64(start)
+                keys = index << width
+                for shift in folds:
+                    index ^= index >> shift
+                index &= digit
+                index ^= one
+                keys |= index
+                parts.append(keys)
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
 
     def _candidate_planes(self, start: int, rows: int) -> np.ndarray:

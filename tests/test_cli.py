@@ -163,6 +163,13 @@ def test_compute_timings_flag(capsys):
     assert "elapsed_s" in out_timed
 
 
+def test_timings_is_a_json_option_only(capsys):
+    base = ("compute", "--group", "cyclic:4", "--field", "2^1", "--timings")
+    for fmt in ("csv", "markdown"):
+        code, out, err = run_cli(capsys, *base, "--format", fmt)
+        assert (code, out) == (1, "") and "--timings applies to --format json only" in err
+
+
 def test_theta_table_markdown(capsys):
     code, out, _ = run_cli(capsys, "theta-table", "--max-order", "8",
                            "--field", "2^1", "--field", "2^2")

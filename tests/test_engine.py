@@ -189,14 +189,18 @@ def _assert_scan_matches_reference(ctx, sigma, batches):
         assert got.dtype == np.uint64 and got.tobytes() == expected.tobytes(), batch
 
 
+def _scan_batches(ctx):
+    # 2^21 candidates are 2^15 batches of 64, so only the smaller cells take small batches
+    return (64, 128, DEFAULT_BATCH) if ctx.q ** (ctx.n - 1) <= 1 << 15 else (DEFAULT_BATCH,)
+
+
 @pytest.mark.parametrize("group_name,m", SCAN_CELLS)
 def test_char2_unitary_keys_match_table_kernel_scan(group_name, m):
     # batches of 64 and 128 cross word and batch boundaries; cyclic:1, cyclic:2 and
     # cyclic:4 over GF(2) have 1, 2 and 8 candidates, so most of their one word is pad
     ctx = AlgebraContext(make_field(2, m), build(group_name))
     sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
-    batches = (64, 128, DEFAULT_BATCH) if ctx.q ** (ctx.n - 1) <= 1 << 15 else (DEFAULT_BATCH,)
-    _assert_scan_matches_reference(ctx, sigma, batches)
+    _assert_scan_matches_reference(ctx, sigma, _scan_batches(ctx))
 
 
 def test_char2_unitary_keys_under_a_non_canonical_involution():
@@ -204,8 +208,33 @@ def test_char2_unitary_keys_under_a_non_canonical_involution():
     inv = ga.involution_from_map(d8, [d8.mul(d8.mul(1, d8.inverse(g)), 3) for g in d8.elements()])
     assert inv.sigma != ga.canonical_star(d8).sigma
     sigma = np.array(inv.sigma, dtype=np.intp)
-    for m in (1, 2):
-        _assert_scan_matches_reference(AlgebraContext(make_field(2, m), d8), sigma, (64, 128, DEFAULT_BATCH))
+    for m in (1, 2, 3):
+        ctx = AlgebraContext(make_field(2, m), d8)
+        _assert_scan_matches_reference(ctx, sigma, _scan_batches(ctx))
+
+
+# abelian 2-groups under the identity involution, over GF(2), GF(4) and GF(8): every
+# coefficient is sigma-fixed (g sigma(g) = g^2), so the scan forms no product at all
+# and tests sums of coefficients only; q^(|G|-1) is at most 2^21 on each
+FIXED_SCAN_CELLS = [(name, m) for name in ("cyclic:4", "cyclic:8", "elementary_abelian:2:2", "abelian:2:[1,2]")
+                    for m in (1, 2, 3)]
+
+
+def _identity_involution(group):
+    return np.array(ga.involution_from_map(group, list(group.elements())).sigma, dtype=np.intp)
+
+
+@pytest.mark.parametrize("group_name,m", FIXED_SCAN_CELLS)
+def test_char2_unitary_keys_when_every_coefficient_is_fixed(group_name, m):
+    ctx = AlgebraContext(make_field(2, m), build(group_name))
+    _assert_scan_matches_reference(ctx, _identity_involution(ctx.group), _scan_batches(ctx))
+
+
+def test_char2_fixed_coefficient_sums_drop_candidates():
+    # augmentation 1 implies the sums at sigma-fixed coefficients on E4 under the identity,
+    # but not on C8: a scan that skipped them would keep every candidate there
+    ctx = AlgebraContext(make_field(2, 2), build("cyclic:8"))
+    assert _reference_unitary_keys(ctx, _identity_involution(ctx.group)).size < ctx.q ** (ctx.n - 1)
 
 
 # every odd catalog p-group with q^(|G|-1) <= 2^19 over GF(3), GF(5), GF(7), GF(9),
@@ -222,8 +251,7 @@ def test_odd_unitary_keys_match_table_kernel_scan(group_name, p, m):
     # batches of 64 and 128 cross batch boundaries inside the smaller cells
     ctx = AlgebraContext(make_field(p, m), build(group_name))
     sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
-    batches = (64, 128, DEFAULT_BATCH) if ctx.q ** (ctx.n - 1) <= 1 << 15 else (DEFAULT_BATCH,)
-    _assert_scan_matches_reference(ctx, sigma, batches)
+    _assert_scan_matches_reference(ctx, sigma, _scan_batches(ctx))
 
 
 @pytest.mark.parametrize("group_name", ["cyclic:9", "elementary_abelian:3:2"])

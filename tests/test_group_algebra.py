@@ -313,6 +313,36 @@ def test_involution_reverses_products():
         assert ga.apply_involution(ga.apply_involution(x, star), star) == x
 
 
+def _scan_involutions():
+    d8 = build("dihedral:8")
+    yield ga.involution_from_map(d8, [d8.mul(d8.mul(1, d8.inverse(g)), 3) for g in d8.elements()])
+    for name in ("quaternion:8", "dihedral:8", "abelian:2:[1,2]", "elementary_abelian:2:3", "cyclic:9"):
+        yield ga.canonical_star(build(name))
+    for name in ("cyclic:4", "cyclic:8", "elementary_abelian:2:2", "abelian:2:[1,2]", "cyclic:9"):
+        group = build(name)
+        yield ga.involution_from_map(group, list(group.elements()), name="identity")
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_x_times_its_involute_is_symmetric_and_squares_at_fixed_points(p, m):
+    # the identities the characteristic-two oracle scan tests x x^sigma = 1 by:
+    # coefficient sigma(k) equals coefficient k, and in characteristic two a
+    # sigma-fixed coefficient k is (sum of x_g over g sigma(g) = k)^2
+    field, rng = make_field(p, m), random.Random(14)
+    for inv in _scan_involutions():
+        group, sigma = inv.group, inv.sigma
+        for _ in range(20):
+            x = _any_element(rng, field, group)
+            y = x * ga.apply_involution(x, inv)
+            assert all(y.coeffs[sigma[k]] == y.coeffs[k] for k in group.elements())
+            for k in (inv.fixed_points() if p == 2 else ()):
+                s = field.zero
+                for g in group.elements():
+                    if group.mul(g, sigma[g]) == k:
+                        s = s + x.coeffs[g]
+                assert y.coeffs[k] == s * s, (inv, k)
+
+
 def test_star_fixed_points_d8_are_involutions():
     d8 = build("dihedral:8")
     assert len(ga.canonical_star(d8).fixed_points()) == 6
