@@ -22,7 +22,12 @@ The oracle's scan (`AlgebraContext.unitary_keys`) tests x x^sigma = 1 one
 coefficient at a time in odd characteristic: coefficient k is one gather
 from the multiplication table and an addition chain over the rows still in
 play, and a row leaves at its first coefficient that differs from 1's, so
-after coefficient 0 about one row in q is left. It stays in bit-planes in
+after coefficient 0 about one row in q is left. Its candidates come from
+`normalized_batches` without a division: whole runs of the low digit
+columns, built once per scan, a contiguous range of the next column and
+constant columns above. The scan reads each batch column by column, and
+every gather, from the raveled (q^2,) tables, takes one flat index X q + Y
+(`row_index`). It stays in bit-planes in
 characteristic two: it builds each batch's planes from the candidate
 indices, tests x x^sigma = 1 word by word on one coefficient per
 sigma-orbit, and builds the hits' keys from their indices. x x^sigma is
@@ -103,6 +108,14 @@ def digits(values: np.ndarray, radix: int, count: int) -> np.ndarray:
         out[:, i] = v % r
         v //= r
     return out
+
+
+def row_index(X: np.ndarray, q: int) -> np.ndarray:
+    """X q, where row X of a raveled (q, q) table starts: entry [X, Y] is
+    at X q + Y. The dtype holds q^2 - 1, so it is uint16 up to q = 256 and
+    uint32 above, where a uint16 index would wrap."""
+    dtype = np.uint16 if q * q <= 1 << 16 else np.uint32
+    return X.astype(dtype, copy=False) * dtype(q)
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -336,9 +349,11 @@ class AlgebraContext:
 
         In odd characteristic coefficient k of x x^sigma is the sum over i of
         x_i x_sigma(j), g_i g_j = g_k: one gather from the multiplication
-        table over the rows still in play, then the addition chain of
-        `augmentation`. A row is dropped at its first coefficient that
-        differs from 1's, and only the rows that pass all n are packed.
+        table over the rows still in play, then an addition chain. A row is
+        dropped at its first coefficient that differs from 1's, and only the
+        rows that pass all n are packed. The batch is read as its (n, rows)
+        transpose, so each column's codes are contiguous, and both tables
+        are gathered raveled, entry [X, Y] at the flat index X q + Y.
 
         In characteristic two a batch never leaves bit-planes: they are built
         from i, and x x^sigma = 1 is tested 64 rows to a word on one
@@ -364,15 +379,20 @@ class AlgebraContext:
         if not self.char2:
             # partner[k, i] = sigma(left_div[i, k]), the column x_i meets in coefficient k
             partner = np.ascontiguousarray(sigma[self.left_div].T)
+            q, mul, add = self.q, self.tabs.mul.ravel(), self.tabs.add.ravel()
             parts = []
             for X in self.normalized_batches(batch):
+                X = X.T  # (n, rows): each column's codes contiguous
                 for k in range(self.n):
-                    coeff = self.augmentation(self.tabs.mul[X, X[:, partner[k]]])
-                    X = X[coeff == self.identity[k]]
-                    if not X.shape[0]:
+                    terms = mul[row_index(X, q) + X[partner[k]]]
+                    coeff = terms[0]
+                    for term in terms[1:]:
+                        coeff = add[row_index(coeff, q) + term]
+                    X = X[:, coeff == self.identity[k]]
+                    if not X.shape[1]:
                         break
                 else:
-                    parts.append(self.pack(X))
+                    parts.append(self.pack(X.T))
             return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
         m, total = self.field.m, self.q ** (self.n - 1)
         squares = self.gtable[np.arange(self.n), sigma]  # g sigma(g), which sigma fixes
@@ -435,21 +455,46 @@ class AlgebraContext:
     # --- enumerators ----------------------------------------------------------
 
     def normalized_batches(self, batch: int = DEFAULT_BATCH) -> Iterator[np.ndarray]:
-        """All elements with augmentation 1, exactly once each.
+        """All elements with augmentation 1, exactly once each, at most batch
+        rows at a time: candidate i carries i's base-q digits at indices
+        1..n-1, in order of i, and the dependent identity coefficient.
 
-        Coefficients at indices 1..n-1 run over all q^(n-1) combinations;
-        the identity coefficient is the dependent one."""
-        q, total = self.q, self.q ** (self.n - 1)
-        one = self.tabs.one
-        for start in range(0, total, batch):
-            stop = min(start + batch, total)
-            # q i has digit 0 zero and the digits of i above it
-            X = digits(np.arange(start * q, stop * q, q, dtype=np.uint64), q, self.n)
-            if self.n == 1:
-                X[:, 0] = one
-            else:
-                X[:, 0] = self.tabs.add[one, self.tabs.neg[self.augmentation(X[:, 1:])]]
-            yield X
+        No digit is divided out per candidate. Columns 1..low, as many as keep
+        q^low <= batch, repeat one pattern of q^low rows, built once per call
+        with its sum. A batch is whole runs of the pattern, one per value of
+        a contiguous range of column low + 1, and the columns above that are
+        constant across it. Column 0 is 1 - (low sum + the rest), and the rest
+        is constant along each run, so it takes one gather from the flat add
+        table: (1 - low sum) - rest.
+
+        Each batch is the transpose of a fresh (n, rows) array, so one
+        column's codes are contiguous."""
+        q, n, tabs = self.q, self.n, self.tabs
+        low = 0
+        while low < n - 1 and q ** (low + 1) <= batch:
+            low += 1
+        run = q ** low
+        pattern = digits(np.arange(run, dtype=np.uint64), q, low)
+        low_sum = self.augmentation(pattern) if low else np.zeros(run, dtype=np.uint16)
+        one_minus_low = tabs.add[tabs.one, tabs.neg[low_sum]]
+        if low == n - 1:
+            X = np.empty((n, run), dtype=np.uint16)
+            X[0], X[1:] = one_minus_low, pattern.T
+            yield X.T
+            return
+        add, step = tabs.add.ravel(), batch // run  # values of column low + 1 per batch, < q
+        for high in range(q ** (n - 2 - low)):
+            high_digits = digits(np.array([high], dtype=np.uint64), q, n - 2 - low)[0]
+            high_sum = self.augmentation(high_digits[None, :])[0] if low < n - 2 else 0
+            for start in range(0, q, step):
+                values = np.arange(start, min(start + step, q), dtype=np.uint16)
+                X = np.empty((n, values.size, run), dtype=np.uint16)
+                X[1:low + 1] = pattern.T[:, None, :]
+                X[low + 1] = values[:, None]
+                X[low + 2:] = high_digits[:, None, None]
+                minus_rest = tabs.neg[tabs.add[values, high_sum]]
+                X[0] = add[row_index(minus_rest, q)[:, None] + one_minus_low]
+                yield X.reshape(n, -1).T
 
     def span_batches(self, basis: np.ndarray, batch: int = DEFAULT_BATCH,
                      coefficient_codes: np.ndarray | None = None) -> Iterator[np.ndarray]:

@@ -116,27 +116,8 @@ class AlgebraElement:
         Refuses a zero augmentation and algebras whose group is not a p-group
         for p = char(F); the result is checked as a two-sided inverse.
         """
-        require_p_group(self.group, self.field)
-        field, group = self.field, self.group
-        x = _digit_array(self)
-        aug = _augmentation_digits(field, x)
-        if not aug.any():
-            raise NotAUnit("augmentation is zero")
-        aug_inv = FieldElement(field, tuple(aug.tolist())).inverse()
-        normalized = _scale_digits(field, x, aug_inv)
-        power = normalized  # u^1; for |G| = 1, u is already 1 = u^0
-        for bit in bin(group.n - 1)[3:]:
-            power = _digit_product(field, group, power, power)
-            if bit == "1":
-                power = _digit_product(field, group, power, normalized)
-        result = _scale_digits(field, power, aug_inv)
-        one = _identity_digits(field, group)
-        if not (np.array_equal(_digit_product(field, group, result, x), one)
-                and np.array_equal(_digit_product(field, group, x, result), one)):
-            raise InternalInconsistency(
-                f"inverse failed verification multiply ({group.id} over "
-                f"{field.literal()}, element {format_algebra_literal(self)})")
-        return _from_digits(field, group, result)
+        return _from_digits(self.field, self.group,
+                            _invert_digits(self.field, self.group, _digit_array(self)))
 
     def __repr__(self):
         return f"AlgebraElement({self.field.literal()}, {self.group.id}, {format_algebra_literal(self)!r})"
@@ -150,6 +131,31 @@ def _digit_array(x: AlgebraElement) -> np.ndarray:
 def _from_digits(field: FieldSpec, group: Group, digits: np.ndarray) -> AlgebraElement:
     """The element whose coefficient of g has the base-p digits in row g."""
     return AlgebraElement(field, group, tuple(FieldElement(field, tuple(row)) for row in digits.tolist()))
+
+
+def _invert_digits(field: FieldSpec, group: Group, x: np.ndarray) -> np.ndarray:
+    """The inverse of the element with (n, m) digit array x, as a digit array:
+    the whole of AlgebraElement.invert, whose docstring gives the proof. The
+    element is written as a literal only when the check fails."""
+    require_p_group(group, field)
+    aug = _augmentation_digits(field, x)
+    if not aug.any():
+        raise NotAUnit("augmentation is zero")
+    aug_inv = FieldElement(field, tuple(aug.tolist())).inverse()
+    normalized = _scale_digits(field, x, aug_inv)
+    power = normalized  # u^1; for |G| = 1, u is already 1 = u^0
+    for bit in bin(group.n - 1)[3:]:
+        power = _digit_product(field, group, power, power)
+        if bit == "1":
+            power = _digit_product(field, group, power, normalized)
+    result = _scale_digits(field, power, aug_inv)
+    one = _identity_digits(field, group)
+    if not (np.array_equal(_digit_product(field, group, result, x), one)
+            and np.array_equal(_digit_product(field, group, x, result), one)):
+        raise InternalInconsistency(
+            f"inverse failed verification multiply ({group.id} over {field.literal()}, "
+            f"element {format_algebra_literal(_from_digits(field, group, x))})")
+    return result
 
 
 def _digit_product(field: FieldSpec, group: Group, x: np.ndarray, y: np.ndarray) -> np.ndarray:

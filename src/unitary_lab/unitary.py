@@ -49,6 +49,7 @@ from .group_algebra import (
     _digit_product,
     _from_digits,
     _identity_digits,
+    _invert_digits,
 )
 from .group_core import Group, coset_representatives
 
@@ -121,14 +122,15 @@ def is_unitary(x: AlgebraElement, inv: GroupInvolution) -> bool:
 def cayley(x: AlgebraElement) -> AlgebraElement:
     """(1-x)(1+x)^-1; swaps skew-symmetric elements and unitary units.
 
-    1 - x, 1 + x and the final product are formed on digit arrays; only the
-    inverse of 1 + x goes through AlgebraElement.invert."""
+    The whole transform runs on digit arrays: 1 - x, 1 + x, the inverse of
+    1 + x (by the digit core of AlgebraElement.invert) and the product.
+    FieldElements are built for the result alone."""
     field, group = x.field, x.group
     digits, one = _digit_array(x), _identity_digits(field, group)
     plus = (one + digits) % field.p
     if not _augmentation_digits(field, plus).any():
         raise NotInvertible("1+x has augmentation zero")
-    inverse = _digit_array(_from_digits(field, group, plus).invert())
+    inverse = _invert_digits(field, group, plus)
     return _from_digits(field, group, _digit_product(field, group, (one - digits) % field.p, inverse))
 
 

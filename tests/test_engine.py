@@ -13,11 +13,13 @@ from unitary_lab.engine import (
     AlgebraContext,
     field_tables,
     keys_contain,
+    row_index,
     sorted_unique,
 )
 from unitary_lab.errors import SearchSpaceTooLarge
-from unitary_lab.finite_field import make_field
+from unitary_lab.finite_field import is_prime, make_field
 from unitary_lab.group_catalog import build, catalog_entries
+from unitary_lab.verify import _swap_inverse_involution
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
@@ -141,17 +143,67 @@ def test_char2_xor_addition_matches_tables(group_name, m):
     assert np.array_equal(ctx.augmentation(X), aug)
 
     rows = np.concatenate(list(ctx.normalized_batches(batch=1000)))
-    total = ctx.q ** (ctx.n - 1)
+    assert np.array_equal(rows, _reference_normalized_rows(ctx))
+
+
+def _reference_normalized_rows(ctx):
+    """Candidate i, index by index: i's base-q digits by % and // at indices 1..n-1,
+    and the identity coefficient 1 - (their sum)."""
+    tabs, total = ctx.tabs, ctx.q ** (ctx.n - 1)
     expected = np.zeros((total, ctx.n), dtype=np.uint16)
     v = np.arange(total)
     for i in range(1, ctx.n):
         expected[:, i] = v % ctx.q
         v //= ctx.q
-    s = expected[:, 1].copy()
-    for i in range(2, ctx.n):
+    s = np.zeros(total, dtype=np.uint16)
+    for i in range(1, ctx.n):
         s = tabs.add[s, expected[:, i]]
     expected[:, 0] = tabs.add[tabs.one, tabs.neg[s]]
-    assert np.array_equal(rows, expected)
+    return expected
+
+
+def _odd_fields(max_order):
+    return [(p, m) for p in range(3, max_order + 1) if is_prime(p)
+            for m in range(1, max_order.bit_length()) if p ** m <= max_order]
+
+
+# every odd field with q <= 243 and GF(2), GF(4), GF(8), each on the small groups with
+# q^(|G|-1) <= 2^16, and the trivial group; GF(3) on C9 and GF(5) on C4 run the
+# columns above the batch's range, GF(243) the one-column runs of q > batch
+ENUMERATION_CELLS = [(name, p, m) for p, m in _odd_fields(243) + [(2, 1), (2, 2), (2, 3)]
+                     for name in ("cyclic:2", "cyclic:3", "cyclic:4", "dihedral:8", "cyclic:9")
+                     if (p ** m) ** (build(name).n - 1) <= 1 << 16] + [("cyclic:1", 3, 1), ("cyclic:1", 2, 1)]
+
+
+@pytest.mark.parametrize("group_name,p,m", ENUMERATION_CELLS)
+def test_normalized_batches_match_the_digit_reference(group_name, p, m):
+    ctx = AlgebraContext(make_field(p, m), build(group_name))
+    expected, total = _reference_normalized_rows(ctx), ctx.q ** (ctx.n - 1)
+    for batch in (10, 64, 1000, DEFAULT_BATCH):
+        batches = list(ctx.normalized_batches(batch))
+        rows = np.concatenate(batches)
+        assert rows.dtype == np.uint16 and rows.shape == expected.shape, batch
+        assert rows.tobytes() == expected.tobytes(), batch
+        assert all(0 < X.shape[0] <= batch for X in batches), batch
+        assert len(batches) <= 2 * -(-total // batch), batch  # no runs of one-row batches
+        # callers list() the generator, so no batch may reuse another's memory
+        assert not any(np.shares_memory(a, b) for a, b in zip(batches, batches[1:])), batch
+
+
+@pytest.mark.parametrize("p,m", _odd_fields(MAX_TABLE_FIELD_ORDER))
+def test_flat_gathers_match_the_two_index_gathers(p, m):
+    # X q + Y reaches q^2 - 1, past uint16 from GF(257) on
+    q = p ** m
+    tabs = field_tables(make_field(p, m))
+    rng = np.random.default_rng(q)
+    X = rng.integers(0, q, size=(40, 9), dtype=np.uint16)
+    Y = rng.integers(0, q, size=(40, 9), dtype=np.uint16)
+    X[0], Y[0] = q - 1, q - 1
+    index = row_index(X, q) + Y
+    assert index.dtype == (np.uint16 if q < 256 else np.uint32)
+    for table in (tabs.mul, tabs.add):
+        assert table.ravel()[index].tobytes() == table[X, Y].tobytes()
+        assert table.ravel()[row_index(X[:, 0], q) + Y[:, 0]].tobytes() == table[X[:, 0], Y[:, 0]].tobytes()
 
 
 def test_involute_and_augmentation_match_scalar():
@@ -259,6 +311,21 @@ def test_odd_unitary_keys_under_the_identity_involution(group_name):
     # on an abelian group the identity map is an anti-automorphism of order two
     group = build(group_name)
     sigma = np.array(ga.involution_from_map(group, list(group.elements())).sigma, dtype=np.intp)
+    assert sigma.tolist() != list(ga.canonical_star(group).sigma)
+    _assert_scan_matches_reference(AlgebraContext(make_field(3, 1), group), sigma, (64, 128, DEFAULT_BATCH))
+
+
+def test_odd_unitary_keys_when_q_exceeds_the_batch():
+    # GF(243), the largest odd q the scan meets: each batch of 64 is one range of
+    # column 1 under a constant column 2
+    ctx = AlgebraContext(make_field(3, 5), build("cyclic:3"))
+    sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
+    _assert_scan_matches_reference(ctx, sigma, (64, DEFAULT_BATCH))
+
+
+def test_odd_unitary_keys_under_the_swap_inverse_involution():
+    group = build("elementary_abelian:3:2")
+    sigma = np.array(_swap_inverse_involution(group).sigma, dtype=np.intp)
     assert sigma.tolist() != list(ga.canonical_star(group).sigma)
     _assert_scan_matches_reference(AlgebraContext(make_field(3, 1), group), sigma, (64, 128, DEFAULT_BATCH))
 
