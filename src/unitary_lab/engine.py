@@ -50,7 +50,6 @@ import numpy as np
 
 from .errors import SearchSpaceTooLarge
 from .finite_field import FieldSpec, fold_matrix
-from .group_algebra import AlgebraElement
 from .group_core import Group
 
 MAX_TABLE_FIELD_ORDER = 512
@@ -213,13 +212,6 @@ class AlgebraContext:
 
     # --- conversions ---------------------------------------------------------
 
-    def codes_of(self, x: AlgebraElement) -> np.ndarray:
-        return np.array([c.code for c in x.coeffs], dtype=np.uint16)
-
-    def element_of(self, codes: np.ndarray) -> AlgebraElement:
-        coeffs = tuple(self.field.from_code(int(c)) for c in codes)
-        return AlgebraElement(self.field, self.group, coeffs)
-
     def pack(self, X: np.ndarray) -> np.ndarray:
         # one matrix-vector product: numpy's sum over the short second axis is
         # slow, and a loop over the columns is slow on small batches; every key
@@ -341,7 +333,7 @@ class AlgebraContext:
 
     def unitary_keys(self, sigma: np.ndarray, batch: int = DEFAULT_BATCH) -> np.ndarray:
         """Sorted keys of the normalized x with x x^sigma = 1, scanning
-        batch candidates (a multiple of 64) at a time.
+        batch candidates (a positive multiple of 64) at a time.
 
         Candidate i carries i's base-q digits at indices 1..n-1 and the
         dependent identity coefficient, so its key is q i + (its column 0),
@@ -374,8 +366,8 @@ class AlgebraContext:
         Only the hits become keys, already in order, and from their indices
         alone: column 0's code is the identity's code XOR i's digits, so the
         planes are never read back."""
-        if batch % WORD_BITS:
-            raise ValueError(f"batch {batch} is not a multiple of {WORD_BITS}")
+        if batch < 1 or batch % WORD_BITS:
+            raise ValueError(f"batch {batch} is not a positive multiple of {WORD_BITS}")
         if not self.char2:
             # partner[k, i] = sigma(left_div[i, k]), the column x_i meets in coefficient k
             partner = np.ascontiguousarray(sigma[self.left_div].T)
@@ -469,6 +461,8 @@ class AlgebraContext:
 
         Each batch is the transpose of a fresh (n, rows) array, so one
         column's codes are contiguous."""
+        if batch < 1:
+            raise ValueError(f"batch {batch} is not a positive number of rows")
         q, n, tabs = self.q, self.n, self.tabs
         low = 0
         while low < n - 1 and q ** (low + 1) <= batch:
@@ -502,6 +496,8 @@ class AlgebraContext:
 
         coefficient_codes restricts every coefficient to a sublist of field
         codes (used for the im(tau) construction); defaults to the full field."""
+        if batch < 1:
+            raise ValueError(f"batch {batch} is not a positive number of rows")
         k = basis.shape[0]
         coeffs = coefficient_codes if coefficient_codes is not None else np.arange(self.q, dtype=np.uint16)
         radix = coeffs.size

@@ -251,18 +251,6 @@ class FieldElement:
         rem += [0] * (self.spec.m - len(rem))
         return FieldElement(self.spec, tuple(rem))
 
-    def __pow__(self, k: int) -> "FieldElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.spec.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def inverse(self) -> "FieldElement":
         """Extended Euclid in Z/p[x] modulo the field's modulus."""
         if self.is_zero():
@@ -282,9 +270,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     @property
     def code(self) -> int:

@@ -229,6 +229,11 @@ def from_coeffs(field: FieldSpec, group: Group, coeffs: Iterable) -> AlgebraElem
     return AlgebraElement(field, group, tuple(out))
 
 
+def from_codes(field: FieldSpec, group: Group, codes: Iterable[int]) -> AlgebraElement:
+    """The element whose coefficient of g has field code codes[g], as in a batch row."""
+    return AlgebraElement(field, group, tuple(field.from_code(int(c)) for c in codes))
+
+
 # --- involutions arising from the group --------------------------------------
 
 @dataclass(frozen=True, eq=False)

@@ -34,15 +34,15 @@ from .errors import (
     SearchSpaceTooLarge,
     Ambiguous,
 )
-from .finite_field import FieldSpec, tau_image
+from .finite_field import FieldSpec
 from .group_algebra import (
     AlgebraElement,
     GroupInvolution,
     algebra_one,
     apply_involution,
-    basis_element,
     canonical_star,
     format_algebra_literal,
+    from_codes,
     require_p_group,
     _augmentation_digits,
     _digit_array,
@@ -157,8 +157,7 @@ def _inconsistency(group: Group, field: FieldSpec, what: str, row: np.ndarray | 
     if c is not None:
         where += f", c = g{c}"
     if row is not None:
-        coeffs = tuple(field.from_code(int(code)) for code in row)
-        where += f", element {format_algebra_literal(AlgebraElement(field, group, coeffs))}"
+        where += f", element {format_algebra_literal(from_codes(field, group, row))}"
     return InternalInconsistency(f"{what} ({where})")
 
 
@@ -261,7 +260,7 @@ def unitary_enumerate_oracle(group: Group, inv: GroupInvolution, field: FieldSpe
     if order > space:
         raise _inconsistency(group, field, "unitary order exceeds the normalized unit count")
     ctx = AlgebraContext(field, group)
-    witnesses = tuple(ctx.element_of(row) for row in ctx.unpack(keys[:max_witnesses]))
+    witnesses = tuple(from_codes(field, group, row) for row in ctx.unpack(keys[:max_witnesses]))
     subsidiary = {
         "search_space": space,
         "witnesses_truncated": max_witnesses is not None and order > max_witnesses,
@@ -491,23 +490,22 @@ def s_h_enumerate(group: Group, c: int, field: FieldSpec, *,
         raise OddCharacteristic("S_H enumeration requires characteristic 2")
     require_p_group(group, field)
     _, s_h_keys, ctx = _fiber_scan(group, c, field, search_cap=search_cap)
-    rows = ctx.unpack(s_h_keys[:max_samples])
-    samples = [ctx.element_of(rows[i]) for i in range(rows.shape[0])]
+    samples = [from_codes(field, group, row) for row in ctx.unpack(s_h_keys[:max_samples])]
     return int(s_h_keys.size), samples
 
 
-def _s_h_bounds(group: Group, c: int, field: FieldSpec) -> tuple[int, Fraction | None]:
-    """Upper bound always; lower bound only when T_c commutes."""
-    g2 = len(group.special_sets().order_two)
-    t = len(group.square_roots(c))
-    num = group.n - g2 + t
+def _s_h_bounds(group: Group, c: int, field: FieldSpec
+                ) -> tuple[tuple[int, ...], bool, int, Fraction | None]:
+    """The paper's bracket of |S_H| for H = <c>: T_c, whether T_c commutes,
+    the upper bound q^((|G| - |G{2}| + |T_c|)/4), and the lower bound
+    upper / 2^(|T_c|/2), which is proved only when T_c commutes (else None)."""
+    t_c = group.square_roots(c)
+    commuting = group.is_pairwise_commuting(t_c)
+    num = group.n - len(group.special_sets().order_two) + len(t_c)
     if num % 4:
         raise _inconsistency(group, field, "bound exponent is not an integer", c=c)
     upper = field.order ** (num // 4)
-    lower = None
-    if group.is_pairwise_commuting(group.square_roots(c)):
-        lower = Fraction(upper, 2 ** (t // 2))
-    return upper, lower
+    return t_c, commuting, upper, Fraction(upper, 2 ** (len(t_c) // 2)) if commuting else None
 
 
 def unitary_order_char2(group: Group, field: FieldSpec, *, c: int | None = None,
@@ -525,12 +523,11 @@ def unitary_order_char2(group: Group, field: FieldSpec, *, c: int | None = None,
                                  theta_from_order(1, field, group))
         c = _least_central_involution(group)
     orbit, s_h_keys, _ = _fiber_scan(group, c, field, search_cap=search_cap)
-    t_c = group.square_roots(c)
-    upper, lower = _s_h_bounds(group, c, field)
+    t_c, commuting, upper, lower = _s_h_bounds(group, c, field)
     subsidiary = {
         "c": c,
         "t_c_size": len(t_c),
-        "t_c_commuting": group.is_pairwise_commuting(t_c),
+        "t_c_commuting": commuting,
         "s_h_size": int(s_h_keys.size),
         "vbar_order": orbit.vbar_order,
         "s_h_upper_bound": upper,
@@ -573,21 +570,18 @@ class BoundsReport:
     generator_identity_ok: bool | None
 
 
-def _n1_orbits(group: Group, c: int, field: FieldSpec) -> list[tuple[int, ...]]:
-    """The {g, g^-1, gc, (gc)^-1} orbits over g with g^2 not in <c>, each sorted."""
-    h_members = {0, c}
-    seen = set()
-    orbits = []
-    for g in group.elements():
-        if g in seen or group.mul(g, g) in h_members:
-            continue
-        orbit = {g, group.inverse(g), group.mul(g, c), group.mul(group.inverse(g), c)}
-        if len(orbit) != 4:
-            raise _inconsistency(group, field, "orbit of size != 4 outside G{2} and T_c",
-                                 np.eye(group.n, dtype=np.uint16)[g], c)
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
+def _n1_orbits(group: Group, c: int, field: FieldSpec) -> np.ndarray:
+    """The orbits {g, g^-1, gc, g^-1 c} over g with g^2 not in <c>, one sorted
+    row each, in order of their least member."""
+    table = np.asarray(group.table, dtype=np.intp)
+    inverse = group.left_division()[:, 0]  # g g^-1 = g_0
+    g = np.flatnonzero((table.diagonal() != 0) & (table.diagonal() != c))
+    orbits = np.sort(np.stack([g, inverse[g], table[g, c], table[inverse[g], c]], axis=1), axis=1)
+    bad = np.flatnonzero((orbits[:, 1:] == orbits[:, :-1]).any(axis=1))
+    if bad.size:
+        raise _inconsistency(group, field, "orbit of size != 4 outside G{2} and T_c",
+                             np.eye(group.n, dtype=np.uint16)[g[bad[0]]], c)
+    return orbits[orbits[:, 0] == g]  # each orbit once, from its least member
 
 
 def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
@@ -600,19 +594,16 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
     if field.p != 2:
         raise OddCharacteristic("bound constructions require characteristic 2")
     require_p_group(group, field)
-    t_c = group.square_roots(c)
-    commuting = group.is_pairwise_commuting(t_c)
+    t_c, commuting, upper, lower = _s_h_bounds(group, c, field)
     _, s_h_keys, ctx = _fiber_scan(group, c, field, search_cap=search_cap)
-    g2 = len(group.special_sets().order_two)
-    upper, lower = _s_h_bounds(group, c, field)
 
     # N1: full field span over the orbit vectors, shifted by 1
     orbits = _n1_orbits(group, c, field)
-    expected_k1 = (group.n - g2 - len(t_c)) // 4
+    expected_k1 = (group.n - len(group.special_sets().order_two) - len(t_c)) // 4
     if len(orbits) != expected_k1:
         raise _inconsistency(group, field, f"{len(orbits)} orbits, not "
                                            f"(|G|-|G{{2}}|-|T_c|)/4 = {expected_k1}", c=c)
-    n1_part = ([_basis_sum(ctx, orbit) for orbit in orbits], None)
+    n1_part = (_basis_sums(ctx, orbits), None)
     n1_keys = _one_plus_span_keys(ctx, n1_part)
     n1_size = int(n1_keys.size)
     if n1_size != field.order ** expected_k1:
@@ -620,14 +611,12 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
                                            f"|F|^((|G|-|G{{2}}|-|T_c|)/4)", c=c)
     n1_inside = bool(keys_contain(s_h_keys, n1_keys).all())
 
-    n2_size = None
-    n2_inside = None
-    product_inside = None
-    identity_ok = None
+    n2_size = n2_inside = product_inside = identity_ok = None
     if commuting:
-        pair_reps = sorted({min(g, group.inverse(g)) for g in t_c})
-        im_codes = np.array(sorted(a.code for a in tau_image(field)), dtype=np.uint16)
-        n2_part = ([_basis_sum(ctx, (g, group.mul(g, c))) for g in pair_reps], im_codes)
+        t_c = np.array(t_c, dtype=np.intp)
+        pair_reps = t_c[t_c < ctx.gtable[t_c, c]]  # g < g^-1 = gc
+        n2_part = (_basis_sums(ctx, np.stack([pair_reps, ctx.gtable[pair_reps, c]], axis=1)),
+                   np.unique(_tau_codes(ctx)))
         n2_keys = _one_plus_span_keys(ctx, n2_part)
         n2_size = int(n2_keys.size)
         expected_n2 = (field.order // 2) ** (len(t_c) // 2)
@@ -640,49 +629,49 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
             raise _inconsistency(group, field, f"|N1 x N2| = {prod_keys.size} is not "
                                                f"|N1| |N2| = {n1_size} * {n2_size}", c=c)
         product_inside = bool(keys_contain(s_h_keys, prod_keys).all())
-        identity_ok = _check_generator_identity(group, field, c, pair_reps)
+        identity_ok = pair_reps.size == 0 or _check_generator_identity(ctx, c, pair_reps)
 
     return BoundsReport(group.id, field, c, len(t_c), commuting, int(s_h_keys.size),
                         upper, lower, n1_size, n2_size, n1_inside, n2_inside,
                         product_inside, identity_ok)
 
 
-def _basis_sum(ctx: AlgebraContext, indices) -> np.ndarray:
-    """The sum of the basis elements at the given group indices, as a code row:
-    (g + g^-1)(1 + c) spans N1, g(1 + c) for g a square root of c spans N2."""
-    row = np.zeros(ctx.n, dtype=np.uint16)
-    for idx in indices:
-        row[idx] = ctx.tabs.add[row[idx], ctx.tabs.one]
-    return row
+def _basis_sums(ctx: AlgebraContext, indices: np.ndarray) -> np.ndarray:
+    """Per row of distinct group indices, the sum of those basis elements as a
+    code row: (g + g^-1)(1 + c) spans N1, g(1 + c) for g^2 = c spans N2."""
+    rows = np.zeros((len(indices), ctx.n), dtype=np.uint16)
+    rows[np.arange(len(indices))[:, None], indices] = ctx.tabs.one
+    return rows
+
+
+def _tau_codes(ctx: AlgebraContext) -> np.ndarray:
+    """tau(w) = w + w^2 by field code, from the field tables."""
+    return ctx.tabs.add[np.arange(ctx.q), np.diagonal(ctx.tabs.mul)]
 
 
 def _one_plus_span_keys(ctx: AlgebraContext, *parts) -> np.ndarray:
-    """Sorted keys of 1 + span(part) + ... over (vectors, coefficient codes)
+    """Sorted keys of 1 + span(part) + ... over (basis rows, coefficient codes)
     parts; codes None is the whole field. Both parts give {x y : x in N1, y in N2}."""
     rows = ctx.identity[None, :]
-    for vectors, codes in parts:
-        basis = np.stack(vectors) if vectors else np.empty((0, ctx.n), dtype=np.uint16)
+    for basis, codes in parts:
         span = np.concatenate(list(ctx.span_batches(basis, coefficient_codes=codes)))
         rows = ctx.add(rows[:, None, :], span[None, :, :]).reshape(-1, ctx.n)
     return sorted_unique(ctx.pack(rows))
 
 
-def _check_generator_identity(group: Group, field: FieldSpec, c: int,
-                              pair_reps: list[int]) -> bool:
-    """(1 + w g + w g^2)(1 + w g + w g^2)* = 1 + (w + w^2) g (1+c) for g^2 = c."""
-    star = canonical_star(group)
-    one = algebra_one(field, group)
-    for g in pair_reps:
-        for omega in field.elements():
-            x = one + basis_element(field, group, g).scale(omega) \
-                    + basis_element(field, group, group.mul(g, g)).scale(omega)
-            lhs = x * apply_involution(x, star)
-            tau_omega = omega + omega * omega
-            ghat = basis_element(field, group, g) + basis_element(field, group, group.mul(g, c))
-            rhs = one + ghat.scale(tau_omega)
-            if lhs != rhs:
-                return False
-    return True
+def _check_generator_identity(ctx: AlgebraContext, c: int, pair_reps: np.ndarray) -> bool:
+    """(1 + w g + w g^2)(1 + w g + w g^2)* = 1 + (w + w^2) g (1+c) for g^2 = c,
+    on every (g, w) at once: one row per pair, both sides filled in from the
+    field tables and compared after one batch product."""
+    q, add = ctx.q, ctx.tabs.add
+    g = np.repeat(np.asarray(pair_reps, dtype=np.intp), q)
+    w = np.tile(np.arange(q, dtype=np.uint16), len(pair_reps))
+    tau, rows = _tau_codes(ctx)[w], np.arange(g.size)
+    X, R = np.zeros((2, g.size, ctx.n), dtype=np.uint16)
+    X[:, 0] = R[:, 0] = ctx.tabs.one
+    for Z, at, value in ((X, g, w), (X, ctx.gtable[g, g], w), (R, g, tau), (R, ctx.gtable[g, c], tau)):
+        Z[rows, at] = add[Z[rows, at], value]  # one at a time, so coinciding indices add
+    return bool(np.array_equal(ctx.mul(X, ctx.involute(X, ctx.left_div[:, 0])), R))  # g* = g^-1
 
 
 # --- order recovery -----------------------------------------------------------------

@@ -55,6 +55,14 @@ def test_field_tables_refuse_beyond_the_size_cap():
     assert exc.value.context == "field table build"
 
 
+def _element(ctx, row):
+    return ga.from_codes(ctx.field, ctx.group, row)
+
+
+def _codes(x):
+    return np.array([c.code for c in x.coeffs], dtype=np.uint16)
+
+
 def _random_codes(rng, ctx, rows):
     return np.array([[rng.randrange(ctx.q) for _ in range(ctx.n)] for _ in range(rows)],
                     dtype=np.uint16)
@@ -68,8 +76,8 @@ def test_batch_mul_exhaustive_fc2_gf2():
         X = np.repeat(all_rows[i][None, :], 4, axis=0)
         got = ctx.mul(X, all_rows)
         for j in range(4):
-            scalar = ctx.element_of(all_rows[i]) * ctx.element_of(all_rows[j])
-            assert np.array_equal(got[j], ctx.codes_of(scalar))
+            scalar = _element(ctx, all_rows[i]) * _element(ctx, all_rows[j])
+            assert np.array_equal(got[j], _codes(scalar))
 
 
 @pytest.mark.parametrize("group_name,p,m", [
@@ -83,8 +91,8 @@ def test_batch_mul_matches_scalar(group_name, p, m):
     Y = _random_codes(rng, ctx, 50)
     got = ctx.mul(X, Y)
     for i in range(50):
-        scalar = ctx.element_of(X[i]) * ctx.element_of(Y[i])
-        assert np.array_equal(got[i], ctx.codes_of(scalar))
+        scalar = _element(ctx, X[i]) * _element(ctx, Y[i])
+        assert np.array_equal(got[i], _codes(scalar))
 
 
 def test_batch_mul_fixed_right_factor():
@@ -94,9 +102,9 @@ def test_batch_mul_fixed_right_factor():
     X = _random_codes(rng, ctx, 20)
     u = _random_codes(rng, ctx, 1)
     got = ctx.mul(X, u)
-    u_scalar = ctx.element_of(u[0])
+    u_scalar = _element(ctx, u[0])
     for i in range(20):
-        assert np.array_equal(got[i], ctx.codes_of(ctx.element_of(X[i]) * u_scalar))
+        assert np.array_equal(got[i], _codes(_element(ctx, X[i]) * u_scalar))
 
 
 # every field GF(2^1..5) (GF(32) takes its modulus from the search) on groups of
@@ -122,9 +130,9 @@ def test_char2_mul_matches_table_kernel_and_scalar(group_name, m):
             assert out.dtype == np.uint16 and out.shape == (B, ctx.n)
             assert np.array_equal(out, ctx.mul_table(X, right))
         for r in {0, B // 2, B - 1}:
-            x = ctx.element_of(X[r])
-            assert np.array_equal(got[r], ctx.codes_of(x * ctx.element_of(Y[r])))
-            assert np.array_equal(fixed[r], ctx.codes_of(x * ctx.element_of(Y[0])))
+            x = _element(ctx, X[r])
+            assert np.array_equal(got[r], _codes(x * _element(ctx, Y[r])))
+            assert np.array_equal(fixed[r], _codes(x * _element(ctx, Y[0])))
 
 
 @pytest.mark.parametrize("group_name,m", [("quaternion:8", 3), ("dihedral:16", 1), ("cyclic:4", 2)])
@@ -216,8 +224,8 @@ def test_involute_and_augmentation_match_scalar():
     st = ctx.involute(X, sigma)
     aug = ctx.augmentation(X)
     for i in range(30):
-        x = ctx.element_of(X[i])
-        assert np.array_equal(st[i], ctx.codes_of(ga.apply_involution(x, star)))
+        x = _element(ctx, X[i])
+        assert np.array_equal(st[i], _codes(ga.apply_involution(x, star)))
         assert aug[i] == x.augmentation().code
 
 
@@ -343,6 +351,21 @@ def test_unitary_keys_batch_is_whole_words():
     ctx = AlgebraContext(make_field(2, 1), build("cyclic:4"))
     with pytest.raises(ValueError, match="multiple of 64"):
         ctx.unitary_keys(np.arange(4), batch=100)
+
+
+@pytest.mark.parametrize("method", ["unitary_keys", "normalized_batches", "span_batches"])
+@pytest.mark.parametrize("name, p", [("cyclic:9", 3), ("cyclic:4", 2)])
+@pytest.mark.parametrize("batch", [0, -1, -64])
+def test_nonpositive_batch_is_refused(method, name, p, batch):
+    # a negative step would yield no batch at all, and so an empty key set
+    group = build(name)
+    ctx = AlgebraContext(make_field(p, 1), group)
+    sigma = np.array(ga.canonical_star(group).sigma, dtype=np.intp)
+    calls = {"unitary_keys": lambda: ctx.unitary_keys(sigma, batch=batch),
+             "normalized_batches": lambda: list(ctx.normalized_batches(batch)),
+             "span_batches": lambda: list(ctx.span_batches(ctx.identity[None, :], batch=batch))}
+    with pytest.raises(ValueError, match=f"batch {batch} is not a positive"):
+        calls[method]()
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (5, 2)])

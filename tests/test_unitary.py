@@ -229,7 +229,7 @@ def test_certificate_refuses_every_dropped_pair(name, field):
         pair = np.concatenate([x, ctx.involute(x, sigma)])
         with pytest.raises(InternalInconsistency) as exc:
             _certify(ctx, sigma, keys[~np.isin(keys, ctx.pack(pair))])
-        named = [ga.format_algebra_literal(ctx.element_of(row)) for row in pair]
+        named = [ga.format_algebra_literal(ga.from_codes(ctx.field, ctx.group, row)) for row in pair]
         assert str(exc.value) in {
             f"product of two claimed unitary elements escapes the set "
             f"({name} over {field.literal()}, element {literal})" for literal in named
@@ -305,7 +305,7 @@ def test_certificate_names_the_least_key_whose_involute_is_missing(name, field):
     for picks in (moved[:1], moved[-1:], rng.choice(moved, size=5, replace=False)):
         kept = keys[~np.isin(keys, star[picks])]
         missing = ~np.isin(ctx.pack(ctx.involute(ctx.unpack(kept), sigma)), kept)
-        witness = ctx.element_of(ctx.unpack(kept[missing][:1])[0])
+        witness = ga.from_codes(ctx.field, ctx.group, ctx.unpack(kept[missing][:1])[0])
         with pytest.raises(InternalInconsistency) as exc:
             _certify(ctx, sigma, kept)
         assert str(exc.value) == (f"unitary set is not closed under the involution "
@@ -644,6 +644,80 @@ def test_n1_failure_names_group_field_and_c(monkeypatch):
         un.bounds_and_constructions(build("dihedral:16"), 4, GF4)
     assert str(exc.value) == ("0 orbits, not (|G|-|G{2}|-|T_c|)/4 = 1 "
                               "(dihedral:16 over 2^2, c = g4)")
+
+
+def _reference_n1_orbits(group, c):
+    """The {g, g^-1, gc, (gc)^-1} orbits over g with g^2 not in <c>, one group
+    element at a time, each sorted, in order of their least member."""
+    seen, orbits = set(), []
+    for g in group.elements():
+        if g in seen or group.mul(g, g) in {0, c}:
+            continue
+        orbit = {g, group.inverse(g), group.mul(g, c), group.mul(group.inverse(g), c)}
+        assert len(orbit) == 4
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def _reference_generator_identity(group, field, c, pair_reps):
+    """(1 + w g + w g^2)(1 + w g + w g^2)* = 1 + (w + w^2) g (1+c) over every
+    g in pair_reps and w in F, in scalar arithmetic."""
+    star = ga.canonical_star(group)
+    one = ga.algebra_one(field, group)
+    for g in pair_reps:
+        for omega in field.elements():
+            x = one + ga.basis_element(field, group, g).scale(omega) \
+                    + ga.basis_element(field, group, group.mul(g, g)).scale(omega)
+            ghat = ga.basis_element(field, group, g) + ga.basis_element(field, group, group.mul(g, c))
+            if x * ga.apply_involution(x, star) != one + ghat.scale(omega + omega * omega):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("field, max_order", [(GF2, 32), (GF4, 16), (GF8, 8)])
+def test_n1_orbits_and_generator_identity_match_the_scalar_references(field, max_order):
+    cells = [(entry.name, entry.build(), c) for entry in catalog_entries(max_order, 2)
+             for c in entry.build().special_sets().central_order_two]
+    assert cells
+    for name, group, c in cells:
+        orbits = un._n1_orbits(group, c, field)
+        assert [tuple(row) for row in orbits.tolist()] == _reference_n1_orbits(group, c), (name, c)
+        ctx = AlgebraContext(field, group)
+        t_c = group.square_roots(c)
+        pair_reps = sorted({min(g, group.inverse(g)) for g in t_c})
+        assert un._check_generator_identity(ctx, c, pair_reps) == \
+            _reference_generator_identity(group, field, c, pair_reps), (name, c)
+        for g in group.elements():  # every g alone, in T_c or not
+            assert un._check_generator_identity(ctx, c, [g]) == \
+                _reference_generator_identity(group, field, c, [g]), (name, c, g)
+
+
+def test_generator_identity_fails_outside_t_c():
+    # a reflection g of D8 is its own involute and g^2 = 1, so x x* = x^2 = 1,
+    # while 1 + tau(w) g (1+c) differs from 1 for w outside GF(2)
+    d8 = build("dihedral:8")
+    c = d8.special_sets().central_order_two[0]
+    reflections = [g for g in d8.elements() if g != 0 and d8.mul(g, g) == 0 and g != c]
+    ctx = AlgebraContext(GF4, d8)
+    for g in reflections:
+        assert g not in d8.square_roots(c)
+        assert not un._check_generator_identity(ctx, c, [g])
+        assert not _reference_generator_identity(d8, GF4, c, [g])
+    pair_reps = sorted({min(g, d8.inverse(g)) for g in d8.square_roots(c)})
+    assert un._check_generator_identity(ctx, c, pair_reps)
+    assert not un._check_generator_identity(ctx, c, pair_reps + reflections[:1])
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in catalog_entries(16, 2)])
+def test_char2_route_and_bounds_read_one_bracket(name):
+    group = build(name)
+    for c in group.special_sets().central_order_two:
+        sub = un.unitary_order_char2(group, GF2, c=c).subsidiary
+        rep = un.bounds_and_constructions(group, c, GF2)
+        assert (sub["t_c_size"], sub["t_c_commuting"], sub["s_h_size"],
+                sub["s_h_upper_bound"], sub["s_h_lower_bound"]) == \
+            (rep.t_c_size, rep.t_c_commuting, rep.s_h_size, rep.upper_bound, rep.lower_bound), c
 
 
 # --- order recovery -------------------------------------------------------------------------
