@@ -30,6 +30,7 @@ from .group_core import Group, validate_group
 from .unitary import (
     DEFAULT_SEARCH_CAP,
     UnitaryResult,
+    _s_h_bounds,
     oracle_search_space,
     theta,
     theta_from_order,
@@ -244,10 +245,8 @@ def cmd_theta_table(args) -> int:
     rows = []
     for entry in entries:
         group = built[entry.name]
-        commuting = any(
-            group.is_pairwise_commuting(group.square_roots(c))
-            for c in group.special_sets().central_order_two
-        )
+        commuting = any(_s_h_bounds(group, c, fields[0])[1]
+                        for c in group.special_sets().central_order_two)
         cells_here = table[entry.name]
         known = [v for v in cells_here.values() if isinstance(v, str)]
         agrees = len(set(known)) == 1 if len(known) == len(fields) and known else None

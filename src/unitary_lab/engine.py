@@ -15,8 +15,12 @@ FieldElement's polynomial arithmetic.
 In characteristic two a code's bit a is the coefficient of x^a, so addition
 is XOR and products run bitsliced: a batch becomes bit-planes, one bit per
 row in uint64 words, and a GF(2^m) product is m^2 plane ANDs and XORs plus
-the reduction by the field's modulus. The table kernel stays the reference
-the tests hold the bitsliced one to.
+the reduction by the field's modulus. Most batch products are a few rows,
+where numpy's cost per call outweighs the work, so each step runs across
+the whole group: `to_planes` shifts out all m bits in one broadcast, and
+`plane_product` gathers the Y[j] that each X[i] meets once, then takes m
+steps of an AND and an XOR-reduction over i. The table kernel stays the
+reference the tests hold the bitsliced one to.
 
 The oracle's scan (`AlgebraContext.unitary_keys`) tests x x^sigma = 1 one
 coefficient at a time in odd characteristic: coefficient k is one gather
@@ -55,7 +59,8 @@ from .group_core import Group
 MAX_TABLE_FIELD_ORDER = 512
 DEFAULT_BATCH = 1 << 16
 WORD_BITS = 64
-PLANE_CHUNK_ROWS = 1 << 14  # rows converted at a time: whole words, a transpose that stays in cache
+PLANE_CHUNK_ROWS = 1 << 14  # rows converted or multiplied at a time: whole words, a transpose
+                            # that stays in cache, a bounded gather in plane_product
 # bit b of word k is bit k of b: bits 0..5 of the indices of 64 consecutive rows
 LOW_BIT_PATTERNS = (0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
                     0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)
@@ -94,13 +99,18 @@ def field_tables(spec: FieldSpec) -> FieldTables:
 
 def digits(values: np.ndarray, radix: int, count: int) -> np.ndarray:
     """(size, count) uint16 base-radix digits of uint64 values, least
-    significant first; a power-of-two radix shifts and masks instead of
-    dividing."""
+    significant first. A power-of-two radix shifts every digit out in one
+    broadcast, (count, rows) so that the inner loop runs along the values,
+    and masks into the transposed output; PLANE_CHUNK_ROWS values at a time
+    bound the uint64 temporary. Radix 1 (width 0) gives zeros. Any other
+    radix divides digit by digit."""
     out = np.empty((values.size, count), dtype=np.uint16)
     if radix & (radix - 1) == 0:
-        width, mask = radix.bit_length() - 1, np.uint64(radix - 1)
-        for i in range(count):
-            out[:, i] = (values >> np.uint64(width * i)) & mask
+        shifts = np.arange(count, dtype=np.uint64)[:, None] * np.uint64(radix.bit_length() - 1)
+        mask = np.uint64(radix - 1)
+        for start in range(0, values.size, PLANE_CHUNK_ROWS):
+            chunk = values[start:start + PLANE_CHUNK_ROWS] >> shifts
+            np.bitwise_and(chunk, mask, out=out[start:start + PLANE_CHUNK_ROWS].T, casting="unsafe")
         return out
     v, r = values.copy(), np.uint64(radix)
     for i in range(count):
@@ -136,16 +146,19 @@ def to_planes(X: np.ndarray, m: int) -> np.ndarray:
 
     Plane a of column i holds bit a of its codes, the coefficient of x^a;
     row r is bit r % 64 of word r // 64, and the pad rows of the last word
-    are zero."""
+    are zero. Each chunk of rows takes one broadcast shift of its transpose
+    by 0, ..., m - 1, a mask to the low bit, and one packbits."""
     B, n = X.shape
     planes = np.empty((n, m, -(-B // WORD_BITS)), dtype=np.uint64)
+    shifts = np.arange(m, dtype=np.uint16)[:, None]
     for start in range(0, B, PLANE_CHUNK_ROWS):
         Xt = np.ascontiguousarray(X[start:start + PLANE_CHUNK_ROWS].T)
         rows = Xt.shape[1]
         words = -(-rows // WORD_BITS)
         bits = np.zeros((n, m, words * WORD_BITS), dtype=np.uint8)
-        for a in range(m):
-            np.bitwise_and(Xt >> a, 1, out=bits[:, a, :rows], casting="unsafe")
+        # the wrap to uint8 keeps bit 0, the only bit the mask keeps
+        np.right_shift(Xt[:, None, :], shifts, out=bits[:, :, :rows], casting="unsafe")
+        bits &= 1
         first = start // WORD_BITS
         planes[:, :, first:first + words] = (
             np.packbits(bits, axis=-1, bitorder="little").view(np.uint64))
@@ -160,7 +173,11 @@ def constant_planes(row: np.ndarray, m: int) -> np.ndarray:
 
 
 def from_planes(P: np.ndarray, B: int) -> np.ndarray:
-    """The first B rows of (n, m, words) bit-planes as (B, n) uint16 codes."""
+    """The first B rows of (n, m, words) bit-planes as (B, n) uint16 codes.
+
+    Plane a is shifted in plane by plane: an OR per plane is cheaper than one
+    broadcast shift and an OR-reduction over the (n, m, rows) bits, at every
+    batch size."""
     n, m, _ = P.shape
     out = np.empty((B, n), dtype=np.uint16)
     for start in range(0, B, PLANE_CHUNK_ROWS):
@@ -265,21 +282,26 @@ class AlgebraContext:
 
         out[g_k] = XOR over i of X[i] Y[j], g_i g_j = g_k. Each coefficient
         product is schoolbook: plane a of X[i] ANDed with plane b of Y[j]
-        lands in plane a + b of an unreduced product of 2m - 1 planes. The
-        reduction by the modulus is linear, so it runs once on the sum."""
+        lands in plane a + b of an unreduced product of 2m - 1 planes. Y is
+        gathered once as Y[left_div], (n, K, m, words) with row i holding the
+        Y[j] that X[i] meets, so each plane a of X is one AND against it and
+        one XOR-reduction over i: m vector steps, not n m. The words run in
+        pieces of PLANE_CHUNK_ROWS rows, which bounds the gathered temporary.
+        The reduction by the modulus is linear, so it runs once on the sum."""
         m = self.field.m
         left_div = self.left_div if coeffs is None else self.left_div[:, coeffs]
         words = max(xp.shape[2], yp.shape[2])
         out = np.zeros((left_div.shape[1], 2 * m - 1, words), dtype=np.uint64)
-        term = np.empty((left_div.shape[1], m, words), dtype=np.uint64)
-        for i in range(self.n):
-            xi = xp[i]
-            if not xi.any():
-                continue
-            y_over = yp[left_div[i]]
+        step = PLANE_CHUNK_ROWS // WORD_BITS
+        for start in range(0, words, step):
+            piece = slice(start, start + step)
+            x = xp if xp.shape[2] == 1 else xp[:, :, piece]
+            y_over = (yp if yp.shape[2] == 1 else yp[:, :, piece])[left_div]
+            term = np.empty(np.broadcast_shapes(y_over.shape, x[:, :1, None].shape),
+                            dtype=np.uint64)
             for a in range(m):
-                np.bitwise_and(xi[a], y_over, out=term)
-                np.bitwise_xor(out[:, a:a + m], term, out=out[:, a:a + m])
+                np.bitwise_and(x[:, a, None, None], y_over, out=term)
+                out[:, a:a + m, piece] ^= np.bitwise_xor.reduce(term, axis=0)
         for k in range(2 * m - 2, m - 1, -1):
             for t in self.taps:
                 out[:, k - m + t] ^= out[:, k]

@@ -148,14 +148,10 @@ class FieldSpec:
         return self.element([k % self.p])
 
     def from_code(self, code: int) -> "FieldElement":
-        """Inverse of FieldElement.code: little-endian base-p digits."""
+        """Inverse of FieldElement.code, read from field_elements."""
         if not 0 <= code < self.order:
             raise ValueError(f"code {code} outside [0, {self.order})")
-        digits = []
-        for _ in range(self.m):
-            code, r = divmod(code, self.p)
-            digits.append(r)
-        return FieldElement(self, tuple(digits))
+        return field_elements(self)[code]
 
     @property
     def zero(self) -> "FieldElement":
@@ -166,14 +162,23 @@ class FieldSpec:
         return self.element([1])
 
     def elements(self) -> Iterator["FieldElement"]:
-        for code in range(self.order):
-            yield self.from_code(code)
+        return iter(field_elements(self))
 
     def literal(self) -> str:
         return f"{self.p}^{self.m}"
 
     def __str__(self):
         return f"GF({self.p}^{self.m})" if self.m > 1 else f"GF({self.p})"
+
+
+@functools.lru_cache(maxsize=None)
+def field_elements(field: FieldSpec) -> tuple["FieldElement", ...]:
+    """Every element of the field, indexed by its code, built once per field.
+
+    itertools.product counts in big-endian digit order, so reversing each
+    tuple gives the little-endian digits of codes 0, 1, ..., q - 1."""
+    return tuple(FieldElement(field, digits[::-1])
+                 for digits in itertools.product(range(field.p), repeat=field.m))
 
 
 @functools.lru_cache(maxsize=None)

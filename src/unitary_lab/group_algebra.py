@@ -28,6 +28,7 @@ from .errors import (
 from .finite_field import (
     FieldElement,
     FieldSpec,
+    field_elements,
     fold_matrix as _fold_matrix,
     format_element_literal,
     is_power_of,
@@ -229,9 +230,14 @@ def from_coeffs(field: FieldSpec, group: Group, coeffs: Iterable) -> AlgebraElem
     return AlgebraElement(field, group, tuple(out))
 
 
-def from_codes(field: FieldSpec, group: Group, codes: Iterable[int]) -> AlgebraElement:
-    """The element whose coefficient of g has field code codes[g], as in a batch row."""
-    return AlgebraElement(field, group, tuple(field.from_code(int(c)) for c in codes))
+def from_codes(field: FieldSpec, group: Group, codes: np.ndarray | Sequence[int]) -> AlgebraElement:
+    """The element whose coefficient of g has field code codes[g], as in a batch
+    row; the codes index field_elements, one table lookup per row."""
+    row, table = np.asarray(codes, dtype=np.int64).tolist(), field_elements(field)
+    lo, hi = (min(row), max(row)) if row else (0, 0)
+    if lo < 0 or hi >= field.order:
+        raise ValueError(f"code {lo if lo < 0 else hi} outside [0, {field.order})")
+    return AlgebraElement(field, group, tuple(table[c] for c in row))
 
 
 # --- involutions arising from the group --------------------------------------
@@ -253,7 +259,7 @@ class GroupInvolution:
 
 def canonical_star(group: Group) -> GroupInvolution:
     """The involution induced by g -> g^-1."""
-    sigma = tuple(group.inverse(g) for g in group.elements())
+    sigma = tuple(group.left_division()[:, 0].tolist())  # g^-1 g_0 = g^-1
     return GroupInvolution(group, sigma, name="*")
 
 

@@ -282,6 +282,7 @@ def _least_central_involution(group: Group) -> int:
 class _CosetOrbit:
     """The recursion step over H = <c> for one (G, c, F); see _coset_orbit."""
 
+    ctx: AlgebraContext      # batch arithmetic of FG, shared with _fiber_scan
     order: int               # |V_*(FG)|
     vbar_order: int          # |V_*(F[Gb])|
     cosets: np.ndarray       # sorted canonical keys of the cosets of W in S_H, one per point
@@ -380,9 +381,11 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
         return ctx.pack(ctx.add(Y, beta @ w_basis)), beta, L
 
     # Schreier's orbit algorithm: one product batch per round over every
-    # (generator, frontier point) pair
+    # (generator, frontier point) pair. The points stay sorted, each with its
+    # row of the transversal, and new ones are merged in.
     transversal = bctx.identity[None, :]
-    points = np.array([ctx.identity_key], dtype=np.uint64)  # the coset key of each row
+    points = np.array([ctx.identity_key], dtype=np.uint64)  # sorted coset keys
+    point_rows = np.zeros(1, dtype=np.intp)  # the transversal row of each point
     frontier = np.zeros(1, dtype=np.intp)
     schreier_parts = [np.empty(0, dtype=np.uint64)]
     chunk = max(1, DEFAULT_BATCH // max(1, vbar_gens.shape[0]))
@@ -394,12 +397,14 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
                          np.tile(T, (vbar_gens.shape[0], 1)))
             keys = reduced(P)[0]
             distinct, first = np.unique(keys, return_index=True)
-            new = ~np.isin(distinct, points)
-            fresh.append(np.arange(points.size, points.size + int(new.sum())))
+            new = ~keys_contain(points, distinct)
+            rows = np.arange(transversal.shape[0], transversal.shape[0] + int(new.sum()))
+            fresh.append(rows)
             transversal = np.concatenate([transversal, P[first[new]]])
-            points = np.concatenate([points, distinct[new]])
-            by_key = np.argsort(points)
-            coset_rep = transversal[by_key[np.searchsorted(points, keys, sorter=by_key)]]
+            at = np.searchsorted(points, distinct[new])
+            points = np.insert(points, at, distinct[new])
+            point_rows = np.insert(point_rows, at, rows)
+            coset_rep = transversal[point_rows[np.searchsorted(points, keys)]]
             schreier_parts.append(bctx.pack(bctx.mul(bctx.involute(coset_rep, bar_inverse), P)))
         frontier = np.concatenate(fresh)
     index = points.size
@@ -429,7 +434,7 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
         raise _inconsistency(group, field, "a generator is not unitary", X[bad[0]], c)
 
     k_size = q ** (nbar - pairs.size)
-    orbit = _CosetOrbit(k_size * vbar_order // index, vbar_order, np.sort(points), X,
+    orbit = _CosetOrbit(ctx, k_size * vbar_order // index, vbar_order, points, X,
                         w_basis, reps, reps_c)
     _ORBITS[cache_key] = orbit
     return orbit
@@ -443,7 +448,7 @@ def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
     is asserted, and every y in S_H is verified symmetric, supported away
     from order-two elements, and inside I(H)^+."""
     orbit = _coset_orbit(group, c, field, search_cap)
-    ctx = AlgebraContext(field, group)
+    ctx = orbit.ctx
     w_size = field.order ** orbit.w_basis.shape[0]
     rows = orbit.cosets.size * w_size
     if rows > search_cap:

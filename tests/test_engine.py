@@ -10,11 +10,14 @@ from unitary_lab import group_algebra as ga
 from unitary_lab.engine import (
     DEFAULT_BATCH,
     MAX_TABLE_FIELD_ORDER,
+    PLANE_CHUNK_ROWS,
     AlgebraContext,
+    digits,
     field_tables,
     keys_contain,
     row_index,
     sorted_unique,
+    to_planes,
 )
 from unitary_lab.errors import SearchSpaceTooLarge
 from unitary_lab.finite_field import is_prime, make_field
@@ -124,7 +127,7 @@ def test_char2_mul_matches_table_kernel_and_scalar(group_name, m):
     for B in (1, 63, 64, 65, 1000):
         X = rng.integers(0, ctx.q, size=(B, ctx.n)).astype(np.uint16)
         Y = rng.integers(0, ctx.q, size=(B, ctx.n)).astype(np.uint16)
-        X[:, B % ctx.n] = 0  # an all-zero column is skipped
+        X[:, B % ctx.n] = 0  # an all-zero column still takes part in every plane step
         got, fixed = ctx.mul(X, Y), ctx.mul(X, Y[:1])  # a batch, and a fixed (1, n) factor
         for out, right in ((got, Y), (fixed, Y[:1])):
             assert out.dtype == np.uint16 and out.shape == (B, ctx.n)
@@ -133,6 +136,47 @@ def test_char2_mul_matches_table_kernel_and_scalar(group_name, m):
             x = _element(ctx, X[r])
             assert np.array_equal(got[r], _codes(x * _element(ctx, Y[r])))
             assert np.array_equal(fixed[r], _codes(x * _element(ctx, Y[0])))
+
+
+@pytest.mark.parametrize("group_name,m", [("dihedral:8", 2), ("abelian:2:[1,2]", 3)])
+def test_char2_mul_across_row_and_word_chunks(group_name, m):
+    # PLANE_CHUNK_ROWS + 65 rows: the conversions run two row chunks, and the
+    # product two word pieces, the second one partly filled
+    ctx = AlgebraContext(make_field(2, m), build(group_name))
+    rng = np.random.default_rng(m)
+    B = PLANE_CHUNK_ROWS + 65
+    X = rng.integers(0, ctx.q, size=(B, ctx.n)).astype(np.uint16)
+    Y = rng.integers(0, ctx.q, size=(B, ctx.n)).astype(np.uint16)
+    assert np.array_equal(ctx.mul_planes(X, Y), ctx.mul_table(X, Y))
+    assert np.array_equal(ctx.mul_planes(X, Y[:1]), ctx.mul_table(X, Y[:1]))
+
+
+@pytest.mark.parametrize("group_name,m", [("quaternion:8", 3), ("dihedral:16", 1), ("abelian:2:[1,2]", 2)])
+def test_plane_product_of_chosen_coefficients(group_name, m):
+    ctx = AlgebraContext(make_field(2, m), build(group_name))
+    rng = np.random.default_rng(ctx.n)
+    X = rng.integers(0, ctx.q, size=(200, ctx.n)).astype(np.uint16)
+    Y = rng.integers(0, ctx.q, size=(200, ctx.n)).astype(np.uint16)
+    xp, yp = to_planes(X, m), to_planes(Y, m)
+    full = ctx.plane_product(xp, yp)
+    for coeffs in (np.array([ctx.n - 1, 0, 2]), np.array([1]), np.arange(ctx.n)[::-1]):
+        assert np.array_equal(ctx.plane_product(xp, yp, coeffs), full[coeffs])
+
+
+@pytest.mark.parametrize("radix", [1, 2, 3, 4, 5, 8])
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_digits_match_divmod(radix, count):
+    # more values than PLANE_CHUNK_ROWS, so the shift path runs two chunks
+    top = max(radix ** count, 1)
+    values = np.random.default_rng(radix).integers(0, top, size=PLANE_CHUNK_ROWS + 3)
+    got = digits(values.astype(np.uint64), radix, count)
+    assert got.dtype == np.uint16 and got.shape == (values.size, count)
+    for v, row in zip(values.tolist(), got.tolist()):
+        expected = []
+        for _ in range(count):
+            v, r = divmod(v, radix)
+            expected.append(r)
+        assert row == expected
 
 
 @pytest.mark.parametrize("group_name,m", [("quaternion:8", 3), ("dihedral:16", 1), ("cyclic:4", 2)])
