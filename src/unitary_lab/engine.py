@@ -20,7 +20,8 @@ where numpy's cost per call outweighs the work, so each step runs across
 the whole group: `to_planes` shifts out all m bits in one broadcast, and
 `plane_product` gathers the Y[j] that each X[i] meets once, then takes m
 steps of an AND and an XOR-reduction over i. The table kernel stays the
-reference the tests hold the bitsliced one to.
+reference the tests hold the bitsliced one to. A norm x x^sigma converts X
+once (`AlgebraContext.norm`): X^sigma's planes are X's permuted by sigma.
 
 The oracle's scan (`AlgebraContext.unitary_keys`) tests x x^sigma = 1 one
 coefficient at a time in odd characteristic: coefficient k is one gather
@@ -39,9 +40,9 @@ sigma-symmetric, so of each moved pair {k, sigma(k)} only k is formed, by the
 bitsliced product of the planes and their permutation by sigma. A
 sigma-fixed coefficient is the square of the sum of the x_g with
 g sigma(g) = k, so it is tested linearly, by an XOR of planes.
-The certificate's involution check stays in key space there
-(`AlgebraContext.involute_keys`): a key is n fields of m bits, and an
-involution of G only moves the fields.
+The certificate's involution check and the S_H and N1/N2 listings stay in
+key space there: a key is n fields of m bits, so an involution of G only
+moves the fields (`AlgebraContext.involute_keys`) and adding rows XORs keys.
 """
 
 from __future__ import annotations
@@ -219,6 +220,7 @@ class AlgebraContext:
         self.char2 = field.p == 2
         # left_div[i, k] = j with g_i g_j = g_k
         self.left_div = group.left_division()
+        self.star = self.left_div[:, 0]  # g^-1 g_0 = g^-1, the canonical star
         if self.char2:
             # taps: x^m = sum of x^t over them
             self.taps = [t for t in range(field.m) if field.modulus[t]]
@@ -307,11 +309,16 @@ class AlgebraContext:
                 out[:, k - m + t] ^= out[:, k]
         return out[:, :m]
 
-    def involute(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        return X[:, sigma]
+    def norm(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """x x^sigma for every row x of X. In characteristic two X becomes
+        bit-planes once, as the planes of X^sigma are X's permuted by sigma."""
+        if not self.char2:
+            return self.mul(X, X[:, sigma])
+        xp = to_planes(X, self.field.m)
+        return from_planes(self.plane_product(xp, xp[sigma]), X.shape[0])
 
     def involute_keys(self, keys: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """pack(involute(unpack(keys), sigma)), batch by batch so that no
+        """pack(unpack(keys)[:, sigma]), batch by batch so that no
         temporary grows with the key count.
 
         In characteristic two the batch never leaves key space: a key is n
@@ -324,7 +331,7 @@ class AlgebraContext:
         if not self.char2:
             for start in range(0, keys.size, DEFAULT_BATCH):
                 rows = self.unpack(keys[start:start + DEFAULT_BATCH])
-                out[start:start + rows.shape[0]] = self.pack(self.involute(rows, sigma))
+                out[start:start + rows.shape[0]] = self.pack(rows[:, sigma])
             return out
         m, masks = self.field.m, {}
         for i, j in enumerate(sigma.tolist()):

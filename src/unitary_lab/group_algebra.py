@@ -253,6 +253,11 @@ class GroupInvolution:
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(g for g in self.group.elements() if self.sigma[g] == g)
 
+    def require_group(self, group: Group):
+        """Refuse a group whose table differs from the one sigma permutes."""
+        if not (self.group is group or self.group == group):
+            raise SpecMismatch("involution belongs to a different group")
+
     def __repr__(self):
         return f"GroupInvolution({self.group.id}, {self.name!r})"
 
@@ -280,8 +285,7 @@ def involution_from_map(group: Group, sigma: Sequence[int], name: str = "sigma")
 
 def apply_involution(x: AlgebraElement, inv: GroupInvolution) -> AlgebraElement:
     """(sum a_g g)^inv = sum a_g sigma(g); coefficient k comes from sigma(k)."""
-    if not (inv.group is x.group or inv.group == x.group):
-        raise SpecMismatch("involution belongs to a different group")
+    inv.require_group(x.group)
     return AlgebraElement(x.field, x.group, tuple(x.coeffs[inv.sigma[k]] for k in range(x.group.n)))
 
 

@@ -50,7 +50,6 @@ class Group:
         self.table = table
         self.n = table.shape[0]
         self.id = id or f"group:{self.n}"
-        self._inverses: np.ndarray | None = None
         self._left_division: np.ndarray | None = None
         self._orders: list[int] | None = None
         self._special: SpecialSets | None = None
@@ -80,12 +79,7 @@ class Group:
 
     def inverse(self, g: int) -> int:
         self._bounds(g)
-        return int(self._inverse_table()[g])
-
-    def _inverse_table(self) -> np.ndarray:
-        if self._inverses is None:
-            self._inverses = np.argmin(self.table, axis=1)  # position of 0 in each row
-        return self._inverses
+        return int(self.left_division()[g, 0])  # g^-1 g_0 = g^-1
 
     def left_division(self) -> np.ndarray:
         """(n, n) intp table ldiv with g_i g_ldiv[i, k] = g_k, i.e. g_i^-1 g_k."""
@@ -171,7 +165,7 @@ class Group:
         in_sub = np.zeros(self.n, dtype=bool)
         in_sub[members] = True
         # conjugates[g, k] = g h_k g^-1; the first g with one outside H is named
-        conjugates = t[t[:, members], self._inverse_table()[:, None]]
+        conjugates = t[t[:, members], self.left_division()[:, :1]]
         outside = ~in_sub[conjugates].all(axis=1)
         if outside.any():
             raise NotNormal(int(np.argmax(outside)))

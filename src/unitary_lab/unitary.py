@@ -40,7 +40,6 @@ from .group_algebra import (
     GroupInvolution,
     algebra_one,
     apply_involution,
-    canonical_star,
     format_algebra_literal,
     from_codes,
     require_p_group,
@@ -141,6 +140,7 @@ def unitary_order_odd(group: Group, inv: GroupInvolution, field: FieldSpec) -> i
     if field.p == 2:
         raise EvenCharacteristic("odd-characteristic formula requested over characteristic 2")
     require_p_group(group, field)
+    inv.require_group(group)
     fixed = len(inv.fixed_points())
     if (group.n - fixed) % 2:
         raise _inconsistency(group, field, "|G| - |G_sigma| must be even")
@@ -236,6 +236,7 @@ def _oracle_set(group: Group, inv: GroupInvolution, field: FieldSpec,
     """The sorted, read-only keys of V(FG), scanned and certified once per
     (Cayley table, field, involution): groups with equal tables share them."""
     require_p_group(group, field)
+    inv.require_group(group)
     space = oracle_search_space(group, field)
     if space > search_cap:
         raise SearchSpaceTooLarge(space, search_cap, context=f"oracle over {group.id}")
@@ -255,6 +256,8 @@ def unitary_enumerate_oracle(group: Group, inv: GroupInvolution, field: FieldSpe
                              search_cap: int = DEFAULT_SEARCH_CAP,
                              max_witnesses: int | None = DEFAULT_MAX_WITNESSES) -> UnitaryResult:
     """Filter every normalized unit by x * x^inv = 1 and certify the result."""
+    if max_witnesses is not None and max_witnesses < 0:
+        raise ValueError(f"max_witnesses {max_witnesses} is negative")
     keys = _oracle_set(group, inv, field, search_cap)
     order, space = int(keys.size), oracle_search_space(group, field)
     if order > space:
@@ -359,23 +362,18 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
 
     q, n, nbar = field.order, group.n, gbar.n
     bctx = AlgebraContext(field, gbar)
-    one = ctx.tabs.one
-    bar_inverse = np.array(canonical_star(gbar).sigma, dtype=np.intp)
-    pairs = np.flatnonzero(np.arange(nbar) < bar_inverse)  # one g per pair g != g^-1
-    sigma = np.array(canonical_star(group).sigma, dtype=np.intp)
+    pairs = np.flatnonzero(np.arange(nbar) < bctx.star)  # one g per pair g != g^-1
     reps = np.array(coset_representatives(projection, nbar), dtype=np.intp)
     reps_c = ctx.gtable[reps, c]
-    sym_basis = np.zeros((nbar, nbar), dtype=np.uint16)  # row g: g + g^-1, or g if g = g^-1
-    sym_basis[np.arange(nbar), np.arange(nbar)] = one
-    sym_basis[np.arange(nbar), bar_inverse] = one
-    w_basis = np.zeros((pairs.size, n), dtype=np.uint16)  # (1+c) lift(g + g^-1), g in pairs
-    w_basis[:, reps] = w_basis[:, reps_c] = sym_basis[pairs]
+    inverse_pairs = np.stack([np.arange(nbar), bctx.star], axis=1)  # (g, g^-1)
+    lifted = np.concatenate([reps[inverse_pairs[pairs]], reps_c[inverse_pairs[pairs]]], axis=1)
+    w_basis = _basis_sums(ctx, lifted)  # (1+c) lift(g + g^-1), g in pairs
 
     def reduced(U):
         """Canonical keys of the cosets L L* + W over the rows u of U, beta, and L."""
         L = np.zeros((U.shape[0], n), dtype=np.uint16)
         L[:, reps] = U
-        Y = ctx.mul(L, ctx.involute(L, sigma))
+        Y = ctx.norm(L, ctx.star)
         beta = Y[:, reps[pairs]]
         # the rows of w_basis have disjoint supports, so the product adds no two codes
         return ctx.pack(ctx.add(Y, beta @ w_basis)), beta, L
@@ -405,7 +403,7 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
             points = np.insert(points, at, distinct[new])
             point_rows = np.insert(point_rows, at, rows)
             coset_rep = transversal[point_rows[np.searchsorted(points, keys)]]
-            schreier_parts.append(bctx.pack(bctx.mul(bctx.involute(coset_rep, bar_inverse), P)))
+            schreier_parts.append(bctx.pack(bctx.mul(coset_rep[:, bctx.star], P)))
         frontier = np.concatenate(fresh)
     index = points.size
     if vbar_order % index:
@@ -421,7 +419,7 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
         raise _inconsistency(group, field, "a Schreier generator is not solvable", L[bad[0]], c)
     b0 = np.zeros((S.shape[0], nbar), dtype=np.uint16)
     b0[:, pairs] = beta
-    sym_basis = sym_basis[np.arange(nbar) <= bar_inverse]
+    sym_basis = _basis_sums(bctx, inverse_pairs[np.arange(nbar) <= bctx.star])  # g + g^-1, g <= g^-1
     powers_of_x = np.array([1 << a for a in range(field.m)], dtype=np.uint16)
     k_parts = (powers_of_x[:, None, None] * sym_basis[None, :, :]).reshape(-1, nbar)
     U = np.concatenate([S, np.repeat(bctx.identity[None, :], k_parts.shape[0], axis=0)])
@@ -429,7 +427,7 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     X = np.empty((U.shape[0], n), dtype=np.uint16)
     X[:, reps] = bctx.add(U, A)
     X[:, reps_c] = A
-    bad = np.flatnonzero(~ctx.is_one(ctx.mul(X, ctx.involute(X, sigma))))
+    bad = np.flatnonzero(~ctx.is_one(ctx.norm(X, ctx.star)))
     if bad.size:
         raise _inconsistency(group, field, "a generator is not unitary", X[bad[0]], c)
 
@@ -455,21 +453,14 @@ def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
         raise SearchSpaceTooLarge(rows, search_cap, context=f"S_H cosets over {group.id}")
     if orbit.s_h_keys is not None:
         return orbit, orbit.s_h_keys, ctx
-    w_rows = np.concatenate(list(ctx.span_batches(orbit.w_basis)))
-    chunk = max(1, DEFAULT_BATCH // w_size)
-    s_h_parts = []
-    for start in range(0, orbit.cosets.size, chunk):
-        base = ctx.unpack(orbit.cosets[start:start + chunk])
-        s_h_parts.append(ctx.pack(ctx.add(base[:, None, :], w_rows[None, :, :]).reshape(-1, group.n)))
-    s_h_keys = sorted_unique(np.concatenate(s_h_parts))
+    s_h_keys = _sum_keys(ctx, orbit.cosets, (orbit.w_basis, None))
     if s_h_keys.size != rows:
         raise _inconsistency(group, field, f"|S_H| = {s_h_keys.size} != index |W| = "
                                            f"{orbit.cosets.size} * {w_size}", c=c)
 
     # S_H membership properties
     ys = ctx.unpack(s_h_keys)
-    sigma = np.array(canonical_star(group).sigma, dtype=np.intp)
-    bad = np.flatnonzero((ctx.involute(ys, sigma) != ys).any(axis=1))
+    bad = np.flatnonzero((ys[:, ctx.star] != ys).any(axis=1))
     if bad.size:
         raise _inconsistency(group, field, "an element of S_H is not symmetric", ys[bad[0]], c)
     order_two = [g for g in group.special_sets().order_two if g != 0]
@@ -491,6 +482,8 @@ def s_h_enumerate(group: Group, c: int, field: FieldSpec, *,
                   search_cap: int = DEFAULT_SEARCH_CAP,
                   max_samples: int = DEFAULT_MAX_WITNESSES) -> tuple[int, list[AlgebraElement]]:
     """|S_H| for H = <c>, plus sample elements of S_H."""
+    if max_samples < 0:
+        raise ValueError(f"max_samples {max_samples} is negative")
     if field.p != 2:
         raise OddCharacteristic("S_H enumeration requires characteristic 2")
     require_p_group(group, field)
@@ -518,7 +511,7 @@ def unitary_order_char2(group: Group, field: FieldSpec, *, c: int | None = None,
     """|V_*(FG)| by the quotient recursion over H = <c>, down to order 1.
 
     c defaults to the least central involution; choosing another is how
-    choice-independence is exercised."""
+    choice-independence is exercised. Theta is asserted integral here."""
     if field.p != 2:
         raise OddCharacteristic("characteristic-two recursion over an odd field")
     require_p_group(group, field)
@@ -538,19 +531,16 @@ def unitary_order_char2(group: Group, field: FieldSpec, *, c: int | None = None,
         "s_h_upper_bound": upper,
         "s_h_lower_bound": lower,
     }
-    return UnitaryResult(group.id, field, "*", "recursive", orbit.order,
-                         theta_from_order(orbit.order, field, group), subsidiary=subsidiary)
+    value = theta_from_order(orbit.order, field, group)
+    if value.denominator != 1:
+        raise _inconsistency(group, field, f"non-integer theta {value}", c=c)
+    return UnitaryResult(group.id, field, "*", "recursive", orbit.order, value, subsidiary=subsidiary)
 
 
 def theta(group: Group, field: FieldSpec, *,
           search_cap: int = DEFAULT_SEARCH_CAP) -> Fraction:
-    """|V_*(FG)| / |F|^((|G|+|G{2}|)/2 - 1), asserted integral."""
-    if field.p != 2:
-        raise OddCharacteristic("theta is defined over characteristic-two fields")
-    value = unitary_order_char2(group, field, search_cap=search_cap).theta
-    if value.denominator != 1:
-        raise _inconsistency(group, field, f"non-integer theta {value}")
-    return value
+    """|V_*(FG)| / |F|^((|G|+|G{2}|)/2 - 1), asserted integral by unitary_order_char2."""
+    return unitary_order_char2(group, field, search_cap=search_cap).theta
 
 
 # --- N1 / N2 constructions ---------------------------------------------------------
@@ -608,8 +598,9 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
     if len(orbits) != expected_k1:
         raise _inconsistency(group, field, f"{len(orbits)} orbits, not "
                                            f"(|G|-|G{{2}}|-|T_c|)/4 = {expected_k1}", c=c)
+    one_key = np.array([ctx.identity_key], dtype=np.uint64)
     n1_part = (_basis_sums(ctx, orbits), None)
-    n1_keys = _one_plus_span_keys(ctx, n1_part)
+    n1_keys = _sum_keys(ctx, one_key, n1_part)
     n1_size = int(n1_keys.size)
     if n1_size != field.order ** expected_k1:
         raise _inconsistency(group, field, f"|N1| = {n1_size} disagrees with "
@@ -622,14 +613,14 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
         pair_reps = t_c[t_c < ctx.gtable[t_c, c]]  # g < g^-1 = gc
         n2_part = (_basis_sums(ctx, np.stack([pair_reps, ctx.gtable[pair_reps, c]], axis=1)),
                    np.unique(_tau_codes(ctx)))
-        n2_keys = _one_plus_span_keys(ctx, n2_part)
+        n2_keys = _sum_keys(ctx, one_key, n2_part)
         n2_size = int(n2_keys.size)
         expected_n2 = (field.order // 2) ** (len(t_c) // 2)
         if n2_size != expected_n2:
             raise _inconsistency(group, field, f"|N2| = {n2_size} disagrees with "
                                                f"(|F|/2)^(|T_c|/2) = {expected_n2}", c=c)
         n2_inside = bool(keys_contain(s_h_keys, n2_keys).all())
-        prod_keys = _one_plus_span_keys(ctx, n1_part, n2_part)
+        prod_keys = _sum_keys(ctx, one_key, n1_part, n2_part)
         if prod_keys.size != n1_size * n2_size:
             raise _inconsistency(group, field, f"|N1 x N2| = {prod_keys.size} is not "
                                                f"|N1| |N2| = {n1_size} * {n2_size}", c=c)
@@ -642,8 +633,8 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
 
 
 def _basis_sums(ctx: AlgebraContext, indices: np.ndarray) -> np.ndarray:
-    """Per row of distinct group indices, the sum of those basis elements as a
-    code row: (g + g^-1)(1 + c) spans N1, g(1 + c) for g^2 = c spans N2."""
+    """Per row of group indices, the sum of the distinct basis elements among
+    them as a code row: (g + g^-1)(1 + c) spans N1, g(1 + c) for g^2 = c spans N2."""
     rows = np.zeros((len(indices), ctx.n), dtype=np.uint16)
     rows[np.arange(len(indices))[:, None], indices] = ctx.tabs.one
     return rows
@@ -654,14 +645,17 @@ def _tau_codes(ctx: AlgebraContext) -> np.ndarray:
     return ctx.tabs.add[np.arange(ctx.q), np.diagonal(ctx.tabs.mul)]
 
 
-def _one_plus_span_keys(ctx: AlgebraContext, *parts) -> np.ndarray:
-    """Sorted keys of 1 + span(part) + ... over (basis rows, coefficient codes)
-    parts; codes None is the whole field. Both parts give {x y : x in N1, y in N2}."""
-    rows = ctx.identity[None, :]
+def _sum_keys(ctx: AlgebraContext, keys: np.ndarray, *parts) -> np.ndarray:
+    """Sorted, distinct keys of x + span(part) + ... over the keys x and the
+    (basis rows, coefficient codes) parts; codes None is the whole field. From
+    the key of 1, both N parts give {x y : x in N1, y in N2}. In characteristic
+    two a key is n fields of m bits, so adding rows XORs their keys."""
+    if not ctx.char2:
+        raise OddCharacteristic("key sums require characteristic 2")
     for basis, codes in parts:
-        span = np.concatenate(list(ctx.span_batches(basis, coefficient_codes=codes)))
-        rows = ctx.add(rows[:, None, :], span[None, :, :]).reshape(-1, ctx.n)
-    return sorted_unique(ctx.pack(rows))
+        span = ctx.pack(np.concatenate(list(ctx.span_batches(basis, coefficient_codes=codes))))
+        keys = (keys[:, None] ^ span).ravel()
+    return sorted_unique(keys)
 
 
 def _check_generator_identity(ctx: AlgebraContext, c: int, pair_reps: np.ndarray) -> bool:
@@ -676,7 +670,7 @@ def _check_generator_identity(ctx: AlgebraContext, c: int, pair_reps: np.ndarray
     X[:, 0] = R[:, 0] = ctx.tabs.one
     for Z, at, value in ((X, g, w), (X, ctx.gtable[g, g], w), (R, g, tau), (R, ctx.gtable[g, c], tau)):
         Z[rows, at] = add[Z[rows, at], value]  # one at a time, so coinciding indices add
-    return bool(np.array_equal(ctx.mul(X, ctx.involute(X, ctx.left_div[:, 0])), R))  # g* = g^-1
+    return bool(np.array_equal(ctx.norm(X, ctx.star), R))
 
 
 # --- order recovery -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 
+import dataclasses
 import json
 import sys
 
@@ -235,3 +236,21 @@ def test_internal_inconsistency_over_gf11_exits_two(capsys, monkeypatch):
                            "--method", "oracle")
     assert code == 2
     assert "misses the identity (cyclic:1 over 11^2, element 1.0*g0)" in err
+
+
+def test_non_integral_theta_exits_two(capsys, monkeypatch):
+    # an order |F|^((|G|+|G{2}|)/2 - 1) does not divide fails compute, as it fails theta-table
+    scan = unitary._fiber_scan
+
+    def forged_scan(*args, **kwargs):
+        orbit, keys, ctx = scan(*args, **kwargs)
+        return dataclasses.replace(orbit, order=3), keys, ctx
+
+    monkeypatch.setattr(unitary, "_fiber_scan", forged_scan)
+    for method in ("recursive", "auto"):
+        clear_caches()
+        code, out, err = run_cli(capsys, "compute", "--group", "dihedral:8", "--field", "2^1",
+                                 "--method", method)
+        assert (code, out) == (2, "")
+        assert err == "internal inconsistency: non-integer theta 3/64 (dihedral:8 over 2^1, c = g2)\n"
+    clear_caches()

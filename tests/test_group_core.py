@@ -107,6 +107,16 @@ def test_element_queries_dihedral_reflection():
     assert d8.order_of(s) == 2
 
 
+@pytest.mark.parametrize("p, max_order", [(2, 64), (3, 27)])
+def test_inverse_matches_the_position_of_the_identity(p, max_order):
+    entries = cat.catalog_entries(max_order, p)
+    assert entries
+    for entry in entries:
+        group = entry.build()
+        expected = np.argmin(group.table, axis=1)  # g g^-1 = g_0, the least entry of row g
+        assert [group.inverse(g) for g in group.elements()] == expected.tolist(), entry.name
+
+
 def test_element_queries_bounds():
     c4 = cat.build("cyclic:4")
     with pytest.raises(IndexOutOfRange):

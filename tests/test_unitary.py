@@ -18,6 +18,7 @@ from unitary_lab.errors import (
     NotPGroupOverField,
     OddCharacteristic,
     SearchSpaceTooLarge,
+    SpecMismatch,
 )
 from unitary_lab.finite_field import make_field
 from unitary_lab.group_catalog import abelian, build, catalog_entries
@@ -126,6 +127,31 @@ def test_oracle_respects_search_cap():
         un.unitary_enumerate_oracle(c4, ga.canonical_star(c4), GF2, search_cap=4)
 
 
+def test_involution_of_another_group_is_refused():
+    # E4's star on C4 would count 4 elements, and C3's star on C9 index past sigma
+    c4, c9 = build("cyclic:4"), build("cyclic:9")
+    for group, other, field in ((c4, build("elementary_abelian:2:2"), GF2), (c9, build("cyclic:3"), GF3)):
+        with pytest.raises(SpecMismatch, match="different group"):
+            un.unitary_enumerate_oracle(group, ga.canonical_star(other), field)
+    with pytest.raises(SpecMismatch, match="different group"):
+        un.unitary_order_odd(c9, ga.canonical_star(build("cyclic:3")), GF3)
+    # a group with an equal table is the same group
+    twin = validate_group(c4.table, id="twin")
+    assert un.unitary_enumerate_oracle(c4, ga.canonical_star(twin), GF2).order == 8
+
+
+def test_negative_caps_are_refused():
+    # a negative cap would slice from the end, not refuse
+    d8 = build("dihedral:8")
+    with pytest.raises(ValueError, match="max_witnesses -1 is negative"):
+        un.unitary_enumerate_oracle(d8, ga.canonical_star(d8), GF2, max_witnesses=-1)
+    with pytest.raises(ValueError, match="max_samples -2 is negative"):
+        un.s_h_enumerate(d8, 2, GF2, max_samples=-2)
+    assert un.unitary_enumerate_oracle(d8, ga.canonical_star(d8), GF2, max_witnesses=0).elements == ()
+    size, samples = un.s_h_enumerate(d8, 2, GF2, max_samples=0)
+    assert size > 0 and samples == []
+
+
 def test_oracle_witness_cap():
     c4 = build("cyclic:4")
     res = un.unitary_enumerate_oracle(c4, ga.canonical_star(c4), GF2, max_witnesses=3)
@@ -226,7 +252,7 @@ def test_certificate_refuses_every_dropped_pair(name, field):
     ctx, sigma, keys = _scan(group, field)
     for key in keys[keys != ctx.identity_key]:
         x = ctx.unpack(np.array([key]))
-        pair = np.concatenate([x, ctx.involute(x, sigma)])
+        pair = np.concatenate([x, x[:, sigma]])
         with pytest.raises(InternalInconsistency) as exc:
             _certify(ctx, sigma, keys[~np.isin(keys, ctx.pack(pair))])
         named = [ga.format_algebra_literal(ga.from_codes(ctx.field, ctx.group, row)) for row in pair]
@@ -299,12 +325,12 @@ def test_certificate_names_the_least_key_whose_involute_is_missing(name, field):
     # involute is gone, found here by the row route, is the element named
     group = build(name)
     ctx, sigma, keys = _scan(group, field)
-    star = ctx.pack(ctx.involute(ctx.unpack(keys), sigma))
+    star = ctx.pack(ctx.unpack(keys)[:, sigma])
     moved = np.flatnonzero(star != keys)
     rng = np.random.default_rng(field.order)
     for picks in (moved[:1], moved[-1:], rng.choice(moved, size=5, replace=False)):
         kept = keys[~np.isin(keys, star[picks])]
-        missing = ~np.isin(ctx.pack(ctx.involute(ctx.unpack(kept), sigma)), kept)
+        missing = ~np.isin(ctx.pack(ctx.unpack(kept)[:, sigma]), kept)
         witness = ga.from_codes(ctx.field, ctx.group, ctx.unpack(kept[missing][:1])[0])
         with pytest.raises(InternalInconsistency) as exc:
             _certify(ctx, sigma, kept)
@@ -345,7 +371,7 @@ def test_involute_keys_match_the_row_route(name, field):
         key_sets.append(ctx.unitary_keys(np.array(ga.canonical_star(group).sigma, dtype=np.intp)))
     for sigma in _involutions(group, rng, 3) + [rng.permutation(group.n)]:
         for k in key_sets:
-            expected = ctx.pack(ctx.involute(ctx.unpack(k), sigma))
+            expected = ctx.pack(ctx.unpack(k)[:, sigma])
             assert ctx.involute_keys(k, sigma).tobytes() == expected.tobytes(), sigma
 
 
@@ -355,7 +381,7 @@ def test_involute_keys_under_the_relabeled_d8_involution(field):
     ctx = AlgebraContext(field, relabeled)
     sigma = np.array(inv.sigma, dtype=np.intp)
     keys = ctx.unitary_keys(sigma)
-    assert ctx.involute_keys(keys, sigma).tobytes() == ctx.pack(ctx.involute(ctx.unpack(keys), sigma)).tobytes()
+    assert ctx.involute_keys(keys, sigma).tobytes() == ctx.pack(ctx.unpack(keys)[:, sigma]).tobytes()
     _certify(ctx, sigma, keys)
 
 
@@ -417,6 +443,38 @@ def test_s_h_matches_scalar_brute_force(name):
         expected = _scalar_s_h(group, c, GF2)
         assert size == len(samples) == len(expected), (name, c)
         assert set(samples) == expected, (name, c)
+
+
+def _reference_sum_keys(ctx, keys, *parts):
+    """Sorted keys of keys + span(part) + ..., row by row: unpack, add, pack."""
+    rows = ctx.unpack(keys)
+    for basis, codes in parts:
+        span = np.concatenate(list(ctx.span_batches(basis, coefficient_codes=codes)))
+        rows = ctx.add(rows[:, None, :], span[None, :, :]).reshape(-1, ctx.n)
+    return np.unique(ctx.pack(rows))
+
+
+@pytest.mark.parametrize("name, m", [(entry.name, m) for m, max_order in ((1, 16), (2, 8))
+                                     for entry in catalog_entries(max_order, 2)])
+def test_sum_keys_match_row_sums(name, m):
+    # S_H from the orbit's cosets, N1 from 1, and N1 times a span over im(tau)
+    group, field = build(name), make_field(2, m)
+    for c in group.special_sets().central_order_two:
+        orbit, _, ctx = un._fiber_scan(group, c, field, search_cap=un.DEFAULT_SEARCH_CAP)
+        one = np.array([ctx.identity_key], dtype=np.uint64)
+        n1_part = (un._basis_sums(ctx, un._n1_orbits(group, c, field)), None)
+        tau_part = (orbit.w_basis, np.unique(un._tau_codes(ctx)))
+        for keys, parts in ((orbit.cosets, [(orbit.w_basis, None)]), (one, [n1_part]),
+                            (one, [n1_part, tau_part])):
+            expected = _reference_sum_keys(ctx, keys, *parts)
+            assert un._sum_keys(ctx, keys, *parts).tobytes() == expected.tobytes(), (name, c)
+
+
+def test_sum_keys_refuse_odd_characteristic():
+    # an odd key is a base-q number, not fields of bits, so XOR would not add
+    ctx = AlgebraContext(GF3, build("cyclic:3"))
+    with pytest.raises(OddCharacteristic):
+        un._sum_keys(ctx, np.array([ctx.identity_key], dtype=np.uint64), (ctx.identity[None, :], None))
 
 
 def test_s_h_failure_names_group_field_c_and_element(monkeypatch):
