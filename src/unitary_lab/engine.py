@@ -40,9 +40,11 @@ sigma-symmetric, so of each moved pair {k, sigma(k)} only k is formed, by the
 bitsliced product of the planes and their permutation by sigma. A
 sigma-fixed coefficient is the square of the sum of the x_g with
 g sigma(g) = k, so it is tested linearly, by an XOR of planes.
-The certificate's involution check and the S_H and N1/N2 listings stay in
-key space there: a key is n fields of m bits, so an involution of G only
-moves the fields (`AlgebraContext.involute_keys`) and adding rows XORs keys.
+The certificate's involution check, the S_H and N1/N2 listings and the
+S_H membership checks stay in key space there: a key is n fields of m bits,
+so a permutation of G's indices only moves the fields
+(`AlgebraContext.involute_keys`), adding rows XORs keys, and a coefficient
+is tested through a mask on its field.
 """
 
 from __future__ import annotations
@@ -318,12 +320,13 @@ class AlgebraContext:
         return from_planes(self.plane_product(xp, xp[sigma]), X.shape[0])
 
     def involute_keys(self, keys: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """pack(unpack(keys)[:, sigma]), batch by batch so that no
+        """pack(unpack(keys)[:, sigma]) for any permutation sigma of G's
+        indices (an involution, or g -> gc), batch by batch so that no
         temporary grows with the key count.
 
         In characteristic two the batch never leaves key space: a key is n
-        fields of m bits, field i holding column i's code, and the involution
-        only moves fields, field sigma[i] to field i, a shift by m (i - sigma[i]).
+        fields of m bits, field i holding column i's code, and sigma only
+        moves fields, field sigma[i] to field i, a shift by m (i - sigma[i]).
         The fields that share a shift move under one mask, so the keys are
         masked, shifted and ORed once per distinct shift. Odd characteristic
         unpacks, permutes and packs."""
@@ -355,8 +358,7 @@ class AlgebraContext:
         return s
 
     def is_one(self, Y: np.ndarray) -> np.ndarray:
-        # keys are base-q digit strings, so only the identity's row has its key
-        return Y.astype(np.uint64) @ self.powers == self.identity_key
+        return (Y == self.identity).all(axis=1)
 
     # --- the oracle scan -------------------------------------------------------
 

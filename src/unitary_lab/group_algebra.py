@@ -216,15 +216,18 @@ def _check_basis_index(group: Group, g: int):
 
 
 def from_coeffs(field: FieldSpec, group: Group, coeffs: Iterable) -> AlgebraElement:
-    """Coefficients as FieldElements of `field` or as integers, read mod p."""
+    """Coefficients as FieldElements of `field` or as integers (int or
+    np.integer, not bool), read mod p; anything else is refused."""
     out = []
     for c in coeffs:
         if isinstance(c, FieldElement):
             if c.spec != field:
                 raise FieldMismatch(f"coefficient from {c.spec} in an algebra over {field}")
             out.append(c)
-        else:
+        elif isinstance(c, (int, np.integer)) and not isinstance(c, bool):
             out.append(field.from_int(int(c)))
+        else:
+            raise ValueError(f"coefficient {c!r} is neither an integer nor an element of {field}")
     if len(out) != group.n:
         raise ValueError(f"need {group.n} coefficients, got {len(out)}")
     return AlgebraElement(field, group, tuple(out))

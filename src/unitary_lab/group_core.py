@@ -107,15 +107,13 @@ class Group:
     def special_sets(self) -> SpecialSets:
         if self._special is None:
             t = self.table
-            rng = np.arange(self.n)
-            sq = t[rng, rng]
+            sq = t.diagonal()
             order_two = tuple(int(i) for i in np.flatnonzero(sq == 0))
+            g2 = set(order_two)  # G{2}
             squares = tuple(sorted(set(int(s) for s in sq)))
-            square_order_two = tuple(s for s in squares if s in set(order_two))
-            central = tuple(
-                int(g) for g in rng if np.array_equal(t[g, :], t[:, g])
-            )
-            central_order_two = tuple(g for g in central if g != 0 and g in set(order_two))
+            square_order_two = tuple(s for s in squares if s in g2)
+            central = tuple(int(g) for g in np.flatnonzero((t == t.T).all(axis=1)))  # row g == column g
+            central_order_two = tuple(g for g in central if g != 0 and g in g2)
             self._special = SpecialSets(central, order_two, squares, square_order_two, central_order_two)
         return self._special
 

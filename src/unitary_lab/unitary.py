@@ -291,8 +291,6 @@ class _CosetOrbit:
     cosets: np.ndarray       # sorted canonical keys of the cosets of W in S_H, one per point
     generators: np.ndarray   # code rows generating V_*(FG)
     w_basis: np.ndarray      # (1+c) lift(g + g^-1), one row per pair g != g^-1 of Gb
-    reps: np.ndarray         # the least representative of each coset of H, and c times it
-    reps_c: np.ndarray
     s_h_keys: np.ndarray | None = None  # listed by _fiber_scan when first asked for
 
 
@@ -432,8 +430,7 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
         raise _inconsistency(group, field, "a generator is not unitary", X[bad[0]], c)
 
     k_size = q ** (nbar - pairs.size)
-    orbit = _CosetOrbit(ctx, k_size * vbar_order // index, vbar_order, points, X,
-                        w_basis, reps, reps_c)
+    orbit = _CosetOrbit(ctx, k_size * vbar_order // index, vbar_order, points, X, w_basis)
     _ORBITS[cache_key] = orbit
     return orbit
 
@@ -444,7 +441,8 @@ def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
 
     Returns (the orbit, distinct S_H keys, the context of FG). |S_H| = index |W|
     is asserted, and every y in S_H is verified symmetric, supported away
-    from order-two elements, and inside I(H)^+."""
+    from order-two elements, and inside I(H)^+. The checks stay in key space,
+    as the listing does: only a failing key, the witness, is unpacked."""
     orbit = _coset_orbit(group, c, field, search_cap)
     ctx = orbit.ctx
     w_size = field.order ** orbit.w_basis.shape[0]
@@ -458,22 +456,19 @@ def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
         raise _inconsistency(group, field, f"|S_H| = {s_h_keys.size} != index |W| = "
                                            f"{orbit.cosets.size} * {w_size}", c=c)
 
-    # S_H membership properties
-    ys = ctx.unpack(s_h_keys)
-    bad = np.flatnonzero((ys[:, ctx.star] != ys).any(axis=1))
-    if bad.size:
-        raise _inconsistency(group, field, "an element of S_H is not symmetric", ys[bad[0]], c)
-    order_two = [g for g in group.special_sets().order_two if g != 0]
-    bad = np.flatnonzero(ys[:, order_two].any(axis=1))
-    if bad.size:
-        raise _inconsistency(group, field, "an element of S_H is supported on an order-two "
-                                           "element", ys[bad[0]], c)
-    pushed = ctx.add(ys[:, orbit.reps], ys[:, orbit.reps_c])  # Psi(y)
-    pushed[:, 0] = ctx.add(pushed[:, 0], ctx.tabs.one)       # Psi(y) - 1, in characteristic 2
-    bad = np.flatnonzero(pushed.any(axis=1))
-    if bad.size:
-        raise _inconsistency(group, field, "an element of S_H falls outside I(H)^+",
-                             ys[bad[0]], c)
+    # S_H membership properties, on the keys: field g is bits m g .. m g + m - 1.
+    # Field g of y + y^(g -> gc) is y_g + y_gc, so Psi(y) = 1 iff it is 1 on H, 0 off it.
+    g2_mask = sum((field.order - 1) << (field.m * g)
+                  for g in group.special_sets().order_two if g != 0)
+    one_plus_c = ctx.pack(_basis_sums(ctx, [[0, c]]))[0]
+    for what, fails in (
+            ("is not symmetric", ctx.involute_keys(s_h_keys, ctx.star) != s_h_keys),
+            ("is supported on an order-two element", s_h_keys & np.uint64(g2_mask) != 0),
+            ("falls outside I(H)^+",
+             ctx.involute_keys(s_h_keys, ctx.gtable[:, c]) ^ s_h_keys != one_plus_c)):
+        if fails.any():
+            raise _inconsistency(group, field, f"an element of S_H {what}",
+                                 ctx.unpack(s_h_keys[fails][:1])[0], c)
     orbit.s_h_keys = s_h_keys
     return orbit, s_h_keys, ctx
 

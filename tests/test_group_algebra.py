@@ -447,6 +447,19 @@ def test_from_coeffs_refuses_coefficients_from_another_field():
         ga.from_coeffs(GF3, c3, [make_field(5, 2).element([1, 1]), 0, 0])
 
 
+@pytest.mark.parametrize("coefficient", ["2", True, 1.5, np.float64(2.7), np.bool_(True), None])
+def test_from_coeffs_refuses_coefficients_that_are_not_integers(coefficient):
+    # int() would read "2" as 2, True and 1.5 as 1, and np.float64(2.7) as 2
+    with pytest.raises(ValueError, match="is neither an integer nor an element of"):
+        ga.from_coeffs(GF3, build("cyclic:3"), [coefficient, 0, 0])
+
+
+def test_from_coeffs_reads_integers_of_any_integer_type_mod_p():
+    c3 = build("cyclic:3")
+    x = ga.from_coeffs(GF3, c3, [np.int64(5), np.uint8(4), -3])
+    assert x == ga.from_coeffs(GF3, c3, [GF3.from_int(2), GF3.one, GF3.zero])
+
+
 def test_algebra_literals_round_trip():
     c4 = build("cyclic:4")
     x = ga.from_coeffs(GF4, c4, [GF4.one, GF4.element([0, 1]), GF4.zero, GF4.one])

@@ -13,6 +13,7 @@ from unitary_lab.errors import (
     NotNormal,
 )
 from unitary_lab.group_core import (
+    SpecialSets,
     SubgroupHandle,
     coset_representatives,
     validate_group,
@@ -144,6 +145,19 @@ def test_special_sets_c4():
     assert s.squares == (0, 2)
     assert s.square_order_two == (0, 2)
     assert len(s.square_order_two) == 2
+
+
+@pytest.mark.parametrize("p, max_order", [(2, 64), (3, 27), (5, 25)])
+def test_special_sets_match_the_loop_reference(p, max_order):
+    for g in cat.sweep(max_order, p):
+        t, elements = g.table, range(g.n)
+        order_two = tuple(a for a in elements if t[a, a] == 0)
+        squares = tuple(sorted({int(t[a, a]) for a in elements}))
+        center = tuple(a for a in elements if all(t[a, b] == t[b, a] for b in elements))
+        expected = SpecialSets(center, order_two, squares,
+                               tuple(s for s in squares if s in order_two),
+                               tuple(a for a in center if a != 0 and a in order_two))
+        assert g.special_sets() == expected, g.id
 
 
 def test_square_roots_d8():

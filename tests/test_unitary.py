@@ -495,6 +495,34 @@ def test_s_h_failure_names_group_field_c_and_element(monkeypatch):
     assert "element " in message and "*g" in message
 
 
+@pytest.mark.parametrize("flip, what, witness", [
+    # g + gc with g^2 not in <c>: Psi adds 2 g = 0 and G{2} is untouched
+    ((1, 5), "is not symmetric", "10*g0 + 10*g1 + 10*g5"),
+    # 1 + c: symmetric, and Psi adds 1 + 1 = 0
+    ((0, 4), "is supported on an order-two element", "10*g4"),
+    # g + g^-1 off G{2} without its c-partner: Psi adds g + g^-1 != 0 in Q16/<c>
+    ((1, 7), "falls outside I(H)^+", "10*g0 + 10*g1 + 10*g7"),
+])
+def test_s_h_check_names_the_element_that_breaks_it(monkeypatch, flip, what, witness):
+    # the S_H listing over Q16/GF(4), c = g4, with 1 moved off exactly one property;
+    # "10" is the literal of 1 in GF(4)
+    q16, c = build("quaternion:16"), 4
+    assert q16.mul(1, c) == 5 and q16.inverse(1) == 7 and q16.mul(1, 1) not in (0, c)
+    sum_keys = un._sum_keys
+
+    def forged(ctx, keys, *parts):
+        listed = sum_keys(ctx, keys, *parts)
+        moved = ctx.identity_key ^ ctx.pack(un._basis_sums(ctx, [list(flip)]))[0]
+        return np.sort(np.where(listed == ctx.identity_key, moved, listed))
+
+    monkeypatch.setattr(un, "_sum_keys", forged)
+    monkeypatch.setattr(un, "_ORBITS", {})
+    with pytest.raises(InternalInconsistency) as exc:
+        un._fiber_scan(q16, c, GF4, search_cap=un.DEFAULT_SEARCH_CAP)
+    assert str(exc.value) == (f"an element of S_H {what} "
+                              f"(quaternion:16 over 2^2, c = g4, element {witness})")
+
+
 # --- characteristic-two recursion -----------------------------------------------------
 
 def test_char2_regressions():
