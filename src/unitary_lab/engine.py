@@ -342,8 +342,9 @@ class AlgebraContext:
         for start in range(0, keys.size, DEFAULT_BATCH):
             batch, star = keys[start:start + DEFAULT_BATCH], out[start:start + DEFAULT_BATCH]
             star[:] = 0
+            moved = np.empty_like(batch)
             for shift, mask in masks.items():
-                moved = batch & np.uint64(mask)
+                np.bitwise_and(batch, np.uint64(mask), out=moved)
                 if shift > 0:
                     moved <<= np.uint64(shift)
                 elif shift < 0:

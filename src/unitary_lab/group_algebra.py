@@ -1,8 +1,9 @@
 """The group algebra FG as a finite-dimensional algebra.
 
 Dense coefficient vectors over a FieldSpec, indexed by group elements;
-multiplication is the convolution induced by the Cayley table, computed on
-the coefficient digits with numpy. Houses the augmentation map, unit
+multiplication is the convolution induced by the Cayley table. Sums,
+negatives, scalings and products are computed on the coefficient digits with
+numpy. Houses the augmentation map, unit
 inversion by u^-1 = u^(|G|-1), involutions arising from group
 anti-automorphisms, the skew-symmetric space, and the natural map onto
 F[G/H] with its kernel ideal and lift section.
@@ -45,30 +46,33 @@ class AlgebraElement:
     group: Group
     coeffs: tuple[FieldElement, ...]
 
+    def _same_algebra(self, other: "AlgebraElement") -> bool:
+        """Equal fields and equal groups; the group tables are compared only
+        when the two are not one object."""
+        return self.field == other.field and (self.group is other.group or self.group == other.group)
+
     def _check(self, other: "AlgebraElement"):
-        if self.field != other.field or not (self.group is other.group or self.group == other.group):
+        if not self._same_algebra(other):
             raise SpecMismatch("elements live over different algebras")
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.field == other.field and self.group == other.group and self.coeffs == other.coeffs
+        return self._same_algebra(other) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.field, self.group, self.coeffs))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.field, self.group,
-                              tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _from_digits(self.field, self.group, (_digit_array(self) + _digit_array(other)) % self.field.p)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.field, self.group,
-                              tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _from_digits(self.field, self.group, (_digit_array(self) - _digit_array(other)) % self.field.p)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.field, self.group, tuple(-a for a in self.coeffs))
+        return _from_digits(self.field, self.group, -_digit_array(self) % self.field.p)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
@@ -130,8 +134,11 @@ def _digit_array(x: AlgebraElement) -> np.ndarray:
 
 
 def _from_digits(field: FieldSpec, group: Group, digits: np.ndarray) -> AlgebraElement:
-    """The element whose coefficient of g has the base-p digits in row g."""
-    return AlgebraElement(field, group, tuple(FieldElement(field, tuple(row)) for row in digits.tolist()))
+    """The element whose coefficient of g has the base-p digits in row g; rows
+    with equal digits share one FieldElement."""
+    rows = list(map(tuple, digits.tolist()))
+    made = {row: FieldElement(field, row) for row in set(rows)}
+    return AlgebraElement(field, group, tuple(map(made.__getitem__, rows)))
 
 
 def _invert_digits(field: FieldSpec, group: Group, x: np.ndarray) -> np.ndarray:
@@ -162,17 +169,19 @@ def _invert_digits(field: FieldSpec, group: Group, x: np.ndarray) -> np.ndarray:
 def _digit_product(field: FieldSpec, group: Group, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The product xy on (n, m) digit arrays: out[k] = sum over i of x_i y_j with g_i g_j = g_k.
 
-    The outer products of the digits, summed over i, give the unreduced
-    coefficient of x^a x^b for every (a, b); reducing modulo the field's
-    modulus is linear, so one product with the fold matrix and one mod p
-    reduce the whole sum. Every entry stays below n m^2 p^3, far inside int64."""
-    terms = np.einsum("ia,ikb->kab", x, y[group.left_division()])
-    return terms.reshape(group.n, -1) @ _fold_matrix(field) % field.p
+    One gather lines up y_j under each (i, k), and one matrix product sums the
+    digit products over i, giving the unreduced coefficient of x^a x^b for
+    every (a, k, b); reducing modulo the field's modulus is linear, so one
+    product with the fold matrix and one mod p reduce the whole sum. Every
+    entry stays below n m^2 p^3, far inside int64."""
+    n, m = group.n, field.m
+    terms = x.T @ y[group.left_division()].reshape(n, n * m)  # (a, k b)
+    return terms.reshape(m, n, m).transpose(1, 0, 2).reshape(n, m * m) @ _fold_matrix(field) % field.p
 
 
 def _scale_digits(field: FieldSpec, x: np.ndarray, alpha: FieldElement) -> np.ndarray:
     """alpha x on an (n, m) digit array, each row reduced through the fold matrix."""
-    terms = np.einsum("ia,b->iab", x, np.array(alpha.coeffs, dtype=np.int64))
+    terms = x[:, :, None] * np.array(alpha.coeffs, dtype=np.int64)
     return terms.reshape(len(x), -1) @ _fold_matrix(field) % field.p
 
 

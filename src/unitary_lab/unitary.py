@@ -38,8 +38,6 @@ from .finite_field import FieldSpec
 from .group_algebra import (
     AlgebraElement,
     GroupInvolution,
-    algebra_one,
-    apply_involution,
     format_algebra_literal,
     from_codes,
     require_p_group,
@@ -112,25 +110,33 @@ def clear_caches():
 # --- pointwise operations ------------------------------------------------------
 
 def is_unitary(x: AlgebraElement, inv: GroupInvolution) -> bool:
-    """True iff x * x^inv = 1; requires augmentation 1."""
-    if not x.is_normalized_unit():
+    """True iff x * x^inv = 1; requires augmentation 1. Runs on the digit
+    array of x: x^inv permutes its rows, and the product is compared with the
+    identity's digits."""
+    field, group = x.field, x.group
+    digits, one = _digit_array(x), _identity_digits(field, group)
+    if not np.array_equal(_augmentation_digits(field, digits), one[0]):
         raise NotNormalized("element has augmentation != 1")
-    return x * apply_involution(x, inv) == algebra_one(x.field, x.group)
+    inv.require_group(group)
+    return np.array_equal(_digit_product(field, group, digits, digits[list(inv.sigma)]), one)
 
 
 def cayley(x: AlgebraElement) -> AlgebraElement:
     """(1-x)(1+x)^-1; swaps skew-symmetric elements and unitary units.
 
-    The whole transform runs on digit arrays: 1 - x, 1 + x, the inverse of
-    1 + x (by the digit core of AlgebraElement.invert) and the product.
-    FieldElements are built for the result alone."""
+    No closing product is needed: 1 - x = 2 - (1+x) and 2 is central, so
+    (1-x)(1+x)^-1 = 2(1+x)^-1 - (1+x)(1+x)^-1 = 2(1+x)^-1 - 1. In
+    characteristic two both sides are 1. The transform runs on digit arrays:
+    1 + x, its inverse (by the digit core of AlgebraElement.invert, checked
+    from both sides) and 2 (1+x)^-1 - 1, digitwise mod p. FieldElements are
+    built for the result alone."""
     field, group = x.field, x.group
-    digits, one = _digit_array(x), _identity_digits(field, group)
-    plus = (one + digits) % field.p
+    one = _identity_digits(field, group)
+    plus = (one + _digit_array(x)) % field.p
     if not _augmentation_digits(field, plus).any():
         raise NotInvertible("1+x has augmentation zero")
     inverse = _invert_digits(field, group, plus)
-    return _from_digits(field, group, _digit_product(field, group, (one - digits) % field.p, inverse))
+    return _from_digits(field, group, (2 * inverse - one) % field.p)
 
 
 # --- odd characteristic ---------------------------------------------------------
@@ -607,7 +613,7 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
         t_c = np.array(t_c, dtype=np.intp)
         pair_reps = t_c[t_c < ctx.gtable[t_c, c]]  # g < g^-1 = gc
         n2_part = (_basis_sums(ctx, np.stack([pair_reps, ctx.gtable[pair_reps, c]], axis=1)),
-                   np.unique(_tau_codes(ctx)))
+                   sorted_unique(_tau_codes(ctx)))
         n2_keys = _sum_keys(ctx, one_key, n2_part)
         n2_size = int(n2_keys.size)
         expected_n2 = (field.order // 2) ** (len(t_c) // 2)

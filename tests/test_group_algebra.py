@@ -14,12 +14,14 @@ from unitary_lab.errors import (
     InternalInconsistency,
     NotAntiAutomorphism,
     NotAUnit,
+    NotNormalized,
     NotOrderTwo,
     NotPGroupOverField,
     SpecMismatch,
 )
 from unitary_lab.finite_field import make_field
 from unitary_lab.group_catalog import build
+from unitary_lab.group_core import validate_group
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -223,6 +225,7 @@ def test_inverse_failure_names_group_field_and_element(monkeypatch):
 
 @pytest.mark.parametrize("group_name,p,m", [
     ("cyclic:9", 3, 1), ("elementary_abelian:3:2", 3, 2), ("cyclic:5", 5, 2), ("quaternion:8", 2, 2),
+    ("heisenberg:3", 3, 1), ("heisenberg:3", 3, 2), ("cyclic:25", 5, 1),
 ])
 def test_cayley_matches_reference(group_name, p, m):
     """cayley(x) against (1 - x) (1 + x)^-1 formed from the scalar references alone."""
@@ -247,6 +250,91 @@ def test_cayley_inverse_failure_names_one_plus_x(monkeypatch):
         un.cayley(x)
     assert str(exc.value) == ("inverse failed verification multiply "
                               "(cyclic:9 over 3^1, element 1*g0 + 2*g1 + 1*g3)")
+
+
+def _reference_is_unitary(x, inv):
+    return _reference_mul(x, ga.apply_involution(x, inv)) == ga.algebra_one(x.field, x.group)
+
+
+@pytest.mark.parametrize("group_name,p,m", [
+    ("heisenberg:3", 3, 2), ("cyclic:9", 3, 2), ("elementary_abelian:3:2", 3, 6), ("heisenberg:3", 3, 6),
+    ("cyclic:5", 5, 2), ("cyclic:25", 5, 2),
+])
+def test_digit_array_operations_match_coefficientwise_forms(group_name, p, m):
+    """-x, x + y, x - y, scale and is_unitary run on digit arrays; each must
+    equal its form built one FieldElement operation per coefficient."""
+    field, group = make_field(p, m), build(group_name)
+    star, rng = ga.canonical_star(group), random.Random(15)
+    for nonzero in (None, None, 1, 3):
+        x, y = _any_element(rng, field, group, nonzero), _any_element(rng, field, group, nonzero)
+        alpha = field.from_code(rng.randrange(field.order))
+        assert -x == ga.AlgebraElement(field, group, tuple(-a for a in x.coeffs))
+        assert x + y == ga.AlgebraElement(field, group, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
+        assert x - y == ga.AlgebraElement(field, group, tuple(a - b for a, b in zip(x.coeffs, y.coeffs)))
+        assert x.scale(alpha) == ga.AlgebraElement(field, group, tuple(alpha * a for a in x.coeffs))
+        assert ga._from_digits(field, group, ga._digit_array(x)) == x
+        skew = x - ga.apply_involution(x, star)
+        if not (ga.algebra_one(field, group) + skew).augmentation().is_zero():
+            unit = un.cayley(skew)
+            assert un.is_unitary(unit, star) and _reference_is_unitary(unit, star)
+        if not x.augmentation().is_zero():
+            normalized = x.scale(x.augmentation().inverse())
+            assert un.is_unitary(normalized, star) == _reference_is_unitary(normalized, star)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 2)])
+def test_digit_array_operations_on_the_elements_of_a_small_algebra(p, m):
+    """Over C3 every element is tried: -x and is_unitary against their
+    coefficientwise forms, and the NotNormalized refusal."""
+    field, group = make_field(p, m), build("cyclic:3")
+    star = ga.canonical_star(group)
+    for x in _all_elements(field, group):
+        assert -x == ga.AlgebraElement(field, group, tuple(-a for a in x.coeffs))
+        if x.augmentation() == field.one:
+            assert un.is_unitary(x, star) == _reference_is_unitary(x, star)
+        else:
+            with pytest.raises(NotNormalized):
+                un.is_unitary(x, star)
+
+
+def test_is_unitary_refuses_an_involution_of_another_group():
+    c3, c9 = build("cyclic:3"), build("cyclic:9")
+    with pytest.raises(SpecMismatch):
+        un.is_unitary(ga.algebra_one(GF3, c3), ga.canonical_star(c9))
+
+
+def test_cayley_and_invert_run_above_the_field_table_limit(monkeypatch):
+    """GF(3^10) has q = 59049 > 512: the scalar algebra needs no table of the
+    field's elements, so neither call may build one."""
+    from unitary_lab import finite_field
+    field, group = make_field(3, 10), build("cyclic:3")
+
+    def refuse(spec):
+        raise AssertionError(f"field_elements({spec}) was built")
+
+    monkeypatch.setattr(finite_field, "field_elements", refuse)
+    monkeypatch.setattr(ga, "field_elements", refuse)
+    a, b = field.element([2, 0, 1, 0, 0, 0, 0, 1, 0, 2]), field.element([1] * 10)
+    skew = ga.AlgebraElement(field, group, (field.zero, a, -a))
+    unit = un.cayley(skew)
+    assert un.is_unitary(unit, ga.canonical_star(group))
+    assert un.cayley(unit) == skew
+    x = ga.AlgebraElement(field, group, (b, a, field.one))
+    assert x.invert() == _reference_inverse(x)
+    assert x * x.invert() == ga.algebra_one(field, group)
+
+
+def test_equal_elements_over_a_rebuilt_table_are_equal_and_hash_equal():
+    """validate_group on the same table gives a distinct but equal Group; the
+    elements and their Cayley transforms over it compare and hash equal."""
+    group = build("heisenberg:3")
+    rebuilt = validate_group(group.table.copy(), id=group.id)
+    assert rebuilt is not group and rebuilt == group
+    x = ga.from_coeffs(GF3, group, [0, 1, 2] + [0] * 24)
+    y = ga.from_coeffs(GF3, rebuilt, [0, 1, 2] + [0] * 24)
+    assert x == y and hash(x) == hash(y)
+    assert un.cayley(x) == un.cayley(y) and hash(un.cayley(x)) == hash(un.cayley(y))
+    assert x + y == y + x and x * y == y * x
 
 
 def test_canonical_star_abelian_is_automorphism():

@@ -1,6 +1,9 @@
 """Unitary orders: pointwise checks, the three computation routes, bounds."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -685,6 +688,27 @@ def test_bounds_d8():
     assert rep.n1_size == 1 and rep.n2_size == 1
     assert rep.n1_inside_s_h and rep.n2_inside_s_h and rep.product_inside_s_h
     assert rep.generator_identity_ok
+
+
+def test_bounds_does_not_import_numpy_ma():
+    """A plain np.unique imports numpy.ma on first use (numpy 2.4), which costs
+    a fresh process 10-20 ms; the N2 span's tau codes are
+    deduplicated by sorted_unique instead. Checked in a fresh interpreter,
+    over GF(4) where tau has two distinct values."""
+    code = ("import sys\n"
+            "from unitary_lab import unitary\n"
+            "from unitary_lab.finite_field import make_field\n"
+            "from unitary_lab.group_catalog import build\n"
+            "group, field = build('dihedral:8'), make_field(2, 2)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "report = unitary.bounds_and_constructions(group, 2, field)\n"
+            "assert report.n2_size == 2, report\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(un.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_bounds_c4():
