@@ -15,9 +15,7 @@ which only JSON carries.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -71,22 +69,6 @@ class UnitaryReport:
         return out
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("UNITARY_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_cells(fn, cells):
-    workers = _worker_count()
-    if workers == 1 or len(cells) <= 1:
-        return [fn(cell) for cell in cells]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
-
-
 def _check_caps(args):
     """--search-cap and --max-order must be positive, --max-witnesses not negative."""
     if (getattr(args, "search_cap", 1) <= 0 or (getattr(args, "max_witnesses", None) or 0) < 0
@@ -107,9 +89,14 @@ def _resolve_groups(args) -> list[Group]:
                              f"got {type(payload).__name__}")
         if "table" not in payload:
             raise UsageError(f"{path}: no \"table\" key")
-        group = validate_group(payload["table"], id=payload.get("id", path))
-        if "n" in payload and payload["n"] != group.n:
-            raise UsageError(f"{path}: declared n={payload['n']} but table has {group.n} rows")
+        group_id, n = payload.get("id", path), payload.get("n")
+        if not isinstance(group_id, str):
+            raise UsageError(f"{path}: \"id\" must be a string, got {type(group_id).__name__}")
+        if "n" in payload and type(n) is not int:  # JSON true/false load as bool
+            raise UsageError(f"{path}: \"n\" must be an integer, got {type(n).__name__}")
+        group = validate_group(payload["table"], id=group_id)
+        if "n" in payload and n != group.n:
+            raise UsageError(f"{path}: declared n={n} but table has {group.n} rows")
         groups.append(group)
     if not groups:
         raise UsageError("no group given; use --group or --group-file")
@@ -119,7 +106,13 @@ def _resolve_groups(args) -> list[Group]:
 def _resolve_fields(literals) -> list[FieldSpec]:
     if not literals:
         raise UsageError("no field given; use --field p^m (repeatable)")
-    return [parse_field_literal(text) for text in literals]
+    fields = []
+    for text in literals:
+        field = parse_field_literal(text)
+        if field in fields:
+            raise UsageError(f"field {field.literal()} given twice")
+        fields.append(field)
+    return fields
 
 
 def _compute_cell(group: Group, field: FieldSpec, method: str,
@@ -199,11 +192,8 @@ def cmd_compute(args) -> int:
         raise UsageError("--timings applies to --format json only")
     groups = _resolve_groups(args)
     fields = _resolve_fields(args.field)
-    cells = [(g, f) for g in groups for f in fields]
-    reports = _map_cells(
-        lambda cell: _compute_cell(cell[0], cell[1], args.method,
-                                   args.search_cap, witnesses),
-        cells)
+    reports = [_compute_cell(g, f, args.method, args.search_cap, witnesses)
+               for g in groups for f in fields]
     reports.sort(key=lambda rep: (rep.result.group_id, rep.result.field.literal()))
     if args.format == "json":
         payload = [rep.to_dict(include_timings=args.timings) for rep in reports]
@@ -225,35 +215,23 @@ def cmd_theta_table(args) -> int:
     for f in fields:
         if f.p != 2:
             raise UsageError(f"theta-table takes characteristic-two fields, got {f.literal()}")
-    entries = catalog_entries(args.max_order, 2)
-
-    def cell(pair):
-        entry, f = pair
-        group = built[entry.name]
-        try:
-            return str(theta(group, f, search_cap=args.search_cap))
-        except SearchSpaceTooLarge as exc:
-            return {"unavailable": str(exc)}
-
-    built = {entry.name: entry.build() for entry in entries}
-    cells = [(entry, f) for entry in entries for f in fields]
-    values = _map_cells(cell, cells)
-    table = {}
-    for (entry, f), value in zip(cells, values):
-        table.setdefault(entry.name, {})[f.literal()] = value
-
     rows = []
-    for entry in entries:
-        group = built[entry.name]
+    for entry in catalog_entries(args.max_order, 2):
+        group = entry.build()
+        cells = {}
+        for f in fields:
+            try:
+                cells[f.literal()] = str(theta(group, f, search_cap=args.search_cap))
+            except SearchSpaceTooLarge as exc:
+                cells[f.literal()] = {"unavailable": str(exc)}
         commuting = any(_s_h_bounds(group, c, fields[0])[1]
                         for c in group.special_sets().central_order_two)
-        cells_here = table[entry.name]
-        known = [v for v in cells_here.values() if isinstance(v, str)]
+        known = [v for v in cells.values() if isinstance(v, str)]
         agrees = len(set(known)) == 1 if len(known) == len(fields) and known else None
         rows.append({
             "group": entry.name,
             "order": group.n,
-            "cells": cells_here,
+            "cells": cells,
             "t_c_commutative": commuting,
             "theta_agrees": agrees,
         })

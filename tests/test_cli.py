@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import sys
 
 import numpy as np
 
@@ -104,10 +103,48 @@ def test_compute_group_file_with_a_malformed_payload_exits_one(tmp_path, capsys)
             ("[[0, 1], [1, 0]]", 'top level must be an object with a "table" key, got list'),
             ('{"id": "c2", "n": 2}', 'no "table" key'),
             ("{table: [[0]]}", "not JSON (Expecting property name enclosed in double quotes: "
-                               "line 1 column 2 (char 1))")):
+                               "line 1 column 2 (char 1))"),
+            ('{"id": 5, "table": [[0, 1], [1, 0]]}', '"id" must be a string, got int'),
+            ('{"id": null, "table": [[0, 1], [1, 0]]}', '"id" must be a string, got NoneType'),
+            ('{"id": "c2", "n": true, "table": [[0, 1], [1, 0]]}',
+             '"n" must be an integer, got bool'),
+            ('{"id": "c2", "n": "2", "table": [[0, 1], [1, 0]]}',
+             '"n" must be an integer, got str'),
+            ('{"id": "c2", "n": 2.0, "table": [[0, 1], [1, 0]]}',
+             '"n" must be an integer, got float')):
         path.write_text(text)
         code, out, err = run_cli(capsys, "compute", "--group-file", str(path), "--field", "2^1")
         assert (code, out, err) == (1, "", f"error: {path}: {message}\n"), text
+
+
+def test_compute_multi_cell_output_is_sorted_by_group_then_field(capsys):
+    clear_caches()
+    _, forward, _ = run_cli(capsys, "compute", "--group", "cyclic:8", "--group", "dihedral:8",
+                            "--field", "2^2", "--field", "2^1", "--format", "json")
+    clear_caches()
+    _, backward, _ = run_cli(capsys, "compute", "--group", "dihedral:8", "--group", "cyclic:8",
+                             "--field", "2^1", "--field", "2^2", "--format", "json")
+    assert forward == backward
+    cells = [(row["group"], row["field"]) for row in json.loads(forward)]
+    assert cells == [("cyclic:8", "2^1"), ("cyclic:8", "2^2"),
+                     ("dihedral:8", "2^1"), ("dihedral:8", "2^2")]
+
+
+def test_compute_refuses_a_repeated_field(capsys):
+    for fields, literal in ((("2^1", "2^1"), "2^1"), (("2", "2^1"), "2^1"),
+                            (("3^1", "3"), "3^1")):
+        argv = [arg for f in fields for arg in ("--field", f)]
+        code, out, err = run_cli(capsys, "compute", "--group", "cyclic:4", *argv)
+        assert (code, out, err) == (1, "", f"error: field {literal} given twice\n"), fields
+
+
+def test_theta_table_refuses_a_repeated_field(capsys):
+    for fields in (("2^1", "2^1"), ("2^1", "2^2", "2")):
+        argv = [arg for f in fields for arg in ("--field", f)]
+        for fmt in ("json", "markdown"):
+            code, out, err = run_cli(capsys, "theta-table", "--max-order", "4", *argv,
+                                     "--format", fmt)
+            assert (code, out, err) == (1, "", "error: field 2^1 given twice\n"), fields
 
 
 def test_compute_usage_errors(capsys):
@@ -208,25 +245,6 @@ def test_verify_suite_cayley(capsys):
 def test_verify_unknown_suite_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "--suite", "nope")
     assert code == 1
-
-
-def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    # the cells share the orbit cache; a short switch interval interleaves its fills
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for args in (("compute", "--group", "dihedral:8", "--group", "cyclic:8",
-                      "--field", "2^1", "--field", "2^2"),
-                     ("theta-table", "--max-order", "32", "--format", "json")):
-            clear_caches()
-            _, out1, _ = run_cli(capsys, *args)
-            clear_caches()
-            monkeypatch.setenv("UNITARY_LAB_THREADS", "4")
-            _, out2, _ = run_cli(capsys, *args)
-            monkeypatch.delenv("UNITARY_LAB_THREADS")
-            assert out1 == out2
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_internal_inconsistency_over_gf11_exits_two(capsys, monkeypatch):
