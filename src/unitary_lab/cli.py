@@ -253,7 +253,7 @@ def cmd_theta_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.suite, seed=args.seed, search_cap=args.search_cap)
+    results = run_suite(args.suite, seed=args.seed)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -299,7 +299,6 @@ def _build_parser() -> _Parser:
 
     verify_p = sub.add_parser("verify", help="run a named verification suite")
     verify_p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    verify_p.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP)
     verify_p.add_argument("--seed", type=int, default=None,
                           help="seed of the sampled elements (cayley suite only; default 0)")
     verify_p.set_defaults(run=cmd_verify)

@@ -6,7 +6,8 @@ negatives, scalings and products are computed on the coefficient digits with
 numpy. Houses the augmentation map, unit
 inversion by u^-1 = u^(|G|-1), involutions arising from group
 anti-automorphisms, the skew-symmetric space, and the natural map onto
-F[G/H] with its kernel ideal and lift section.
+F[G/H] with its lift section and its kernel ideal, whose dimension
+|G| - |G/H| follows by rank-nullity since the map is onto.
 """
 
 from __future__ import annotations
@@ -321,47 +322,24 @@ def skew_symmetric_basis(group: Group, inv: GroupInvolution, field: FieldSpec) -
 
 @dataclass(frozen=True, eq=False)
 class IdealHandle:
-    """The kernel ideal of FG -> F[G/H], with a constructive basis.
+    """The kernel ideal I(H) of Psi: FG -> F[G/H], known by its dimension.
 
-    Basis vectors are t(1+h) over least-index coset representatives t and
-    nonidentity h in H; independence is certified by row reduction."""
+    Psi is onto, since the lift section gives every element a preimage, so
+    rank-nullity gives dim I(H) = |G| - |G/H|; no basis is built."""
 
     field: FieldSpec
     group: Group
-    subgroup: SubgroupHandle
-    kernel_basis: tuple[AlgebraElement, ...]
     quotient_group: Group
     projection: tuple[int, ...]
     representatives: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.kernel_basis)
+        return self.group.n - self.quotient_group.n
 
     def unit_coset_order(self) -> int:
         """|I(H)^+| = |F|^dim: the ideal and its unit coset 1+I(H) are equinumerous."""
         return self.field.order ** self.dimension
-
-
-def _row_rank(rows: list[list[FieldElement]], field: FieldSpec) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if not mat[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col].inverse()
-        mat[rank] = [inv * v for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and not mat[r][col].is_zero():
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
 
 
 def ideal_and_quotient(
@@ -375,23 +353,6 @@ def ideal_and_quotient(
     """
     quotient_group, projection = group.quotient(subgroup)
     reps = coset_representatives(projection, quotient_group.n)
-    basis = []
-    for t in reps:
-        for h in subgroup.members:
-            if h == 0:
-                continue
-            th = group.mul(t, h)
-            coeffs = [field.zero] * group.n
-            coeffs[t] = coeffs[t] + field.one
-            coeffs[th] = coeffs[th] + field.one
-            basis.append(AlgebraElement(field, group, tuple(coeffs)))
-    expected_dim = group.n - quotient_group.n
-    if len(basis) != expected_dim:
-        raise InternalInconsistency("kernel basis count mismatch")
-    if basis and _row_rank([list(b.coeffs) for b in basis], field) != expected_dim:
-        raise InternalInconsistency("kernel basis is linearly dependent")
-
-    handle = IdealHandle(field, group, subgroup, tuple(basis), quotient_group, projection, tuple(reps))
 
     def psi(x: AlgebraElement) -> AlgebraElement:
         if x.group != group or x.field != field:
@@ -410,10 +371,7 @@ def ideal_and_quotient(
             out[reps[k]] = c
         return AlgebraElement(field, group, tuple(out))
 
-    for b in basis:
-        if not psi(b).is_zero():
-            raise InternalInconsistency("kernel basis vector survives the projection")
-    return handle, psi, lift
+    return IdealHandle(field, group, quotient_group, projection, tuple(reps)), psi, lift
 
 
 # --- literals ("a0*g0 + a1*g1 + ...") ------------------------------------------

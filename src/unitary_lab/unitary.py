@@ -291,7 +291,7 @@ def _least_central_involution(group: Group) -> int:
 class _CosetOrbit:
     """The recursion step over H = <c> for one (G, c, F); see _coset_orbit."""
 
-    ctx: AlgebraContext      # batch arithmetic of FG, shared with _fiber_scan
+    ctx: AlgebraContext      # batch arithmetic of FG, shared with _fiber_scan and the level above
     order: int               # |V_*(FG)|
     vbar_order: int          # |V_*(F[Gb])|
     cosets: np.ndarray       # sorted canonical keys of the cosets of W in S_H, one per point
@@ -303,13 +303,15 @@ class _CosetOrbit:
 _ORBITS: dict[tuple, _CosetOrbit] = {}
 
 
-def _unitary_generators(group: Group, field: FieldSpec, search_cap: int) -> tuple[int, np.ndarray]:
-    """|V_*(FG)| and code rows generating it in characteristic two, by the
-    recursion over the least central involution down to order 1."""
+def _unitary_generators(group: Group, field: FieldSpec,
+                        search_cap: int) -> tuple[int, np.ndarray, AlgebraContext]:
+    """|V_*(FG)|, code rows generating it in characteristic two, by the
+    recursion over the least central involution down to order 1, and the
+    batch arithmetic of FG that the recursion built."""
     if group.n == 1:
-        return 1, np.empty((0, 1), dtype=np.uint16)
+        return 1, np.empty((0, 1), dtype=np.uint16), AlgebraContext(field, group)
     orbit = _coset_orbit(group, _least_central_involution(group), field, search_cap)
-    return orbit.order, orbit.generators
+    return orbit.order, orbit.generators, orbit.ctx
 
 
 def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _CosetOrbit:
@@ -359,13 +361,12 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     t_c = group.square_roots(c)  # also validates c
     ctx = AlgebraContext(field, group)  # refuses a group too large for packed keys
     gbar, projection = group.quotient(group.subgroup_generated([c]))
-    vbar_order, vbar_gens = _unitary_generators(gbar, field, search_cap)
+    vbar_order, vbar_gens, bctx = _unitary_generators(gbar, field, search_cap)
     work = field.order ** (len(t_c) // 2) * vbar_gens.shape[0]
     if work > search_cap:
         raise SearchSpaceTooLarge(work, search_cap, context=f"S_H coset orbit over {group.id}")
 
     q, n, nbar = field.order, group.n, gbar.n
-    bctx = AlgebraContext(field, gbar)
     pairs = np.flatnonzero(np.arange(nbar) < bctx.star)  # one g per pair g != g^-1
     reps = np.array(coset_representatives(projection, nbar), dtype=np.intp)
     reps_c = ctx.gtable[reps, c]
@@ -600,8 +601,7 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
         raise _inconsistency(group, field, f"{len(orbits)} orbits, not "
                                            f"(|G|-|G{{2}}|-|T_c|)/4 = {expected_k1}", c=c)
     one_key = np.array([ctx.identity_key], dtype=np.uint64)
-    n1_part = (_basis_sums(ctx, orbits), None)
-    n1_keys = _sum_keys(ctx, one_key, n1_part)
+    n1_keys = _sum_keys(ctx, one_key, (_basis_sums(ctx, orbits), None))
     n1_size = int(n1_keys.size)
     if n1_size != field.order ** expected_k1:
         raise _inconsistency(group, field, f"|N1| = {n1_size} disagrees with "
@@ -621,7 +621,7 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
             raise _inconsistency(group, field, f"|N2| = {n2_size} disagrees with "
                                                f"(|F|/2)^(|T_c|/2) = {expected_n2}", c=c)
         n2_inside = bool(keys_contain(s_h_keys, n2_keys).all())
-        prod_keys = _sum_keys(ctx, one_key, n1_part, n2_part)
+        prod_keys = _sum_keys(ctx, n1_keys, n2_part)
         if prod_keys.size != n1_size * n2_size:
             raise _inconsistency(group, field, f"|N1 x N2| = {prod_keys.size} is not "
                                                f"|N1| |N2| = {n1_size} * {n2_size}", c=c)
@@ -649,8 +649,9 @@ def _tau_codes(ctx: AlgebraContext) -> np.ndarray:
 def _sum_keys(ctx: AlgebraContext, keys: np.ndarray, *parts) -> np.ndarray:
     """Sorted, distinct keys of x + span(part) + ... over the keys x and the
     (basis rows, coefficient codes) parts; codes None is the whole field. From
-    the key of 1, both N parts give {x y : x in N1, y in N2}. In characteristic
-    two a key is n fields of m bits, so adding rows XORs their keys."""
+    the key of 1 an N part lists N1 or N2, and from N1's keys the N2 part lists
+    {x y : x in N1, y in N2}. In characteristic two a key is n fields of m
+    bits, so adding rows XORs their keys."""
     if not ctx.char2:
         raise OddCharacteristic("key sums require characteristic 2")
     for basis, codes in parts:

@@ -59,7 +59,7 @@ def _swap_inverse_involution(group):
     return involution_from_map(group, sigma, name="swap-inverse")
 
 
-def suite_thm1(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
+def suite_thm1() -> list[CheckResult]:
     """Oracle order equals the odd-characteristic formula, canonical and not."""
     results = []
     gf3, gf5 = make_field(3, 1), make_field(5, 1)
@@ -76,12 +76,12 @@ def suite_thm1(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
     for group, f, inv in cases:
         inv = inv if inv is not None else canonical_star(group)
         formula = unitary_order_odd(group, inv, f)
-        oracle = unitary_enumerate_oracle(group, inv, f, search_cap=search_cap).order
+        oracle = unitary_enumerate_oracle(group, inv, f).order
         _check(results, "thm1", f"{group.id}/{f.literal()}/{inv.name}", formula, oracle)
     return results
 
 
-def suite_cayley(seed: int = 0, search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
+def suite_cayley(seed: int = 0) -> list[CheckResult]:
     """f(x) = (1-x)(1+x)^-1 is an involutive bijection skew <-> unitary."""
     results = []
     gf3 = make_field(3, 1)
@@ -95,8 +95,7 @@ def suite_cayley(seed: int = 0, search_cap: int = DEFAULT_SEARCH_CAP) -> list[Ch
             for alpha, b in zip(combo[1:], basis[1:]):
                 x = x + b.scale(alpha)
             skew.append(x)
-        oracle = unitary_enumerate_oracle(group, star, gf3, search_cap=search_cap,
-                                          max_witnesses=None)
+        oracle = unitary_enumerate_oracle(group, star, gf3, max_witnesses=None)
         images = [cayley(x) for x in skew]
         ok_forward = all(is_unitary(y, star) for y in images)
         ok_round = all(cayley(y) == x for x, y in zip(skew, images))
@@ -125,20 +124,19 @@ def suite_cayley(seed: int = 0, search_cap: int = DEFAULT_SEARCH_CAP) -> list[Ch
     return results
 
 
-def suite_lemma1(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
+def suite_lemma1() -> list[CheckResult]:
     """|V(FG)| = |F|^(|G|/2) |V(F[G/H])| / |S_H|, oracle against oracle."""
     results = []
     gf2 = make_field(2, 1)
     for entry in catalog_entries(16, 2):
         group = entry.build()
         star = canonical_star(group)
-        full = unitary_enumerate_oracle(group, star, gf2, search_cap=search_cap).order
+        full = unitary_enumerate_oracle(group, star, gf2).order
         for c in group.special_sets().central_order_two:
             sub = group.subgroup_generated([c])
             gbar, _ = group.quotient(sub)
-            bar = unitary_enumerate_oracle(gbar, canonical_star(gbar), gf2,
-                                           search_cap=search_cap).order
-            s_h, _ = s_h_enumerate(group, c, gf2, search_cap=search_cap)
+            bar = unitary_enumerate_oracle(gbar, canonical_star(gbar), gf2).order
+            s_h, _ = s_h_enumerate(group, c, gf2)
             numerator = gf2.order ** (group.n // 2) * bar
             exact = numerator % s_h == 0
             _check(results, "lemma1", f"{entry.name} c={c} exact division", True, exact)
@@ -147,7 +145,7 @@ def suite_lemma1(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
     return results
 
 
-def suite_prop1(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
+def suite_prop1() -> list[CheckResult]:
     """Theta = |G^2{2}| for abelian 2-groups."""
     results = []
     for field, max_order in ((make_field(2, 1), 16), (make_field(2, 2), 8)):
@@ -156,12 +154,12 @@ def suite_prop1(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
             if not group.is_abelian():
                 continue
             expected = len(group.special_sets().square_order_two)
-            measured = theta(group, field, search_cap=search_cap)
+            measured = theta(group, field)
             _check(results, "prop1", f"{entry.name}/{field.literal()}", expected, measured)
     return results
 
 
-def suite_prop2(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
+def suite_prop2() -> list[CheckResult]:
     """Theta regression: 1 for dihedral, 4 for generalized quaternion."""
     results = []
     gf2, gf4 = make_field(2, 1), make_field(2, 2)
@@ -170,35 +168,34 @@ def suite_prop2(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
              ("dihedral:16", gf2, 1), ("quaternion:16", gf2, 4)]
     for name, f, expected in cases:
         group = build(name)
-        res = unitary_order_char2(group, f, search_cap=search_cap)
+        res = unitary_order_char2(group, f)
         _check(results, "prop2", f"{name}/{f.literal()} theta", expected, res.theta)
-        if oracle_search_space(group, f) <= search_cap:
-            oracle = unitary_enumerate_oracle(group, canonical_star(group), f,
-                                              search_cap=search_cap).order
+        if oracle_search_space(group, f) <= DEFAULT_SEARCH_CAP:
+            oracle = unitary_enumerate_oracle(group, canonical_star(group), f).order
             _check(results, "prop2", f"{name}/{f.literal()} oracle agrees",
                    res.order, oracle)
     return results
 
 
-def suite_thm2(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
+def suite_thm2() -> list[CheckResult]:
     """Divisibility by |F|^((|G|+|G{2}|)/2-1) and field-independence probes."""
     results = []
     gf2 = make_field(2, 1)
     for entry in catalog_entries(16, 2):
         group = entry.build()
-        value = theta(group, gf2, search_cap=search_cap)
+        value = theta(group, gf2)
         _check(results, "thm2", f"{entry.name}/2^1 theta integral", True,
                value.denominator == 1 and value >= 1)
     fields = [make_field(2, 1), make_field(2, 2), make_field(2, 3)]
     for entry in catalog_entries(8, 2):
         group = entry.build()
-        values = [theta(group, f, search_cap=search_cap) for f in fields]
+        values = [theta(group, f) for f in fields]
         _check(results, "thm2", f"{entry.name} theta across 2^1,2^2,2^3",
                f"all {values[0]}", f"all {values[0]}" if len(set(values)) == 1 else str(values))
     return results
 
 
-def suite_cor1(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
+def suite_cor1() -> list[CheckResult]:
     """|V(FG)| separates group orders, and recovery returns |G|."""
     results = []
     computed: dict[str, list[tuple[str, int, int]]] = {}
@@ -207,7 +204,7 @@ def suite_cor1(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
         rows = []
         for entry in catalog_entries(max_order, 2):
             group = entry.build()
-            order = unitary_order_char2(group, field, search_cap=search_cap).order
+            order = unitary_order_char2(group, field).order
             rows.append((entry.name, group.n, order))
             _check(results, "cor1", f"recover {entry.name}/{field.literal()}",
                    group.n, recover_group_order(order, field, 2))
@@ -231,14 +228,14 @@ def suite_cor1(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
     return results
 
 
-def suite_bounds(search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
+def suite_bounds() -> list[CheckResult]:
     """Measured |S_H| sits in the proved bracket; N1, N2 land inside S_H."""
     results = []
     gf2 = make_field(2, 1)
     for entry in catalog_entries(16, 2):
         group = entry.build()
         for c in group.special_sets().central_order_two:
-            rep = bounds_and_constructions(group, c, gf2, search_cap=search_cap)
+            rep = bounds_and_constructions(group, c, gf2)
             tag = f"{entry.name} c={c}"
             _check(results, "bounds", f"{tag} upper", True, rep.s_h_size <= rep.upper_bound)
             _check(results, "bounds", f"{tag} N1 in S_H", True, rep.n1_inside_s_h)
@@ -269,14 +266,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str, *, seed: int | None = None,
-              search_cap: int = DEFAULT_SEARCH_CAP) -> list[CheckResult]:
+def run_suite(name: str, *, seed: int | None = None) -> list[CheckResult]:
     """Run one suite; only cayley draws random elements, so only it takes a seed
     (default 0), and a seed given for any other suite is refused."""
     if name not in SUITES:
         raise UnknownSuite(name, SUITES)
     if seed is None:
-        return SUITES[name](search_cap=search_cap)
+        return SUITES[name]()
     if name != "cayley":
         raise BadParameter(f"a seed applies to the cayley suite only, not to {name}")
-    return suite_cayley(seed=seed, search_cap=search_cap)
+    return suite_cayley(seed=seed)

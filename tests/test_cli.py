@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from unitary_lab import clear_caches, unitary
 from unitary_lab.cli import main
@@ -240,6 +242,40 @@ def test_verify_suite_cayley(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "cayley")
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (file under tests/golden holding the stdout, command line); every command exits 0
+GOLDEN_CASES = [
+    ("theta_table_64_gf2.json", "theta-table --max-order 64 --field 2^1 --format json"),
+    ("theta_table_16_gf16.md", "theta-table --max-order 16 --field 2^4 --format markdown"),
+    ("theta_table_8_gf128_gf256.json",
+     "theta-table --max-order 8 --field 2^7 --field 2^8 --format json"),
+    ("compute_multi_cell.csv",
+     "compute --group dihedral:8 --group cyclic:8 --field 2^2 --field 2^1 --format csv"),
+    ("compute_oracle_q8_gf8.json",
+     "compute --group quaternion:8 --field 2^3 --method oracle --format json"),
+    ("compute_oracle_c5_gf25.json",
+     "compute --group cyclic:5 --field 5^2 --method oracle --format json"),
+    ("compute_recursive_d16_gf8.json", "compute --group dihedral:16 --field 2^3 --method recursive"),
+    ("groups_list_64.json", "groups list --max-order 64 --format json"),
+    ("verify_cayley_seed3.txt", "verify --suite cayley --seed 3"),
+    ("verify_bounds.txt", "verify --suite bounds"),
+]
+
+
+@pytest.mark.parametrize("name, command", GOLDEN_CASES, ids=[name for name, _ in GOLDEN_CASES])
+def test_output_matches_golden_file(capsys, name, command):
+    clear_caches()
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_verify_takes_no_search_cap(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm1", "--search-cap", "5")
+    assert (code, out) == (1, "") and "unrecognized arguments: --search-cap 5" in err
 
 
 def test_verify_unknown_suite_usage_error(capsys):

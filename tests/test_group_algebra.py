@@ -20,7 +20,7 @@ from unitary_lab.errors import (
     SpecMismatch,
 )
 from unitary_lab.finite_field import make_field
-from unitary_lab.group_catalog import build
+from unitary_lab.group_catalog import build, catalog_entries
 from unitary_lab.group_core import validate_group
 
 GF2 = make_field(2, 1)
@@ -494,13 +494,43 @@ def test_psi_lift_is_identity():
         assert psi(lift(xbar)) == xbar
 
 
+def _check_kernel_dimension(group, sub, field):
+    """dim I(H) = |G| - |G/H| by rank-nullity. Psi kills every t(1 - h), over
+    the least coset representatives t and h != 1 in H (t(1 + h) in
+    characteristic two); these are independent, as only t(1 - h) is supported
+    on th and no th is a representative; and Psi is onto, as Psi(lift(u)) = u."""
+    ideal, psi, lift = ga.ideal_and_quotient(group, sub, field)
+    nbar = group.n // len(sub)
+    assert ideal.quotient_group.n == nbar and ideal.dimension == group.n - nbar
+    pivots = []
+    for t in ideal.representatives:
+        for h in sub.members:
+            if h != 0:
+                th = group.mul(t, h)
+                assert psi(ga.basis_element(field, group, t) - ga.basis_element(field, group, th)).is_zero()
+                pivots.append(th)
+    assert len(set(pivots)) == len(pivots) == ideal.dimension
+    assert not set(pivots) & set(ideal.representatives)
+    for k in range(nbar):
+        e = ga.basis_element(field, ideal.quotient_group, k)
+        assert psi(lift(e)) == e
+
+
+@pytest.mark.parametrize("p, name", [(p, entry.name) for p, max_order in ((2, 32), (3, 27))
+                                     for entry in catalog_entries(max_order, p)])
+def test_kernel_dimension_over_central_subgroups_of_order_p(p, name):
+    # the central involutions for p = 2, central elements of order 3 for p = 3
+    group, field = build(name), make_field(p, 1)
+    centrals = [z for z in group.elements() if z != 0 and group.order_of(z) == p
+                and all(group.mul(z, g) == group.mul(g, z) for g in group.elements())]
+    assert centrals, name
+    for z in centrals:
+        _check_kernel_dimension(group, group.subgroup_generated([z]), field)
+
+
 def test_kernel_dimension_for_larger_subgroup():
     c8 = build("cyclic:8")
-    sub = c8.subgroup_generated([2])   # order 4
-    ideal, psi, _ = ga.ideal_and_quotient(c8, sub, GF2)
-    assert ideal.dimension == c8.n - c8.n // len(sub)
-    for b in ideal.kernel_basis:
-        assert psi(b).is_zero()
+    _check_kernel_dimension(c8, c8.subgroup_generated([2]), GF2)  # order 4
 
 
 def test_equal_elements_over_equal_groups_hash_equal():

@@ -488,7 +488,8 @@ def test_s_h_failure_names_group_field_c_and_element(monkeypatch):
     units = np.concatenate(list(AlgebraContext(GF2, gbar).normalized_batches()))
     generators = un._unitary_generators
     monkeypatch.setattr(un, "_unitary_generators", lambda group, field, cap: (
-        (units.shape[0], units) if group == gbar else generators(group, field, cap)))
+        (units.shape[0], units, AlgebraContext(GF2, gbar)) if group == gbar
+        else generators(group, field, cap)))
     un.clear_caches()
     with pytest.raises(InternalInconsistency) as exc:
         un.s_h_enumerate(q16, c, GF2)
@@ -597,11 +598,26 @@ def _closure_keys(ctx, generators):
 def test_generators_generate_the_oracle_set(field, max_order):
     for entry in catalog_entries(max_order, 2):
         group = entry.build()
-        order, generators = un._unitary_generators(group, field, un.DEFAULT_SEARCH_CAP)
+        order, generators, _ = un._unitary_generators(group, field, un.DEFAULT_SEARCH_CAP)
         oracle = un._oracle_set(group, ga.canonical_star(group), field)
         assert order == oracle.size, entry.name
         closure = _closure_keys(AlgebraContext(field, group), generators)
         assert np.array_equal(closure, oracle), entry.name
+
+
+def test_char2_recursion_builds_one_context_per_level(monkeypatch):
+    # D16 -> D8 -> C2 x C2 -> C2 -> 1: each level's context also serves the level above
+    built, init = [], AlgebraContext.__init__
+
+    def counting_init(self, field, group):
+        built.append(group.n)
+        init(self, field, group)
+
+    d16 = build("dihedral:16")
+    monkeypatch.setattr(AlgebraContext, "__init__", counting_init)
+    un.clear_caches()
+    un.unitary_order_char2(d16, GF2)
+    assert sorted(built) == [1, 2, 4, 8, 16]
 
 
 def test_char2_refuses_by_the_rows_of_its_own_route():
