@@ -35,11 +35,15 @@ every gather, from the raveled (q^2,) tables, takes one flat index X q + Y
 (`row_index`). It stays in bit-planes in
 characteristic two: it builds each batch's planes from the candidate
 indices, tests x x^sigma = 1 word by word on one coefficient per
-sigma-orbit, and builds the hits' keys from their indices. x x^sigma is
+sigma-orbit, and reads the hits' keys from two small tables, one entry per
+word of 64 candidates and one per row within a word, XORed. x x^sigma is
 sigma-symmetric, so of each moved pair {k, sigma(k)} only k is formed, by the
 bitsliced product of the planes and their permutation by sigma. A
 sigma-fixed coefficient is the square of the sum of the x_g with
-g sigma(g) = k, so it is tested linearly, by an XOR of planes.
+g sigma(g) = k, so it is tested linearly, by an XOR of planes. A test that
+every candidate passes by construction is not run, and when no test is left
+(sigma fixes every index and g sigma(g) = 1 throughout, as for an elementary
+abelian group under its star) no planes are built: every candidate is a hit.
 The certificate's involution check, the S_H and N1/N2 listings and the
 S_H membership checks stay in key space there: a key is n fields of m bits,
 so a permutation of G's indices only moves the fields
@@ -365,7 +369,8 @@ class AlgebraContext:
 
     def unitary_keys(self, sigma: np.ndarray, batch: int = DEFAULT_BATCH) -> np.ndarray:
         """Sorted keys of the normalized x with x x^sigma = 1, scanning
-        batch candidates (a positive multiple of 64) at a time.
+        batch candidates (a positive multiple of 64) at a time, unless
+        there is nothing to test.
 
         Candidate i carries i's base-q digits at indices 1..n-1 and the
         dependent identity coefficient, so its key is q i + (its column 0),
@@ -395,9 +400,24 @@ class AlgebraContext:
           an XOR of planes. Every g sigma(g) is sigma-fixed, since
           sigma(g sigma(g)) = g sigma(g), and a fixed k that no g sigma(g)
           reaches is 0 in every x x^sigma, so it needs no test.
-        Only the hits become keys, already in order, and from their indices
-        alone: column 0's code is the identity's code XOR i's digits, so the
-        planes are never read back."""
+        One fixed test is decided by construction. At g = 1, g sigma(g) is
+        sigma(1) = 1, as sigma is an anti-automorphism, so when the roots
+        g with g sigma(g) = k are all of G, k = 1 and the test is augmentation
+        1, which every candidate has; it is skipped. No test is left exactly
+        when no index moves and every g sigma(g) is 1, that is sigma is the
+        identity map and the star (G elementary abelian), and then no planes
+        are built and no batches are made: the answer is the keys of every
+        candidate, one broadcast over the whole scan.
+
+        Keys come from the indices alone, never from the planes: q = 2^m, so
+        the key of i is (i << m) | column 0's code, which is the identity's
+        code XOR the XOR of i's n - 1 m-bit digits (`fold_keys`). Both parts
+        are XOR-linear in i, and a batch starts on a multiple of 64, so
+        candidate 64 w + r, r < 64, has key word_key[w] ^ bit_key[r]: one
+        table of the batch's words, and one of the 64 rows of a word with the
+        identity's code folded in, built once per scan. A batch's keys are
+        one broadcast XOR of the two, in order, and the hits are picked out of
+        them by their bits."""
         if batch < 1 or batch % WORD_BITS:
             raise ValueError(f"batch {batch} is not a positive multiple of {WORD_BITS}")
         if not self.char2:
@@ -420,12 +440,27 @@ class AlgebraContext:
             return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
         m, total = self.field.m, self.q ** (self.n - 1)
         squares = self.gtable[np.arange(self.n), sigma]  # g sigma(g), which sigma fixes
-        linear = [(k, np.flatnonzero(squares == k)) for k in sorted(set(squares.tolist()))]
+        linear = [(k, roots) for k in sorted(set(squares.tolist()))
+                  if (roots := np.flatnonzero(squares == k)).size < self.n]
         moved = np.flatnonzero(np.arange(self.n) < sigma)  # where 1's coefficient is 0
         identity = constant_planes(self.identity, m)
         # digit 0 of i after the XOR-shifts by m, 2m, 4m, ... is the XOR of i's digits
         folds = [np.uint64(m << s) for s in range(max(self.n - 2, 0).bit_length())]
-        width, digit, one = np.uint64(m), np.uint64(self.q - 1), np.uint64(self.tabs.one)
+
+        def fold_keys(index):  # (i << m) | the XOR of i's digits
+            keys = index << np.uint64(m)
+            for shift in folds:
+                index ^= index >> shift
+            return keys | (index & np.uint64(self.q - 1))
+
+        bit_key = fold_keys(np.arange(WORD_BITS, dtype=np.uint64)) ^ np.uint64(self.tabs.one)
+
+        def candidate_keys(start, rows):
+            word_key = fold_keys(np.arange(start, start + rows, WORD_BITS, dtype=np.uint64))
+            return (word_key[:, None] ^ bit_key).ravel()[:rows]
+
+        if not (linear or moved.size):
+            return candidate_keys(0, total)
         parts = []
         for start in range(0, total, batch):
             rows = min(batch, total - start)
@@ -436,23 +471,9 @@ class AlgebraContext:
             if moved.size:
                 product = self.plane_product(P, P[sigma], moved)
                 differs |= np.bitwise_or.reduce(product.reshape(-1, P.shape[2]))
-            hits = ~differs
-            if rows % WORD_BITS:  # fewer than 64 candidates: the pad rows are not candidates
-                hits[-1] &= np.uint64((1 << (rows % WORD_BITS)) - 1)
-            index = np.flatnonzero(np.unpackbits(hits.view(np.uint8), bitorder="little"))
-            if index.size:
-                # q = 2^m, so a key is (i << m) | column 0's code, and column 0's
-                # code is the identity's code XOR the n - 1 m-bit digits of i
-                index = index.astype(np.uint64)
-                index += np.uint64(start)
-                keys = index << width
-                for shift in folds:
-                    index ^= index >> shift
-                index &= digit
-                index ^= one
-                keys |= index
-                parts.append(keys)
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+            hits = np.unpackbits((~differs).view(np.uint8), count=rows, bitorder="little")
+            parts.append(candidate_keys(start, rows)[hits.view(bool)])
+        return np.concatenate(parts)
 
     def _candidate_planes(self, start: int, rows: int) -> np.ndarray:
         """Bit-planes of the normalized candidates start, ..., start + rows - 1,
@@ -468,11 +489,10 @@ class AlgebraContext:
         first = start // WORD_BITS
         word_index = np.arange(first, first + words, dtype=np.uint64)
         index_bits = P[1:].reshape(-1, words)  # row k: bit k of the index
-        for k in range(index_bits.shape[0]):
-            if k < len(LOW_BIT_PATTERNS):
-                index_bits[k] = LOW_BIT_PATTERNS[k]
-            else:
-                index_bits[k] = -((word_index >> np.uint64(k - len(LOW_BIT_PATTERNS))) & np.uint64(1))
+        low = min(len(LOW_BIT_PATTERNS), index_bits.shape[0])
+        index_bits[:low] = np.array(LOW_BIT_PATTERNS[:low], dtype=np.uint64)[:, None]
+        shifts = np.arange(index_bits.shape[0] - low, dtype=np.uint64)[:, None]
+        np.negative((word_index >> shifts) & np.uint64(1), out=index_bits[low:])
         P[0] = np.bitwise_xor.reduce(P[1:], axis=0) ^ constant_planes(self.identity[:1], m)[0]
         return P
 

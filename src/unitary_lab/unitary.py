@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import DEFAULT_BATCH, AlgebraContext, keys_contain, sorted_unique
+from .engine import DEFAULT_BATCH, AlgebraContext, digits, keys_contain, sorted_unique
 from .errors import (
     EvenCharacteristic,
     InternalInconsistency,
@@ -175,10 +175,10 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
     unitary elements) are checked on every element, in key space: star holds
     the key of x* for every key x of S. The involution is a bijection on
     keys, so star has |S| distinct entries, and sorted(star) == S holds
-    exactly when x* lies in S for every x in S. When star == S already
-    (x* = x throughout, as for an elementary abelian group under the
-    canonical star) nothing is sorted; on failure a membership search names
-    the least key whose involute is missing.
+    exactly when x* lies in S for every x in S. When sigma fixes every index
+    (the canonical star of an elementary abelian group) x* = x, and nothing is
+    involuted; when star == S already nothing is sorted; on failure a
+    membership search names the least key whose involute is missing.
 
     Multiplicative closure is certified by Dimino's coset walk: the set must
     equal the subgroup generated by greedily chosen members, and every product
@@ -189,30 +189,38 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
     a group by induction. A reached r s lies in a reached coset H r', so
     H (r s) = H r'; the union of the reached cosets is therefore closed under
     right multiplication by every generator, and being finite and containing 1
-    it is <H, g>. So the walk forms about one product per element. When the set is
-    all of V(FG), closure is the multiplicativity of the augmentation map,
-    which is property-tested separately; the walk is skipped."""
+    it is <H, g>. So the walk forms about one product per element. A coset H x
+    is marked by searching S for its keys sorted, which keeps each binary
+    search near the last; the products r s, whose order decides the
+    representatives, are searched in product order. Only when a product
+    escapes is a coset searched again in product order, so the message names
+    the first escaping product the walk formed. When the set is all of V(FG),
+    closure is the multiplicativity of the augmentation map, which is
+    property-tested separately; the walk is skipped."""
     S, group, field = uset_keys, ctx.group, ctx.field
     if not keys_contain(S, np.array([ctx.identity_key], dtype=np.uint64))[0]:
         raise _inconsistency(group, field, "unitary set misses the identity", ctx.identity)
-    star = ctx.involute_keys(S, sigma)
-    if not np.array_equal(star, S):
-        star.sort()
+    if (sigma != np.arange(ctx.n)).any():  # else x* = x for every x
+        star = ctx.involute_keys(S, sigma)
         if not np.array_equal(star, S):
-            escaped = np.flatnonzero(~keys_contain(S, ctx.involute_keys(S, sigma)))[0]
-            raise _inconsistency(group, field, "unitary set is not closed under the involution",
-                                 ctx.unpack(S[escaped:escaped + 1])[0])
-    del star
+            star.sort()
+            if not np.array_equal(star, S):
+                escaped = np.flatnonzero(~keys_contain(S, ctx.involute_keys(S, sigma)))[0]
+                raise _inconsistency(group, field, "unitary set is not closed under the involution",
+                                     ctx.unpack(S[escaped:escaped + 1])[0])
+        del star
     if S.size == full_space:
         return
 
-    def positions(products: np.ndarray) -> np.ndarray:
+    def positions(products: np.ndarray, in_order: bool = False) -> np.ndarray:
+        # the positions in S of the products' keys, ascending unless in_order
         keys = ctx.pack(products)
-        pos = np.minimum(np.searchsorted(S, keys), S.size - 1)
-        escaped = S[pos] != keys
-        if escaped.any():
+        queries = keys if in_order else np.sort(keys)
+        pos = np.minimum(np.searchsorted(S, queries), S.size - 1)
+        if not np.array_equal(S[pos], queries):
+            escaped = np.flatnonzero(~keys_contain(S, keys))[0]
             raise _inconsistency(group, field, "product of two claimed unitary elements escapes the set",
-                                 products[np.flatnonzero(escaped)[0]])
+                                 products[escaped])
         return pos
 
     known = np.zeros(S.size, dtype=bool)
@@ -226,7 +234,7 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
         reps = [gens[-1]]
         for r in reps:  # grows while it is walked
             products = ctx.mul(np.tile(r, (gens.shape[0], 1)), gens)
-            for x, pos in zip(products, positions(products)):
+            for x, pos in zip(products, positions(products, in_order=True)):
                 if not known[pos]:
                     known[positions(ctx.mul(H, x[None, :]))] = True
                     reps.append(x)
@@ -268,8 +276,8 @@ def unitary_enumerate_oracle(group: Group, inv: GroupInvolution, field: FieldSpe
     order, space = int(keys.size), oracle_search_space(group, field)
     if order > space:
         raise _inconsistency(group, field, "unitary order exceeds the normalized unit count")
-    ctx = AlgebraContext(field, group)
-    witnesses = tuple(from_codes(field, group, row) for row in ctx.unpack(keys[:max_witnesses]))
+    witnesses = tuple(from_codes(field, group, row)
+                      for row in digits(keys[:max_witnesses], field.order, group.n))
     subsidiary = {
         "search_space": space,
         "witnesses_truncated": max_witnesses is not None and order > max_witnesses,
@@ -646,18 +654,17 @@ def _tau_codes(ctx: AlgebraContext) -> np.ndarray:
     return ctx.tabs.add[np.arange(ctx.q), np.diagonal(ctx.tabs.mul)]
 
 
-def _sum_keys(ctx: AlgebraContext, keys: np.ndarray, *parts) -> np.ndarray:
-    """Sorted, distinct keys of x + span(part) + ... over the keys x and the
-    (basis rows, coefficient codes) parts; codes None is the whole field. From
-    the key of 1 an N part lists N1 or N2, and from N1's keys the N2 part lists
+def _sum_keys(ctx: AlgebraContext, keys: np.ndarray, part: tuple) -> np.ndarray:
+    """Sorted, distinct keys of x + span(part) over the keys x and the part
+    (basis rows, coefficient codes); codes None is the whole field. From the
+    key of 1 an N part lists N1 or N2, and from N1's keys the N2 part lists
     {x y : x in N1, y in N2}. In characteristic two a key is n fields of m
     bits, so adding rows XORs their keys."""
     if not ctx.char2:
         raise OddCharacteristic("key sums require characteristic 2")
-    for basis, codes in parts:
-        span = ctx.pack(np.concatenate(list(ctx.span_batches(basis, coefficient_codes=codes))))
-        keys = (keys[:, None] ^ span).ravel()
-    return sorted_unique(keys)
+    basis, codes = part
+    span = ctx.pack(np.concatenate(list(ctx.span_batches(basis, coefficient_codes=codes))))
+    return sorted_unique((keys[:, None] ^ span).ravel())
 
 
 def _check_generator_identity(ctx: AlgebraContext, c: int, pair_reps: np.ndarray) -> bool:

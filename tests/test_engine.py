@@ -347,6 +347,45 @@ def test_char2_unitary_keys_when_every_coefficient_is_fixed(group_name, m):
     _assert_scan_matches_reference(ctx, _identity_involution(ctx.group), _scan_batches(ctx))
 
 
+@pytest.mark.parametrize("batch", [64, 128])
+def test_char2_all_hit_scan_stops_at_the_last_candidate(batch):
+    # E4 over GF(2) under its star: every one of the 8 candidates is unitary, and
+    # 56 rows of the one word are pad, which must not become keys, whatever the batch
+    ctx = AlgebraContext(make_field(2, 1), build("elementary_abelian:2:2"))
+    sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
+    got = ctx.unitary_keys(sigma, batch=batch)
+    expected = ctx.pack(np.concatenate(list(ctx.normalized_batches())))
+    assert got.size == 8 and got.tobytes() == np.sort(expected).tobytes()
+
+
+@pytest.mark.parametrize("group_name,m", [("elementary_abelian:2:4", 1), ("dihedral:8", 2),
+                                          ("dihedral:16", 1)])
+def test_char2_unitary_keys_in_batches_of_several_words(group_name, m):
+    # batches of 3 and 5 words, which divide no power of two: a batch's words
+    # straddle the index's higher bits anywhere, and the last batch is short
+    ctx = AlgebraContext(make_field(2, m), build(group_name))
+    assert ctx.q ** (ctx.n - 1) <= 1 << 15
+    sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
+    _assert_scan_matches_reference(ctx, sigma, (192, 320))
+
+
+def test_char2_scan_with_no_test_left_builds_no_planes(monkeypatch):
+    # E8 under its star: sigma fixes every index and every g sigma(g) is 1, so
+    # every candidate is a hit and no bit-plane is needed
+    ctx = AlgebraContext(make_field(2, 1), build("elementary_abelian:2:3"))
+    sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
+    assert sigma.tolist() == list(range(ctx.n))
+    expected = _reference_unitary_keys(ctx, sigma)
+
+    def refuse(*args):
+        raise AssertionError("candidate planes built")
+
+    monkeypatch.setattr(AlgebraContext, "_candidate_planes", refuse)
+    for batch in (64, DEFAULT_BATCH):
+        got = ctx.unitary_keys(sigma, batch=batch)
+        assert got.size == ctx.q ** (ctx.n - 1) and got.tobytes() == expected.tobytes()
+
+
 def test_char2_fixed_coefficient_sums_drop_candidates():
     # augmentation 1 implies the sums at sigma-fixed coefficients on E4 under the identity,
     # but not on C8: a scan that skipped them would keep every candidate there

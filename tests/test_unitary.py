@@ -308,6 +308,35 @@ def test_certificate_refuses_a_set_without_the_identity():
     assert str(exc.value) == "unitary set misses the identity (quaternion:8 over 2^2, element 10*g0)"
 
 
+def test_certificate_under_the_identity_map_involutes_nothing(monkeypatch):
+    # E4 over GF(4): the star is the identity map, so x* = x and the involution
+    # check has nothing to do, yet 1 is still required
+    ctx, sigma, keys = _scan(build("elementary_abelian:2:2"), GF4)
+    assert sigma.tolist() == list(range(ctx.n))
+    involute = ctx.involute_keys
+    calls = []
+    monkeypatch.setattr(ctx, "involute_keys", lambda *a: calls.append(a) or involute(*a))
+    _certify(ctx, sigma, keys)
+    with pytest.raises(InternalInconsistency) as exc:
+        _certify(ctx, sigma, keys[keys != ctx.identity_key])
+    assert str(exc.value) == ("unitary set misses the identity "
+                              "(elementary_abelian:2:2 over 2^2, element 10*g0)")
+    assert calls == []
+
+
+def test_certificate_names_the_first_escaping_product_of_a_coset():
+    # C4 x C2 over GF(2) without g1 and g5: the coset that escapes forms g5
+    # before g1, though g1's key is the smaller, and g5 is the one named
+    group = build("abelian:2:[1,2]")
+    ctx = AlgebraContext(GF2, group)
+    sigma = np.array(ga.involution_from_map(group, range(group.n)).sigma, dtype=np.intp)
+    kept = [g for g in range(group.n) if g not in (1, 5)]
+    with pytest.raises(InternalInconsistency) as exc:
+        _certify(ctx, sigma, np.array([1 << g for g in kept], dtype=np.uint64))
+    assert str(exc.value) == ("product of two claimed unitary elements escapes the set "
+                              "(abelian:2:[1,2] over 2^1, element 1*g5)")
+
+
 def test_certificate_refuses_a_set_not_closed_under_the_involution():
     # {1, g1} in F3 C9: g1* = g8 is missing
     ctx, sigma, _ = _scan(build("cyclic:9"), GF3)
@@ -457,6 +486,12 @@ def _reference_sum_keys(ctx, keys, *parts):
     return np.unique(ctx.pack(rows))
 
 
+def _chained_sum_keys(ctx, keys, *parts):
+    for part in parts:
+        keys = un._sum_keys(ctx, keys, part)
+    return keys
+
+
 @pytest.mark.parametrize("name, m", [(entry.name, m) for m, max_order in ((1, 16), (2, 8))
                                      for entry in catalog_entries(max_order, 2)])
 def test_sum_keys_match_row_sums(name, m):
@@ -470,7 +505,7 @@ def test_sum_keys_match_row_sums(name, m):
         for keys, parts in ((orbit.cosets, [(orbit.w_basis, None)]), (one, [n1_part]),
                             (one, [n1_part, tau_part])):
             expected = _reference_sum_keys(ctx, keys, *parts)
-            assert un._sum_keys(ctx, keys, *parts).tobytes() == expected.tobytes(), (name, c)
+            assert _chained_sum_keys(ctx, keys, *parts).tobytes() == expected.tobytes(), (name, c)
 
 
 def test_sum_keys_refuse_odd_characteristic():
@@ -618,6 +653,24 @@ def test_char2_recursion_builds_one_context_per_level(monkeypatch):
     un.clear_caches()
     un.unitary_order_char2(d16, GF2)
     assert sorted(built) == [1, 2, 4, 8, 16]
+
+
+def test_oracle_builds_one_context(monkeypatch):
+    # the scan's context also certifies; the witnesses are unpacked without one
+    built, init = [], AlgebraContext.__init__
+
+    def counting_init(self, field, group):
+        built.append(group.n)
+        init(self, field, group)
+
+    q8 = build("quaternion:8")
+    monkeypatch.setattr(AlgebraContext, "__init__", counting_init)
+    un.clear_caches()
+    result = un.unitary_enumerate_oracle(q8, ga.canonical_star(q8), GF8)
+    assert built == [8]
+    ctx = AlgebraContext(GF8, q8)
+    keys = un._oracle_set(q8, ga.canonical_star(q8), GF8)[:un.DEFAULT_MAX_WITNESSES]
+    assert result.elements == tuple(ga.from_codes(GF8, q8, row) for row in ctx.unpack(keys))
 
 
 def test_char2_refuses_by_the_rows_of_its_own_route():
