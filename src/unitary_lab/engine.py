@@ -44,11 +44,15 @@ g sigma(g) = k, so it is tested linearly, by an XOR of planes. A test that
 every candidate passes by construction is not run, and when no test is left
 (sigma fixes every index and g sigma(g) = 1 throughout, as for an elementary
 abelian group under its star) no planes are built: every candidate is a hit.
-The certificate's involution check, the S_H and N1/N2 listings and the
-S_H membership checks stay in key space there: a key is n fields of m bits,
-so a permutation of G's indices only moves the fields
-(`AlgebraContext.involute_keys`), adding rows XORs keys, and a coefficient
-is tested through a mask on its field.
+The certificate's involution check stays in key space there: a key is n
+fields of m bits, so a permutation of G's indices only moves the fields
+(`AlgebraContext.involute_keys`).
+
+Keys are uint64 and below 2^63, so `pack` refuses a group algebra with more
+than 2^63 elements when it is first called; a context is built for any size,
+and the characteristic-two recursion, which keys in its own coordinates,
+never packs. A bit-plane product is refused before its gathered temporary
+would pass MAX_GATHER_BYTES.
 """
 
 from __future__ import annotations
@@ -68,6 +72,8 @@ DEFAULT_BATCH = 1 << 16
 WORD_BITS = 64
 PLANE_CHUNK_ROWS = 1 << 14  # rows converted or multiplied at a time: whole words, a transpose
                             # that stays in cache, a bounded gather in plane_product
+MAX_GATHER_BYTES = 1 << 29  # the largest temporary one piece of plane_product may gather
+MAX_KEY_SPACE = 1 << 63     # uint64 keys, kept below 2^63
 # bit b of word k is bit k of b: bits 0..5 of the indices of 64 consecutive rows
 LOW_BIT_PATTERNS = (0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
                     0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)
@@ -199,6 +205,12 @@ def from_planes(P: np.ndarray, B: int) -> np.ndarray:
     return out
 
 
+def require_key_space(size: int, context: str) -> None:
+    """Refuse size distinct keys when uint64 keys below 2^63 cannot name them all."""
+    if size > MAX_KEY_SPACE:
+        raise SearchSpaceTooLarge(size, MAX_KEY_SPACE, context=context)
+
+
 def keys_contain(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Membership mask of queries against a sorted uint64 key array."""
     if sorted_keys.size == 0:
@@ -220,8 +232,6 @@ class AlgebraContext:
         self.tabs = field_tables(field)
         self.n = group.n
         self.q = field.order
-        if self.q ** self.n > (1 << 63):
-            raise SearchSpaceTooLarge(self.q ** self.n, 1 << 63, context="uint64 key packing")
         self.gtable = np.asarray(group.table, dtype=np.intp)
         self.char2 = field.p == 2
         # left_div[i, k] = j with g_i g_j = g_k
@@ -230,18 +240,17 @@ class AlgebraContext:
         if self.char2:
             # taps: x^m = sum of x^t over them
             self.taps = [t for t in range(field.m) if field.modulus[t]]
-        self.powers = np.array([self.q ** i for i in range(self.n)], dtype=np.uint64)
         self.identity = np.zeros(self.n, dtype=np.uint16)
-        self.identity[0] = self.tabs.one
-        self.identity_key = int(self.pack(self.identity[None, :])[0])
+        self.identity[0] = self.tabs.one  # so the key of 1 is tabs.one
 
     # --- conversions ---------------------------------------------------------
 
     def pack(self, X: np.ndarray) -> np.ndarray:
-        # one matrix-vector product: numpy's sum over the short second axis is
-        # slow, and a loop over the columns is slow on small batches; every key
-        # is below q^n <= 2^63, so uint64 arithmetic is exact
-        return X.astype(np.uint64) @ self.powers
+        # one matrix-vector product with the powers q^i: numpy's sum over the
+        # short second axis is slow, and a loop over the columns is slow on small
+        # batches; every key is below q^n <= 2^63, so uint64 arithmetic is exact
+        require_key_space(self.q ** self.n, "uint64 key packing")
+        return X.astype(np.uint64) @ (np.uint64(self.q) ** np.arange(self.n, dtype=np.uint64))
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         return digits(np.asarray(keys, dtype=np.uint64), self.q, self.n)
@@ -294,13 +303,17 @@ class AlgebraContext:
         gathered once as Y[left_div], (n, K, m, words) with row i holding the
         Y[j] that X[i] meets, so each plane a of X is one AND against it and
         one XOR-reduction over i: m vector steps, not n m. The words run in
-        pieces of PLANE_CHUNK_ROWS rows, which bounds the gathered temporary.
+        pieces of PLANE_CHUNK_ROWS rows, and a piece whose gathered temporary
+        would pass MAX_GATHER_BYTES is refused before it is allocated.
         The reduction by the modulus is linear, so it runs once on the sum."""
         m = self.field.m
         left_div = self.left_div if coeffs is None else self.left_div[:, coeffs]
         words = max(xp.shape[2], yp.shape[2])
-        out = np.zeros((left_div.shape[1], 2 * m - 1, words), dtype=np.uint64)
         step = PLANE_CHUNK_ROWS // WORD_BITS
+        gathered = left_div.size * m * min(words, step) * np.dtype(np.uint64).itemsize
+        if gathered > MAX_GATHER_BYTES:
+            raise SearchSpaceTooLarge(gathered, MAX_GATHER_BYTES, context="bit-plane product")
+        out = np.zeros((left_div.shape[1], 2 * m - 1, words), dtype=np.uint64)
         for start in range(0, words, step):
             piece = slice(start, start + step)
             x = xp if xp.shape[2] == 1 else xp[:, :, piece]
@@ -325,8 +338,7 @@ class AlgebraContext:
 
     def involute_keys(self, keys: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """pack(unpack(keys)[:, sigma]) for any permutation sigma of G's
-        indices (an involution, or g -> gc), batch by batch so that no
-        temporary grows with the key count.
+        indices, batch by batch so that no temporary grows with the key count.
 
         In characteristic two the batch never leaves key space: a key is n
         fields of m bits, field i holding column i's code, and sigma only

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import DEFAULT_BATCH, AlgebraContext, digits, keys_contain, sorted_unique
+from .engine import DEFAULT_BATCH, AlgebraContext, digits, keys_contain, require_key_space, sorted_unique
 from .errors import (
     EvenCharacteristic,
     InternalInconsistency,
@@ -198,7 +198,7 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
     closure is the multiplicativity of the augmentation map, which is
     property-tested separately; the walk is skipped."""
     S, group, field = uset_keys, ctx.group, ctx.field
-    if not keys_contain(S, np.array([ctx.identity_key], dtype=np.uint64))[0]:
+    if not keys_contain(S, np.array([ctx.tabs.one], dtype=np.uint64))[0]:
         raise _inconsistency(group, field, "unitary set misses the identity", ctx.identity)
     if (sigma != np.arange(ctx.n)).any():  # else x* = x for every x
         star = ctx.involute_keys(S, sigma)
@@ -224,7 +224,7 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
         return pos
 
     known = np.zeros(S.size, dtype=bool)
-    known[int(np.searchsorted(S, np.uint64(ctx.identity_key)))] = True
+    known[int(np.searchsorted(S, np.uint64(ctx.tabs.one)))] = True
     gens = np.empty((0, ctx.n), dtype=np.uint16)
     while not known.all():
         gpos = int(np.argmin(known))
@@ -254,6 +254,7 @@ def _oracle_set(group: Group, inv: GroupInvolution, field: FieldSpec,
     space = oracle_search_space(group, field)
     if space > search_cap:
         raise SearchSpaceTooLarge(space, search_cap, context=f"oracle over {group.id}")
+    require_key_space(field.order ** group.n, "uint64 key packing")
     cache_key = (group, field, inv.sigma)
     keys = _SET_CACHE.get(cache_key)
     if keys is None:
@@ -299,13 +300,21 @@ def _least_central_involution(group: Group) -> int:
 class _CosetOrbit:
     """The recursion step over H = <c> for one (G, c, F); see _coset_orbit."""
 
-    ctx: AlgebraContext      # batch arithmetic of FG, shared with _fiber_scan and the level above
+    ctx: AlgebraContext      # batch arithmetic of FG, shared with the level above
     order: int               # |V_*(FG)|
     vbar_order: int          # |V_*(F[Gb])|
-    cosets: np.ndarray       # sorted canonical keys of the cosets of W in S_H, one per point
+    points: np.ndarray       # sorted keys of gamma on Tb, one per coset of W in S_H; W is 0
+    w_size: int              # |W| = q^(pairs h != h^-1 of Gb)
+    s_h_size: int            # |S_H| = index |W|
     generators: np.ndarray   # code rows generating V_*(FG)
-    w_basis: np.ndarray      # (1+c) lift(g + g^-1), one row per pair g != g^-1 of Gb
-    s_h_keys: np.ndarray | None = None  # listed by _fiber_scan when first asked for
+    support: np.ndarray      # (k, 4) indices of G under each S_H key field: the pairs, then Tb
+
+    def elements(self, keys: np.ndarray) -> np.ndarray:
+        """The code rows 1 + (1+c) lift(beta) of S_H keys (see _fiber_scan)."""
+        rows = np.zeros((keys.size, self.ctx.n), dtype=np.uint16)
+        rows[:, self.support] = digits(keys, self.ctx.q, self.support.shape[0])[:, :, None]
+        rows[:, 0] = self.ctx.tabs.one
+        return rows
 
 
 _ORBITS: dict[tuple, _CosetOrbit] = {}
@@ -336,18 +345,29 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
 
         x x* = L L* + (1+c) lift(u (b u)* + b u u*) = L L* + (1+c) lift(b + b*).
 
+    * Psi(L L*) = u u* = 1, so L L* = 1 + (1+c) lift(gamma) with gamma_h the
+      coefficient of L L* at lift(h) c. gamma is symmetric, as L L* is and
+      (1+c)g = (1+c)gc. gamma is 0 at every h whose lift lies in G{2}, h = 1
+      included: lift(h) c is then in G{2} and not 1, and the coefficient of
+      such a g in any y y* is the sum over k of y_gk y_k, whose terms cancel
+      in pairs under k -> gk.
     * The fiber over u maps onto the coset L L* + W of
-      W = (1+c) lift{b + b*} = span{(1+c) lift(g + g^-1) : g != g^-1 in Gb},
-      |W| = q^((|Gb| - |Gb{2}|)/2), and S_H is the union of these cosets.
-    * x is unitary iff 1 + L L* = (1+c) lift(beta) lies in W. Then
-      beta = b0 + b0* for b0 = sum of beta_g g over g < g^-1, and the
+      W = (1+c) lift{b + b*}: the (1+c) lift(beta) with beta symmetric, 0 on
+      Gb{2} and free on one h of each pair h != h^-1 of Gb, so |W| is q to
+      the number of pairs. Gb{2} is the images of G{2} and Tb, the |T_c|/2
+      images of T_c, so the coset is named by gamma on Tb, its point, and
+      W itself is point 0. S_H, the union of these cosets, is the
+      1 + (1+c) lift(beta) with beta on Tb a point and beta on the pairs
+      free: the points times W.
+    * x is unitary iff L L* lies in 1 + W, that is the point is 0. Then
+      gamma = b0 + b0* for b0 = sum of gamma_g g over g < g^-1, and the
       solutions are b = b0 + k over the symmetric k in F[Gb]. The unitary
       elements over u = 1 form the kernel K of Psi on V, the elementary
       abelian group of the 1 + (1+c) lift(k), |K| = q^((|Gb| + |Gb{2}|)/2).
-    * x x* = x' x'* iff x' in x V, so u and u' give one coset iff u' in
-      u Psi(V). Thus phi(u) = the coset of L L* names the left coset
-      u Psi(V), Vb acts on these by left multiplication, and the orbit of
-      phi(1) = W under generators of Vb has index = [Vb : Psi(V)] points.
+    * x x* = x' x'* iff x' in x V, so u and u' give one point iff u' in
+      u Psi(V). Thus the point of u names the left coset u Psi(V), Vb acts
+      on the points by left multiplication, and the orbit of point 0 under
+      generators of Vb has index = [Vb : Psi(V)] points.
       Hence |S_H| = index |W| and |V| = |K| |Vb| / index.
     * By Schreier's lemma the t_k* g t_j, for g t_j in t_k Psi(V), generate
       Psi(V) (a unitary element's inverse is its involute). Each lifts to
@@ -355,10 +375,12 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
       1 + (1+c) lift(x^a k) of K, over a < m and a basis of the symmetric
       k, generate V.
 
-    Cosets are compared through a canonical representative: adding
-    y[lift(g)] (1+c) lift(g + g^-1) for each g < g^-1 clears the coefficient
-    at lift(g), which no other basis vector of W touches; u is solvable iff
-    L L* reduces to 1. Each point costs one product per generator of Vb;
+    Psi(L L*) = 1, gamma symmetric and gamma 0 on the images of G{2} are
+    checked on every orbit product and every Schreier generator, with L as
+    the witness. Every element of S_H is such an L L* (or 1) plus an element
+    of W, and W has all three properties, so the checks cover all of S_H.
+    A point is gamma on Tb in m-bit fields, m |T_c|/2 bits; one wider than
+    63 bits is refused. Each point costs one product per generator of Vb;
     the paper's bound |S_H| <= q^((|G| - |G{2}| + |T_c|)/4) bounds the
     points by q^(|T_c|/2), as |Gb{2}| = (|G{2}| + |T_c|)/2, and that
     product is refused beyond search_cap before any arithmetic here."""
@@ -367,38 +389,46 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     if hit is not None:
         return hit
     t_c = group.square_roots(c)  # also validates c
-    ctx = AlgebraContext(field, group)  # refuses a group too large for packed keys
+    ctx = AlgebraContext(field, group)
     gbar, projection = group.quotient(group.subgroup_generated([c]))
     vbar_order, vbar_gens, bctx = _unitary_generators(gbar, field, search_cap)
     work = field.order ** (len(t_c) // 2) * vbar_gens.shape[0]
     if work > search_cap:
         raise SearchSpaceTooLarge(work, search_cap, context=f"S_H coset orbit over {group.id}")
+    require_key_space(field.order ** (len(t_c) // 2), f"S_H coset keys over {group.id}")
 
-    q, n, nbar = field.order, group.n, gbar.n
-    pairs = np.flatnonzero(np.arange(nbar) < bctx.star)  # one g per pair g != g^-1
+    q, m, n, nbar = field.order, field.m, group.n, gbar.n
     reps = np.array(coset_representatives(projection, nbar), dtype=np.intp)
     reps_c = ctx.gtable[reps, c]
-    inverse_pairs = np.stack([np.arange(nbar), bctx.star], axis=1)  # (g, g^-1)
-    lifted = np.concatenate([reps[inverse_pairs[pairs]], reps_c[inverse_pairs[pairs]]], axis=1)
-    w_basis = _basis_sums(ctx, lifted)  # (1+c) lift(g + g^-1), g in pairs
+    squares = ctx.gtable[reps, reps]
+    pairs = np.flatnonzero(np.arange(nbar) < bctx.star)  # one h per pair h != h^-1
+    t_bar, over_g2 = np.flatnonzero(squares == c), np.flatnonzero(squares == 0)
+    fields = np.uint64(m) * np.arange(t_bar.size, dtype=np.uint64)
 
-    def reduced(U):
-        """Canonical keys of the cosets L L* + W over the rows u of U, beta, and L."""
+    def point_keys(U):
+        """The points of L L* over the rows u of U, with gamma and L."""
         L = np.zeros((U.shape[0], n), dtype=np.uint16)
         L[:, reps] = U
         Y = ctx.norm(L, ctx.star)
-        beta = Y[:, reps[pairs]]
-        # the rows of w_basis have disjoint supports, so the product adds no two codes
-        return ctx.pack(ctx.add(Y, beta @ w_basis)), beta, L
+        gamma = Y[:, reps_c]
+        for what, fails in (
+                ("Psi(L L*) is not 1", (Y[:, reps] ^ gamma != bctx.identity).any(axis=1)),
+                ("gamma of L L* is not symmetric", (gamma != gamma[:, bctx.star]).any(axis=1)),
+                ("gamma of L L* is not 0 on the image of G{2}", gamma[:, over_g2].any(axis=1))):
+            if fails.any():
+                raise _inconsistency(group, field, what, L[np.argmax(fails)], c)
+        return np.bitwise_or.reduce(gamma[:, t_bar].astype(np.uint64) << fields, axis=1), gamma, L
 
     # Schreier's orbit algorithm: one product batch per round over every
     # (generator, frontier point) pair. The points stay sorted, each with its
-    # row of the transversal, and new ones are merged in.
+    # row of the transversal, and new ones are merged in. The Schreier
+    # generators stay sorted by their keys in F[Gb] (column n - 1 leads) and
+    # repeat-free.
     transversal = bctx.identity[None, :]
-    points = np.array([ctx.identity_key], dtype=np.uint64)  # sorted coset keys
+    points = np.zeros(1, dtype=np.uint64)
     point_rows = np.zeros(1, dtype=np.intp)  # the transversal row of each point
     frontier = np.zeros(1, dtype=np.intp)
-    schreier_parts = [np.empty(0, dtype=np.uint64)]
+    schreier = np.empty((0, nbar), dtype=np.uint16)
     chunk = max(1, DEFAULT_BATCH // max(1, vbar_gens.shape[0]))
     while frontier.size:
         fresh = []
@@ -406,7 +436,7 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
             T = transversal[frontier[start:start + chunk]]
             P = bctx.mul(np.repeat(vbar_gens, T.shape[0], axis=0),
                          np.tile(T, (vbar_gens.shape[0], 1)))
-            keys = reduced(P)[0]
+            keys = point_keys(P)[0]
             distinct, first = np.unique(keys, return_index=True)
             new = ~keys_contain(points, distinct)
             rows = np.arange(transversal.shape[0], transversal.shape[0] + int(new.sum()))
@@ -416,7 +446,11 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
             points = np.insert(points, at, distinct[new])
             point_rows = np.insert(point_rows, at, rows)
             coset_rep = transversal[point_rows[np.searchsorted(points, keys)]]
-            schreier_parts.append(bctx.pack(bctx.mul(coset_rep[:, bctx.star], P)))
+            R = np.concatenate([schreier, bctx.mul(coset_rep[:, bctx.star], P)])
+            R = R[np.lexsort(R.T)]
+            first_of_run = np.ones(R.shape[0], dtype=bool)
+            first_of_run[1:] = (R[1:] != R[:-1]).any(axis=1)
+            schreier = R[first_of_run]
         frontier = np.concatenate(fresh)
     index = points.size
     if vbar_order % index:
@@ -424,16 +458,16 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
                                            f"|Vb| = {vbar_order}", c=c)
 
     # lifted Schreier generators, then the generators of K; all checked unitary
-    schreier = sorted_unique(np.concatenate(schreier_parts))
-    S = bctx.unpack(schreier[schreier != bctx.identity_key])
-    keys, beta, L = reduced(S)
-    bad = np.flatnonzero(keys != ctx.identity_key)
+    S = schreier[~bctx.is_one(schreier)]
+    keys, gamma, L = point_keys(S)
+    bad = np.flatnonzero(keys)
     if bad.size:
         raise _inconsistency(group, field, "a Schreier generator is not solvable", L[bad[0]], c)
     b0 = np.zeros((S.shape[0], nbar), dtype=np.uint16)
-    b0[:, pairs] = beta
-    sym_basis = _basis_sums(bctx, inverse_pairs[np.arange(nbar) <= bctx.star])  # g + g^-1, g <= g^-1
-    powers_of_x = np.array([1 << a for a in range(field.m)], dtype=np.uint16)
+    b0[:, pairs] = gamma[:, pairs]
+    eye = np.eye(nbar, dtype=np.uint16)
+    sym_basis = (eye | eye[bctx.star])[np.arange(nbar) <= bctx.star]  # g + g^-1, g <= g^-1
+    powers_of_x = np.array([1 << a for a in range(m)], dtype=np.uint16)
     k_parts = (powers_of_x[:, None, None] * sym_basis[None, :, :]).reshape(-1, nbar)
     U = np.concatenate([S, np.repeat(bctx.identity[None, :], k_parts.shape[0], axis=0)])
     A = np.concatenate([bctx.mul(b0, S), k_parts])
@@ -444,61 +478,43 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     if bad.size:
         raise _inconsistency(group, field, "a generator is not unitary", X[bad[0]], c)
 
-    k_size = q ** (nbar - pairs.size)
-    orbit = _CosetOrbit(ctx, k_size * vbar_order // index, vbar_order, points, X, w_basis)
+    lifts = np.stack([reps, reps_c, reps[bctx.star], reps_c[bctx.star]], axis=1)  # of h and h^-1
+    orbit = _CosetOrbit(ctx, q ** (nbar - pairs.size) * vbar_order // index, vbar_order, points,
+                        q ** pairs.size, index * q ** pairs.size, X, lifts[np.concatenate([pairs, t_bar])])
     _ORBITS[cache_key] = orbit
     return orbit
 
 
 def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
-                search_cap: int) -> tuple[_CosetOrbit, np.ndarray, AlgebraContext]:
-    """S_H for H = <c>, the union of the orbit's cosets of W (see _coset_orbit).
+                search_cap: int) -> tuple[_CosetOrbit, np.ndarray]:
+    """S_H for H = <c>, the points of the orbit times W (see _coset_orbit).
 
-    Returns (the orbit, distinct S_H keys, the context of FG). |S_H| = index |W|
-    is asserted, and every y in S_H is verified symmetric, supported away
-    from order-two elements, and inside I(H)^+. The checks stay in key space,
-    as the listing does: only a failing key, the witness, is unpacked."""
+    Returns (the orbit, the sorted S_H keys). The key of
+    1 + (1+c) lift(beta) holds beta in m-bit fields: on one h of each pair
+    h != h^-1 of Gb, then on Tb, where it is the point. So the keys of S_H
+    are each point's key above every key of W, listed in order with no
+    arithmetic; orbit.elements turns them into code rows. A key wider than
+    63 bits is refused, as is a listing longer than search_cap."""
     orbit = _coset_orbit(group, c, field, search_cap)
-    ctx = orbit.ctx
-    w_size = field.order ** orbit.w_basis.shape[0]
-    rows = orbit.cosets.size * w_size
-    if rows > search_cap:
-        raise SearchSpaceTooLarge(rows, search_cap, context=f"S_H cosets over {group.id}")
-    if orbit.s_h_keys is not None:
-        return orbit, orbit.s_h_keys, ctx
-    s_h_keys = _sum_keys(ctx, orbit.cosets, (orbit.w_basis, None))
-    if s_h_keys.size != rows:
-        raise _inconsistency(group, field, f"|S_H| = {s_h_keys.size} != index |W| = "
-                                           f"{orbit.cosets.size} * {w_size}", c=c)
-
-    # S_H membership properties, on the keys: field g is bits m g .. m g + m - 1.
-    # Field g of y + y^(g -> gc) is y_g + y_gc, so Psi(y) = 1 iff it is 1 on H, 0 off it.
-    g2_mask = sum((field.order - 1) << (field.m * g)
-                  for g in group.special_sets().order_two if g != 0)
-    one_plus_c = ctx.pack(_basis_sums(ctx, [[0, c]]))[0]
-    for what, fails in (
-            ("is not symmetric", ctx.involute_keys(s_h_keys, ctx.star) != s_h_keys),
-            ("is supported on an order-two element", s_h_keys & np.uint64(g2_mask) != 0),
-            ("falls outside I(H)^+",
-             ctx.involute_keys(s_h_keys, ctx.gtable[:, c]) ^ s_h_keys != one_plus_c)):
-        if fails.any():
-            raise _inconsistency(group, field, f"an element of S_H {what}",
-                                 ctx.unpack(s_h_keys[fails][:1])[0], c)
-    orbit.s_h_keys = s_h_keys
-    return orbit, s_h_keys, ctx
+    require_key_space(field.order ** orbit.support.shape[0], f"S_H keys over {group.id}")
+    if orbit.s_h_size > search_cap:
+        raise SearchSpaceTooLarge(orbit.s_h_size, search_cap, context=f"S_H cosets over {group.id}")
+    w_keys = np.arange(orbit.w_size, dtype=np.uint64)
+    return orbit, (orbit.points[:, None] * np.uint64(orbit.w_size) | w_keys).ravel()
 
 
 def s_h_enumerate(group: Group, c: int, field: FieldSpec, *,
                   search_cap: int = DEFAULT_SEARCH_CAP,
                   max_samples: int = DEFAULT_MAX_WITNESSES) -> tuple[int, list[AlgebraElement]]:
-    """|S_H| for H = <c>, plus sample elements of S_H."""
+    """|S_H| for H = <c>, plus sample elements of S_H, the first ones in the
+    order of their keys (see _fiber_scan)."""
     if max_samples < 0:
         raise ValueError(f"max_samples {max_samples} is negative")
     if field.p != 2:
         raise OddCharacteristic("S_H enumeration requires characteristic 2")
     require_p_group(group, field)
-    _, s_h_keys, ctx = _fiber_scan(group, c, field, search_cap=search_cap)
-    samples = [from_codes(field, group, row) for row in ctx.unpack(s_h_keys[:max_samples])]
+    orbit, s_h_keys = _fiber_scan(group, c, field, search_cap=search_cap)
+    samples = [from_codes(field, group, row) for row in orbit.elements(s_h_keys[:max_samples])]
     return int(s_h_keys.size), samples
 
 
@@ -530,13 +546,13 @@ def unitary_order_char2(group: Group, field: FieldSpec, *, c: int | None = None,
             return UnitaryResult(group.id, field, "*", "recursive", 1,
                                  theta_from_order(1, field, group))
         c = _least_central_involution(group)
-    orbit, s_h_keys, _ = _fiber_scan(group, c, field, search_cap=search_cap)
+    orbit = _coset_orbit(group, c, field, search_cap)
     t_c, commuting, upper, lower = _s_h_bounds(group, c, field)
     subsidiary = {
         "c": c,
         "t_c_size": len(t_c),
         "t_c_commuting": commuting,
-        "s_h_size": int(s_h_keys.size),
+        "s_h_size": orbit.s_h_size,
         "vbar_order": orbit.vbar_order,
         "s_h_upper_bound": upper,
         "s_h_lower_bound": lower,
@@ -595,76 +611,56 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
 
     N1 is spanned over F by (g + g^-1)(1+c) across the order-4 orbits; N2 by
     g(1+c) over T_c pairs with coefficients from im(tau). When T_c does not
-    commute, N2 and the lower bound are reported as skipped, not raised."""
+    commute, N2 and the lower bound are reported as skipped, not raised.
+
+    In the coordinates of _coset_orbit an orbit {g, g^-1, gc, g^-1 c} is a
+    pair h != h^-1 of Gb, so N1 = 1 + W, with point 0; N2 is the
+    1 + (1+c) lift(beta) with beta in im(tau) on Tb and 0 elsewhere, points
+    whose fields are all in im(tau); and N1 N2 = N2 + W has N2's points. So
+    each containment in S_H is a lookup among the orbit's points, and the
+    sizes |N1| = |W| and |N2| = |im tau|^|Tb| hold by construction; they
+    are checked against the paper's counts of orbits and of T_c."""
     if field.p != 2:
         raise OddCharacteristic("bound constructions require characteristic 2")
     require_p_group(group, field)
     t_c, commuting, upper, lower = _s_h_bounds(group, c, field)
-    _, s_h_keys, ctx = _fiber_scan(group, c, field, search_cap=search_cap)
+    orbit = _coset_orbit(group, c, field, search_cap)
+    ctx = orbit.ctx
 
-    # N1: full field span over the orbit vectors, shifted by 1
     orbits = _n1_orbits(group, c, field)
     expected_k1 = (group.n - len(group.special_sets().order_two) - len(t_c)) // 4
     if len(orbits) != expected_k1:
         raise _inconsistency(group, field, f"{len(orbits)} orbits, not "
                                            f"(|G|-|G{{2}}|-|T_c|)/4 = {expected_k1}", c=c)
-    one_key = np.array([ctx.identity_key], dtype=np.uint64)
-    n1_keys = _sum_keys(ctx, one_key, (_basis_sums(ctx, orbits), None))
-    n1_size = int(n1_keys.size)
+    n1_size = orbit.w_size
     if n1_size != field.order ** expected_k1:
         raise _inconsistency(group, field, f"|N1| = {n1_size} disagrees with "
                                            f"|F|^((|G|-|G{{2}}|-|T_c|)/4)", c=c)
-    n1_inside = bool(keys_contain(s_h_keys, n1_keys).all())
+    n1_inside = bool(keys_contain(orbit.points, np.zeros(1, dtype=np.uint64))[0])
 
     n2_size = n2_inside = product_inside = identity_ok = None
     if commuting:
-        t_c = np.array(t_c, dtype=np.intp)
-        pair_reps = t_c[t_c < ctx.gtable[t_c, c]]  # g < g^-1 = gc
-        n2_part = (_basis_sums(ctx, np.stack([pair_reps, ctx.gtable[pair_reps, c]], axis=1)),
-                   sorted_unique(_tau_codes(ctx)))
-        n2_keys = _sum_keys(ctx, one_key, n2_part)
-        n2_size = int(n2_keys.size)
+        tau, t_bar = sorted_unique(_tau_codes(ctx)), orbit.support.shape[0] - expected_k1
+        n2_size = tau.size ** t_bar
         expected_n2 = (field.order // 2) ** (len(t_c) // 2)
         if n2_size != expected_n2:
             raise _inconsistency(group, field, f"|N2| = {n2_size} disagrees with "
                                                f"(|F|/2)^(|T_c|/2) = {expected_n2}", c=c)
-        n2_inside = bool(keys_contain(s_h_keys, n2_keys).all())
-        prod_keys = _sum_keys(ctx, n1_keys, n2_part)
-        if prod_keys.size != n1_size * n2_size:
-            raise _inconsistency(group, field, f"|N1 x N2| = {prod_keys.size} is not "
-                                               f"|N1| |N2| = {n1_size} * {n2_size}", c=c)
-        product_inside = bool(keys_contain(s_h_keys, prod_keys).all())
+        # the points are distinct, so N2's all lie among them iff |N2| of them are in N2
+        n2_points = np.isin(digits(orbit.points, field.order, t_bar), tau).all(axis=1)
+        n2_inside = product_inside = int(n2_points.sum()) == n2_size
+        t_c = np.array(t_c, dtype=np.intp)
+        pair_reps = t_c[t_c < ctx.gtable[t_c, c]]  # g < g^-1 = gc
         identity_ok = pair_reps.size == 0 or _check_generator_identity(ctx, c, pair_reps)
 
-    return BoundsReport(group.id, field, c, len(t_c), commuting, int(s_h_keys.size),
+    return BoundsReport(group.id, field, c, len(t_c), commuting, orbit.s_h_size,
                         upper, lower, n1_size, n2_size, n1_inside, n2_inside,
                         product_inside, identity_ok)
-
-
-def _basis_sums(ctx: AlgebraContext, indices: np.ndarray) -> np.ndarray:
-    """Per row of group indices, the sum of the distinct basis elements among
-    them as a code row: (g + g^-1)(1 + c) spans N1, g(1 + c) for g^2 = c spans N2."""
-    rows = np.zeros((len(indices), ctx.n), dtype=np.uint16)
-    rows[np.arange(len(indices))[:, None], indices] = ctx.tabs.one
-    return rows
 
 
 def _tau_codes(ctx: AlgebraContext) -> np.ndarray:
     """tau(w) = w + w^2 by field code, from the field tables."""
     return ctx.tabs.add[np.arange(ctx.q), np.diagonal(ctx.tabs.mul)]
-
-
-def _sum_keys(ctx: AlgebraContext, keys: np.ndarray, part: tuple) -> np.ndarray:
-    """Sorted, distinct keys of x + span(part) over the keys x and the part
-    (basis rows, coefficient codes); codes None is the whole field. From the
-    key of 1 an N part lists N1 or N2, and from N1's keys the N2 part lists
-    {x y : x in N1, y in N2}. In characteristic two a key is n fields of m
-    bits, so adding rows XORs their keys."""
-    if not ctx.char2:
-        raise OddCharacteristic("key sums require characteristic 2")
-    basis, codes = part
-    span = ctx.pack(np.concatenate(list(ctx.span_batches(basis, coefficient_codes=codes))))
-    return sorted_unique((keys[:, None] ^ span).ravel())
 
 
 def _check_generator_identity(ctx: AlgebraContext, c: int, pair_reps: np.ndarray) -> bool:

@@ -222,15 +222,16 @@ def test_theta_table_markdown(capsys):
 
 
 def test_theta_table_json_large_rows_render_unavailable(capsys):
-    # 4^32 = 2^64 coefficient strings do not fit the uint64 keys, so D32 over GF(4) is refused
-    code, out, _ = run_cli(capsys, "theta-table", "--max-order", "32",
-                           "--field", "2^1", "--field", "2^2", "--format", "json")
+    # Q16 over GF(16) may need 16^5 orbit points times the generators of V(F D8),
+    # past the default cap, so that cell is refused; over GF(2) it is 4
+    code, out, _ = run_cli(capsys, "theta-table", "--max-order", "16",
+                           "--field", "2^1", "--field", "2^4", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    d32 = next(r for r in payload["rows"] if r["group"] == "dihedral:32")
-    assert d32["cells"]["2^1"] == "1"
-    assert "key packing" in d32["cells"]["2^2"]["unavailable"]
-    assert d32["theta_agrees"] is None
+    q16 = next(r for r in payload["rows"] if r["group"] == "quaternion:16")
+    assert q16["cells"]["2^1"] == "4"
+    assert "(S_H coset orbit over quaternion:16)" in q16["cells"]["2^4"]["unavailable"]
+    assert q16["theta_agrees"] is None
 
 
 def test_theta_table_rejects_odd_fields(capsys):
@@ -294,13 +295,13 @@ def test_internal_inconsistency_over_gf11_exits_two(capsys, monkeypatch):
 
 def test_non_integral_theta_exits_two(capsys, monkeypatch):
     # an order |F|^((|G|+|G{2}|)/2 - 1) does not divide fails compute, as it fails theta-table
-    scan = unitary._fiber_scan
+    orbit_of = unitary._coset_orbit
 
-    def forged_scan(*args, **kwargs):
-        orbit, keys, ctx = scan(*args, **kwargs)
-        return dataclasses.replace(orbit, order=3), keys, ctx
+    def forged_orbit(group, *args):  # D8 itself, not the levels below it
+        orbit = orbit_of(group, *args)
+        return dataclasses.replace(orbit, order=3) if group.n == 8 else orbit
 
-    monkeypatch.setattr(unitary, "_fiber_scan", forged_scan)
+    monkeypatch.setattr(unitary, "_coset_orbit", forged_orbit)
     for method in ("recursive", "auto"):
         clear_caches()
         code, out, err = run_cli(capsys, "compute", "--group", "dihedral:8", "--field", "2^1",
@@ -308,3 +309,12 @@ def test_non_integral_theta_exits_two(capsys, monkeypatch):
         assert (code, out) == (2, "")
         assert err == "internal inconsistency: non-integer theta 3/64 (dihedral:8 over 2^1, c = g2)\n"
     clear_caches()
+
+
+def test_oracle_refuses_more_than_2_63_elements_before_its_scan(capsys):
+    # 2^64 elements of F D64 cannot be uint64 keys, whatever the search cap allows
+    code, out, err = run_cli(capsys, "compute", "--group", "dihedral:64", "--field", "2^1",
+                             "--method", "oracle", "--search-cap", "100000000000000000000000")
+    assert (code, out) == (1, "")
+    assert err == ("error: search space of size 18446744073709551616 exceeds cap "
+                   "9223372036854775808 (uint64 key packing)\n")

@@ -9,6 +9,7 @@ import pytest
 from unitary_lab import group_algebra as ga
 from unitary_lab.engine import (
     DEFAULT_BATCH,
+    MAX_GATHER_BYTES,
     MAX_TABLE_FIELD_ORDER,
     PLANE_CHUNK_ROWS,
     AlgebraContext,
@@ -485,9 +486,31 @@ def test_pack_and_is_one_match_axis_reductions(group_name, p, m):
     X[1::5, 0] = ctx.tabs.one        # identity coefficient one, the rest random
     keys = ctx.pack(X)
     assert keys.dtype == np.uint64
-    assert np.array_equal(keys, (X.astype(np.uint64) * ctx.powers[None, :]).sum(axis=1))
+    powers = np.array([ctx.q ** i for i in range(ctx.n)], dtype=np.uint64)
+    assert np.array_equal(keys, (X.astype(np.uint64) * powers[None, :]).sum(axis=1))
     ones = (X[:, 0] == ctx.tabs.one) & ~X[:, 1:].any(axis=1)
     assert ones.any() and np.array_equal(ctx.is_one(X), ones)
+
+
+def test_pack_refuses_more_than_2_63_elements_but_the_context_builds():
+    # 2^64 elements of F D64: the arithmetic runs, only the keys would wrap
+    ctx = AlgebraContext(make_field(2, 1), build("dihedral:64"))
+    assert ctx.is_one(ctx.norm(ctx.identity[None, :], ctx.star)).all()
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        ctx.pack(ctx.identity[None, :])
+    assert (exc.value.size, exc.value.cap) == (1 << 64, 1 << 63)
+    assert exc.value.context == "uint64 key packing"
+
+
+def test_plane_product_refuses_a_gather_past_its_byte_cap():
+    # 2048 rows are 32 words; Y[left_div] over D2048 would be 2048^2 * 32 words, 1 GiB
+    ctx = AlgebraContext(make_field(2, 1), build("dihedral:2048"))
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        ctx.norm(np.zeros((2048, ctx.n), dtype=np.uint16), ctx.star)
+    assert (exc.value.size, exc.value.cap) == (2048 * 2048 * 32 * 8, MAX_GATHER_BYTES)
+    assert exc.value.context == "bit-plane product"
+    one_word = ctx.norm(np.zeros((64, ctx.n), dtype=np.uint16), ctx.star)  # 32 MiB
+    assert not one_word.any()
 
 
 def test_normalized_batches_enumerate_augmentation_one():

@@ -1,5 +1,6 @@
 """Unitary orders: pointwise checks, the three computation routes, bounds."""
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -253,7 +254,7 @@ def test_certificate_refuses_every_dropped_pair(name, field):
     # subgroup, so some product of its members must land on x or x*
     group = build(name)
     ctx, sigma, keys = _scan(group, field)
-    for key in keys[keys != ctx.identity_key]:
+    for key in keys[keys != ctx.tabs.one]:
         x = ctx.unpack(np.array([key]))
         pair = np.concatenate([x, x[:, sigma]])
         with pytest.raises(InternalInconsistency) as exc:
@@ -304,7 +305,7 @@ def test_certificate_multiplies_by_every_generator_so_far():
 def test_certificate_refuses_a_set_without_the_identity():
     ctx, sigma, keys = _scan(build("quaternion:8"), GF4)
     with pytest.raises(InternalInconsistency) as exc:
-        _certify(ctx, sigma, keys[keys != ctx.identity_key])
+        _certify(ctx, sigma, keys[keys != ctx.tabs.one])
     assert str(exc.value) == "unitary set misses the identity (quaternion:8 over 2^2, element 10*g0)"
 
 
@@ -318,7 +319,7 @@ def test_certificate_under_the_identity_map_involutes_nothing(monkeypatch):
     monkeypatch.setattr(ctx, "involute_keys", lambda *a: calls.append(a) or involute(*a))
     _certify(ctx, sigma, keys)
     with pytest.raises(InternalInconsistency) as exc:
-        _certify(ctx, sigma, keys[keys != ctx.identity_key])
+        _certify(ctx, sigma, keys[keys != ctx.tabs.one])
     assert str(exc.value) == ("unitary set misses the identity "
                               "(elementary_abelian:2:2 over 2^2, element 10*g0)")
     assert calls == []
@@ -477,89 +478,99 @@ def test_s_h_matches_scalar_brute_force(name):
         assert set(samples) == expected, (name, c)
 
 
-def _reference_sum_keys(ctx, keys, *parts):
-    """Sorted keys of keys + span(part) + ..., row by row: unpack, add, pack."""
-    rows = ctx.unpack(keys)
-    for basis, codes in parts:
-        span = np.concatenate(list(ctx.span_batches(basis, coefficient_codes=codes)))
-        rows = ctx.add(rows[:, None, :], span[None, :, :]).reshape(-1, ctx.n)
-    return np.unique(ctx.pack(rows))
+def _batch_s_h(group, c, field):
+    """Sorted keys of S_H = {x x* : x normalized, Psi(x) unitary}, over every
+    normalized unit of FG in batches: Psi adds the coefficients of each coset of <c>."""
+    ctx = AlgebraContext(field, group)
+    gbar, projection = group.quotient(group.subgroup_generated([c]))
+    bctx = AlgebraContext(field, gbar)
+    parts = []
+    for X in ctx.normalized_batches():
+        U = np.zeros((X.shape[0], gbar.n), dtype=np.uint16)
+        for g, h in enumerate(projection):
+            U[:, h] ^= X[:, g]
+        parts.append(ctx.pack(ctx.norm(X[bctx.is_one(bctx.norm(U, bctx.star))], ctx.star)))
+    return np.unique(np.concatenate(parts))
 
 
-def _chained_sum_keys(ctx, keys, *parts):
-    for part in parts:
-        keys = un._sum_keys(ctx, keys, part)
-    return keys
+CHAR2_SMALL_CELLS = [(entry.name, m) for m, max_order in ((1, 16), (2, 8))
+                     for entry in catalog_entries(max_order, 2)]
 
 
-@pytest.mark.parametrize("name, m", [(entry.name, m) for m, max_order in ((1, 16), (2, 8))
-                                     for entry in catalog_entries(max_order, 2)])
-def test_sum_keys_match_row_sums(name, m):
-    # S_H from the orbit's cosets, N1 from 1, and N1 times a span over im(tau)
+@pytest.mark.parametrize("name, m", CHAR2_SMALL_CELLS)
+def test_s_h_matches_the_batch_reference(name, m):
     group, field = build(name), make_field(2, m)
+    ctx = AlgebraContext(field, group)
     for c in group.special_sets().central_order_two:
-        orbit, _, ctx = un._fiber_scan(group, c, field, search_cap=un.DEFAULT_SEARCH_CAP)
-        one = np.array([ctx.identity_key], dtype=np.uint64)
-        n1_part = (un._basis_sums(ctx, un._n1_orbits(group, c, field)), None)
-        tau_part = (orbit.w_basis, np.unique(un._tau_codes(ctx)))
-        for keys, parts in ((orbit.cosets, [(orbit.w_basis, None)]), (one, [n1_part]),
-                            (one, [n1_part, tau_part])):
-            expected = _reference_sum_keys(ctx, keys, *parts)
-            assert _chained_sum_keys(ctx, keys, *parts).tobytes() == expected.tobytes(), (name, c)
+        size, samples = un.s_h_enumerate(group, c, field, max_samples=1 << 20)
+        rows = np.array([[a.code for a in x.coeffs] for x in samples], dtype=np.uint16)
+        assert size == len(samples), (name, c)
+        assert np.array_equal(np.sort(ctx.pack(rows)), _batch_s_h(group, c, field)), (name, c)
 
 
-def test_sum_keys_refuse_odd_characteristic():
-    # an odd key is a base-q number, not fields of bits, so XOR would not add
-    ctx = AlgebraContext(GF3, build("cyclic:3"))
-    with pytest.raises(OddCharacteristic):
-        un._sum_keys(ctx, np.array([ctx.identity_key], dtype=np.uint64), (ctx.identity[None, :], None))
+@pytest.mark.parametrize("name, m", CHAR2_SMALL_CELLS)
+def test_sum_keys_match_row_sums(name, m):
+    # an S_H key is a point's key plus a key of W; as rows, the point's element
+    # plus an element of span{(g + g^-1)(1+c)} over the N1 orbits, which is W
+    group, field = build(name), make_field(2, m)
+    ctx = AlgebraContext(field, group)
+    for c in group.special_sets().central_order_two:
+        orbit, keys = un._fiber_scan(group, c, field, search_cap=un.DEFAULT_SEARCH_CAP)
+        orbits = un._n1_orbits(group, c, field)
+        basis = np.zeros((len(orbits), group.n), dtype=np.uint16)
+        basis[np.arange(len(orbits))[:, None], orbits] = 1
+        w = np.concatenate(list(ctx.span_batches(basis)))
+        assert w.shape[0] == orbit.w_size, (name, c)
+        point_rows = orbit.elements(orbit.points * np.uint64(orbit.w_size))
+        sums = ctx.add(point_rows[:, None, :], w[None, :, :]).reshape(-1, group.n)
+        assert np.array_equal(np.unique(ctx.pack(sums)), np.sort(ctx.pack(orbit.elements(keys)))), (name, c)
+        assert np.array_equal(keys, np.sort(keys)), (name, c)
+
+
+def _forge_norm_at_order(monkeypatch, n, indices):
+    """AlgebraContext.norm with 1 added at the given indices of every product over a group of order n."""
+    norm = AlgebraContext.norm
+
+    def forged(self, X, sigma):
+        Y = norm(self, X, sigma)
+        if self.n == n:
+            Y[:, list(indices)] ^= self.tabs.one
+        return Y
+
+    monkeypatch.setattr(AlgebraContext, "norm", forged)
+    monkeypatch.setattr(un, "_ORBITS", {})
 
 
 def test_s_h_failure_names_group_field_c_and_element(monkeypatch):
-    # hand the orbit every normalized unit of F[Q16/<c>] as generators in place of unitary ones
-    q16 = build("quaternion:16")
-    c = q16.special_sets().central_order_two[0]
-    gbar, _ = q16.quotient(q16.subgroup_generated([c]))
-    units = np.concatenate(list(AlgebraContext(GF2, gbar).normalized_batches()))
-    generators = un._unitary_generators
-    monkeypatch.setattr(un, "_unitary_generators", lambda group, field, cap: (
-        (units.shape[0], units, AlgebraContext(GF2, gbar)) if group == gbar
-        else generators(group, field, cap)))
-    un.clear_caches()
+    # Q16, c = g4: g2 squares to c, so adding 1 at g2 and g2 c = g6 to every
+    # L L* keeps the three gamma facts and moves each point off the orbit's,
+    # and the lifted Schreier generators come out unsolvable
+    q16, c = build("quaternion:16"), 4
+    assert q16.mul(2, 2) == c and q16.mul(2, c) == 6
+    _forge_norm_at_order(monkeypatch, 16, (2, 6))
     with pytest.raises(InternalInconsistency) as exc:
         un.s_h_enumerate(q16, c, GF2)
-    message = str(exc.value)
-    assert "Schreier generator is not solvable" in message
-    assert "quaternion:16 over 2^1" in message and f"c = g{c}" in message
-    assert "element " in message and "*g" in message
+    assert str(exc.value) == ("a Schreier generator is not solvable "
+                              "(quaternion:16 over 2^1, c = g4, element 1*g1)")
 
 
-@pytest.mark.parametrize("flip, what, witness", [
-    # g + gc with g^2 not in <c>: Psi adds 2 g = 0 and G{2} is untouched
-    ((1, 5), "is not symmetric", "10*g0 + 10*g1 + 10*g5"),
-    # 1 + c: symmetric, and Psi adds 1 + 1 = 0
-    ((0, 4), "is supported on an order-two element", "10*g4"),
-    # g + g^-1 off G{2} without its c-partner: Psi adds g + g^-1 != 0 in Q16/<c>
-    ((1, 7), "falls outside I(H)^+", "10*g0 + 10*g1 + 10*g7"),
-])
-def test_s_h_check_names_the_element_that_breaks_it(monkeypatch, flip, what, witness):
-    # the S_H listing over Q16/GF(4), c = g4, with 1 moved off exactly one property;
-    # "10" is the literal of 1 in GF(4)
+@pytest.mark.parametrize("flip, what", [
+    # 1 alone: Psi(L L*) gains 1 at the identity
+    ((0,), "Psi(L L*) is not 1"),
+    # g + gc with g^2 not in <c>: Psi adds 2 g = 0, gamma changes at g but not at g^-1
+    ((1, 5), "gamma of L L* is not symmetric"),
+    # 1 + c: Psi adds 1 + 1 = 0, and gamma at 1 becomes 1
+    ((0, 4), "gamma of L L* is not 0 on the image of G{2}"),
+], ids=["psi-not-1", "gamma-not-symmetric", "gamma-not-0-on-G2"])
+def test_s_h_check_names_the_element_that_breaks_it(monkeypatch, flip, what):
+    # every L L* of the Q16/GF(4) orbit, c = g4, moved off exactly one fact;
+    # the first orbit product is lift(g1), and "10" is the literal of 1 in GF(4)
     q16, c = build("quaternion:16"), 4
     assert q16.mul(1, c) == 5 and q16.inverse(1) == 7 and q16.mul(1, 1) not in (0, c)
-    sum_keys = un._sum_keys
-
-    def forged(ctx, keys, *parts):
-        listed = sum_keys(ctx, keys, *parts)
-        moved = ctx.identity_key ^ ctx.pack(un._basis_sums(ctx, [list(flip)]))[0]
-        return np.sort(np.where(listed == ctx.identity_key, moved, listed))
-
-    monkeypatch.setattr(un, "_sum_keys", forged)
-    monkeypatch.setattr(un, "_ORBITS", {})
+    _forge_norm_at_order(monkeypatch, 16, flip)
     with pytest.raises(InternalInconsistency) as exc:
-        un._fiber_scan(q16, c, GF4, search_cap=un.DEFAULT_SEARCH_CAP)
-    assert str(exc.value) == (f"an element of S_H {what} "
-                              f"(quaternion:16 over 2^2, c = g4, element {witness})")
+        un.s_h_enumerate(q16, c, GF4)
+    assert str(exc.value) == f"{what} (quaternion:16 over 2^2, c = g4, element 10*g1)"
 
 
 # --- characteristic-two recursion -----------------------------------------------------
@@ -611,7 +622,7 @@ def _closure_keys(ctx, generators):
     """Sorted keys of the group the rows generate, by Dimino's algorithm: each
     generator not yet reached extends the group so far, H, by right cosets H e
     until right multiplication by every generator so far stays inside."""
-    known = np.array([ctx.identity_key], dtype=np.uint64)
+    known = np.array([ctx.tabs.one], dtype=np.uint64)
     for i in range(generators.shape[0]):
         if keys_contain(known, ctx.pack(generators[i:i + 1]))[0]:
             continue
@@ -684,10 +695,18 @@ def test_char2_refuses_by_the_rows_of_its_own_route():
     with pytest.raises(SearchSpaceTooLarge) as exc:
         un.s_h_enumerate(build("cyclic:16"), 8, GF2, search_cap=9)
     assert exc.value.size == 10 and exc.value.context == "S_H coset orbit over cyclic:16"
-    # order 64 over GF(2) outgrows packed keys: refused before its quotient is reached
+    # order 64 over GF(2) has 2^64 elements, but the recursion keys in S_H's own coordinates
+    assert un.theta(build("dihedral:64"), GF2) == 1
+    # keys wider than 63 bits are refused whatever the cap: S_H of C64 over GF(16) has
+    # 16 coordinates of 4 bits, and a point of Q256 over GF(2) |T_c|/2 = 65 of 1 bit
+    c64, gf16 = build("cyclic:64"), make_field(2, 4)
+    assert un.theta(c64, gf16) == 2
     with pytest.raises(SearchSpaceTooLarge) as exc:
-        un.theta(build("dihedral:64"), GF2)
-    assert "key packing" in exc.value.context
+        un.s_h_enumerate(c64, c64.special_sets().central_order_two[0], gf16, search_cap=1 << 80)
+    assert (exc.value.size, exc.value.context) == (1 << 64, "S_H keys over cyclic:64")
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        un.theta(build("quaternion:256"), GF2, search_cap=1 << 80)
+    assert (exc.value.size, exc.value.context) == (1 << 65, "S_H coset keys over quaternion:256")
 
 
 def test_theta_order_32_regressions():
@@ -704,6 +723,32 @@ def test_theta_order_32_regressions():
         if group.is_abelian():
             assert value == len(group.special_sets().square_order_two), entry.name
     assert checked == 9
+
+
+# (m, order): the cells with more than 2^63 elements that the recursion now reaches,
+# and order 16 over GF(8) below them; the quaternion cells marked stay past the orbit bound
+FRONTIER_CELLS = [(1, 64), (2, 32), (3, 16), (4, 16), (8, 8)]
+REFUSED_BY_THE_ORBIT_BOUND = {("quaternion:16", 4), ("quaternion:8", 8)}
+
+
+@pytest.mark.parametrize("m, order", FRONTIER_CELLS)
+def test_frontier_theta_is_c_independent_and_matches_the_catalog(m, order):
+    field = make_field(2, m)
+    for entry in catalog_entries(order, 2):
+        if entry.order != order:
+            continue
+        group = entry.build()
+        centrals = group.special_sets().central_order_two
+        if (entry.name, m) in REFUSED_BY_THE_ORBIT_BOUND:
+            with pytest.raises(SearchSpaceTooLarge) as exc:
+                un.unitary_order_char2(group, field)
+            assert exc.value.context == f"S_H coset orbit over {entry.name}"
+            continue
+        orders = {un.unitary_order_char2(group, field, c=c).order for c in centrals}
+        assert len(orders) == 1, (entry.name, m)
+        value = un.theta_from_order(orders.pop(), field, group)
+        assert value.denominator == 1, (entry.name, m)
+        assert value == entry.expected_facts.get("theta", value), (entry.name, m)
 
 
 def test_theta_order_16_field_independent():
@@ -800,6 +845,21 @@ def test_bounds_gf4_nontrivial_n2():
     assert rep.n2_inside_s_h and rep.generator_identity_ok
     assert Fraction(rep.s_h_size) >= rep.lower_bound
     assert rep.s_h_size <= rep.upper_bound
+
+
+@pytest.mark.parametrize("points, n1_inside, n2_inside", [
+    ([0, 2, 3], True, False),   # N2's point 1 (im tau = {0, 1} over GF(4)) is missing
+    ([1, 2, 3], False, False),  # point 0, W itself, holds N1 and N2's point 0
+])
+def test_bounds_look_n1_and_n2_up_among_the_points(monkeypatch, points, n1_inside, n2_inside):
+    # D8 over GF(4), c = g2: the orbit has the 4 points 0..3 of one 2-bit field on Tb
+    d8 = build("dihedral:8")
+    orbit = un._coset_orbit(d8, 2, GF4, un.DEFAULT_SEARCH_CAP)
+    assert orbit.points.tolist() == [0, 1, 2, 3] and orbit.support.shape[0] == 1
+    forged = dataclasses.replace(orbit, points=np.array(points, dtype=np.uint64))
+    monkeypatch.setattr(un, "_coset_orbit", lambda *args: forged)
+    rep = un.bounds_and_constructions(d8, 2, GF4)
+    assert (rep.n1_inside_s_h, rep.n2_inside_s_h, rep.product_inside_s_h) == (n1_inside, n2_inside, n2_inside)
 
 
 def test_bounds_require_2_group_like_the_other_char2_routes():
