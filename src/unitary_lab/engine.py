@@ -6,11 +6,14 @@ codes (little-endian base-p packing of each coefficient vector); a whole
 element packs into a uint64 key for set membership work.
 
 Odd characteristic is table-driven. The (q, q) tables are built once per
-field from the codes' base-p digits: addition and negation digit by digit
-mod p, multiplication by contracting the digits' outer product with the
-field's fold matrix (`finite_field.fold_matrix`, which the scalar algebra
-product reduces by too). The tests check every table entry against
-FieldElement's polynomial arithmetic.
+field, up to q = MAX_TABLE_FIELD_ORDER, from the codes' base-p digits:
+addition and negation digit by digit mod p, multiplication by contracting
+the digits' outer product with the field's fold matrix
+(`finite_field.fold_matrix`, which the scalar algebra product reduces by
+too). A context builds them on first read (`AlgebraContext.tabs`), which no
+characteristic-two path makes, so characteristic two reaches every field
+up to GF(2^16). The tests check every table entry against FieldElement's
+polynomial arithmetic.
 
 In characteristic two a code's bit a is the coefficient of x^a, so addition
 is XOR and products run bitsliced: a batch becomes bit-planes, one bit per
@@ -229,7 +232,6 @@ class AlgebraContext:
     def __init__(self, field: FieldSpec, group: Group):
         self.field = field
         self.group = group
-        self.tabs = field_tables(field)
         self.n = group.n
         self.q = field.order
         self.gtable = np.asarray(group.table, dtype=np.intp)
@@ -241,7 +243,14 @@ class AlgebraContext:
             # taps: x^m = sum of x^t over them
             self.taps = [t for t in range(field.m) if field.modulus[t]]
         self.identity = np.zeros(self.n, dtype=np.uint16)
-        self.identity[0] = self.tabs.one  # so the key of 1 is tabs.one
+        self.identity[0] = field.one.code  # so the key of 1 is identity[0]
+
+    @functools.cached_property
+    def tabs(self) -> FieldTables:
+        """The field tables, built on first read: only odd characteristic and
+        the table kernels read them, so characteristic two has no field-size
+        ceiling from them."""
+        return field_tables(self.field)
 
     # --- conversions ---------------------------------------------------------
 
@@ -465,7 +474,7 @@ class AlgebraContext:
                 index ^= index >> shift
             return keys | (index & np.uint64(self.q - 1))
 
-        bit_key = fold_keys(np.arange(WORD_BITS, dtype=np.uint64)) ^ np.uint64(self.tabs.one)
+        bit_key = fold_keys(np.arange(WORD_BITS, dtype=np.uint64)) ^ np.uint64(self.identity[0])
 
         def candidate_keys(start, rows):
             word_key = fold_keys(np.arange(start, start + rows, WORD_BITS, dtype=np.uint64))

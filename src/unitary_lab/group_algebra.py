@@ -1,13 +1,15 @@
 """The group algebra FG as a finite-dimensional algebra.
 
-Dense coefficient vectors over a FieldSpec, indexed by group elements;
-multiplication is the convolution induced by the Cayley table. Sums,
-negatives, scalings and products are computed on the coefficient digits with
-numpy. Houses the augmentation map, unit
-inversion by u^-1 = u^(|G|-1), involutions arising from group
-anti-automorphisms, the skew-symmetric space, and the natural map onto
-F[G/H] with its lift section and its kernel ideal, whose dimension
-|G| - |G/H| follows by rank-nullity since the map is onto.
+An element is the (|G|, m) array of its coefficients' base-p digits, one
+row per group element; multiplication is the convolution induced by the
+Cayley table. Sums, negatives, scalings, products and involutions are numpy
+operations on that array, and FieldElements are built only where
+coefficients are read or given one at a time: literals, from_coeffs and the
+coeffs property. Houses the augmentation map, unit inversion by
+u^-1 = u^(|G|-1), involutions arising from group anti-automorphisms, the
+skew-symmetric space, and the natural map onto F[G/H] with its lift
+section and its kernel ideal, whose dimension |G| - |G/H| follows by
+rank-nullity since the map is onto.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .engine import digits
 from .errors import (
     EvenCharacteristic,
     FieldMismatch,
@@ -30,7 +33,6 @@ from .errors import (
 from .finite_field import (
     FieldElement,
     FieldSpec,
-    field_elements,
     fold_matrix as _fold_matrix,
     format_element_literal,
     is_power_of,
@@ -41,11 +43,26 @@ from .group_core import Group, SubgroupHandle, coset_representatives
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """x = sum of coeffs[g] * g over the group's indexed basis."""
+    """x = sum over g of x_g g over the group's indexed basis, held as the
+    (|G|, m) int64 array whose row g holds the base-p digits of x_g, least
+    significant first (the layout of FieldElement.coeffs). The array is
+    read-only, and every operation builds its result straight from its
+    digit result; FieldElements are built only when coeffs is read."""
 
     field: FieldSpec
     group: Group
-    coeffs: tuple[FieldElement, ...]
+    digits: np.ndarray
+
+    def __post_init__(self):
+        array = np.array(self.digits, dtype=np.int64)  # a copy, so no caller's array is frozen
+        if array.shape != (self.group.n, self.field.m):
+            raise ValueError(f"digits of shape {array.shape}, not ({self.group.n}, {self.field.m})")
+        array.setflags(write=False)
+        object.__setattr__(self, "digits", array)
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.field, tuple(row)) for row in self.digits.tolist())
 
     def _same_algebra(self, other: "AlgebraElement") -> bool:
         """Equal fields and equal groups; the group tables are compared only
@@ -59,44 +76,43 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self._same_algebra(other) and self.coeffs == other.coeffs
+        return self._same_algebra(other) and np.array_equal(self.digits, other.digits)
 
     def __hash__(self):
-        return hash((self.field, self.group, self.coeffs))
+        return hash((self.field, self.group, self.digits.tobytes()))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return _from_digits(self.field, self.group, (_digit_array(self) + _digit_array(other)) % self.field.p)
+        return AlgebraElement(self.field, self.group, (self.digits + other.digits) % self.field.p)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return _from_digits(self.field, self.group, (_digit_array(self) - _digit_array(other)) % self.field.p)
+        return AlgebraElement(self.field, self.group, (self.digits - other.digits) % self.field.p)
 
     def __neg__(self) -> "AlgebraElement":
-        return _from_digits(self.field, self.group, -_digit_array(self) % self.field.p)
+        return AlgebraElement(self.field, self.group, -self.digits % self.field.p)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        out = _digit_product(self.field, self.group, _digit_array(self), _digit_array(other))
-        return _from_digits(self.field, self.group, out)
+        return AlgebraElement(self.field, self.group, _digit_product(self.field, self.group, self.digits, other.digits))
 
     def scale(self, alpha: FieldElement) -> "AlgebraElement":
         if alpha.spec != self.field:
             raise SpecMismatch("scalar from a different field")
-        return _from_digits(self.field, self.group, _scale_digits(self.field, _digit_array(self), alpha))
+        return AlgebraElement(self.field, self.group, _scale_digits(self.field, self.digits, alpha))
 
     def augmentation(self) -> FieldElement:
         """chi(x), the sum of the coefficients: a column sum of the digits mod p."""
-        return FieldElement(self.field, tuple(_augmentation_digits(self.field, _digit_array(self)).tolist()))
+        return FieldElement(self.field, tuple(_augmentation_digits(self.field, self.digits).tolist()))
 
     def is_normalized_unit(self) -> bool:
         return self.augmentation() == self.field.one
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coeffs) if not c.is_zero())
+        return tuple(np.flatnonzero(self.digits.any(axis=1)).tolist())
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.digits.any()
 
     def invert(self) -> "AlgebraElement":
         """Inverse as chi(x)^-1 u^(|G|-1), where u = x / chi(x) is normalized.
@@ -112,34 +128,19 @@ class AlgebraElement:
         u^|G| = 1 + nu^|G| = 1, so u^-1 = u^(|G|-1), which square-and-multiply
         reaches in at most 2 log2 |G| products.
 
-        The whole computation runs on the (n, m) digit array of x: chi(x) is
-        its column sum mod p, and only chi(x)^-1 is taken as a FieldElement.
-        The powers and the two-sided check (both products compared with the
+        The whole computation runs on the digit array of x: chi(x) is its
+        column sum mod p, and only chi(x)^-1 is taken as a FieldElement. The
+        powers and the two-sided check (both products compared with the
         identity's digits) use the digit product that __mul__ uses; the two
         scalings by chi(x)^-1 reduce through the same fold matrix.
-        FieldElements are built for the result alone.
 
         Refuses a zero augmentation and algebras whose group is not a p-group
         for p = char(F); the result is checked as a two-sided inverse.
         """
-        return _from_digits(self.field, self.group,
-                            _invert_digits(self.field, self.group, _digit_array(self)))
+        return AlgebraElement(self.field, self.group, _invert_digits(self.field, self.group, self.digits))
 
     def __repr__(self):
         return f"AlgebraElement({self.field.literal()}, {self.group.id}, {format_algebra_literal(self)!r})"
-
-
-def _digit_array(x: AlgebraElement) -> np.ndarray:
-    """(n, m) int64: row g holds the base-p digits of the coefficient of g."""
-    return np.array([c.coeffs for c in x.coeffs], dtype=np.int64)
-
-
-def _from_digits(field: FieldSpec, group: Group, digits: np.ndarray) -> AlgebraElement:
-    """The element whose coefficient of g has the base-p digits in row g; rows
-    with equal digits share one FieldElement."""
-    rows = list(map(tuple, digits.tolist()))
-    made = {row: FieldElement(field, row) for row in set(rows)}
-    return AlgebraElement(field, group, tuple(map(made.__getitem__, rows)))
 
 
 def _invert_digits(field: FieldSpec, group: Group, x: np.ndarray) -> np.ndarray:
@@ -158,12 +159,12 @@ def _invert_digits(field: FieldSpec, group: Group, x: np.ndarray) -> np.ndarray:
         if bit == "1":
             power = _digit_product(field, group, power, normalized)
     result = _scale_digits(field, power, aug_inv)
-    one = _identity_digits(field, group)
+    one = algebra_one(field, group).digits
     if not (np.array_equal(_digit_product(field, group, result, x), one)
             and np.array_equal(_digit_product(field, group, x, result), one)):
         raise InternalInconsistency(
             f"inverse failed verification multiply ({group.id} over {field.literal()}, "
-            f"element {format_algebra_literal(_from_digits(field, group, x))})")
+            f"element {format_algebra_literal(AlgebraElement(field, group, x))})")
     return result
 
 
@@ -186,13 +187,6 @@ def _scale_digits(field: FieldSpec, x: np.ndarray, alpha: FieldElement) -> np.nd
     return terms.reshape(len(x), -1) @ _fold_matrix(field) % field.p
 
 
-def _identity_digits(field: FieldSpec, group: Group) -> np.ndarray:
-    """The digit array of 1 = g_0."""
-    one = np.zeros((group.n, field.m), dtype=np.int64)
-    one[0, 0] = 1
-    return one
-
-
 def _augmentation_digits(field: FieldSpec, x: np.ndarray) -> np.ndarray:
     """(m,) digits of chi(x), the coefficient sum: addition in GF(p^m) is digitwise mod p."""
     return x.sum(axis=0) % field.p
@@ -206,7 +200,7 @@ def require_p_group(group: Group, field: FieldSpec):
 
 
 def algebra_zero(field: FieldSpec, group: Group) -> AlgebraElement:
-    return AlgebraElement(field, group, (field.zero,) * group.n)
+    return AlgebraElement(field, group, np.zeros((group.n, field.m), dtype=np.int64))
 
 
 def algebra_one(field: FieldSpec, group: Group) -> AlgebraElement:
@@ -215,9 +209,9 @@ def algebra_one(field: FieldSpec, group: Group) -> AlgebraElement:
 
 def basis_element(field: FieldSpec, group: Group, g: int) -> AlgebraElement:
     _check_basis_index(group, g)
-    coeffs = [field.zero] * group.n
-    coeffs[g] = field.one
-    return AlgebraElement(field, group, tuple(coeffs))
+    out = np.zeros((group.n, field.m), dtype=np.int64)
+    out[g, 0] = 1
+    return AlgebraElement(field, group, out)
 
 
 def _check_basis_index(group: Group, g: int):
@@ -240,17 +234,16 @@ def from_coeffs(field: FieldSpec, group: Group, coeffs: Iterable) -> AlgebraElem
             raise ValueError(f"coefficient {c!r} is neither an integer nor an element of {field}")
     if len(out) != group.n:
         raise ValueError(f"need {group.n} coefficients, got {len(out)}")
-    return AlgebraElement(field, group, tuple(out))
+    return AlgebraElement(field, group, np.array([c.coeffs for c in out], dtype=np.int64))
 
 
 def from_codes(field: FieldSpec, group: Group, codes: np.ndarray | Sequence[int]) -> AlgebraElement:
     """The element whose coefficient of g has field code codes[g], as in a batch
-    row; the codes index field_elements, one table lookup per row."""
-    row, table = np.asarray(codes, dtype=np.int64).tolist(), field_elements(field)
-    lo, hi = (min(row), max(row)) if row else (0, 0)
-    if lo < 0 or hi >= field.order:
-        raise ValueError(f"code {lo if lo < 0 else hi} outside [0, {field.order})")
-    return AlgebraElement(field, group, tuple(table[c] for c in row))
+    row; the codes become digits by engine.digits, as in the field tables."""
+    row = np.asarray(codes, dtype=np.int64)
+    if row.size and (row.min() < 0 or row.max() >= field.order):
+        raise ValueError(f"code {row.min() if row.min() < 0 else row.max()} outside [0, {field.order})")
+    return AlgebraElement(field, group, digits(row.astype(np.uint64), field.p, field.m))
 
 
 # --- involutions arising from the group --------------------------------------
@@ -299,7 +292,7 @@ def involution_from_map(group: Group, sigma: Sequence[int], name: str = "sigma")
 def apply_involution(x: AlgebraElement, inv: GroupInvolution) -> AlgebraElement:
     """(sum a_g g)^inv = sum a_g sigma(g); coefficient k comes from sigma(k)."""
     inv.require_group(x.group)
-    return AlgebraElement(x.field, x.group, tuple(x.coeffs[inv.sigma[k]] for k in range(x.group.n)))
+    return AlgebraElement(x.field, x.group, x.digits.take(inv.sigma, axis=0))
 
 
 def skew_symmetric_basis(group: Group, inv: GroupInvolution, field: FieldSpec) -> list[AlgebraElement]:
@@ -357,19 +350,16 @@ def ideal_and_quotient(
     def psi(x: AlgebraElement) -> AlgebraElement:
         if x.group != group or x.field != field:
             raise SpecMismatch("element from a different algebra")
-        out = [field.zero] * quotient_group.n
-        for g, c in enumerate(x.coeffs):
-            if not c.is_zero():
-                out[projection[g]] = out[projection[g]] + c
-        return AlgebraElement(field, quotient_group, tuple(out))
+        out = np.zeros((quotient_group.n, field.m), dtype=np.int64)
+        np.add.at(out, list(projection), x.digits)
+        return AlgebraElement(field, quotient_group, out % field.p)
 
     def lift(xbar: AlgebraElement) -> AlgebraElement:
         if xbar.group != quotient_group or xbar.field != field:
             raise SpecMismatch("element from a different algebra")
-        out = [field.zero] * group.n
-        for k, c in enumerate(xbar.coeffs):
-            out[reps[k]] = c
-        return AlgebraElement(field, group, tuple(out))
+        out = np.zeros((group.n, field.m), dtype=np.int64)
+        out[reps] = xbar.digits
+        return AlgebraElement(field, group, out)
 
     return IdealHandle(field, group, quotient_group, projection, tuple(reps)), psi, lift
 
@@ -385,7 +375,7 @@ def parse_algebra_literal(field: FieldSpec, group: Group, text: str) -> AlgebraE
     coeffs = [field.zero] * group.n
     text = text.strip()
     if text == "0":
-        return AlgebraElement(field, group, tuple(coeffs))
+        return algebra_zero(field, group)
     for term in text.split("+"):
         term = term.strip()
         if "*" not in term:
@@ -397,4 +387,4 @@ def parse_algebra_literal(field: FieldSpec, group: Group, text: str) -> AlgebraE
         g = int(gname[1:])
         _check_basis_index(group, g)
         coeffs[g] = coeffs[g] + parse_element_literal(field, lit.strip())
-    return AlgebraElement(field, group, tuple(coeffs))
+    return from_coeffs(field, group, coeffs)

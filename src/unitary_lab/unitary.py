@@ -18,6 +18,7 @@ characteristic two; the bound constructions N1, N2 bracket |S_H|.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,18 +35,16 @@ from .errors import (
     SearchSpaceTooLarge,
     Ambiguous,
 )
-from .finite_field import FieldSpec
+from .finite_field import FieldSpec, fold_matrix
 from .group_algebra import (
     AlgebraElement,
     GroupInvolution,
+    algebra_one,
     format_algebra_literal,
     from_codes,
     require_p_group,
     _augmentation_digits,
-    _digit_array,
     _digit_product,
-    _from_digits,
-    _identity_digits,
     _invert_digits,
 )
 from .group_core import Group, coset_representatives
@@ -110,15 +109,14 @@ def clear_caches():
 # --- pointwise operations ------------------------------------------------------
 
 def is_unitary(x: AlgebraElement, inv: GroupInvolution) -> bool:
-    """True iff x * x^inv = 1; requires augmentation 1. Runs on the digit
-    array of x: x^inv permutes its rows, and the product is compared with the
+    """True iff x * x^inv = 1; requires augmentation 1. Runs on the digits
+    of x: x^inv permutes its rows, and the product is compared with the
     identity's digits."""
-    field, group = x.field, x.group
-    digits, one = _digit_array(x), _identity_digits(field, group)
-    if not np.array_equal(_augmentation_digits(field, digits), one[0]):
+    field, group, one = x.field, x.group, algebra_one(x.field, x.group).digits
+    if not np.array_equal(_augmentation_digits(field, x.digits), one[0]):
         raise NotNormalized("element has augmentation != 1")
     inv.require_group(group)
-    return np.array_equal(_digit_product(field, group, digits, digits[list(inv.sigma)]), one)
+    return np.array_equal(_digit_product(field, group, x.digits, x.digits.take(inv.sigma, axis=0)), one)
 
 
 def cayley(x: AlgebraElement) -> AlgebraElement:
@@ -128,15 +126,13 @@ def cayley(x: AlgebraElement) -> AlgebraElement:
     (1-x)(1+x)^-1 = 2(1+x)^-1 - (1+x)(1+x)^-1 = 2(1+x)^-1 - 1. In
     characteristic two both sides are 1. The transform runs on digit arrays:
     1 + x, its inverse (by the digit core of AlgebraElement.invert, checked
-    from both sides) and 2 (1+x)^-1 - 1, digitwise mod p. FieldElements are
-    built for the result alone."""
-    field, group = x.field, x.group
-    one = _identity_digits(field, group)
-    plus = (one + _digit_array(x)) % field.p
+    from both sides) and 2 (1+x)^-1 - 1, digitwise mod p."""
+    field, group, one = x.field, x.group, algebra_one(x.field, x.group).digits
+    plus = (one + x.digits) % field.p
     if not _augmentation_digits(field, plus).any():
         raise NotInvertible("1+x has augmentation zero")
     inverse = _invert_digits(field, group, plus)
-    return _from_digits(field, group, (2 * inverse - one) % field.p)
+    return AlgebraElement(field, group, (2 * inverse - one) % field.p)
 
 
 # --- odd characteristic ---------------------------------------------------------
@@ -198,7 +194,7 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
     closure is the multiplicativity of the augmentation map, which is
     property-tested separately; the walk is skipped."""
     S, group, field = uset_keys, ctx.group, ctx.field
-    if not keys_contain(S, np.array([ctx.tabs.one], dtype=np.uint64))[0]:
+    if not keys_contain(S, ctx.identity[:1].astype(np.uint64))[0]:
         raise _inconsistency(group, field, "unitary set misses the identity", ctx.identity)
     if (sigma != np.arange(ctx.n)).any():  # else x* = x for every x
         star = ctx.involute_keys(S, sigma)
@@ -224,7 +220,7 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
         return pos
 
     known = np.zeros(S.size, dtype=bool)
-    known[int(np.searchsorted(S, np.uint64(ctx.tabs.one)))] = True
+    known[int(np.searchsorted(S, np.uint64(ctx.identity[0])))] = True
     gens = np.empty((0, ctx.n), dtype=np.uint16)
     while not known.all():
         gpos = int(np.argmin(known))
@@ -277,8 +273,9 @@ def unitary_enumerate_oracle(group: Group, inv: GroupInvolution, field: FieldSpe
     order, space = int(keys.size), oracle_search_space(group, field)
     if order > space:
         raise _inconsistency(group, field, "unitary order exceeds the normalized unit count")
-    witnesses = tuple(from_codes(field, group, row)
-                      for row in digits(keys[:max_witnesses], field.order, group.n))
+    # a key's base-p digits, m to a coefficient, are the element's digit array
+    witnesses = tuple(AlgebraElement(field, group, d) for d in
+                      digits(keys[:max_witnesses], field.p, group.n * field.m).reshape(-1, group.n, field.m))
     subsidiary = {
         "search_space": space,
         "witnesses_truncated": max_witnesses is not None and order > max_witnesses,
@@ -313,7 +310,7 @@ class _CosetOrbit:
         """The code rows 1 + (1+c) lift(beta) of S_H keys (see _fiber_scan)."""
         rows = np.zeros((keys.size, self.ctx.n), dtype=np.uint16)
         rows[:, self.support] = digits(keys, self.ctx.q, self.support.shape[0])[:, :, None]
-        rows[:, 0] = self.ctx.tabs.one
+        rows[:, 0] = self.ctx.identity[0]
         return rows
 
 
@@ -514,7 +511,9 @@ def s_h_enumerate(group: Group, c: int, field: FieldSpec, *,
         raise OddCharacteristic("S_H enumeration requires characteristic 2")
     require_p_group(group, field)
     orbit, s_h_keys = _fiber_scan(group, c, field, search_cap=search_cap)
-    samples = [from_codes(field, group, row) for row in orbit.elements(s_h_keys[:max_samples])]
+    rows = orbit.elements(s_h_keys[:max_samples]).astype(np.uint64)
+    samples = [AlgebraElement(field, group, d) for d in
+               digits(rows.ravel(), field.p, field.m).reshape(-1, group.n, field.m)]
     return int(s_h_keys.size), samples
 
 
@@ -640,7 +639,7 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
 
     n2_size = n2_inside = product_inside = identity_ok = None
     if commuting:
-        tau, t_bar = sorted_unique(_tau_codes(ctx)), orbit.support.shape[0] - expected_k1
+        tau, t_bar = sorted_unique(_tau_codes(field)), orbit.support.shape[0] - expected_k1
         n2_size = tau.size ** t_bar
         expected_n2 = (field.order // 2) ** (len(t_c) // 2)
         if n2_size != expected_n2:
@@ -658,23 +657,30 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
                         product_inside, identity_ok)
 
 
-def _tau_codes(ctx: AlgebraContext) -> np.ndarray:
-    """tau(w) = w + w^2 by field code, from the field tables."""
-    return ctx.tabs.add[np.arange(ctx.q), np.diagonal(ctx.tabs.mul)]
+@functools.lru_cache(maxsize=None)
+def _tau_codes(field: FieldSpec) -> np.ndarray:
+    """tau(w) = w + w^2 by field code, over GF(2^m), read-only and built once
+    per field. Squaring is additive in characteristic two, so w^2 is the sum
+    of x^(2a) over the bits a of w, and row a m + a of the fold matrix holds
+    the digits of x^(2a)."""
+    m, w = field.m, np.arange(field.order, dtype=np.uint64)
+    square = digits(w, 2, m).astype(np.int64) @ fold_matrix(field)[np.arange(m) * (m + 1)] % 2
+    tau = (w ^ (square @ (1 << np.arange(m))).astype(np.uint64)).astype(np.uint16)
+    tau.setflags(write=False)
+    return tau
 
 
 def _check_generator_identity(ctx: AlgebraContext, c: int, pair_reps: np.ndarray) -> bool:
     """(1 + w g + w g^2)(1 + w g + w g^2)* = 1 + (w + w^2) g (1+c) for g^2 = c,
-    on every (g, w) at once: one row per pair, both sides filled in from the
-    field tables and compared after one batch product."""
-    q, add = ctx.q, ctx.tabs.add
-    g = np.repeat(np.asarray(pair_reps, dtype=np.intp), q)
-    w = np.tile(np.arange(q, dtype=np.uint16), len(pair_reps))
-    tau, rows = _tau_codes(ctx)[w], np.arange(g.size)
+    on every (g, w) at once: one row per pair, both sides filled in by XOR
+    and compared after one batch product."""
+    g = np.repeat(np.asarray(pair_reps, dtype=np.intp), ctx.q)
+    w = np.tile(np.arange(ctx.q, dtype=np.uint16), len(pair_reps))
+    tau, rows = _tau_codes(ctx.field)[w], np.arange(g.size)
     X, R = np.zeros((2, g.size, ctx.n), dtype=np.uint16)
-    X[:, 0] = R[:, 0] = ctx.tabs.one
+    X[:, 0] = R[:, 0] = ctx.identity[0]
     for Z, at, value in ((X, g, w), (X, ctx.gtable[g, g], w), (R, g, tau), (R, ctx.gtable[g, c], tau)):
-        Z[rows, at] = add[Z[rows, at], value]  # one at a time, so coinciding indices add
+        Z[rows, at] ^= value  # one at a time, so coinciding indices add
     return bool(np.array_equal(ctx.norm(X, ctx.star), R))
 
 

@@ -42,7 +42,7 @@ def _reference_mul(x, y):
             if not b.is_zero():
                 k = x.group.mul(i, j)
                 out[k] = out[k] + a * b
-    return ga.AlgebraElement(x.field, x.group, tuple(out))
+    return ga.from_coeffs(x.field, x.group, out)
 
 
 def _reference_inverse(x):
@@ -66,13 +66,12 @@ def _any_element(rng, field, group, nonzero=None):
     if nonzero is not None:
         keep = set(rng.sample(range(group.n), nonzero))
         coeffs = [c if g in keep else field.zero for g, c in enumerate(coeffs)]
-    return ga.AlgebraElement(field, group, tuple(coeffs))
+    return ga.from_coeffs(field, group, coeffs)
 
 
 def _all_elements(field, group):
     for combo in itertools.product(range(field.order), repeat=group.n):
-        yield ga.AlgebraElement(field, group,
-                                tuple(field.from_code(c) for c in combo))
+        yield ga.from_coeffs(field, group, [field.from_code(c) for c in combo])
 
 
 def test_basis_multiplication_follows_table():
@@ -268,11 +267,11 @@ def test_digit_array_operations_match_coefficientwise_forms(group_name, p, m):
     for nonzero in (None, None, 1, 3):
         x, y = _any_element(rng, field, group, nonzero), _any_element(rng, field, group, nonzero)
         alpha = field.from_code(rng.randrange(field.order))
-        assert -x == ga.AlgebraElement(field, group, tuple(-a for a in x.coeffs))
-        assert x + y == ga.AlgebraElement(field, group, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
-        assert x - y == ga.AlgebraElement(field, group, tuple(a - b for a, b in zip(x.coeffs, y.coeffs)))
-        assert x.scale(alpha) == ga.AlgebraElement(field, group, tuple(alpha * a for a in x.coeffs))
-        assert ga._from_digits(field, group, ga._digit_array(x)) == x
+        assert -x == ga.from_coeffs(field, group, [-a for a in x.coeffs])
+        assert x + y == ga.from_coeffs(field, group, [a + b for a, b in zip(x.coeffs, y.coeffs)])
+        assert x - y == ga.from_coeffs(field, group, [a - b for a, b in zip(x.coeffs, y.coeffs)])
+        assert x.scale(alpha) == ga.from_coeffs(field, group, [alpha * a for a in x.coeffs])
+        assert ga.AlgebraElement(field, group, x.digits.copy()) == x
         skew = x - ga.apply_involution(x, star)
         if not (ga.algebra_one(field, group) + skew).augmentation().is_zero():
             unit = un.cayley(skew)
@@ -289,7 +288,7 @@ def test_digit_array_operations_on_the_elements_of_a_small_algebra(p, m):
     field, group = make_field(p, m), build("cyclic:3")
     star = ga.canonical_star(group)
     for x in _all_elements(field, group):
-        assert -x == ga.AlgebraElement(field, group, tuple(-a for a in x.coeffs))
+        assert -x == ga.from_coeffs(field, group, [-a for a in x.coeffs])
         if x.augmentation() == field.one:
             assert un.is_unitary(x, star) == _reference_is_unitary(x, star)
         else:
@@ -305,28 +304,30 @@ def test_is_unitary_refuses_an_involution_of_another_group():
 
 def test_cayley_and_invert_run_above_the_field_table_limit(monkeypatch):
     """GF(3^10) has q = 59049 > 512: the scalar algebra needs no table of the
-    field's elements, so neither call may build one."""
-    from unitary_lab import finite_field
+    field's elements and no batch field table, so neither call may build one."""
+    from unitary_lab import engine, finite_field
     field, group = make_field(3, 10), build("cyclic:3")
 
     def refuse(spec):
-        raise AssertionError(f"field_elements({spec}) was built")
+        raise AssertionError(f"a table of {spec} was built")
 
     monkeypatch.setattr(finite_field, "field_elements", refuse)
-    monkeypatch.setattr(ga, "field_elements", refuse)
+    monkeypatch.setattr(engine, "field_tables", refuse)
     a, b = field.element([2, 0, 1, 0, 0, 0, 0, 1, 0, 2]), field.element([1] * 10)
-    skew = ga.AlgebraElement(field, group, (field.zero, a, -a))
+    skew = ga.from_coeffs(field, group, (field.zero, a, -a))
     unit = un.cayley(skew)
     assert un.is_unitary(unit, ga.canonical_star(group))
     assert un.cayley(unit) == skew
-    x = ga.AlgebraElement(field, group, (b, a, field.one))
+    x = ga.from_coeffs(field, group, (b, a, field.one))
     assert x.invert() == _reference_inverse(x)
     assert x * x.invert() == ga.algebra_one(field, group)
 
 
 def test_equal_elements_over_a_rebuilt_table_are_equal_and_hash_equal():
     """validate_group on the same table gives a distinct but equal Group; the
-    elements and their Cayley transforms over it compare and hash equal."""
+    elements and their Cayley transforms over it compare and hash equal. So
+    does one element built by every route to a digit array: from_coeffs,
+    from_codes, a literal, arithmetic, an involution and an int32 array."""
     group = build("heisenberg:3")
     rebuilt = validate_group(group.table.copy(), id=group.id)
     assert rebuilt is not group and rebuilt == group
@@ -335,6 +336,54 @@ def test_equal_elements_over_a_rebuilt_table_are_equal_and_hash_equal():
     assert x == y and hash(x) == hash(y)
     assert un.cayley(x) == un.cayley(y) and hash(un.cayley(x)) == hash(un.cayley(y))
     assert x + y == y + x and x * y == y * x
+    star, int32 = ga.canonical_star(group), x.digits.astype(np.int32)
+    built = [
+        ga.from_coeffs(GF3, rebuilt, x.coeffs),
+        ga.from_codes(GF3, group, np.array([0, 1, 2] + [0] * 24, dtype=np.uint16)),
+        ga.parse_algebra_literal(GF3, rebuilt, "1*g1 + 2*g2"),
+        x + y + x + y,  # 4x = x over GF(3)
+        -(-y),
+        y * ga.algebra_one(GF3, group),
+        ga.apply_involution(ga.apply_involution(y, star), star),
+        ga.AlgebraElement(GF3, rebuilt, int32),
+    ]
+    for z in built:
+        assert z == x and hash(z) == hash(x) and z.digits.dtype == np.int64, z
+    assert len({x, *built}) == 1
+    assert int32.flags.writeable  # the element holds a copy; the caller's array is not frozen
+
+
+def test_digits_are_read_only_and_shape_checked():
+    field, group = make_field(3, 2), build("cyclic:3")
+    x = ga.from_coeffs(field, group, [field.element([1, 2]), field.zero, field.one])
+    assert ga.from_coeffs(field, group, x.coeffs) == x
+    assert np.array_equal(x.digits, [[1, 2], [0, 0], [1, 0]])
+    with pytest.raises(ValueError):
+        x.digits[0, 0] = 0
+    with pytest.raises(ValueError):
+        ga.AlgebraElement(field, group, np.zeros((3, 1), dtype=np.int64))  # m = 2 digits a row
+    with pytest.raises(ValueError):
+        ga.from_codes(field, group, [0, 1])  # one code per group element
+
+
+def test_psi_and_lift_match_their_coefficientwise_forms():
+    """Psi sums the coefficients over each coset and lift places them on the
+    least representatives, checked one FieldElement at a time over GF(9)."""
+    group, field = build("heisenberg:3"), make_field(3, 2)
+    z = group.special_sets().center[1]
+    ideal, psi, lift = ga.ideal_and_quotient(group, group.subgroup_generated([z]), field)
+    rng = random.Random(7)
+    for _ in range(20):
+        x = _any_element(rng, field, group)
+        expected = [field.zero] * ideal.quotient_group.n
+        for g, c in enumerate(x.coeffs):
+            expected[ideal.projection[g]] = expected[ideal.projection[g]] + c
+        assert psi(x).coeffs == tuple(expected)
+        xbar = _any_element(rng, field, ideal.quotient_group)
+        lifted = [field.zero] * group.n
+        for k, c in enumerate(xbar.coeffs):
+            lifted[ideal.representatives[k]] = c
+        assert lift(xbar).coeffs == tuple(lifted)
 
 
 def test_canonical_star_abelian_is_automorphism():

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from unitary_lab import engine, finite_field
 from unitary_lab import group_algebra as ga
 from unitary_lab import unitary as un
 from unitary_lab.engine import DEFAULT_BATCH, AlgebraContext, keys_contain
@@ -459,7 +460,7 @@ def _scalar_s_h(group, c, field):
     bar_one = ga.algebra_one(field, ideal.quotient_group)
     out = set()
     for coeffs in itertools.product(field.elements(), repeat=group.n):
-        x = ga.AlgebraElement(field, group, coeffs)
+        x = ga.from_coeffs(field, group, coeffs)
         if not x.is_normalized_unit():
             continue
         u = psi(x)
@@ -751,6 +752,30 @@ def test_frontier_theta_is_c_independent_and_matches_the_catalog(m, order):
         assert value == entry.expected_facts.get("theta", value), (entry.name, m)
 
 
+# rows of order <= 16 over GF(2^10) and <= 8 over GF(2^12) that the orbit bound refuses
+WIDE_FIELD_REFUSALS = {10: {"quaternion:8", "abelian:2:[2,2]", "modular:16", "quaternion:16",
+                            "semidihedral:16"},
+                       12: {"quaternion:8"}}
+
+
+@pytest.mark.parametrize("m, max_order", [(10, 16), (12, 8)])
+def test_theta_over_fields_past_the_table_cap_matches_the_catalog(monkeypatch, m, max_order):
+    """Characteristic two reads no field table, so GF(2^10) and GF(2^12),
+    whose tables would be refused, fill every row the orbit bound does not."""
+    monkeypatch.setattr(engine, "field_tables", _refuse_tables)
+    monkeypatch.setattr(un, "_ORBITS", {})
+    field, refused = make_field(2, m), set()
+    for entry in catalog_entries(max_order, 2):
+        try:
+            value = un.theta(entry.build(), field)
+        except SearchSpaceTooLarge as exc:
+            assert exc.context.startswith("S_H coset orbit over"), entry.name
+            refused.add(entry.name)
+            continue
+        assert value == entry.expected_facts["theta"], (entry.name, m)
+    assert refused == WIDE_FIELD_REFUSALS[m]
+
+
 def test_theta_order_16_field_independent():
     for entry in catalog_entries(16, 2):
         group = entry.build()
@@ -860,6 +885,49 @@ def test_bounds_look_n1_and_n2_up_among_the_points(monkeypatch, points, n1_insid
     monkeypatch.setattr(un, "_coset_orbit", lambda *args: forged)
     rep = un.bounds_and_constructions(d8, 2, GF4)
     assert (rep.n1_inside_s_h, rep.n2_inside_s_h, rep.product_inside_s_h) == (n1_inside, n2_inside, n2_inside)
+
+
+def _refuse_tables(spec):
+    raise AssertionError(f"field tables of {spec} were built")
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_tau_codes_match_the_scalar_tau(m):
+    # squaring through the fold matrix against finite_field.tau, a + a * a
+    field = make_field(2, m)
+    assert un._tau_codes(field).tolist() == [finite_field.tau(a).code for a in field.elements()]
+
+
+@pytest.mark.parametrize("name, m", [("dihedral:16", 4), ("elementary_abelian:2:3", 12)])
+def test_char2_routes_build_no_field_table(monkeypatch, name, m):
+    """The recursion under every central c, S_H and the bound constructions
+    run with the field tables refused, on GF(2^12) past the table cap too."""
+    monkeypatch.setattr(engine, "field_tables", _refuse_tables)
+    monkeypatch.setattr(un, "_ORBITS", {})
+    group, field = build(name), make_field(2, m)
+    orders = set()
+    for c in group.special_sets().central_order_two:
+        result = un.unitary_order_char2(group, field, c=c)
+        orders.add(result.order)
+        size, samples = un.s_h_enumerate(group, c, field, max_samples=8)
+        assert size == result.subsidiary["s_h_size"] and len(samples) == min(size, 8)
+        assert all(x.is_normalized_unit() for x in samples)
+        rep = un.bounds_and_constructions(group, c, field)
+        assert rep.t_c_commuting and rep.n1_inside_s_h and rep.n2_inside_s_h and rep.generator_identity_ok
+        assert rep.lower_bound <= rep.s_h_size <= rep.upper_bound
+    fact = next(e for e in catalog_entries(16, 2) if e.name == name).expected_facts["theta"]
+    assert len(orders) == 1 and un.theta_from_order(orders.pop(), field, group) == fact
+
+
+@pytest.mark.parametrize("name, m", [("cyclic:2", 10), ("cyclic:4", 4)])
+def test_char2_oracle_and_certificate_build_no_field_table(monkeypatch, name, m):
+    # C4 over GF(16) is not all of its normalized units, so its certificate walks
+    monkeypatch.setattr(engine, "field_tables", _refuse_tables)
+    group, field = build(name), make_field(2, m)
+    monkeypatch.setattr(un, "_SET_CACHE", {})
+    oracle = un.unitary_enumerate_oracle(group, ga.canonical_star(group), field, max_witnesses=4)
+    assert oracle.order == un.unitary_order_char2(group, field).order
+    assert all(un.is_unitary(x, ga.canonical_star(group)) for x in oracle.elements)
 
 
 def test_bounds_require_2_group_like_the_other_char2_routes():
