@@ -87,7 +87,6 @@ class FieldTables:
     add: np.ndarray   # (q, q)
     mul: np.ndarray   # (q, q)
     neg: np.ndarray   # (q,)
-    one: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,7 +106,7 @@ def field_tables(spec: FieldSpec) -> FieldTables:
     neg = -d % p @ powers
     fold = fold_matrix(spec).reshape(m, m, m)
     mul = np.einsum("xa,yb,abk->xyk", d, d, fold, optimize=True) % p @ powers
-    tabs = FieldTables(*(t.astype(np.uint16) for t in (add, mul, neg)), one=spec.one.code)
+    tabs = FieldTables(*(t.astype(np.uint16) for t in (add, mul, neg)))
     for arr in (tabs.add, tabs.mul, tabs.neg):
         arr.setflags(write=False)
     return tabs
@@ -543,7 +542,7 @@ class AlgebraContext:
         run = q ** low
         pattern = digits(np.arange(run, dtype=np.uint64), q, low)
         low_sum = self.augmentation(pattern) if low else np.zeros(run, dtype=np.uint16)
-        one_minus_low = tabs.add[tabs.one, tabs.neg[low_sum]]
+        one_minus_low = tabs.add[self.identity[0], tabs.neg[low_sum]]
         if low == n - 1:
             X = np.empty((n, run), dtype=np.uint16)
             X[0], X[1:] = one_minus_low, pattern.T

@@ -14,6 +14,7 @@ rank-nullity since the map is onto.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -33,12 +34,18 @@ from .errors import (
 from .finite_field import (
     FieldElement,
     FieldSpec,
-    fold_matrix as _fold_matrix,
+    fold_matrix,
     format_element_literal,
     is_power_of,
     parse_element_literal,
 )
 from .group_core import Group, SubgroupHandle, coset_representatives
+
+# _digit_product looks the fold up under this module name at every call, so a
+# fold replaced here (a test injects a fault this way) reaches every product.
+# The memoized scaling matrices read fold_matrix itself: a replaced fold never
+# enters the memo, where it would outlive the replacement.
+_fold_matrix = fold_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +106,8 @@ class AlgebraElement:
     def scale(self, alpha: FieldElement) -> "AlgebraElement":
         if alpha.spec != self.field:
             raise SpecMismatch("scalar from a different field")
-        return AlgebraElement(self.field, self.group, _scale_digits(self.field, self.digits, alpha))
+        return AlgebraElement(self.field, self.group,
+                              self.digits @ _multiplication_matrix(self.field, alpha.coeffs) % self.field.p)
 
     def augmentation(self) -> FieldElement:
         """chi(x), the sum of the coefficients: a column sum of the digits mod p."""
@@ -129,10 +137,12 @@ class AlgebraElement:
         reaches in at most 2 log2 |G| products.
 
         The whole computation runs on the digit array of x: chi(x) is its
-        column sum mod p, and only chi(x)^-1 is taken as a FieldElement. The
-        powers and the two-sided check (both products compared with the
-        identity's digits) use the digit product that __mul__ uses; the two
-        scalings by chi(x)^-1 reduce through the same fold matrix.
+        column sum mod p, and both scalings by chi(x)^-1 are one product with
+        the memoized matrix of multiplication by chi(x)^-1, so a field inverse
+        is taken once per field and value of chi. The powers and the
+        two-sided check use the digit product that __mul__ uses; the check
+        forms both products in one call and compares them with the
+        identity's digits.
 
         Refuses a zero augmentation and algebras whose group is not a p-group
         for p = char(F); the result is checked as a two-sided inverse.
@@ -148,20 +158,20 @@ def _invert_digits(field: FieldSpec, group: Group, x: np.ndarray) -> np.ndarray:
     the whole of AlgebraElement.invert, whose docstring gives the proof. The
     element is written as a literal only when the check fails."""
     require_p_group(group, field)
-    aug = _augmentation_digits(field, x)
-    if not aug.any():
+    chi = tuple(_augmentation_digits(field, x).tolist())
+    if not any(chi):
         raise NotAUnit("augmentation is zero")
-    aug_inv = FieldElement(field, tuple(aug.tolist())).inverse()
-    normalized = _scale_digits(field, x, aug_inv)
+    aug_inv = _inverse_scaling(field, chi)
+    p = field.p
+    normalized = x @ aug_inv % p
     power = normalized  # u^1; for |G| = 1, u is already 1 = u^0
     for bit in bin(group.n - 1)[3:]:
         power = _digit_product(field, group, power, power)
         if bit == "1":
             power = _digit_product(field, group, power, normalized)
-    result = _scale_digits(field, power, aug_inv)
-    one = algebra_one(field, group).digits
-    if not (np.array_equal(_digit_product(field, group, result, x), one)
-            and np.array_equal(_digit_product(field, group, x, result), one)):
+    result = power @ aug_inv % p
+    pair = np.array((result, x))  # times pair[::-1], the products x^-1 x and x x^-1
+    if not (_digit_product(field, group, pair, pair[::-1]) == _identity_digits(field, group)).all():
         raise InternalInconsistency(
             f"inverse failed verification multiply ({group.id} over {field.literal()}, "
             f"element {format_algebra_literal(AlgebraElement(field, group, x))})")
@@ -169,22 +179,47 @@ def _invert_digits(field: FieldSpec, group: Group, x: np.ndarray) -> np.ndarray:
 
 
 def _digit_product(field: FieldSpec, group: Group, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The product xy on (n, m) digit arrays: out[k] = sum over i of x_i y_j with g_i g_j = g_k.
+    """The product xy on (..., n, m) digit arrays, over any leading batch
+    axes: out[k] = sum over i of x_i y_j with g_i g_j = g_k.
 
-    One gather lines up y_j under each (i, k), and one matrix product sums the
-    digit products over i, giving the unreduced coefficient of x^a x^b for
-    every (a, k, b); reducing modulo the field's modulus is linear, so one
-    product with the fold matrix and one mod p reduce the whole sum. Every
-    entry stays below n m^2 p^3, far inside int64."""
+    One product with the fold matrix turns each x_i into its (m, m) matrix of
+    multiplication, whose row b holds the digits of x_i x^b: reducing modulo
+    the field's modulus is linear, so the fold reduces x^a x^b before any sum.
+    One gather along left_division_t lines up y_j under each (k, i), and one
+    matrix product sums y_j's digits against those rows over every (i, b);
+    one mod p ends it. Every entry stays below n m^2 p^3, far inside int64."""
     n, m = group.n, field.m
-    terms = x.T @ y[group.left_division()].reshape(n, n * m)  # (a, k b)
-    return terms.reshape(m, n, m).transpose(1, 0, 2).reshape(n, m * m) @ _fold_matrix(field) % field.p
+    folded = (x @ _fold_matrix(field).reshape(m, m * m)).reshape(x.shape[:-2] + (n * m, m))  # (i b, c)
+    gathered = y.take(group.left_division_t(), axis=-2).reshape(y.shape[:-2] + (n, n * m))  # (k, i b)
+    return gathered @ folded % field.p
 
 
-def _scale_digits(field: FieldSpec, x: np.ndarray, alpha: FieldElement) -> np.ndarray:
-    """alpha x on an (n, m) digit array, each row reduced through the fold matrix."""
-    terms = x[:, :, None] * np.array(alpha.coeffs, dtype=np.int64)
-    return terms.reshape(len(x), -1) @ _fold_matrix(field) % field.p
+def _multiplication_matrix(field: FieldSpec, alpha: Sequence[int]) -> np.ndarray:
+    """(m, m) int64 matrix of multiplication by the element with digits
+    alpha: row a holds the digits of x^a alpha, the sum over b of alpha_b
+    x^(a+b) read from the fold matrix, so x @ it % p scales every row of a
+    digit array x by alpha."""
+    m = field.m
+    terms = fold_matrix(field).reshape(m, m, m).transpose(0, 2, 1)  # [a, c, b]: digit c of x^(a+b)
+    return terms @ np.asarray(alpha, dtype=np.int64) % field.p
+
+
+@functools.lru_cache(maxsize=1024)
+def _inverse_scaling(field: FieldSpec, chi: tuple[int, ...]) -> np.ndarray:
+    """The read-only matrix of multiplication by chi^-1, for chi given by its
+    digits: memoized by the whole field (its modulus included) and chi, so
+    repeated inversions take one field inverse per (field, chi).
+    unitary.clear_caches empties it."""
+    matrix = _multiplication_matrix(field, FieldElement(field, chi).inverse().coeffs)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _identity_digits(field: FieldSpec, group: Group) -> np.ndarray:
+    """The (n, m) digit array of the identity, 1 g_0."""
+    one = np.zeros((group.n, field.m), dtype=np.int64)
+    one[0, 0] = 1
+    return one
 
 
 def _augmentation_digits(field: FieldSpec, x: np.ndarray) -> np.ndarray:

@@ -51,6 +51,7 @@ class Group:
         self.n = table.shape[0]
         self.id = id or f"group:{self.n}"
         self._left_division: np.ndarray | None = None
+        self._left_division_t: np.ndarray | None = None
         self._orders: list[int] | None = None
         self._special: SpecialSets | None = None
         # equality compares tables, so the hash is of the table alone
@@ -88,6 +89,16 @@ class Group:
             ldiv.setflags(write=False)
             self._left_division = ldiv
         return self._left_division
+
+    def left_division_t(self) -> np.ndarray:
+        """(n, n) intp table, the transpose of left_division as a contiguous
+        array: row k lists g_i^-1 g_k over i, so one gather along it lines up,
+        for each product g_k, the factors that make it."""
+        if self._left_division_t is None:
+            ldiv_t = np.ascontiguousarray(self.left_division().T)
+            ldiv_t.setflags(write=False)
+            self._left_division_t = ldiv_t
+        return self._left_division_t
 
     def order_of(self, g: int) -> int:
         self._bounds(g)

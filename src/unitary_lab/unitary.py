@@ -39,12 +39,13 @@ from .finite_field import FieldSpec, fold_matrix
 from .group_algebra import (
     AlgebraElement,
     GroupInvolution,
-    algebra_one,
     format_algebra_literal,
     from_codes,
     require_p_group,
     _augmentation_digits,
     _digit_product,
+    _identity_digits,
+    _inverse_scaling,
     _invert_digits,
 )
 from .group_core import Group, coset_representatives
@@ -104,6 +105,7 @@ _SET_CACHE: dict[tuple, np.ndarray] = {}
 def clear_caches():
     _SET_CACHE.clear()
     _ORBITS.clear()
+    _inverse_scaling.cache_clear()
 
 
 # --- pointwise operations ------------------------------------------------------
@@ -112,7 +114,7 @@ def is_unitary(x: AlgebraElement, inv: GroupInvolution) -> bool:
     """True iff x * x^inv = 1; requires augmentation 1. Runs on the digits
     of x: x^inv permutes its rows, and the product is compared with the
     identity's digits."""
-    field, group, one = x.field, x.group, algebra_one(x.field, x.group).digits
+    field, group, one = x.field, x.group, _identity_digits(x.field, x.group)
     if not np.array_equal(_augmentation_digits(field, x.digits), one[0]):
         raise NotNormalized("element has augmentation != 1")
     inv.require_group(group)
@@ -127,7 +129,7 @@ def cayley(x: AlgebraElement) -> AlgebraElement:
     characteristic two both sides are 1. The transform runs on digit arrays:
     1 + x, its inverse (by the digit core of AlgebraElement.invert, checked
     from both sides) and 2 (1+x)^-1 - 1, digitwise mod p."""
-    field, group, one = x.field, x.group, algebra_one(x.field, x.group).digits
+    field, group, one = x.field, x.group, _identity_digits(x.field, x.group)
     plus = (one + x.digits) % field.p
     if not _augmentation_digits(field, plus).any():
         raise NotInvertible("1+x has augmentation zero")

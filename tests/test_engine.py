@@ -224,7 +224,7 @@ def _reference_normalized_rows(ctx):
     s = np.zeros(total, dtype=np.uint16)
     for i in range(1, ctx.n):
         s = tabs.add[s, expected[:, i]]
-    expected[:, 0] = tabs.add[tabs.one, tabs.neg[s]]
+    expected[:, 0] = tabs.add[ctx.identity[0], tabs.neg[s]]
     return expected
 
 
@@ -482,13 +482,13 @@ def test_pack_and_is_one_match_axis_reductions(group_name, p, m):
     ctx = AlgebraContext(make_field(p, m), build(group_name))
     rng = np.random.default_rng(4)
     X = rng.integers(0, ctx.q, size=(2000, ctx.n), dtype=np.uint16)
-    X[::5] = ctx.identity            # the identity itself
-    X[1::5, 0] = ctx.tabs.one        # identity coefficient one, the rest random
+    X[::5] = ctx.identity          # the identity itself
+    X[1::5, 0] = ctx.identity[0]   # identity coefficient one, the rest random
     keys = ctx.pack(X)
     assert keys.dtype == np.uint64
     powers = np.array([ctx.q ** i for i in range(ctx.n)], dtype=np.uint64)
     assert np.array_equal(keys, (X.astype(np.uint64) * powers[None, :]).sum(axis=1))
-    ones = (X[:, 0] == ctx.tabs.one) & ~X[:, 1:].any(axis=1)
+    ones = (X[:, 0] == ctx.identity[0]) & ~X[:, 1:].any(axis=1)
     assert ones.any() and np.array_equal(ctx.is_one(X), ones)
 
 

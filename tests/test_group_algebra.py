@@ -14,12 +14,13 @@ from unitary_lab.errors import (
     InternalInconsistency,
     NotAntiAutomorphism,
     NotAUnit,
+    NotInvertible,
     NotNormalized,
     NotOrderTwo,
     NotPGroupOverField,
     SpecMismatch,
 )
-from unitary_lab.finite_field import make_field
+from unitary_lab.finite_field import FieldElement, FieldSpec, make_field
 from unitary_lab.group_catalog import build, catalog_entries
 from unitary_lab.group_core import validate_group
 
@@ -249,6 +250,93 @@ def test_cayley_inverse_failure_names_one_plus_x(monkeypatch):
         un.cayley(x)
     assert str(exc.value) == ("inverse failed verification multiply "
                               "(cyclic:9 over 3^1, element 1*g0 + 2*g1 + 1*g3)")
+
+
+def test_digit_product_takes_leading_batch_axes():
+    """A stacked pair multiplies as its two members do, one call for both."""
+    field, group = make_field(3, 2), build("heisenberg:3")
+    rng = random.Random(11)
+    x, y = (_any_element(rng, field, group).digits for _ in range(2))
+    pair = np.array((x, y))
+    both = ga._digit_product(field, group, pair, pair[::-1])
+    assert both.shape == (2, group.n, field.m)
+    assert np.array_equal(both[0], ga._digit_product(field, group, x, y))
+    assert np.array_equal(both[1], ga._digit_product(field, group, y, x))
+
+
+def test_inverse_scaling_memo_is_keyed_by_the_whole_field():
+    """One digit array inverted over GF(9) under two moduli: the memo must
+    not hand the first field's chi^-1 matrix to the second."""
+    conway, other = make_field(3, 2), FieldSpec(3, 2, (1, 0, 1))  # x^2 + 2x + 2 and x^2 + 1
+    assert conway.modulus == (2, 2, 1) and conway != other
+    group = build("cyclic:3")
+    digits = np.array([[1, 1], [0, 0], [1, 0]])  # chi = 2 + x under either modulus
+    chi = (2, 1)
+    un.clear_caches()
+    for field in (conway, other):
+        x = ga.AlgebraElement(field, group, digits)
+        assert x.augmentation().coeffs == chi
+        assert x.invert() == _reference_inverse(x)
+    matrices = [ga._inverse_scaling(field, chi) for field in (conway, other)]
+    assert ga._inverse_scaling.cache_info().currsize == 2
+    assert not np.array_equal(*matrices)
+    for field, matrix in zip((conway, other), matrices):
+        assert not matrix.flags.writeable
+        inverse = FieldElement(field, chi).inverse()
+        assert np.array_equal(np.array([[1, 0]]) @ matrix % 3, [inverse.coeffs])
+    un.clear_caches()
+    assert ga._inverse_scaling.cache_info().currsize == 0
+
+
+def test_cayley_forms_the_square_and_multiply_chain_and_one_field_inverse(monkeypatch):
+    """On heisenberg:3 over GF(3), |G| - 1 = 26 = 0b11010: one transform forms
+    4 squarings, 2 products with u and the two-sided check as one stacked
+    call. Repeated transforms take one field inverse per (field, chi)."""
+    field, group = GF3, build("heisenberg:3")
+    calls, inverses = [], []
+    product, inverse = ga._digit_product, FieldElement.inverse
+
+    def counted_product(f, g, x, y):
+        calls.append("check" if x.ndim == 3 else "square" if x is y else "multiply")
+        return product(f, g, x, y)
+
+    def counted_inverse(self):
+        inverses.append((self.spec, self.coeffs))
+        return inverse(self)
+
+    monkeypatch.setattr(ga, "_digit_product", counted_product)
+    monkeypatch.setattr(FieldElement, "inverse", counted_inverse)
+    un.clear_caches()
+    star, rng = ga.canonical_star(group), random.Random(12)
+    x = _any_element(rng, field, group)
+    un.cayley(x - ga.apply_involution(x, star))
+    assert sorted(calls) == ["check"] + ["multiply"] * 2 + ["square"] * 4
+    for _ in range(10):
+        x = _any_element(rng, field, group)
+        skew = x - ga.apply_involution(x, star)
+        unit = un.cayley(skew)  # chi(1 + skew) = 1
+        assert un.cayley(unit) == skew  # chi(1 + unit) = 2
+    assert sorted(inverses) == [(field, (1,)), (field, (2,))]
+
+
+def test_inversion_and_cayley_refusals_keep_their_messages():
+    c2, c3, c9 = build("cyclic:2"), build("cyclic:3"), build("cyclic:9")
+    refusals = [
+        (NotAUnit, lambda: ga.from_coeffs(GF2, c2, [1, 1]).invert(), "augmentation is zero"),
+        (NotAUnit, lambda: ga.from_coeffs(GF3, c9, [1, 1, 1] + [0] * 6).invert(), "augmentation is zero"),
+        (NotInvertible, lambda: un.cayley(ga.algebra_one(GF2, c2)), "1+x has augmentation zero"),
+        (NotInvertible, lambda: un.cayley(ga.from_coeffs(GF3, c9, [1, 1] + [0] * 7)), "1+x has augmentation zero"),
+        # chi(1 + x) = 0 is refused before the group is looked at
+        (NotInvertible, lambda: un.cayley(ga.algebra_one(GF2, c3)), "1+x has augmentation zero"),
+        (NotPGroupOverField, lambda: ga.algebra_one(GF2, c3).invert(),
+         "|G|=3 for cyclic:3 is not a power of char(F)=2"),
+        (NotPGroupOverField, lambda: un.cayley(ga.algebra_zero(GF2, c3)),
+         "|G|=3 for cyclic:3 is not a power of char(F)=2"),
+    ]
+    for error, call, message in refusals:
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def _reference_is_unitary(x, inv):

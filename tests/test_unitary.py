@@ -255,7 +255,7 @@ def test_certificate_refuses_every_dropped_pair(name, field):
     # subgroup, so some product of its members must land on x or x*
     group = build(name)
     ctx, sigma, keys = _scan(group, field)
-    for key in keys[keys != ctx.tabs.one]:
+    for key in keys[keys != ctx.identity[0]]:
         x = ctx.unpack(np.array([key]))
         pair = np.concatenate([x, x[:, sigma]])
         with pytest.raises(InternalInconsistency) as exc:
@@ -306,7 +306,7 @@ def test_certificate_multiplies_by_every_generator_so_far():
 def test_certificate_refuses_a_set_without_the_identity():
     ctx, sigma, keys = _scan(build("quaternion:8"), GF4)
     with pytest.raises(InternalInconsistency) as exc:
-        _certify(ctx, sigma, keys[keys != ctx.tabs.one])
+        _certify(ctx, sigma, keys[keys != ctx.identity[0]])
     assert str(exc.value) == "unitary set misses the identity (quaternion:8 over 2^2, element 10*g0)"
 
 
@@ -320,7 +320,7 @@ def test_certificate_under_the_identity_map_involutes_nothing(monkeypatch):
     monkeypatch.setattr(ctx, "involute_keys", lambda *a: calls.append(a) or involute(*a))
     _certify(ctx, sigma, keys)
     with pytest.raises(InternalInconsistency) as exc:
-        _certify(ctx, sigma, keys[keys != ctx.tabs.one])
+        _certify(ctx, sigma, keys[keys != ctx.identity[0]])
     assert str(exc.value) == ("unitary set misses the identity "
                               "(elementary_abelian:2:2 over 2^2, element 10*g0)")
     assert calls == []
@@ -535,7 +535,7 @@ def _forge_norm_at_order(monkeypatch, n, indices):
     def forged(self, X, sigma):
         Y = norm(self, X, sigma)
         if self.n == n:
-            Y[:, list(indices)] ^= self.tabs.one
+            Y[:, list(indices)] ^= self.identity[0]
         return Y
 
     monkeypatch.setattr(AlgebraContext, "norm", forged)
@@ -623,7 +623,7 @@ def _closure_keys(ctx, generators):
     """Sorted keys of the group the rows generate, by Dimino's algorithm: each
     generator not yet reached extends the group so far, H, by right cosets H e
     until right multiplication by every generator so far stays inside."""
-    known = np.array([ctx.tabs.one], dtype=np.uint64)
+    known = np.array([ctx.identity[0]], dtype=np.uint64)
     for i in range(generators.shape[0]):
         if keys_contain(known, ctx.pack(generators[i:i + 1]))[0]:
             continue
