@@ -22,9 +22,15 @@ the reduction by the field's modulus. Most batch products are a few rows,
 where numpy's cost per call outweighs the work, so each step runs across
 the whole group: `to_planes` shifts out all m bits in one broadcast, and
 `plane_product` gathers the Y[j] that each X[i] meets once, then takes m
-steps of an AND and an XOR-reduction over i. The table kernel stays the
-reference the tests hold the bitsliced one to. A norm x x^sigma converts X
-once (`AlgebraContext.norm`): X^sigma's planes are X's permuted by sigma.
+steps of an AND and an XOR-reduction over i, over the indices i where X can
+be nonzero. The table kernel stays the reference the tests hold the
+bitsliced one to. A norm x x^sigma stays in planes (`norm_planes`):
+X^sigma's planes are X's permuted by sigma. The characteristic-two
+recursion keeps each orbit round in planes and reads its checks off them:
+`row_mask` is the plane of a constant 1 over a batch's rows, and
+`first_nonzero_row` finds the first row a check fails on, for its witness.
+Its Schreier generators deduplicate by `row_words`, each row's bits packed
+into uint64 words that sort as the rows' columns do.
 
 The oracle's scan (`AlgebraContext.unitary_keys`) tests x x^sigma = 1 one
 coefficient at a time in odd characteristic: coefficient k is one gather
@@ -55,7 +61,7 @@ Keys are uint64 and below 2^63, so `pack` refuses a group algebra with more
 than 2^63 elements when it is first called; a context is built for any size,
 and the characteristic-two recursion, which keys in its own coordinates,
 never packs. A bit-plane product is refused before its gathered temporary
-would pass MAX_GATHER_BYTES.
+would pass MAX_GATHER_BYTES, judged as if X were nonzero at every index.
 """
 
 from __future__ import annotations
@@ -207,6 +213,45 @@ def from_planes(P: np.ndarray, B: int) -> np.ndarray:
     return out
 
 
+def row_bits(words: np.ndarray, rows: int) -> np.ndarray:
+    """Bits 0, ..., rows - 1 of (words,) uint64 plane words as a bool mask,
+    row r at bit r % 64 of word r // 64; the pad rows past rows are dropped."""
+    return np.unpackbits(words.view(np.uint8), count=rows, bitorder="little").view(bool)
+
+
+def row_mask(rows: int) -> np.ndarray:
+    """(ceil(rows / 64),) uint64 plane words with bits 0, ..., rows - 1 set:
+    the plane of a constant 1 over a batch of rows rows, 0 on its pad rows."""
+    whole, rest = divmod(rows, WORD_BITS)
+    return np.array([(1 << WORD_BITS) - 1] * whole + ([(1 << rest) - 1] if rest else []), dtype=np.uint64)
+
+
+def first_nonzero_row(planes: np.ndarray, rows: int) -> int | None:
+    """The least row r < rows at which some plane of (..., words) planes has
+    bit r set, or None."""
+    if planes.any():
+        nonzero = row_bits(np.bitwise_or.reduce(planes.reshape(-1, planes.shape[-1])), rows)
+        if nonzero.any():
+            return int(np.argmax(nonzero))
+    return None
+
+
+def row_words(X: np.ndarray, m: int) -> np.ndarray:
+    """(B, n) codes of m bits as (B, ceil(n m / 64)) uint64 words holding each
+    row's n m bits in order, column i at bits m i, ..., m i + m - 1. A row
+    read as a number, its last word most significant, orders rows as
+    np.lexsort(X.T) does, column n - 1 first; np.lexsort(words.T) sorts
+    them so. Bit a of every code is shifted out at once, one step per a: a
+    broadcast over an m-long inner axis is several times slower."""
+    B, n = X.shape
+    bits = np.empty((B, n, m), dtype=np.uint8)
+    for a in range(m):
+        np.bitwise_and(X >> a, 1, out=bits[:, :, a], casting="unsafe")
+    packed = np.zeros((B, -(-n * m // WORD_BITS) * 8), dtype=np.uint8)
+    packed[:, :-(-n * m // 8)] = np.packbits(bits.reshape(B, n * m), axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
 def require_key_space(size: int, context: str) -> None:
     """Refuse size distinct keys when uint64 keys below 2^63 cannot name them all."""
     if size > MAX_KEY_SPACE:
@@ -298,12 +343,14 @@ class AlgebraContext:
                   for Z in (X, Y))
         return from_planes(self.plane_product(xp, yp), B)
 
-    def plane_product(self, xp: np.ndarray, yp: np.ndarray,
-                      coeffs: np.ndarray | None = None) -> np.ndarray:
+    def plane_product(self, xp: np.ndarray, yp: np.ndarray, coeffs: np.ndarray | None = None,
+                      support: np.ndarray | None = None) -> np.ndarray:
         """The product of two (n, m, words) bit-plane batches, as planes; a
         one-word operand of constant words is a fixed factor. coeffs lists
         the coefficients k to form, in the order they come out; the default
-        is all n.
+        is all n. support lists the indices i of G that xp's rows hold, in
+        order, when X is 0 at every other index; the default is all n. A
+        term X[i] Y[j] with X[i] = 0 is 0, so only those i are summed.
 
         out[g_k] = XOR over i of X[i] Y[j], g_i g_j = g_k. Each coefficient
         product is schoolbook: plane a of X[i] ANDed with plane b of Y[j]
@@ -312,13 +359,16 @@ class AlgebraContext:
         Y[j] that X[i] meets, so each plane a of X is one AND against it and
         one XOR-reduction over i: m vector steps, not n m. The words run in
         pieces of PLANE_CHUNK_ROWS rows, and a piece whose gathered temporary
-        would pass MAX_GATHER_BYTES is refused before it is allocated.
+        would pass MAX_GATHER_BYTES is refused before it is allocated; the
+        temporary is counted over all n indices i, whatever support is, so
+        a product is refused exactly when the unrestricted one would be.
         The reduction by the modulus is linear, so it runs once on the sum."""
         m = self.field.m
-        left_div = self.left_div if coeffs is None else self.left_div[:, coeffs]
+        left_div = self.left_div if support is None else self.left_div[support]
+        left_div = left_div if coeffs is None else left_div[:, coeffs]
         words = max(xp.shape[2], yp.shape[2])
         step = PLANE_CHUNK_ROWS // WORD_BITS
-        gathered = left_div.size * m * min(words, step) * np.dtype(np.uint64).itemsize
+        gathered = self.n * left_div.shape[1] * m * min(words, step) * np.dtype(np.uint64).itemsize
         if gathered > MAX_GATHER_BYTES:
             raise SearchSpaceTooLarge(gathered, MAX_GATHER_BYTES, context="bit-plane product")
         out = np.zeros((left_div.shape[1], 2 * m - 1, words), dtype=np.uint64)
@@ -326,8 +376,8 @@ class AlgebraContext:
             piece = slice(start, start + step)
             x = xp if xp.shape[2] == 1 else xp[:, :, piece]
             y_over = (yp if yp.shape[2] == 1 else yp[:, :, piece])[left_div]
-            term = np.empty(np.broadcast_shapes(y_over.shape, x[:, :1, None].shape),
-                            dtype=np.uint64)
+            # y_over broadcast against X's plane words: either may be one constant word
+            term = np.empty(y_over.shape[:3] + (max(y_over.shape[3], x.shape[2]),), dtype=np.uint64)
             for a in range(m):
                 np.bitwise_and(x[:, a, None, None], y_over, out=term)
                 out[:, a:a + m, piece] ^= np.bitwise_xor.reduce(term, axis=0)
@@ -338,11 +388,22 @@ class AlgebraContext:
 
     def norm(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """x x^sigma for every row x of X. In characteristic two X becomes
-        bit-planes once, as the planes of X^sigma are X's permuted by sigma."""
+        bit-planes once (see norm_planes)."""
         if not self.char2:
             return self.mul(X, X[:, sigma])
-        xp = to_planes(X, self.field.m)
-        return from_planes(self.plane_product(xp, xp[sigma]), X.shape[0])
+        return from_planes(self.norm_planes(to_planes(X, self.field.m), sigma), X.shape[0])
+
+    def norm_planes(self, xp: np.ndarray, sigma: np.ndarray,
+                    support: np.ndarray | None = None) -> np.ndarray:
+        """x x^sigma over bit-planes, as (n, m, words) planes. xp holds X's
+        planes at the indices support of G (all n by default) and X is 0
+        elsewhere; the planes of X^sigma are X's permuted by sigma, so
+        nothing is converted, and only X's support is summed over."""
+        if support is None:
+            return self.plane_product(xp, xp[sigma])
+        full = np.zeros((self.n,) + xp.shape[1:], dtype=np.uint64)
+        full[support] = xp
+        return self.plane_product(xp, full[sigma], support=support)
 
     def involute_keys(self, keys: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """pack(unpack(keys)[:, sigma]) for any permutation sigma of G's
@@ -491,8 +552,7 @@ class AlgebraContext:
             if moved.size:
                 product = self.plane_product(P, P[sigma], moved)
                 differs |= np.bitwise_or.reduce(product.reshape(-1, P.shape[2]))
-            hits = np.unpackbits((~differs).view(np.uint8), count=rows, bitorder="little")
-            parts.append(candidate_keys(start, rows)[hits.view(bool)])
+            parts.append(candidate_keys(start, rows)[row_bits(~differs, rows)])
         return np.concatenate(parts)
 
     def _candidate_planes(self, start: int, rows: int) -> np.ndarray:

@@ -132,6 +132,11 @@ class FieldSpec:
         object.__setattr__(self, "modulus", mod)
         if not _poly_is_irreducible(mod, self.p):
             raise ValueError(f"modulus {mod} is reducible over Z/{self.p}")
+        # hashed once: a spec keys every per-field cache, at every product
+        object.__setattr__(self, "_hash", hash((self.p, self.m, mod)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:

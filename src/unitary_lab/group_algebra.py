@@ -147,21 +147,23 @@ class AlgebraElement:
         Refuses a zero augmentation and algebras whose group is not a p-group
         for p = char(F); the result is checked as a two-sided inverse.
         """
-        return AlgebraElement(self.field, self.group, _invert_digits(self.field, self.group, self.digits))
+        require_p_group(self.group, self.field)
+        chi = _augmentation_digits(self.field, self.digits)
+        if not chi.any():
+            raise NotAUnit("augmentation is zero")
+        return AlgebraElement(self.field, self.group, _invert_digits(self.field, self.group, self.digits, chi))
 
     def __repr__(self):
         return f"AlgebraElement({self.field.literal()}, {self.group.id}, {format_algebra_literal(self)!r})"
 
 
-def _invert_digits(field: FieldSpec, group: Group, x: np.ndarray) -> np.ndarray:
+def _invert_digits(field: FieldSpec, group: Group, x: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """The inverse of the element with (n, m) digit array x, as a digit array:
-    the whole of AlgebraElement.invert, whose docstring gives the proof. The
+    the arithmetic of AlgebraElement.invert, whose docstring gives the proof.
+    chi is x's augmentation digits; the callers form it once and refuse a
+    group that is not a p-group and chi = 0, each with its own error. The
     element is written as a literal only when the check fails."""
-    require_p_group(group, field)
-    chi = tuple(_augmentation_digits(field, x).tolist())
-    if not any(chi):
-        raise NotAUnit("augmentation is zero")
-    aug_inv = _inverse_scaling(field, chi)
+    aug_inv = _inverse_scaling(field, tuple(chi.tolist()))
     p = field.p
     normalized = x @ aug_inv % p
     power = normalized  # u^1; for |G| = 1, u is already 1 = u^0

@@ -24,7 +24,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import DEFAULT_BATCH, AlgebraContext, digits, keys_contain, require_key_space, sorted_unique
+from .engine import (
+    DEFAULT_BATCH,
+    AlgebraContext,
+    digits,
+    first_nonzero_row,
+    from_planes,
+    keys_contain,
+    require_key_space,
+    row_mask,
+    row_words,
+    sorted_unique,
+    to_planes,
+)
 from .errors import (
     EvenCharacteristic,
     InternalInconsistency,
@@ -128,12 +140,15 @@ def cayley(x: AlgebraElement) -> AlgebraElement:
     (1-x)(1+x)^-1 = 2(1+x)^-1 - (1+x)(1+x)^-1 = 2(1+x)^-1 - 1. In
     characteristic two both sides are 1. The transform runs on digit arrays:
     1 + x, its inverse (by the digit core of AlgebraElement.invert, checked
-    from both sides) and 2 (1+x)^-1 - 1, digitwise mod p."""
+    from both sides, from the chi(1 + x) that the invertibility check forms)
+    and 2 (1+x)^-1 - 1, digitwise mod p."""
     field, group, one = x.field, x.group, _identity_digits(x.field, x.group)
     plus = (one + x.digits) % field.p
-    if not _augmentation_digits(field, plus).any():
+    chi = _augmentation_digits(field, plus)
+    if not chi.any():
         raise NotInvertible("1+x has augmentation zero")
-    inverse = _invert_digits(field, group, plus)
+    require_p_group(group, field)
+    inverse = _invert_digits(field, group, plus, chi)
     return AlgebraElement(field, group, (2 * inverse - one) % field.p)
 
 
@@ -378,6 +393,27 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     checked on every orbit product and every Schreier generator, with L as
     the witness. Every element of S_H is such an L L* (or 1) plus an element
     of W, and W has all three properties, so the checks cover all of S_H.
+
+    Each round stays in bit-planes. The products P = g t of generators and
+    frontier elements come out as planes; L's planes are P's at reps, and
+    L L* is formed over L's support alone (`norm_planes`). The three checks
+    are XOR/OR reductions over its planes, read on the batch's rows only,
+    and only gamma, on the pairs and on Tb, leaves planes. The Schreier
+    products t* P reuse P's planes. Construction decides some products, and
+    they are not formed:
+    - while the frontier is point 0 alone, its element is 1, so P is the
+      generators of Vb;
+    - a row whose point is 0 has t = 1, so it is its own Schreier generator,
+      with the gamma its round computed; a row that became its point's
+      transversal element has t* P = t* t = 1, which generates nothing. A
+      batch of such rows only, as on every level of index 1, forms no
+      Schreier product and no second L L*; any other batch is multiplied
+      whole, in one product and one L L*;
+    - b0 S is 0 where b0 is, as when Gb has no pairs.
+    No check is lost. A row of point 0 was checked as an orbit product, and
+    its point, 0, makes it solvable; 1 passes every check. Every other
+    Schreier generator is checked in its round, carries the gamma of its
+    L L* from there, and its point is tested for 0 at the end.
     A point is gamma on Tb in m-bit fields, m |T_c|/2 bits; one wider than
     63 bits is refused. Each point costs one product per generator of Vb;
     the paper's bound |S_H| <= q^((|G| - |G{2}| + |T_c|)/4) bounds the
@@ -402,84 +438,125 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     squares = ctx.gtable[reps, reps]
     pairs = np.flatnonzero(np.arange(nbar) < bctx.star)  # one h per pair h != h^-1
     t_bar, over_g2 = np.flatnonzero(squares == c), np.flatnonzero(squares == 0)
-    fields = np.uint64(m) * np.arange(t_bar.size, dtype=np.uint64)
+    gamma_cols = np.concatenate([pairs, t_bar])
+    powers = np.uint64(q) ** np.arange(t_bar.size, dtype=np.uint64)  # a point holds gamma in m-bit fields
 
-    def point_keys(U):
-        """The points of L L* over the rows u of U, with gamma and L."""
-        L = np.zeros((U.shape[0], n), dtype=np.uint16)
-        L[:, reps] = U
-        Y = ctx.norm(L, ctx.star)
-        gamma = Y[:, reps_c]
-        for what, fails in (
-                ("Psi(L L*) is not 1", (Y[:, reps] ^ gamma != bctx.identity).any(axis=1)),
-                ("gamma of L L* is not symmetric", (gamma != gamma[:, bctx.star]).any(axis=1)),
-                ("gamma of L L* is not 0 on the image of G{2}", gamma[:, over_g2].any(axis=1))):
-            if fails.any():
-                raise _inconsistency(group, field, what, L[np.argmax(fails)], c)
-        return np.bitwise_or.reduce(gamma[:, t_bar].astype(np.uint64) << fields, axis=1), gamma, L
+    def lift(u):  # the witness L of a row u
+        L = np.zeros(n, dtype=np.uint16)
+        L[reps] = u
+        return L
+
+    def point_of(gamma):  # gamma's columns are pairs, then Tb
+        return gamma[:, pairs.size:].astype(np.uint64) @ powers
+
+    def point_keys(Up, U):
+        """The points of L L* over the rows u of U, whose planes are Up, and
+        gamma on the pairs and on Tb. L's planes are Up at reps, and the
+        checks read L L*'s planes, over U's rows only."""
+        Yp = ctx.norm_planes(Up, ctx.star, reps)
+        gp = Yp[reps_c]
+        psi = Yp[reps] ^ gp
+        psi[0, 0] ^= row_mask(U.shape[0])  # 1 on U's rows: 1's code is 1, and reps[0] = 0
+        for what, differs in (
+                ("Psi(L L*) is not 1", psi),
+                ("gamma of L L* is not symmetric", gp ^ gp[bctx.star]),
+                ("gamma of L L* is not 0 on the image of G{2}", gp[over_g2])):
+            row = first_nonzero_row(differs, U.shape[0])
+            if row is not None:
+                raise _inconsistency(group, field, what, lift(U[row]), c)
+        gamma = from_planes(gp[gamma_cols], U.shape[0])
+        return point_of(gamma), gamma
 
     # Schreier's orbit algorithm: one product batch per round over every
-    # (generator, frontier point) pair. The points stay sorted, each with its
-    # row of the transversal, and new ones are merged in. The Schreier
-    # generators stay sorted by their keys in F[Gb] (column n - 1 leads) and
-    # repeat-free.
+    # (generator, frontier point) pair, in bit-planes. The points stay sorted,
+    # each with its row of the transversal, and new ones are merged in; the
+    # frontier is the rows a round added. The Schreier generators stay sorted
+    # by their bits (row_words: as np.lexsort, column nbar - 1 leads) and
+    # repeat-free, each with gamma of its L L* on the pairs and on Tb.
     transversal = bctx.identity[None, :]
     points = np.zeros(1, dtype=np.uint64)
     point_rows = np.zeros(1, dtype=np.intp)  # the transversal row of each point
     frontier = np.zeros(1, dtype=np.intp)
     schreier = np.empty((0, nbar), dtype=np.uint16)
+    schreier_gamma = np.empty((0, gamma_cols.size), dtype=np.uint16)
+    schreier_words = np.empty((0, -(-nbar * m // 64)), dtype=np.uint64)  # see row_words
     chunk = max(1, DEFAULT_BATCH // max(1, vbar_gens.shape[0]))
     while frontier.size:
-        fresh = []
+        grown = transversal.shape[0]
         for start in range(0, frontier.size, chunk):
-            T = transversal[frontier[start:start + chunk]]
-            P = bctx.mul(np.repeat(vbar_gens, T.shape[0], axis=0),
-                         np.tile(T, (vbar_gens.shape[0], 1)))
-            keys = point_keys(P)[0]
-            distinct, first = np.unique(keys, return_index=True)
-            new = ~keys_contain(points, distinct)
-            rows = np.arange(transversal.shape[0], transversal.shape[0] + int(new.sum()))
-            fresh.append(rows)
-            transversal = np.concatenate([transversal, P[first[new]]])
-            at = np.searchsorted(points, distinct[new])
-            points = np.insert(points, at, distinct[new])
-            point_rows = np.insert(point_rows, at, rows)
-            coset_rep = transversal[point_rows[np.searchsorted(points, keys)]]
-            R = np.concatenate([schreier, bctx.mul(coset_rep[:, bctx.star], P)])
-            R = R[np.lexsort(R.T)]
-            first_of_run = np.ones(R.shape[0], dtype=bool)
-            first_of_run[1:] = (R[1:] != R[:-1]).any(axis=1)
-            schreier = R[first_of_run]
-        frontier = np.concatenate(fresh)
+            if grown == 1:  # the frontier is point 0, so P is the generators
+                P = vbar_gens
+                Pp = to_planes(P, m)
+            else:
+                T = transversal[frontier[start:start + chunk]]
+                Pp = bctx.plane_product(to_planes(np.repeat(vbar_gens, T.shape[0], axis=0), m),
+                                        to_planes(np.tile(T, (vbar_gens.shape[0], 1)), m))
+                P = from_planes(Pp, T.shape[0] * vbar_gens.shape[0])
+            keys, gamma = point_keys(Pp, P)
+            # the Schreier generator t* P of each row, t its point's transversal
+            # element: P where t = 1, and 1 where P became t. Unless some row
+            # needs the product, R is P without the latter.
+            R, R_gamma = P, gamma
+            if keys.any():
+                distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+                new = ~keys_contain(points, distinct)
+                if new.any():
+                    rows = np.arange(transversal.shape[0], transversal.shape[0] + int(new.sum()))
+                    transversal = np.concatenate([transversal, P[first[new]]])
+                    points = np.concatenate([points, distinct[new]])
+                    point_rows = np.concatenate([point_rows, rows])
+                    by_key = np.argsort(points)
+                    points, point_rows = points[by_key], point_rows[by_key]
+                owner = point_rows[np.searchsorted(points, distinct)][inverse]
+                kept = np.ones(P.shape[0], dtype=bool)
+                kept[first[new]] = False
+                if owner[kept].any():
+                    Rp = bctx.plane_product(to_planes(transversal[owner][:, bctx.star], m), Pp)
+                    R = from_planes(Rp, P.shape[0])
+                    R_gamma = point_keys(Rp, R)[1]
+                else:
+                    R, R_gamma = P[kept], gamma[kept]
+            W = np.concatenate([schreier_words, row_words(R, m)])
+            order = np.lexsort(W.T)
+            W = W[order]
+            first_of_run = np.ones(W.shape[0], dtype=bool)
+            first_of_run[1:] = (W[1:] != W[:-1]).any(axis=1)
+            order = order[first_of_run]
+            schreier_words = W[first_of_run]
+            schreier = np.concatenate([schreier, R])[order]
+            schreier_gamma = np.concatenate([schreier_gamma, R_gamma])[order]
+        frontier = np.arange(grown, transversal.shape[0])
     index = points.size
     if vbar_order % index:
         raise _inconsistency(group, field, f"the orbit's {index} points do not divide "
                                            f"|Vb| = {vbar_order}", c=c)
 
     # lifted Schreier generators, then the generators of K; all checked unitary
-    S = schreier[~bctx.is_one(schreier)]
-    keys, gamma, L = point_keys(S)
-    bad = np.flatnonzero(keys)
+    nontrivial = ~bctx.is_one(schreier)
+    S, gamma = schreier[nontrivial], schreier_gamma[nontrivial]
+    bad = np.flatnonzero(point_of(gamma))
     if bad.size:
-        raise _inconsistency(group, field, "a Schreier generator is not solvable", L[bad[0]], c)
+        raise _inconsistency(group, field, "a Schreier generator is not solvable", lift(S[bad[0]]), c)
     b0 = np.zeros((S.shape[0], nbar), dtype=np.uint16)
-    b0[:, pairs] = gamma[:, pairs]
+    b0[:, pairs] = gamma[:, :pairs.size]
     eye = np.eye(nbar, dtype=np.uint16)
     sym_basis = (eye | eye[bctx.star])[np.arange(nbar) <= bctx.star]  # g + g^-1, g <= g^-1
     powers_of_x = np.array([1 << a for a in range(m)], dtype=np.uint16)
     k_parts = (powers_of_x[:, None, None] * sym_basis[None, :, :]).reshape(-1, nbar)
     U = np.concatenate([S, np.repeat(bctx.identity[None, :], k_parts.shape[0], axis=0)])
-    A = np.concatenate([bctx.mul(b0, S), k_parts])
+    A = np.concatenate([bctx.mul(b0, S) if b0.any() else b0, k_parts])  # b0 = 0 when Gb has no pairs
     X = np.empty((U.shape[0], n), dtype=np.uint16)
     X[:, reps] = bctx.add(U, A)
     X[:, reps_c] = A
-    bad = np.flatnonzero(~ctx.is_one(ctx.norm(X, ctx.star)))
-    if bad.size:
-        raise _inconsistency(group, field, "a generator is not unitary", X[bad[0]], c)
+    differs = ctx.norm_planes(to_planes(X, m), ctx.star)
+    differs[0, 0] ^= row_mask(X.shape[0])  # x x* - 1
+    row = first_nonzero_row(differs, X.shape[0])
+    if row is not None:
+        raise _inconsistency(group, field, "a generator is not unitary", X[row], c)
 
     lifts = np.stack([reps, reps_c, reps[bctx.star], reps_c[bctx.star]], axis=1)  # of h and h^-1
     orbit = _CosetOrbit(ctx, q ** (nbar - pairs.size) * vbar_order // index, vbar_order, points,
-                        q ** pairs.size, index * q ** pairs.size, X, lifts[np.concatenate([pairs, t_bar])])
+                        q ** pairs.size, index * q ** pairs.size, X, lifts[gamma_cols])
     _ORBITS[cache_key] = orbit
     return orbit
 

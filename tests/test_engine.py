@@ -15,8 +15,12 @@ from unitary_lab.engine import (
     AlgebraContext,
     digits,
     field_tables,
+    first_nonzero_row,
+    from_planes,
     keys_contain,
     row_index,
+    row_mask,
+    row_words,
     sorted_unique,
     to_planes,
 )
@@ -162,6 +166,49 @@ def test_plane_product_of_chosen_coefficients(group_name, m):
     full = ctx.plane_product(xp, yp)
     for coeffs in (np.array([ctx.n - 1, 0, 2]), np.array([1]), np.arange(ctx.n)[::-1]):
         assert np.array_equal(ctx.plane_product(xp, yp, coeffs), full[coeffs])
+
+
+@pytest.mark.parametrize("group_name,m", [("quaternion:8", 3), ("dihedral:16", 1), ("abelian:2:[1,2]", 2)])
+def test_norm_over_a_support_matches_the_full_norm(group_name, m):
+    # X zero off a support: the restricted product sums over the support only
+    ctx = AlgebraContext(make_field(2, m), build(group_name))
+    rng = np.random.default_rng(ctx.n + m)
+    for support in (np.arange(0, ctx.n, 2), np.array([ctx.n - 1, 1]), np.arange(ctx.n)):
+        X = np.zeros((130, ctx.n), dtype=np.uint16)
+        X[:, support] = rng.integers(0, ctx.q, size=(130, support.size))
+        xp = to_planes(X[:, support], m)
+        assert np.array_equal(from_planes(ctx.norm_planes(xp, ctx.star, support), 130),
+                              ctx.mul_table(X, X[:, ctx.star]))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 200])
+def test_row_mask_and_first_nonzero_row(rows):
+    mask = row_mask(rows)
+    assert mask.shape == (-(-rows // 64),)
+    assert np.array_equal(np.unpackbits(mask.view(np.uint8), bitorder="little"),
+                          np.arange(mask.size * 64) < rows)
+    planes = np.zeros((3, 2, mask.size), dtype=np.uint64)
+    assert first_nonzero_row(planes, rows) is None
+    if rows:
+        planes[2, 1] = ~mask  # pad rows only
+        assert first_nonzero_row(planes, rows) is None
+        for row in sorted({rows - 1, rows // 2}, reverse=True):
+            planes[1, 0, row // 64] |= np.uint64(1 << row % 64)
+            assert first_nonzero_row(planes, rows) == row
+
+
+@pytest.mark.parametrize("n,m", [(8, 1), (8, 3), (16, 4), (40, 3), (64, 2), (13, 5)])
+def test_row_words_sort_as_lexsort(n, m):
+    # rows with repeats, over one and several words, fields across word edges
+    rng = np.random.default_rng(n * m)
+    X = rng.integers(0, 1 << m, size=(300, n)).astype(np.uint16)
+    X[100:200] = X[:100]
+    words = row_words(X, m)
+    assert words.shape == (300, -(-n * m // 64))
+    assert np.array_equal(X[np.lexsort(words.T)], X[np.lexsort(X.T)])
+    # the words hold the row's bits in order, column i at bits m i ...
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :n * m]
+    assert np.array_equal(bits.reshape(300, n, m), (X[:, :, None] >> np.arange(m)) & 1)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])

@@ -23,6 +23,16 @@ def test_make_field_prime_fields():
     assert len(list(f3.elements())) == 3
 
 
+def test_field_spec_hash_and_equality_follow_p_m_and_modulus():
+    # the hash is computed once per spec; equal specs built apart still agree
+    a, b = ff.FieldSpec(2, 3, (1, 1, 0, 1)), ff.FieldSpec(2, 3, [3, 1, 2, 1])  # x^3 + x + 1, reduced mod 2
+    assert a == b and hash(a) == hash(b) == hash((2, 3, (1, 1, 0, 1)))
+    assert len({a, b, ff.make_field(2, 3)}) == 1
+    other = ff.FieldSpec(2, 3, (1, 0, 1, 1))  # x^3 + x^2 + 1
+    assert other != a and len({a, other}) == 2
+    assert ff.FieldSpec(3, 1, (1, 1)) != ff.FieldSpec(3, 1, (2, 1))
+
+
 def test_make_field_gf4_modulus_has_no_roots():
     f4 = ff.make_field(2, 2)
     assert f4.modulus == (1, 1, 1)  # x^2 + x + 1

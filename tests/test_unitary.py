@@ -1,6 +1,7 @@
 """Unitary orders: pointwise checks, the three computation routes, bounds."""
 
 import dataclasses
+import hashlib
 import itertools
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from unitary_lab import engine, finite_field
 from unitary_lab import group_algebra as ga
 from unitary_lab import unitary as un
-from unitary_lab.engine import DEFAULT_BATCH, AlgebraContext, keys_contain
+from unitary_lab.engine import DEFAULT_BATCH, AlgebraContext, constant_planes, keys_contain
 from unitary_lab.errors import (
     EvenCharacteristic,
     InternalInconsistency,
@@ -529,16 +530,17 @@ def test_sum_keys_match_row_sums(name, m):
 
 
 def _forge_norm_at_order(monkeypatch, n, indices):
-    """AlgebraContext.norm with 1 added at the given indices of every product over a group of order n."""
-    norm = AlgebraContext.norm
+    """AlgebraContext.norm_planes, which every norm goes through, with 1 added
+    at the given indices of every product over a group of order n."""
+    norm_planes = AlgebraContext.norm_planes
 
-    def forged(self, X, sigma):
-        Y = norm(self, X, sigma)
+    def forged(self, xp, sigma, support=None):
+        Yp = norm_planes(self, xp, sigma, support)
         if self.n == n:
-            Y[:, list(indices)] ^= self.identity[0]
-        return Y
+            Yp[list(indices)] ^= constant_planes(self.identity[:1], self.field.m)
+        return Yp
 
-    monkeypatch.setattr(AlgebraContext, "norm", forged)
+    monkeypatch.setattr(AlgebraContext, "norm_planes", forged)
     monkeypatch.setattr(un, "_ORBITS", {})
 
 
@@ -574,6 +576,18 @@ def test_s_h_check_names_the_element_that_breaks_it(monkeypatch, flip, what):
     assert str(exc.value) == f"{what} (quaternion:16 over 2^2, c = g4, element 10*g1)"
 
 
+def test_unitarity_check_names_the_generator_that_breaks_it(monkeypatch):
+    # 1 added at the orbit {g1, g1^-1, g1 c, g1^-1 c} of every L L* moves gamma
+    # within W: the points and the three gamma facts hold, and so do the lifted
+    # Schreier generators, but a generator 1 + (1+c) lift(k) of K does not
+    q16, c = build("quaternion:16"), 4
+    assert sorted({1, q16.inverse(1), q16.mul(1, c), q16.mul(q16.inverse(1), c)}) == [1, 3, 5, 7]
+    _forge_norm_at_order(monkeypatch, 16, (1, 3, 5, 7))
+    with pytest.raises(InternalInconsistency) as exc:
+        un.s_h_enumerate(q16, c, GF4)
+    assert str(exc.value) == "a generator is not unitary (quaternion:16 over 2^2, c = g4, element 10*g4)"
+
+
 # --- characteristic-two recursion -----------------------------------------------------
 
 def test_char2_regressions():
@@ -606,6 +620,46 @@ def test_char2_recursion_runs_down_to_order_one():
     trivial = un.unitary_order_char2(build("cyclic:1"), GF4)
     assert (trivial.order, trivial.subsidiary) == (1, None)
     assert un._unitary_generators(build("cyclic:1"), GF4, un.DEFAULT_SEARCH_CAP)[1].shape[0] == 0
+
+
+def test_an_index_one_level_forms_only_the_products_construction_leaves(monkeypatch):
+    # E16 over GF(2), its lower level cached: the orbit is point 0 alone, so P
+    # is the generators (no product by 1) and each is its own Schreier
+    # generator (no t* P), and Gb = E8 has no pairs h != h^-1, so b0 = 0 (no
+    # b0 S). Left are the norm of the generators' lifts and the closing
+    # unitarity check; the recursion formed 6 here before it kept the orbit
+    # in bit-planes.
+    monkeypatch.setattr(un, "_ORBITS", {})
+    group = build("elementary_abelian:2:4")
+    c = un._least_central_involution(group)
+    un._unitary_generators(group.quotient(group.subgroup_generated([c]))[0], GF2, un.DEFAULT_SEARCH_CAP)
+    calls, product = [], AlgebraContext.plane_product
+    monkeypatch.setattr(AlgebraContext, "plane_product",
+                        lambda self, *args, **kwargs: calls.append(self.n) or product(self, *args, **kwargs))
+    orbit = un._coset_orbit(group, c, GF2, un.DEFAULT_SEARCH_CAP)
+    assert orbit.points.size == 1 and orbit.order == 2 ** 15
+    assert calls == [16, 16]
+
+
+# sha256 of every orbit below, as the recursion computed it before the orbit
+# was kept in bit-planes: points, generators, support and the four sizes
+ORBIT_DIGEST = "777125cfa002f944ec8d3740b1d540697db5fc9b886d358956f814f9b6763d2b"
+
+
+def test_char2_orbits_are_byte_identical_to_the_pinned_digest():
+    digest, count = hashlib.sha256(), 0
+    for m, max_order in ((1, 16), (2, 8), (3, 8)):
+        field = make_field(2, m)
+        for entry in catalog_entries(max_order, 2):
+            group = build(entry.name)
+            for c in group.special_sets().central_order_two:
+                o = un._coset_orbit(group, c, field, un.DEFAULT_SEARCH_CAP)
+                digest.update(f"{entry.name}|{m}|{c}|{o.order}|{o.vbar_order}|{o.w_size}|{o.s_h_size}|".encode())
+                for array, dtype in ((o.points, np.uint64), (o.generators, np.uint16), (o.support, np.int64)):
+                    digest.update(str(array.shape).encode())
+                    digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+                count += 1
+    assert (count, digest.hexdigest()) == (87, ORBIT_DIGEST)
 
 
 def test_char2_choice_of_central_involution_does_not_matter():
