@@ -1,19 +1,24 @@
 """Vectorized batch kernels for enumerating group-algebra elements.
 
-Internal plumbing shared by the brute-force oracle, the S_H enumeration,
-and the subgroup certificates. A batch is a (B, |G|) uint16 array of field
-codes (little-endian base-p packing of each coefficient vector); a whole
-element packs into a uint64 key for set membership work.
+Internal plumbing shared by the brute-force oracle and its subgroup
+certificate, the characteristic-two recursion and the scalar algebra. A
+batch is a (B, |G|) uint16 array of field codes (little-endian base-p
+packing of each coefficient vector); a whole element packs into a uint64
+key for set membership work.
 
-Odd characteristic is table-driven. The (q, q) tables are built once per
-field, up to q = MAX_TABLE_FIELD_ORDER, from the codes' base-p digits:
-addition and negation digit by digit mod p, multiplication by contracting
-the digits' outer product with the field's fold matrix
-(`finite_field.fold_matrix`, which the scalar algebra product reduces by
-too). A context builds them on first read (`AlgebraContext.tabs`), which no
-characteristic-two path makes, so characteristic two reaches every field
-up to GF(2^16). The tests check every table entry against FieldElement's
-polynomial arithmetic.
+In odd characteristic one function multiplies: `digit_product`, on
+(..., |G|, m) arrays of base-p digits. AlgebraElement runs it on one
+element, unit inversion on a stacked pair, and `AlgebraContext.mul` on a
+batch, whose codes become digits by `digits` and come back by powers of p.
+The odd oracle scan, its candidates, odd sums and span_batches read (q, q)
+tables instead, built once per field, up to q = MAX_TABLE_FIELD_ORDER, from
+the codes' base-p digits: addition and negation digit by digit mod p,
+multiplication by contracting the digits' outer product with the field's
+fold matrix (`finite_field.fold_matrix`, which `digit_product` reduces by
+too). A context builds them on first read (`AlgebraContext.tabs`); no
+product and no characteristic-two route reads them, so characteristic two
+reaches every field up to GF(2^16). The tests check every table entry
+against FieldElement's polynomial arithmetic.
 
 In characteristic two a code's bit a is the coefficient of x^a, so addition
 is XOR and products run bitsliced: a batch becomes bit-planes, one bit per
@@ -23,12 +28,13 @@ where numpy's cost per call outweighs the work, so each step runs across
 the whole group: `to_planes` shifts out all m bits in one broadcast, and
 `plane_product` gathers the Y[j] that each X[i] meets once, then takes m
 steps of an AND and an XOR-reduction over i, over the indices i where X can
-be nonzero. The table kernel stays the reference the tests hold the
-bitsliced one to. A norm x x^sigma stays in planes (`norm_planes`):
-X^sigma's planes are X's permuted by sigma. The characteristic-two
-recursion keeps each orbit round in planes and reads its checks off them:
-`row_mask` is the plane of a constant 1 over a batch's rows, and
-`first_nonzero_row` finds the first row a check fails on, for its witness.
+be nonzero. The tests hold the bitsliced product, and both oracle scans,
+to a product through the field tables that they keep as their reference.
+A norm x x^sigma stays in planes (`norm_planes`): X^sigma's planes are X's
+permuted by sigma. The characteristic-two recursion keeps each orbit round
+in planes and reads its checks off them: `row_mask` is the plane of a
+constant 1 over a batch's rows, and `first_nonzero_row` finds the first row
+a check fails on, for its witness.
 Its Schreier generators deduplicate by `row_words`, each row's bits packed
 into uint64 words that sort as the rows' columns do.
 
@@ -61,7 +67,9 @@ Keys are uint64 and below 2^63, so `pack` refuses a group algebra with more
 than 2^63 elements when it is first called; a context is built for any size,
 and the characteristic-two recursion, which keys in its own coordinates,
 never packs. A bit-plane product is refused before its gathered temporary
-would pass MAX_GATHER_BYTES, judged as if X were nonzero at every index.
+would pass MAX_GATHER_BYTES, judged as if X were nonzero at every index. An
+odd batch product runs in row chunks whose gathered temporary stays within
+it, and is refused when one row's would pass it.
 """
 
 from __future__ import annotations
@@ -81,7 +89,7 @@ DEFAULT_BATCH = 1 << 16
 WORD_BITS = 64
 PLANE_CHUNK_ROWS = 1 << 14  # rows converted or multiplied at a time: whole words, a transpose
                             # that stays in cache, a bounded gather in plane_product
-MAX_GATHER_BYTES = 1 << 29  # the largest temporary one piece of plane_product may gather
+MAX_GATHER_BYTES = 1 << 29  # the largest temporary one piece of a batch product may gather
 MAX_KEY_SPACE = 1 << 63     # uint64 keys, kept below 2^63
 # bit b of word k is bit k of b: bits 0..5 of the indices of 64 consecutive rows
 LOW_BIT_PATTERNS = (0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
@@ -138,6 +146,30 @@ def digits(values: np.ndarray, radix: int, count: int) -> np.ndarray:
         out[:, i] = v % r
         v //= r
     return out
+
+
+# digit_product looks the fold up under this module name at every call, so a
+# fold replaced here (a test injects a fault this way) reaches every odd
+# product. group_algebra's memoized scaling matrices read fold_matrix itself:
+# a replaced fold never enters the memo, where it would outlive the replacement.
+_fold_matrix = fold_matrix
+
+
+def digit_product(field: FieldSpec, group: Group, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product xy on (..., n, m) digit arrays, over any leading batch
+    axes that broadcast: out[k] = sum over i of x_i y_j with g_i g_j = g_k.
+
+    One product with the fold matrix turns each x_i into its (m, m) matrix of
+    multiplication, whose row b holds the digits of x_i x^b: reducing modulo
+    the field's modulus is linear, so the fold reduces x^a x^b before any sum.
+    One gather along left_division_t lines up y_j under each (k, i), an
+    (..., n, n m) int64 temporary, and one matrix product sums y_j's digits
+    against those rows over every (i, b); one mod p ends it. Every entry
+    stays below n m^2 p^3, far inside int64."""
+    n, m = group.n, field.m
+    folded = (x @ _fold_matrix(field).reshape(m, m * m)).reshape(x.shape[:-2] + (n * m, m))  # (i b, c)
+    gathered = y.take(group.left_division_t(), axis=-2).reshape(y.shape[:-2] + (n, n * m))  # (k, i b)
+    return gathered @ folded % field.p
 
 
 def row_index(X: np.ndarray, q: int) -> np.ndarray:
@@ -271,7 +303,8 @@ class AlgebraContext:
     """Batch arithmetic for one (field, group) pair.
 
     Characteristic two multiplies bitsliced and adds by XOR; odd
-    characteristic gathers from the field tables."""
+    characteristic multiplies digit arrays (`digit_product`) and adds
+    through the field tables."""
 
     def __init__(self, field: FieldSpec, group: Group):
         self.field = field
@@ -291,8 +324,9 @@ class AlgebraContext:
 
     @functools.cached_property
     def tabs(self) -> FieldTables:
-        """The field tables, built on first read: only odd characteristic and
-        the table kernels read them, so characteristic two has no field-size
+        """The field tables, built on first read: only the odd oracle scan
+        and its candidates, odd add and augmentation, and span_batches read
+        them, so no product and no characteristic-two route has a field-size
         ceiling from them."""
         return field_tables(self.field)
 
@@ -316,32 +350,31 @@ class AlgebraContext:
         return self.tabs.add[X, Y]
 
     def mul(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Convolution product of batches; Y may be (1, n) for a fixed factor."""
+        """Convolution product of (B, n) code batches, out[g_i g_j] += X[i] Y[j];
+        either factor may be (1, n), a fixed factor of every row of the other.
+
+        Characteristic two multiplies over bit-planes (`plane_product`). Odd
+        characteristic turns the codes into base-p digits, multiplies them by
+        `digit_product`, the kernel AlgebraElement runs, and packs the result
+        back by powers of p. It takes as many rows at a time as keep the
+        kernel's gathered (rows, n, n m) int64 temporary within
+        MAX_GATHER_BYTES, and refuses a product one row of which would pass it."""
+        B, p, m = max(X.shape[0], Y.shape[0]), self.field.p, self.field.m
         if self.char2:
-            return self.mul_planes(X, Y)
-        return self.mul_table(X, Y)
-
-    def mul_table(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """mul through the field tables: out[g_i g_j] += X[i] Y[j]."""
-        add_t, mul_t = self.tabs.add, self.tabs.mul
-        B = max(X.shape[0], Y.shape[0])
-        out = np.zeros((B, self.n), dtype=np.uint16)
-        for i in range(self.n):
-            xi = X[:, i]
-            if not xi.any():
-                continue
-            prod = mul_t[xi[:, None], Y]
-            dest = self.gtable[i]
-            out[:, dest] = add_t[out[:, dest], prod]
+            xp, yp = (constant_planes(Z[0], m) if Z.shape[0] == 1 else to_planes(Z, m)
+                      for Z in (X, Y))
+            return from_planes(self.plane_product(xp, yp), B)
+        row_bytes = self.n * self.n * m * np.dtype(np.int64).itemsize
+        if row_bytes > MAX_GATHER_BYTES:
+            raise SearchSpaceTooLarge(row_bytes, MAX_GATHER_BYTES, context="digit product")
+        step, powers = MAX_GATHER_BYTES // row_bytes, p ** np.arange(m)
+        out = np.empty((B, self.n), dtype=np.uint16)
+        for start in range(0, B, step):
+            x, y = (Z if Z.shape[0] == 1 else Z[start:start + step] for Z in (X, Y))
+            x, y = (digits(Z.astype(np.uint64).ravel(), p, m).reshape(-1, self.n, m).astype(np.int64)
+                    for Z in (x, y))
+            out[start:start + step] = digit_product(self.field, self.group, x, y) @ powers
         return out
-
-    def mul_planes(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """mul in characteristic two over bit-planes."""
-        m = self.field.m
-        B = max(X.shape[0], Y.shape[0])
-        xp, yp = (constant_planes(Z[0], m) if Z.shape[0] == 1 else to_planes(Z, m)
-                  for Z in (X, Y))
-        return from_planes(self.plane_product(xp, yp), B)
 
     def plane_product(self, xp: np.ndarray, yp: np.ndarray, coeffs: np.ndarray | None = None,
                       support: np.ndarray | None = None) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 An element is the (|G|, m) array of its coefficients' base-p digits, one
 row per group element; multiplication is the convolution induced by the
-Cayley table. Sums, negatives, scalings, products and involutions are numpy
-operations on that array, and FieldElements are built only where
+Cayley table, formed by `engine.digit_product`, the one product of digit
+arrays, which the batch arithmetic of odd characteristic runs too. Sums,
+negatives, scalings, products and involutions are numpy operations on that
+array, and FieldElements are built only where
 coefficients are read or given one at a time: literals, from_coeffs and the
 coeffs property. Houses the augmentation map, unit inversion by
 u^-1 = u^(|G|-1), involutions arising from group anti-automorphisms, the
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import digits
+from .engine import digit_product, digits
 from .errors import (
     EvenCharacteristic,
     FieldMismatch,
@@ -40,13 +42,6 @@ from .finite_field import (
     parse_element_literal,
 )
 from .group_core import Group, SubgroupHandle, coset_representatives
-
-# _digit_product looks the fold up under this module name at every call, so a
-# fold replaced here (a test injects a fault this way) reaches every product.
-# The memoized scaling matrices read fold_matrix itself: a replaced fold never
-# enters the memo, where it would outlive the replacement.
-_fold_matrix = fold_matrix
-
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
@@ -101,7 +96,7 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.field, self.group, _digit_product(self.field, self.group, self.digits, other.digits))
+        return AlgebraElement(self.field, self.group, digit_product(self.field, self.group, self.digits, other.digits))
 
     def scale(self, alpha: FieldElement) -> "AlgebraElement":
         if alpha.spec != self.field:
@@ -168,32 +163,16 @@ def _invert_digits(field: FieldSpec, group: Group, x: np.ndarray, chi: np.ndarra
     normalized = x @ aug_inv % p
     power = normalized  # u^1; for |G| = 1, u is already 1 = u^0
     for bit in bin(group.n - 1)[3:]:
-        power = _digit_product(field, group, power, power)
+        power = digit_product(field, group, power, power)
         if bit == "1":
-            power = _digit_product(field, group, power, normalized)
+            power = digit_product(field, group, power, normalized)
     result = power @ aug_inv % p
     pair = np.array((result, x))  # times pair[::-1], the products x^-1 x and x x^-1
-    if not (_digit_product(field, group, pair, pair[::-1]) == _identity_digits(field, group)).all():
+    if not (digit_product(field, group, pair, pair[::-1]) == _identity_digits(field, group)).all():
         raise InternalInconsistency(
             f"inverse failed verification multiply ({group.id} over {field.literal()}, "
             f"element {format_algebra_literal(AlgebraElement(field, group, x))})")
     return result
-
-
-def _digit_product(field: FieldSpec, group: Group, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The product xy on (..., n, m) digit arrays, over any leading batch
-    axes: out[k] = sum over i of x_i y_j with g_i g_j = g_k.
-
-    One product with the fold matrix turns each x_i into its (m, m) matrix of
-    multiplication, whose row b holds the digits of x_i x^b: reducing modulo
-    the field's modulus is linear, so the fold reduces x^a x^b before any sum.
-    One gather along left_division_t lines up y_j under each (k, i), and one
-    matrix product sums y_j's digits against those rows over every (i, b);
-    one mod p ends it. Every entry stays below n m^2 p^3, far inside int64."""
-    n, m = group.n, field.m
-    folded = (x @ _fold_matrix(field).reshape(m, m * m)).reshape(x.shape[:-2] + (n * m, m))  # (i b, c)
-    gathered = y.take(group.left_division_t(), axis=-2).reshape(y.shape[:-2] + (n, n * m))  # (k, i b)
-    return gathered @ folded % field.p
 
 
 def _multiplication_matrix(field: FieldSpec, alpha: Sequence[int]) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 from .engine import (
     DEFAULT_BATCH,
     AlgebraContext,
+    digit_product,
     digits,
     first_nonzero_row,
     from_planes,
@@ -55,7 +56,6 @@ from .group_algebra import (
     from_codes,
     require_p_group,
     _augmentation_digits,
-    _digit_product,
     _identity_digits,
     _inverse_scaling,
     _invert_digits,
@@ -130,7 +130,7 @@ def is_unitary(x: AlgebraElement, inv: GroupInvolution) -> bool:
     if not np.array_equal(_augmentation_digits(field, x.digits), one[0]):
         raise NotNormalized("element has augmentation != 1")
     inv.require_group(group)
-    return np.array_equal(_digit_product(field, group, x.digits, x.digits.take(inv.sigma, axis=0)), one)
+    return np.array_equal(digit_product(field, group, x.digits, x.digits.take(inv.sigma, axis=0)), one)
 
 
 def cayley(x: AlgebraElement) -> AlgebraElement:
@@ -246,7 +246,7 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
         known[positions(ctx.mul(H, gens[-1:]))] = True
         reps = [gens[-1]]
         for r in reps:  # grows while it is walked
-            products = ctx.mul(np.tile(r, (gens.shape[0], 1)), gens)
+            products = ctx.mul(r[None, :], gens)
             for x, pos in zip(products, positions(products, in_order=True)):
                 if not known[pos]:
                     known[positions(ctx.mul(H, x[None, :]))] = True

@@ -257,8 +257,12 @@ GOLDEN_CASES = [
      "compute --group dihedral:8 --group cyclic:8 --field 2^2 --field 2^1 --format csv"),
     ("compute_oracle_q8_gf8.json",
      "compute --group quaternion:8 --field 2^3 --method oracle --format json"),
+    ("compute_oracle_c9_gf3.json",
+     "compute --group cyclic:9 --field 3^1 --method oracle --format json"),
     ("compute_oracle_c5_gf25.json",
      "compute --group cyclic:5 --field 5^2 --method oracle --format json"),
+    ("compute_oracle_c3_gf81.json",
+     "compute --group cyclic:3 --field 3^4 --method oracle --format json"),
     ("compute_recursive_d16_gf8.json", "compute --group dihedral:16 --field 2^3 --method recursive"),
     ("groups_list_64.json", "groups list --max-order 64 --format json"),
     ("verify_cayley_seed3.txt", "verify --suite cayley --seed 3"),

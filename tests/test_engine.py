@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from unitary_lab import engine
 from unitary_lab import group_algebra as ga
 from unitary_lab.engine import (
     DEFAULT_BATCH,
@@ -76,6 +77,19 @@ def _random_codes(rng, ctx, rows):
                     dtype=np.uint16)
 
 
+def _table_product(ctx, X, Y):
+    """The product of (B, n) code batches through the field tables,
+    out[g_i g_j] += X[i] Y[j]: the independent reference that the batch
+    product and the oracle scans are held to. Either factor may be (1, n)."""
+    add_t, mul_t = ctx.tabs.add, ctx.tabs.mul
+    out = np.zeros((max(X.shape[0], Y.shape[0]), ctx.n), dtype=np.uint16)
+    for i in range(ctx.n):
+        if X[:, i].any():  # a zero column adds nothing
+            dest = ctx.gtable[i]
+            out[:, dest] = add_t[out[:, dest], mul_t[X[:, i, None], Y]]
+    return out
+
+
 def test_batch_mul_exhaustive_fc2_gf2():
     spec, group = make_field(2, 1), build("cyclic:2")
     ctx = AlgebraContext(spec, group)
@@ -90,6 +104,7 @@ def test_batch_mul_exhaustive_fc2_gf2():
 
 @pytest.mark.parametrize("group_name,p,m", [
     ("dihedral:8", 2, 2), ("elementary_abelian:3:2", 3, 1), ("quaternion:8", 2, 1),
+    ("cyclic:9", 3, 1), ("cyclic:5", 5, 2), ("heisenberg:3", 3, 2),
 ])
 def test_batch_mul_matches_scalar(group_name, p, m):
     spec, group = make_field(p, m), build(group_name)
@@ -104,15 +119,18 @@ def test_batch_mul_matches_scalar(group_name, p, m):
 
 
 def test_batch_mul_fixed_right_factor():
-    spec, group = make_field(2, 2), build("dihedral:8")
-    ctx = AlgebraContext(spec, group)
-    rng = random.Random(1)
-    X = _random_codes(rng, ctx, 20)
-    u = _random_codes(rng, ctx, 1)
-    got = ctx.mul(X, u)
-    u_scalar = _element(ctx, u[0])
-    for i in range(20):
-        assert np.array_equal(got[i], _codes(_element(ctx, X[i]) * u_scalar))
+    # a (1, n) factor on either side, in characteristic two and in odd p
+    for spec, group in ((make_field(2, 2), build("dihedral:8")), (make_field(3, 2), build("heisenberg:3"))):
+        ctx = AlgebraContext(spec, group)
+        rng = random.Random(1)
+        X = _random_codes(rng, ctx, 20)
+        u = _random_codes(rng, ctx, 1)
+        right, left = ctx.mul(X, u), ctx.mul(u, X)
+        u_scalar = _element(ctx, u[0])
+        for i in range(20):
+            x = _element(ctx, X[i])
+            assert np.array_equal(right[i], _codes(x * u_scalar))
+            assert np.array_equal(left[i], _codes(u_scalar * x))
 
 
 # every field GF(2^1..5) (GF(32) takes its modulus from the search) on groups of
@@ -136,7 +154,7 @@ def test_char2_mul_matches_table_kernel_and_scalar(group_name, m):
         got, fixed = ctx.mul(X, Y), ctx.mul(X, Y[:1])  # a batch, and a fixed (1, n) factor
         for out, right in ((got, Y), (fixed, Y[:1])):
             assert out.dtype == np.uint16 and out.shape == (B, ctx.n)
-            assert np.array_equal(out, ctx.mul_table(X, right))
+            assert np.array_equal(out, _table_product(ctx, X, right))
         for r in {0, B // 2, B - 1}:
             x = _element(ctx, X[r])
             assert np.array_equal(got[r], _codes(x * _element(ctx, Y[r])))
@@ -152,8 +170,33 @@ def test_char2_mul_across_row_and_word_chunks(group_name, m):
     B = PLANE_CHUNK_ROWS + 65
     X = rng.integers(0, ctx.q, size=(B, ctx.n)).astype(np.uint16)
     Y = rng.integers(0, ctx.q, size=(B, ctx.n)).astype(np.uint16)
-    assert np.array_equal(ctx.mul_planes(X, Y), ctx.mul_table(X, Y))
-    assert np.array_equal(ctx.mul_planes(X, Y[:1]), ctx.mul_table(X, Y[:1]))
+    assert np.array_equal(ctx.mul(X, Y), _table_product(ctx, X, Y))
+    assert np.array_equal(ctx.mul(X, Y[:1]), _table_product(ctx, X, Y[:1]))
+
+
+def test_odd_mul_runs_in_row_chunks_within_the_gather_cap(monkeypatch):
+    # a cap of 3.5 rows' gather: 100 rows run as 34 chunks of at most 3 rows
+    ctx = AlgebraContext(make_field(3, 2), build("heisenberg:3"))
+    row_bytes = ctx.n * ctx.n * ctx.field.m * 8
+    monkeypatch.setattr(engine, "MAX_GATHER_BYTES", row_bytes * 7 // 2)
+    product, gathers = engine.digit_product, []
+
+    def recorded(field, group, x, y):
+        gathers.append(max(x.shape[0], y.shape[0]) * row_bytes)
+        return product(field, group, x, y)
+
+    monkeypatch.setattr(engine, "digit_product", recorded)
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, ctx.q, size=(100, ctx.n)).astype(np.uint16)
+    Y = rng.integers(0, ctx.q, size=(100, ctx.n)).astype(np.uint16)
+    for left, right in ((X, Y), (X, Y[:1]), (Y[:1], X)):
+        gathers.clear()
+        assert np.array_equal(ctx.mul(left, right), _table_product(ctx, left, right))
+        assert len(gathers) == 34 and max(gathers) <= engine.MAX_GATHER_BYTES
+    monkeypatch.setattr(engine, "MAX_GATHER_BYTES", row_bytes - 1)
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        ctx.mul(X, Y)
+    assert (exc.value.size, exc.value.context) == (row_bytes, "digit product")
 
 
 @pytest.mark.parametrize("group_name,m", [("quaternion:8", 3), ("dihedral:16", 1), ("abelian:2:[1,2]", 2)])
@@ -178,7 +221,7 @@ def test_norm_over_a_support_matches_the_full_norm(group_name, m):
         X[:, support] = rng.integers(0, ctx.q, size=(130, support.size))
         xp = to_planes(X[:, support], m)
         assert np.array_equal(from_planes(ctx.norm_planes(xp, ctx.star, support), 130),
-                              ctx.mul_table(X, X[:, ctx.star]))
+                              _table_product(ctx, X, X[:, ctx.star]))
 
 
 @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 200])
@@ -221,7 +264,7 @@ def test_norm_matches_table_kernel(p, m, rows):
     assert ctx.star.tolist() == list(ga.canonical_star(d8).sigma) != list(inv.sigma)
     X = np.random.default_rng(rows).integers(0, ctx.q, size=(rows, ctx.n)).astype(np.uint16)
     for sigma in (ctx.star, np.array(inv.sigma, dtype=np.intp)):
-        assert np.array_equal(ctx.norm(X, sigma), ctx.mul_table(X, X[:, sigma]))
+        assert np.array_equal(ctx.norm(X, sigma), _table_product(ctx, X, X[:, sigma]))
 
 
 @pytest.mark.parametrize("radix", [1, 2, 3, 4, 5, 8])
@@ -342,7 +385,7 @@ SCAN_CELLS = [(entry.name, m) for m, max_order in ((1, 16), (2, 8), (3, 8), (4, 
 def _reference_unitary_keys(ctx, sigma):
     parts = []
     for X in ctx.normalized_batches():
-        mask = ctx.is_one(ctx.mul_table(X, X[:, sigma]))
+        mask = ctx.is_one(_table_product(ctx, X, X[:, sigma]))
         parts.append(ctx.pack(X[mask]))
     return np.sort(np.concatenate(parts))
 
@@ -487,7 +530,7 @@ def test_odd_scan_coefficient_zero_alone_admits_more_rows():
     ctx = AlgebraContext(make_field(3, 1), build("cyclic:9"))
     sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
     X = np.concatenate(list(ctx.normalized_batches()))
-    Y = ctx.mul_table(X, X[:, sigma])
+    Y = _table_product(ctx, X, X[:, sigma])
     assert (Y[:, 0] == ctx.identity[0]).sum() > ctx.is_one(Y).sum() == ctx.unitary_keys(sigma).size
 
 

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from unitary_lab import engine
 from unitary_lab import group_algebra as ga
 from unitary_lab import unitary as un
 from unitary_lab.errors import (
@@ -215,7 +216,7 @@ def test_invert_matches_neumann_series(group_name, p, m):
 def test_inverse_failure_names_group_field_and_element(monkeypatch):
     c9 = build("cyclic:9")
     x = ga.from_coeffs(GF3, c9, [1, 2, 0, 1, 0, 0, 0, 0, 0])
-    monkeypatch.setattr(ga, "_fold_matrix",
+    monkeypatch.setattr(engine, "_fold_matrix",
                         lambda field: np.zeros((field.m ** 2, field.m), dtype=np.int64))
     with pytest.raises(InternalInconsistency) as exc:
         x.invert()
@@ -244,7 +245,7 @@ def test_cayley_matches_reference(group_name, p, m):
 def test_cayley_inverse_failure_names_one_plus_x(monkeypatch):
     c9 = build("cyclic:9")
     x = ga.from_coeffs(GF3, c9, [0, 2, 0, 1, 0, 0, 0, 0, 0])
-    monkeypatch.setattr(ga, "_fold_matrix",
+    monkeypatch.setattr(engine, "_fold_matrix",
                         lambda field: np.zeros((field.m ** 2, field.m), dtype=np.int64))
     with pytest.raises(InternalInconsistency) as exc:
         un.cayley(x)
@@ -258,10 +259,10 @@ def test_digit_product_takes_leading_batch_axes():
     rng = random.Random(11)
     x, y = (_any_element(rng, field, group).digits for _ in range(2))
     pair = np.array((x, y))
-    both = ga._digit_product(field, group, pair, pair[::-1])
+    both = engine.digit_product(field, group, pair, pair[::-1])
     assert both.shape == (2, group.n, field.m)
-    assert np.array_equal(both[0], ga._digit_product(field, group, x, y))
-    assert np.array_equal(both[1], ga._digit_product(field, group, y, x))
+    assert np.array_equal(both[0], engine.digit_product(field, group, x, y))
+    assert np.array_equal(both[1], engine.digit_product(field, group, y, x))
 
 
 def test_inverse_scaling_memo_is_keyed_by_the_whole_field():
@@ -294,7 +295,7 @@ def test_cayley_forms_the_square_and_multiply_chain_and_one_field_inverse(monkey
     call. Repeated transforms take one field inverse per (field, chi)."""
     field, group = GF3, build("heisenberg:3")
     calls, inverses = [], []
-    product, inverse = ga._digit_product, FieldElement.inverse
+    product, inverse = engine.digit_product, FieldElement.inverse
 
     def counted_product(f, g, x, y):
         calls.append("check" if x.ndim == 3 else "square" if x is y else "multiply")
@@ -304,7 +305,7 @@ def test_cayley_forms_the_square_and_multiply_chain_and_one_field_inverse(monkey
         inverses.append((self.spec, self.coeffs))
         return inverse(self)
 
-    monkeypatch.setattr(ga, "_digit_product", counted_product)
+    monkeypatch.setattr(ga, "digit_product", counted_product)
     monkeypatch.setattr(FieldElement, "inverse", counted_inverse)
     un.clear_caches()
     star, rng = ga.canonical_star(group), random.Random(12)
