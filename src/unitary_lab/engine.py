@@ -43,13 +43,13 @@ coefficient at a time in odd characteristic: coefficient k is one gather
 from the multiplication table and an addition chain over the rows still in
 play, and a row leaves at its first coefficient that differs from 1's, so
 after coefficient 0 about one row in q is left. Its candidates come from
-`normalized_batches` without a division: whole runs of the low digit
-columns, built once per scan, a contiguous range of the next column and
-constant columns above. The scan reads each batch column by column, and
-every gather, from the raveled (q^2,) tables, takes one flat index X q + Y
-(`row_index`). It stays in bit-planes in
-characteristic two: it builds each batch's planes from the candidate
-indices, tests x x^sigma = 1 word by word on one coefficient per
+`normalized_batches` without a division per candidate: one pattern of the
+low digit columns, built once per scan, repeats in whole runs, and one
+digit expansion of a batch's run indices fills the columns above. The scan
+reads each batch column by column, and every gather, from the raveled
+(q^2,) tables, takes one flat index X q + Y (`row_index`). It stays in
+bit-planes in characteristic two: it builds each batch's planes from the
+candidate indices, tests x x^sigma = 1 word by word on one coefficient per
 sigma-orbit, and reads the hits' keys from two small tables, one entry per
 word of 64 candidates and one per row within a word, XORed. x x^sigma is
 sigma-symmetric, so of each moved pair {k, sigma(k)} only k is formed, by the
@@ -178,18 +178,6 @@ def row_index(X: np.ndarray, q: int) -> np.ndarray:
     uint32 above, where a uint16 index would wrap."""
     dtype = np.uint16 if q * q <= 1 << 16 else np.uint32
     return X.astype(dtype, copy=False) * dtype(q)
-
-
-def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """np.unique(values), found by a sort and a scan for adjacent repeats;
-    np.unique without return_counts hashes instead, many times slower."""
-    values = np.sort(values)
-    if values.size < 2:
-        return values
-    keep = np.empty(values.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
 
 
 # --- characteristic-two bit-planes ----------------------------------------------
@@ -471,9 +459,10 @@ class AlgebraContext:
         return out
 
     def augmentation(self, X: np.ndarray) -> np.ndarray:
-        s = X[:, 0].copy()
-        for i in range(1, X.shape[1]):
-            s = self.add(s, X[:, i])
+        """The sum of each row's codes; 0 for rows of no columns."""
+        s = np.zeros(X.shape[0], dtype=np.uint16)
+        for column in X.T:
+            s = self.add(s, column)
         return s
 
     def is_one(self, Y: np.ndarray) -> np.ndarray:
@@ -618,11 +607,11 @@ class AlgebraContext:
 
         No digit is divided out per candidate. Columns 1..low, as many as keep
         q^low <= batch, repeat one pattern of q^low rows, built once per call
-        with its sum. A batch is whole runs of the pattern, one per value of
-        a contiguous range of column low + 1, and the columns above that are
-        constant across it. Column 0 is 1 - (low sum + the rest), and the rest
-        is constant along each run, so it takes one gather from the flat add
-        table: (1 - low sum) - rest.
+        with its sum. Candidate i is then row i mod q^low of run i // q^low,
+        and the run's digits fill the columns above low. A batch is up to
+        batch // q^low whole runs, their digits from one `digits` call. Column
+        0 is 1 - (low sum + run sum), and the run sum is constant along a run,
+        so it takes one gather from the flat add table: (1 - low sum) - run sum.
 
         Each batch is the transpose of a fresh (n, rows) array, so one
         column's codes are contiguous."""
@@ -632,28 +621,18 @@ class AlgebraContext:
         low = 0
         while low < n - 1 and q ** (low + 1) <= batch:
             low += 1
-        run = q ** low
+        run, high = q ** low, n - 1 - low
         pattern = digits(np.arange(run, dtype=np.uint64), q, low)
-        low_sum = self.augmentation(pattern) if low else np.zeros(run, dtype=np.uint16)
-        one_minus_low = tabs.add[self.identity[0], tabs.neg[low_sum]]
-        if low == n - 1:
-            X = np.empty((n, run), dtype=np.uint16)
-            X[0], X[1:] = one_minus_low, pattern.T
-            yield X.T
-            return
-        add, step = tabs.add.ravel(), batch // run  # values of column low + 1 per batch, < q
-        for high in range(q ** (n - 2 - low)):
-            high_digits = digits(np.array([high], dtype=np.uint64), q, n - 2 - low)[0]
-            high_sum = self.augmentation(high_digits[None, :])[0] if low < n - 2 else 0
-            for start in range(0, q, step):
-                values = np.arange(start, min(start + step, q), dtype=np.uint16)
-                X = np.empty((n, values.size, run), dtype=np.uint16)
-                X[1:low + 1] = pattern.T[:, None, :]
-                X[low + 1] = values[:, None]
-                X[low + 2:] = high_digits[:, None, None]
-                minus_rest = tabs.neg[tabs.add[values, high_sum]]
-                X[0] = add[row_index(minus_rest, q)[:, None] + one_minus_low]
-                yield X.reshape(n, -1).T
+        one_minus_low = tabs.add[self.identity[0], tabs.neg[self.augmentation(pattern)]]
+        add, runs, step = tabs.add.ravel(), q ** high, batch // run
+        for start in range(0, runs, step):
+            D = digits(np.arange(start, min(start + step, runs), dtype=np.uint64), q, high)
+            X = np.empty((n, D.shape[0], run), dtype=np.uint16)
+            X[1:low + 1] = pattern.T[:, None, :]
+            X[low + 1:] = D.T[:, :, None]
+            minus_rest = row_index(tabs.neg[self.augmentation(D)], q)
+            X[0] = add[minus_rest[:, None] + one_minus_low]
+            yield X.reshape(n, -1).T
 
     def span_batches(self, basis: np.ndarray, batch: int = DEFAULT_BATCH,
                      coefficient_codes: np.ndarray | None = None) -> Iterator[np.ndarray]:

@@ -35,7 +35,6 @@ from .engine import (
     require_key_space,
     row_mask,
     row_words,
-    sorted_unique,
     to_planes,
 )
 from .errors import (
@@ -111,11 +110,9 @@ class UnitaryResult:
         return out
 
 
-_SET_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def clear_caches():
-    _SET_CACHE.clear()
+    """Empty the characteristic-two orbit cache and the memoized chi^-1
+    scaling matrices. An oracle call keeps nothing, so it has none to empty."""
     _ORBITS.clear()
     _inverse_scaling.cache_clear()
 
@@ -260,23 +257,18 @@ def oracle_search_space(group: Group, field: FieldSpec) -> int:
 
 def _oracle_set(group: Group, inv: GroupInvolution, field: FieldSpec,
                 search_cap: int = DEFAULT_SEARCH_CAP) -> np.ndarray:
-    """The sorted, read-only keys of V(FG), scanned and certified once per
-    (Cayley table, field, involution): groups with equal tables share them."""
+    """The sorted keys of V(FG), scanned and certified afresh on every call;
+    nothing of them is kept once the caller drops them."""
     require_p_group(group, field)
     inv.require_group(group)
     space = oracle_search_space(group, field)
     if space > search_cap:
         raise SearchSpaceTooLarge(space, search_cap, context=f"oracle over {group.id}")
     require_key_space(field.order ** group.n, "uint64 key packing")
-    cache_key = (group, field, inv.sigma)
-    keys = _SET_CACHE.get(cache_key)
-    if keys is None:
-        ctx = AlgebraContext(field, group)
-        sigma = np.array(inv.sigma, dtype=np.intp)
-        keys = ctx.unitary_keys(sigma)
-        keys.setflags(write=False)
-        _subgroup_certificate(ctx, keys, sigma, full_space=space)
-        _SET_CACHE[cache_key] = keys
+    ctx = AlgebraContext(field, group)
+    sigma = np.array(inv.sigma, dtype=np.intp)
+    keys = ctx.unitary_keys(sigma)
+    _subgroup_certificate(ctx, keys, sigma, full_space=space)
     return keys
 
 
@@ -718,14 +710,15 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
 
     n2_size = n2_inside = product_inside = identity_ok = None
     if commuting:
-        tau, t_bar = sorted_unique(_tau_codes(field)), orbit.support.shape[0] - expected_k1
-        n2_size = tau.size ** t_bar
+        in_tau, t_bar = np.zeros(field.order, dtype=bool), orbit.support.shape[0] - expected_k1
+        in_tau[_tau_codes(field)] = True
+        n2_size = int(in_tau.sum()) ** t_bar
         expected_n2 = (field.order // 2) ** (len(t_c) // 2)
         if n2_size != expected_n2:
             raise _inconsistency(group, field, f"|N2| = {n2_size} disagrees with "
                                                f"(|F|/2)^(|T_c|/2) = {expected_n2}", c=c)
         # the points are distinct, so N2's all lie among them iff |N2| of them are in N2
-        n2_points = np.isin(digits(orbit.points, field.order, t_bar), tau).all(axis=1)
+        n2_points = in_tau[digits(orbit.points, field.order, t_bar)].all(axis=1)
         n2_inside = product_inside = int(n2_points.sum()) == n2_size
         t_c = np.array(t_c, dtype=np.intp)
         pair_reps = t_c[t_c < ctx.gtable[t_c, c]]  # g < g^-1 = gc

@@ -263,6 +263,12 @@ GOLDEN_CASES = [
      "compute --group cyclic:5 --field 5^2 --method oracle --format json"),
     ("compute_oracle_c3_gf81.json",
      "compute --group cyclic:3 --field 3^4 --method oracle --format json"),
+    ("compute_oracle_e9_gf3.json",
+     "compute --group elementary_abelian:3:2 --field 3^1 --method oracle --format json"),
+    ("compute_oracle_c7_gf7.json",
+     "compute --group cyclic:7 --field 7^1 --method oracle --format json"),
+    ("compute_oracle_c3_gf243.json",
+     "compute --group cyclic:3 --field 3^5 --method oracle --format json"),
     ("compute_recursive_d16_gf8.json", "compute --group dihedral:16 --field 2^3 --method recursive"),
     ("groups_list_64.json", "groups list --max-order 64 --format json"),
     ("verify_cayley_seed3.txt", "verify --suite cayley --seed 3"),

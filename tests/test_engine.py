@@ -22,7 +22,6 @@ from unitary_lab.engine import (
     row_index,
     row_mask,
     row_words,
-    sorted_unique,
     to_planes,
 )
 from unitary_lab.errors import SearchSpaceTooLarge
@@ -649,13 +648,3 @@ def test_keys_contain():
     keys = np.array([2, 5, 9], dtype=np.uint64)
     queries = np.array([1, 2, 5, 9, 10], dtype=np.uint64)
     assert keys_contain(keys, queries).tolist() == [False, True, True, True, False]
-
-
-def test_sorted_unique_is_np_unique():
-    rng = np.random.default_rng(4)
-    for values in (rng.integers(0, 50, size=1000).astype(np.uint64),
-                   rng.integers(0, 10, size=300).astype(np.intp),
-                   np.array([7], dtype=np.uint64), np.empty(0, dtype=np.uint64)):
-        got = sorted_unique(values)
-        assert got.dtype == values.dtype
-        assert got.tobytes() == np.unique(values).tobytes()

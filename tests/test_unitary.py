@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -165,22 +166,32 @@ def test_oracle_witness_cap():
     assert res.subsidiary["witnesses_truncated"] is True
 
 
-def test_oracle_groups_with_equal_tables_share_one_cache_entry():
-    # one Cayley table under two ids: one certified scan, each result over its own group
+def test_oracle_groups_with_equal_tables_give_results_over_their_own_group():
+    # one Cayley table under two ids: each result names, counts and lists its own group
     a, b = build("elementary_abelian:2:3"), abelian(2, [1, 1, 1])
     assert a == b and a.id != b.id
-    un.clear_caches()
-    try:
-        ra, rb = (un.unitary_enumerate_oracle(g, ga.canonical_star(g), GF2, max_witnesses=5)
-                  for g in (a, b))
-        assert len(un._SET_CACHE) == 1
-        assert un._oracle_set(a, ga.canonical_star(a), GF2) is un._oracle_set(b, ga.canonical_star(b), GF2)
-    finally:
-        un.clear_caches()
+    ra, rb = (un.unitary_enumerate_oracle(g, ga.canonical_star(g), GF2, max_witnesses=5)
+              for g in (a, b))
     assert (ra.group_id, rb.group_id) == (a.id, b.id)
     assert ra.order == rb.order == 2 ** 7
     assert all(x.group is a for x in ra.elements) and all(x.group is b for x in rb.elements)
     assert [x.coeffs for x in ra.elements] == [x.coeffs for x in rb.elements]
+
+
+def test_oracle_call_keeps_none_of_its_key_set():
+    # every one of E8's 2^21 normalized units over GF(8) is unitary: 16 MiB of keys,
+    # none of which outlive the call
+    e8 = build("elementary_abelian:2:3")
+    star = ga.canonical_star(e8)
+    un.clear_caches()
+    tracemalloc.start()
+    try:
+        result = un.unitary_enumerate_oracle(e8, star, GF8, max_witnesses=0)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.order == GF8.order ** 7
+    assert retained < 1 << 20, retained
 
 
 def test_oracle_elements_verify_scalar_side():
@@ -978,7 +989,6 @@ def test_char2_oracle_and_certificate_build_no_field_table(monkeypatch, name, m)
     # C4 over GF(16) is not all of its normalized units, so its certificate walks
     monkeypatch.setattr(engine, "field_tables", _refuse_tables)
     group, field = build(name), make_field(2, m)
-    monkeypatch.setattr(un, "_SET_CACHE", {})
     oracle = un.unitary_enumerate_oracle(group, ga.canonical_star(group), field, max_witnesses=4)
     assert oracle.order == un.unitary_order_char2(group, field).order
     assert all(un.is_unitary(x, ga.canonical_star(group)) for x in oracle.elements)
