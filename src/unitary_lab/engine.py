@@ -59,9 +59,6 @@ g sigma(g) = k, so it is tested linearly, by an XOR of planes. A test that
 every candidate passes by construction is not run, and when no test is left
 (sigma fixes every index and g sigma(g) = 1 throughout, as for an elementary
 abelian group under its star) no planes are built: every candidate is a hit.
-The certificate's involution check stays in key space there: a key is n
-fields of m bits, so a permutation of G's indices only moves the fields
-(`AlgebraContext.involute_keys`).
 
 Keys are uint64 and below 2^63, so `pack` refuses a group algebra with more
 than 2^63 elements when it is first called; a context is built for any size,
@@ -425,38 +422,6 @@ class AlgebraContext:
         full = np.zeros((self.n,) + xp.shape[1:], dtype=np.uint64)
         full[support] = xp
         return self.plane_product(xp, full[sigma], support=support)
-
-    def involute_keys(self, keys: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """pack(unpack(keys)[:, sigma]) for any permutation sigma of G's
-        indices, batch by batch so that no temporary grows with the key count.
-
-        In characteristic two the batch never leaves key space: a key is n
-        fields of m bits, field i holding column i's code, and sigma only
-        moves fields, field sigma[i] to field i, a shift by m (i - sigma[i]).
-        The fields that share a shift move under one mask, so the keys are
-        masked, shifted and ORed once per distinct shift. Odd characteristic
-        unpacks, permutes and packs."""
-        out = np.empty(keys.shape, dtype=np.uint64)
-        if not self.char2:
-            for start in range(0, keys.size, DEFAULT_BATCH):
-                rows = self.unpack(keys[start:start + DEFAULT_BATCH])
-                out[start:start + rows.shape[0]] = self.pack(rows[:, sigma])
-            return out
-        m, masks = self.field.m, {}
-        for i, j in enumerate(sigma.tolist()):
-            masks[m * (i - j)] = masks.get(m * (i - j), 0) | ((self.q - 1) << (m * j))
-        for start in range(0, keys.size, DEFAULT_BATCH):
-            batch, star = keys[start:start + DEFAULT_BATCH], out[start:start + DEFAULT_BATCH]
-            star[:] = 0
-            moved = np.empty_like(batch)
-            for shift, mask in masks.items():
-                np.bitwise_and(batch, np.uint64(mask), out=moved)
-                if shift > 0:
-                    moved <<= np.uint64(shift)
-                elif shift < 0:
-                    moved >>= np.uint64(-shift)
-                star |= moved
-        return out
 
     def augmentation(self, X: np.ndarray) -> np.ndarray:
         """The sum of each row's codes; 0 for rows of no columns."""

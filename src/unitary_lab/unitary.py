@@ -179,16 +179,9 @@ def _inconsistency(group: Group, field: FieldSpec, what: str, row: np.ndarray | 
 
 def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.ndarray,
                           full_space: int):
-    """Prove the sorted, repeat-free key set S is a subgroup of V(FG).
-
-    Identity membership and closure under the involution (= inversion for
-    unitary elements) are checked on every element, in key space: star holds
-    the key of x* for every key x of S. The involution is a bijection on
-    keys, so star has |S| distinct entries, and sorted(star) == S holds
-    exactly when x* lies in S for every x in S. When sigma fixes every index
-    (the canonical star of an elementary abelian group) x* = x, and nothing is
-    involuted; when star == S already nothing is sorted; on failure a
-    membership search names the least key whose involute is missing.
+    """Prove the sorted, repeat-free key set S is a subgroup of the unitary
+    group: it holds 1, it is closed under multiplication and every member x
+    has x x^sigma = 1.
 
     Multiplicative closure is certified by Dimino's coset walk: the set must
     equal the subgroup generated by greedily chosen members, and every product
@@ -204,21 +197,24 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
     search near the last; the products r s, whose order decides the
     representatives, are searched in product order. Only when a product
     escapes is a coset searched again in product order, so the message names
-    the first escaping product the walk formed. When the set is all of V(FG),
-    closure is the multiplicativity of the augmentation map, which is
-    property-tested separately; the walk is skipped."""
+    the first escaping product the walk formed.
+
+    Once the walk has run, S = <gens>, and the x with x x^sigma = 1 form a
+    group: sigma is an anti-automorphism of order two, so (x y)(x y)^sigma =
+    x (y y^sigma) x^sigma = 1 for two of them, and the inverse of one is
+    x^sigma, a one-sided inverse being two-sided in the finite ring FG, with
+    x^sigma (x^sigma)^sigma = x^sigma x = 1. So S is unitary exactly when
+    every generator is, and one batched digit_product checks g g^sigma = 1
+    on all of them, at most log_p |S|, naming the first that fails.
+
+    When S holds all full_space normalized units it is a group with nothing
+    to walk: closure is the multiplicativity of the augmentation map, which
+    is property-tested separately, and the involute of a normalized unit is a
+    normalized unit. With no walk there are no generators, so that S rests
+    on the scan's own test x x^sigma = 1 of each member."""
     S, group, field = uset_keys, ctx.group, ctx.field
     if not keys_contain(S, ctx.identity[:1].astype(np.uint64))[0]:
         raise _inconsistency(group, field, "unitary set misses the identity", ctx.identity)
-    if (sigma != np.arange(ctx.n)).any():  # else x* = x for every x
-        star = ctx.involute_keys(S, sigma)
-        if not np.array_equal(star, S):
-            star.sort()
-            if not np.array_equal(star, S):
-                escaped = np.flatnonzero(~keys_contain(S, ctx.involute_keys(S, sigma)))[0]
-                raise _inconsistency(group, field, "unitary set is not closed under the involution",
-                                     ctx.unpack(S[escaped:escaped + 1])[0])
-        del star
     if S.size == full_space:
         return
 
@@ -248,6 +244,11 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
                 if not known[pos]:
                     known[positions(ctx.mul(H, x[None, :]))] = True
                     reps.append(x)
+    d = digits(gens.astype(np.uint64).ravel(), field.p, field.m).reshape(-1, ctx.n, field.m)
+    norms = digit_product(field, group, d, d[:, sigma])
+    failed = np.flatnonzero((norms != _identity_digits(field, group)).any(axis=(1, 2)))
+    if failed.size:
+        raise _inconsistency(group, field, "a generator of the unitary set is not unitary", gens[failed[0]])
 
 
 def oracle_search_space(group: Group, field: FieldSpec) -> int:

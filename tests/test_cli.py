@@ -257,6 +257,8 @@ GOLDEN_CASES = [
      "compute --group dihedral:8 --group cyclic:8 --field 2^2 --field 2^1 --format csv"),
     ("compute_oracle_q8_gf8.json",
      "compute --group quaternion:8 --field 2^3 --method oracle --format json"),
+    ("compute_oracle_d8_gf8.json",
+     "compute --group dihedral:8 --field 2^3 --method oracle --format json"),
     ("compute_oracle_c9_gf3.json",
      "compute --group cyclic:9 --field 3^1 --method oracle --format json"),
     ("compute_oracle_c5_gf25.json",
@@ -273,6 +275,7 @@ GOLDEN_CASES = [
     ("groups_list_64.json", "groups list --max-order 64 --format json"),
     ("verify_cayley_seed3.txt", "verify --suite cayley --seed 3"),
     ("verify_bounds.txt", "verify --suite bounds"),
+    ("verify_thm1.txt", "verify --suite thm1"),
 ]
 
 

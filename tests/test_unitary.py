@@ -15,7 +15,7 @@ import pytest
 from unitary_lab import engine, finite_field
 from unitary_lab import group_algebra as ga
 from unitary_lab import unitary as un
-from unitary_lab.engine import DEFAULT_BATCH, AlgebraContext, constant_planes, keys_contain
+from unitary_lab.engine import AlgebraContext, constant_planes, keys_contain
 from unitary_lab.errors import (
     EvenCharacteristic,
     InternalInconsistency,
@@ -208,12 +208,29 @@ def test_oracle_elements_verify_scalar_side():
             assert x * y in elems
 
 
-def test_oracle_order_check_names_group_and_field(monkeypatch):
-    # the zero element passes the certificate (0 x = 0 = 0*) but is no unit, so a
-    # scan that adds its key (0) reports one element more than there are normalized units
+def _scan_with_zero(monkeypatch):
+    """Make the oracle's scan add the key of the zero element, 0, which is no unit."""
     scan = AlgebraContext.unitary_keys
     monkeypatch.setattr(AlgebraContext, "unitary_keys",
                         lambda ctx, sigma: np.concatenate(([np.uint64(0)], scan(ctx, sigma))))
+
+
+@pytest.mark.parametrize("name, field", [("quaternion:8", GF2), ("cyclic:9", GF3)])
+def test_oracle_refuses_a_scan_that_adds_the_zero_element(monkeypatch, name, field):
+    # the walk takes 0, the least key, as its first generator, and 0 0* = 0 != 1
+    _scan_with_zero(monkeypatch)
+    group = build(name)
+    with pytest.raises(InternalInconsistency) as exc:
+        un.unitary_enumerate_oracle(group, ga.canonical_star(group), field)
+    assert str(exc.value) == (f"a generator of the unitary set is not unitary "
+                              f"({name} over {field.literal()}, element 0)")
+
+
+def test_oracle_order_check_names_group_and_field(monkeypatch):
+    # with the certificate out of the way, a scan that adds the zero element
+    # reports one element more than there are normalized units
+    _scan_with_zero(monkeypatch)
+    monkeypatch.setattr(un, "_subgroup_certificate", lambda *args, **kwargs: None)
     c2 = build("cyclic:2")
     un.clear_caches()
     try:
@@ -322,14 +339,14 @@ def test_certificate_refuses_a_set_without_the_identity():
     assert str(exc.value) == "unitary set misses the identity (quaternion:8 over 2^2, element 10*g0)"
 
 
-def test_certificate_under_the_identity_map_involutes_nothing(monkeypatch):
-    # E4 over GF(4): the star is the identity map, so x* = x and the involution
-    # check has nothing to do, yet 1 is still required
+def test_certificate_of_a_full_space_set_forms_no_product_and_still_needs_1(monkeypatch):
+    # E4 over GF(4): every normalized unit is unitary, so the set is the whole
+    # space and is a group with no product formed, yet 1 is still required
     ctx, sigma, keys = _scan(build("elementary_abelian:2:2"), GF4)
-    assert sigma.tolist() == list(range(ctx.n))
-    involute = ctx.involute_keys
+    assert keys.size == ctx.q ** (ctx.n - 1)
+    mul = ctx.mul
     calls = []
-    monkeypatch.setattr(ctx, "involute_keys", lambda *a: calls.append(a) or involute(*a))
+    monkeypatch.setattr(ctx, "mul", lambda *a: calls.append(a) or mul(*a))
     _certify(ctx, sigma, keys)
     with pytest.raises(InternalInconsistency) as exc:
         _certify(ctx, sigma, keys[keys != ctx.identity[0]])
@@ -351,84 +368,63 @@ def test_certificate_names_the_first_escaping_product_of_a_coset():
                               "(abelian:2:[1,2] over 2^1, element 1*g5)")
 
 
-def test_certificate_refuses_a_set_not_closed_under_the_involution():
-    # {1, g1} in F3 C9: g1* = g8 is missing
+def test_certificate_walk_refuses_a_set_missing_an_involute():
+    # {1, g1} in F3 C9: g1* = g8 is missing, and the walk finds g1 g1 = g2 outside first
     ctx, sigma, _ = _scan(build("cyclic:9"), GF3)
     rows = np.zeros((2, ctx.n), dtype=np.uint16)
     rows[0, 0] = rows[1, 1] = 1
     with pytest.raises(InternalInconsistency) as exc:
         _certify(ctx, sigma, np.sort(ctx.pack(rows)))
-    assert str(exc.value) == ("unitary set is not closed under the involution "
-                              "(cyclic:9 over 3^1, element 1*g1)")
+    assert str(exc.value) == ("product of two claimed unitary elements escapes the set "
+                              "(cyclic:9 over 3^1, element 1*g2)")
+
+
+def test_certificate_refuses_a_group_of_non_unitary_elements():
+    # {1, g3, g6} in F3 C9 is a group; under the identity map g3 g3 = g6 != 1,
+    # under the canonical star g3 g3* = g3 g6 = 1
+    c9 = build("cyclic:9")
+    ctx = AlgebraContext(GF3, c9)
+    keys = np.array([1, 3 ** 3, 3 ** 6], dtype=np.uint64)
+    identity = np.array(ga.involution_from_map(c9, range(9)).sigma, dtype=np.intp)
+    with pytest.raises(InternalInconsistency) as exc:
+        _certify(ctx, identity, keys)
+    assert str(exc.value) == ("a generator of the unitary set is not unitary "
+                              "(cyclic:9 over 3^1, element 1*g3)")
+    _certify(ctx, np.array(ga.canonical_star(c9).sigma, dtype=np.intp), keys)
 
 
 @pytest.mark.parametrize("name, field", [
     ("dihedral:8", GF2), ("dihedral:8", GF4), ("dihedral:8", GF8),
     ("quaternion:8", GF2), ("quaternion:8", GF4), ("quaternion:8", GF8),
 ])
-def test_certificate_names_the_least_key_whose_involute_is_missing(name, field):
-    # drop the involutes of a few x with x* != x: the least remaining key whose
-    # involute is gone, found here by the row route, is the element named
+def test_certificate_names_a_generator_that_is_not_unitary(name, field):
+    # <u> for the least normalized u outside the oracle's set is a group, so
+    # the walk accepts it; u is its least key but 1, the walk's first generator
     group = build(name)
     ctx, sigma, keys = _scan(group, field)
-    star = ctx.pack(ctx.unpack(keys)[:, sigma])
-    moved = np.flatnonzero(star != keys)
-    rng = np.random.default_rng(field.order)
-    for picks in (moved[:1], moved[-1:], rng.choice(moved, size=5, replace=False)):
-        kept = keys[~np.isin(keys, star[picks])]
-        missing = ~np.isin(ctx.pack(ctx.unpack(kept)[:, sigma]), kept)
-        witness = ga.from_codes(ctx.field, ctx.group, ctx.unpack(kept[missing][:1])[0])
-        with pytest.raises(InternalInconsistency) as exc:
-            _certify(ctx, sigma, kept)
-        assert str(exc.value) == (f"unitary set is not closed under the involution "
-                                  f"({name} over {field.literal()}, "
-                                  f"element {ga.format_algebra_literal(witness)})")
-
-
-def _involutions(group, rng, count):
-    """The canonical star and count random involutions g -> t g^-1 t^-1 with
-    t^2 central, each validated by involution_from_map."""
-    center = set(group.special_sets().center)
-    ts = [t for t in group.elements() if group.mul(t, t) in center]
-    sigmas = [ga.canonical_star(group).sigma]
-    for t in rng.choice(ts, size=count):
-        t = int(t)
-        sigmas.append(ga.involution_from_map(group, [
-            group.mul(group.mul(t, group.inverse(g)), group.inverse(t)) for g in group.elements()]).sigma)
-    return [np.array(sig, dtype=np.intp) for sig in sigmas]
-
-
-@pytest.mark.parametrize("name, field", [
-    ("dihedral:8", GF2), ("quaternion:8", GF4), ("dihedral:8", GF8), ("abelian:2:[1,2]", GF8),
-    ("dihedral:16", GF2), ("quaternion:16", GF4), ("semidihedral:16", GF8),
-    ("elementary_abelian:2:4", GF8), ("cyclic:9", GF3), ("heisenberg:3", GF3),
-])
-def test_involute_keys_match_the_row_route(name, field):
-    # random keys fill the whole key range, 48 bits for order 16 over GF(8),
-    # and run past one batch; the oracle's own key set is added wherever its
-    # scan is small
-    group = build(name)
-    ctx = AlgebraContext(field, group)
-    rng = np.random.default_rng(group.n * field.order)
-    keys = rng.integers(0, ctx.q ** ctx.n, size=DEFAULT_BATCH + 3000, dtype=np.uint64)
-    keys[:2] = (0, ctx.q ** ctx.n - 1)
-    key_sets = [keys]
-    if ctx.q ** (ctx.n - 1) <= 1 << 21:
-        key_sets.append(ctx.unitary_keys(np.array(ga.canonical_star(group).sigma, dtype=np.intp)))
-    for sigma in _involutions(group, rng, 3) + [rng.permutation(group.n)]:
-        for k in key_sets:
-            expected = ctx.pack(ctx.unpack(k)[:, sigma])
-            assert ctx.involute_keys(k, sigma).tobytes() == expected.tobytes(), sigma
+    candidates = np.arange(min(ctx.q ** ctx.n, 1 << 12), dtype=np.uint64)
+    normalized = ctx.augmentation(ctx.unpack(candidates)) == ctx.identity[0]
+    u = ctx.unpack(candidates[normalized & ~np.isin(candidates, keys)][:1])
+    cyclic = _closure_keys(ctx, u)
+    assert cyclic.size > 2 and cyclic[1] == ctx.pack(u)[0]
+    witness = ga.from_codes(field, group, u[0])
+    assert not un.is_unitary(witness, ga.canonical_star(group))
+    with pytest.raises(InternalInconsistency) as exc:
+        _certify(ctx, sigma, cyclic)
+    assert str(exc.value) == (f"a generator of the unitary set is not unitary "
+                              f"({name} over {field.literal()}, "
+                              f"element {ga.format_algebra_literal(witness)})")
+    if (name, field) == ("dihedral:8", GF2):
+        assert str(exc.value) == ("a generator of the unitary set is not unitary "
+                                  "(dihedral:8 over 2^1, element 1*g0 + 1*g1 + 1*g4)")
 
 
 @pytest.mark.parametrize("field", [GF2, GF4, GF8])
-def test_involute_keys_under_the_relabeled_d8_involution(field):
+def test_certificate_accepts_the_relabeled_d8_oracle_set(field):
     relabeled, inv = _d8_by_reflections()
     ctx = AlgebraContext(field, relabeled)
     sigma = np.array(inv.sigma, dtype=np.intp)
-    keys = ctx.unitary_keys(sigma)
-    assert ctx.involute_keys(keys, sigma).tobytes() == ctx.pack(ctx.unpack(keys)[:, sigma]).tobytes()
-    _certify(ctx, sigma, keys)
+    _certify(ctx, sigma, ctx.unitary_keys(sigma))
 
 
 # --- S_H -------------------------------------------------------------------------------
@@ -896,8 +892,8 @@ def test_bounds_d8():
 
 def test_bounds_does_not_import_numpy_ma():
     """A plain np.unique imports numpy.ma on first use (numpy 2.4), which costs
-    a fresh process 10-20 ms; the N2 span's tau codes are
-    deduplicated by sorted_unique instead. Checked in a fresh interpreter,
+    a fresh process 10-20 ms; the N2 span's tau image is a boolean mask
+    indexed by code instead. Checked in a fresh interpreter,
     over GF(4) where tau has two distinct values."""
     code = ("import sys\n"
             "from unitary_lab import unitary\n"
