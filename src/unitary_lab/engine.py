@@ -50,15 +50,16 @@ reads each batch column by column, and every gather, from the raveled
 (q^2,) tables, takes one flat index X q + Y (`row_index`). It stays in
 bit-planes in characteristic two: it builds each batch's planes from the
 candidate indices, tests x x^sigma = 1 word by word on one coefficient per
-sigma-orbit, and reads the hits' keys from two small tables, one entry per
-word of 64 candidates and one per row within a word, XORed. x x^sigma is
-sigma-symmetric, so of each moved pair {k, sigma(k)} only k is formed, by the
-bitsliced product of the planes and their permutation by sigma. A
-sigma-fixed coefficient is the square of the sum of the x_g with
-g sigma(g) = k, so it is tested linearly, by an XOR of planes. A test that
-every candidate passes by construction is not run, and when no test is left
-(sigma fixes every index and g sigma(g) = 1 throughout, as for an elementary
-abelian group under its star) no planes are built: every candidate is a hit.
+sigma-orbit, and keys the hits from their indices alone
+(`AlgebraContext.candidate_keys`). x x^sigma is sigma-symmetric, so of each
+moved pair {k, sigma(k)} only k is formed, by the bitsliced product of the
+planes and their permutation by sigma. A sigma-fixed coefficient is the
+square of the sum of the x_g with g sigma(g) = k, so it is tested linearly,
+by an XOR of planes. A test that every candidate passes by construction is
+not run. When none is left (sigma fixes every index and g sigma(g) = 1
+throughout, as for an elementary abelian group under its star) every
+candidate is a hit; the oracle does not scan then, but proves the whole
+space unitary through its generators and keys its witnesses alone.
 
 Keys are uint64 and below 2^63, so `pack` refuses a group algebra with more
 than 2^63 elements when it is first called; a context is built for any size,
@@ -437,8 +438,7 @@ class AlgebraContext:
 
     def unitary_keys(self, sigma: np.ndarray, batch: int = DEFAULT_BATCH) -> np.ndarray:
         """Sorted keys of the normalized x with x x^sigma = 1, scanning
-        batch candidates (a positive multiple of 64) at a time, unless
-        there is nothing to test.
+        batch candidates (a positive multiple of 64) at a time.
 
         Candidate i carries i's base-q digits at indices 1..n-1 and the
         dependent identity coefficient, so its key is q i + (its column 0),
@@ -473,19 +473,11 @@ class AlgebraContext:
         g with g sigma(g) = k are all of G, k = 1 and the test is augmentation
         1, which every candidate has; it is skipped. No test is left exactly
         when no index moves and every g sigma(g) is 1, that is sigma is the
-        identity map and the star (G elementary abelian), and then no planes
-        are built and no batches are made: the answer is the keys of every
-        candidate, one broadcast over the whole scan.
+        identity map and the star (G elementary abelian); every candidate is
+        then a hit.
 
-        Keys come from the indices alone, never from the planes: q = 2^m, so
-        the key of i is (i << m) | column 0's code, which is the identity's
-        code XOR the XOR of i's n - 1 m-bit digits (`fold_keys`). Both parts
-        are XOR-linear in i, and a batch starts on a multiple of 64, so
-        candidate 64 w + r, r < 64, has key word_key[w] ^ bit_key[r]: one
-        table of the batch's words, and one of the 64 rows of a word with the
-        identity's code folded in, built once per scan. A batch's keys are
-        one broadcast XOR of the two, in order, and the hits are picked out of
-        them by their bits."""
+        The hits' keys come from their indices alone, never from the planes
+        (`candidate_keys`), in order."""
         if batch < 1 or batch % WORD_BITS:
             raise ValueError(f"batch {batch} is not a positive multiple of {WORD_BITS}")
         if not self.char2:
@@ -506,29 +498,12 @@ class AlgebraContext:
                 else:
                     parts.append(self.pack(X.T))
             return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
-        m, total = self.field.m, self.q ** (self.n - 1)
+        total = self.q ** (self.n - 1)
         squares = self.gtable[np.arange(self.n), sigma]  # g sigma(g), which sigma fixes
         linear = [(k, roots) for k in sorted(set(squares.tolist()))
                   if (roots := np.flatnonzero(squares == k)).size < self.n]
         moved = np.flatnonzero(np.arange(self.n) < sigma)  # where 1's coefficient is 0
-        identity = constant_planes(self.identity, m)
-        # digit 0 of i after the XOR-shifts by m, 2m, 4m, ... is the XOR of i's digits
-        folds = [np.uint64(m << s) for s in range(max(self.n - 2, 0).bit_length())]
-
-        def fold_keys(index):  # (i << m) | the XOR of i's digits
-            keys = index << np.uint64(m)
-            for shift in folds:
-                index ^= index >> shift
-            return keys | (index & np.uint64(self.q - 1))
-
-        bit_key = fold_keys(np.arange(WORD_BITS, dtype=np.uint64)) ^ np.uint64(self.identity[0])
-
-        def candidate_keys(start, rows):
-            word_key = fold_keys(np.arange(start, start + rows, WORD_BITS, dtype=np.uint64))
-            return (word_key[:, None] ^ bit_key).ravel()[:rows]
-
-        if not (linear or moved.size):
-            return candidate_keys(0, total)
+        identity = constant_planes(self.identity, self.field.m)
         parts = []
         for start in range(0, total, batch):
             rows = min(batch, total - start)
@@ -539,8 +514,21 @@ class AlgebraContext:
             if moved.size:
                 product = self.plane_product(P, P[sigma], moved)
                 differs |= np.bitwise_or.reduce(product.reshape(-1, P.shape[2]))
-            parts.append(candidate_keys(start, rows)[row_bits(~differs, rows)])
+            hits = np.flatnonzero(row_bits(~differs, rows)).astype(np.uint64)
+            parts.append(self.candidate_keys(hits + np.uint64(start)))
         return np.concatenate(parts)
+
+    def candidate_keys(self, index: np.ndarray) -> np.ndarray:
+        """The keys of the normalized candidates with the given uint64
+        indices, in characteristic two. Candidate i carries i's m-bit digits
+        at indices 1..n-1 and, at index 0, 1's code XOR the XOR of those
+        digits, so its key is (i << m) | (1's code ^ XOR of i's digits):
+        after XOR-shifts by m, 2m, 4m, ... bits, digit 0 of i is that XOR."""
+        m, folded = self.field.m, index.copy()
+        for s in range(max(self.n - 2, 0).bit_length()):
+            folded ^= folded >> np.uint64(m << s)
+        low = (folded & np.uint64(self.q - 1)) ^ np.uint64(self.identity[0])
+        return (index << np.uint64(m)) | low
 
     def _candidate_planes(self, start: int, rows: int) -> np.ndarray:
         """Bit-planes of the normalized candidates start, ..., start + rows - 1,

@@ -10,7 +10,8 @@ Three routes to |V(FG)| under an involution arising from G:
   of S_H counts the next level and lifts its generators, so no unitary
   group is listed;
 * any characteristic: the exhaustive oracle over all normalized units, which
-  certifies its output is a subgroup.
+  certifies its output is a subgroup, or proves them all unitary through
+  their generators where the scan would test nothing.
 
 Theta is the exact quotient |V(FG)| / |F|^((|G|+|G{2}|)/2 - 1) in
 characteristic two; the bound constructions N1, N2 bracket |S_H|.
@@ -207,15 +208,27 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
     every generator is, and one batched digit_product checks g g^sigma = 1
     on all of them, at most log_p |S|, naming the first that fails.
 
-    When S holds all full_space normalized units it is a group with nothing
-    to walk: closure is the multiplicativity of the augmentation map, which
-    is property-tested separately, and the involute of a normalized unit is a
-    normalized unit. With no walk there are no generators, so that S rests
-    on the scan's own test x x^sigma = 1 of each member."""
+    When S holds all full_space normalized units, the scan's candidates, it
+    is the group 1 + Delta, Delta the augmentation ideal, and nothing is
+    walked: it is unitary exactly when a generating set of it is. Let
+    b_1, ..., b_(n-1) be an F_p-basis of Delta(F_p G) adapted to its powers
+    (`_delta_power_basis`). The products of k elements g - 1 span
+    Delta^k(F_p G) over F_p and Delta^k(FG) over F, so the b_j of weight k
+    span Delta^k(FG) over F modulo Delta^(k+1)(FG). Then the m(n - 1)
+    elements 1 + x^a b_j, a < m (`_normalized_unit_generators`), generate
+    1 + Delta. Let u lie in Delta^k. Modulo Delta^(k+1), u is a sum of
+    c_(j,a) x^a b_j over the b_j of weight k, with c_(j,a) in F_p, and the
+    product P of the (1 + x^a b_j)^(c_(j,a)) is 1 + u, since a product of
+    two elements of Delta^k lies in Delta^(2k). So
+    P^-1 (1 + u) = 1 + P^-1 (1 + u - P) lies in 1 + Delta^(k+1), and
+    Delta^k is 0 for k large, G being a p-group: 1 + u is a product of the
+    generators. One batched digit_product over them decides S, naming the
+    first that fails."""
     S, group, field = uset_keys, ctx.group, ctx.field
     if not keys_contain(S, ctx.identity[:1].astype(np.uint64))[0]:
         raise _inconsistency(group, field, "unitary set misses the identity", ctx.identity)
     if S.size == full_space:
+        _certify_full_space(ctx, sigma)
         return
 
     def positions(products: np.ndarray, in_order: bool = False) -> np.ndarray:
@@ -245,10 +258,105 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
                     known[positions(ctx.mul(H, x[None, :]))] = True
                     reps.append(x)
     d = digits(gens.astype(np.uint64).ravel(), field.p, field.m).reshape(-1, ctx.n, field.m)
+    _require_unitary(ctx, d, sigma, "a generator of the unitary set is not unitary")
+
+
+def _require_unitary(ctx: AlgebraContext, d: np.ndarray, sigma: np.ndarray, what: str):
+    """Check x x^sigma = 1 on every (n, m) digit array x of d in one batched
+    digit_product, and refuse the first that fails, naming it."""
+    field, group = ctx.field, ctx.group
     norms = digit_product(field, group, d, d[:, sigma])
     failed = np.flatnonzero((norms != _identity_digits(field, group)).any(axis=(1, 2)))
     if failed.size:
-        raise _inconsistency(group, field, "a generator of the unitary set is not unitary", gens[failed[0]])
+        raise _inconsistency(group, field, what, d[failed[0]] @ field.p ** np.arange(field.m))
+
+
+def _delta_power_basis(group: Group, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """An F_p-basis of the augmentation ideal Delta of F_p G adapted to its
+    powers Delta > Delta^2 > ..., as (|G| - 1, |G|) int64 coefficient rows
+    over F_p, with each row's weight: the k with the row in Delta^k but not
+    in Delta^(k+1). The rows of weight at least k are a basis of Delta^k,
+    and they come out by weight.
+
+    Dropping the coefficient at 1 is injective on Delta, so each power is
+    eliminated on the other n - 1 columns: one reduced echelon form mod p
+    per power, Delta's being the g - 1 themselves. The g - 1 over
+    generators g of G generate Delta as a right ideal, since
+    gh - 1 = (g - 1) h + (h - 1) and g^-1 - 1 = -(g - 1) g^-1. So
+    Delta^(k+1) = Delta Delta^k is spanned by the (g - 1) b over those g
+    and the rows b of Delta^k's form. Nested spaces have nested pivot
+    columns, so the rows of Delta^k's form whose pivot is not a pivot of
+    Delta^(k+1)'s are independent modulo Delta^(k+1) and complete its basis
+    to one of Delta^k. For a p-group the powers reach 0."""
+    n = group.n
+    left_div = group.left_division()[_generators(group)]
+    form, pivots = np.eye(n - 1, dtype=np.int64), list(range(n - 1))
+    basis, weights, k = [np.empty((0, n), dtype=np.int64)], [], 1
+    while pivots:
+        full = np.concatenate([-form.sum(axis=1, keepdims=True) % p, form], axis=1)
+        products = full[:, left_div] - full[:, None, :]  # (g - 1) b, as g b is b[left_div[g]]
+        form, next_pivots = _echelon_mod_p(products.reshape(-1, n)[:, 1:], p)
+        kept = [i for i, col in enumerate(pivots) if col not in next_pivots]
+        basis.append(full[kept])
+        weights += [k] * len(kept)
+        pivots, k = next_pivots, k + 1
+    return np.concatenate(basis), np.array(weights, dtype=np.intp)
+
+
+def _generators(group: Group) -> list[int]:
+    """A generating set of G, greedily: each g not yet reached is added, and
+    the subgroup reached grows by right multiplication with every generator."""
+    table, gens, reached = group.table.tolist(), [], {0}
+    for g in range(1, group.n):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                if table[x][s] not in reached:
+                    reached.add(table[x][s])
+                    frontier.append(table[x][s])
+    return gens
+
+
+def _echelon_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The nonzero rows of the reduced row echelon form of M over F_p, and
+    their pivot columns, ascending. Each step takes the first column that
+    is nonzero below the rows done, so a zero column costs no step."""
+    M, pivots = M % p, []
+    for r in range(min(M.shape)):
+        columns = M[r:].any(axis=0)
+        col = int(columns.argmax())
+        if not columns[col]:
+            break
+        i = r + int(M[r:, col].nonzero()[0][0])
+        row = M[i] * pow(int(M[i, col]), -1, p) % p
+        M[i] = M[r]
+        M = (M - M[:, col, None] * row) % p
+        M[r] = row
+        pivots.append(col)
+    return M[:len(pivots)], pivots
+
+
+def _normalized_unit_generators(field: FieldSpec, group: Group) -> np.ndarray:
+    """The m(|G| - 1) generators 1 + x^a b_j of the normalized units of FG,
+    b_j over _delta_power_basis and a < m (see _subgroup_certificate), as
+    (m(|G| - 1), |G|, m) digit arrays, 1 + x^a b_j at row j m + a."""
+    n, m = group.n, field.m
+    basis, _ = _delta_power_basis(group, field.p)
+    d = np.zeros((basis.shape[0], m, n, m), dtype=np.int64)
+    d[:, np.arange(m), :, np.arange(m)] = basis  # x^a b_j at [j, a]
+    d[:, :, 0, 0] += 1
+    return d.reshape(-1, n, m) % field.p
+
+
+def _certify_full_space(ctx: AlgebraContext, sigma: np.ndarray):
+    """Prove every normalized unit of FG unitary under sigma through its
+    generators, refusing the first that is not unitary."""
+    _require_unitary(ctx, _normalized_unit_generators(ctx.field, ctx.group), sigma,
+                     "a generator of the normalized units is not unitary")
 
 
 def oracle_search_space(group: Group, field: FieldSpec) -> int:
@@ -257,9 +365,17 @@ def oracle_search_space(group: Group, field: FieldSpec) -> int:
 
 
 def _oracle_set(group: Group, inv: GroupInvolution, field: FieldSpec,
-                search_cap: int = DEFAULT_SEARCH_CAP) -> np.ndarray:
-    """The sorted keys of V(FG), scanned and certified afresh on every call;
-    nothing of them is kept once the caller drops them."""
+                search_cap: int = DEFAULT_SEARCH_CAP,
+                max_witnesses: int | None = None) -> tuple[int, np.ndarray]:
+    """|V(FG)| and the sorted keys of its first max_witnesses members (all
+    by default), scanned and certified afresh on every call; nothing of them
+    is kept once the caller drops them.
+
+    In characteristic two, when sigma fixes every index and every g sigma(g)
+    is 1 (G elementary abelian under its star), the scan would test nothing:
+    x x^sigma is the square of x's augmentation, 1. Then V is all q^(|G|-1)
+    normalized units, proved by their generators, and keys are built for the
+    witnesses alone: candidates 0, 1, ..., whose keys are the least."""
     require_p_group(group, field)
     inv.require_group(group)
     space = oracle_search_space(group, field)
@@ -268,9 +384,13 @@ def _oracle_set(group: Group, inv: GroupInvolution, field: FieldSpec,
     require_key_space(field.order ** group.n, "uint64 key packing")
     ctx = AlgebraContext(field, group)
     sigma = np.array(inv.sigma, dtype=np.intp)
+    if ctx.char2 and np.array_equal(sigma, np.arange(ctx.n)) and not ctx.gtable.diagonal().any():
+        _certify_full_space(ctx, sigma)
+        shown = space if max_witnesses is None else min(max_witnesses, space)
+        return space, ctx.candidate_keys(np.arange(shown, dtype=np.uint64))
     keys = ctx.unitary_keys(sigma)
     _subgroup_certificate(ctx, keys, sigma, full_space=space)
-    return keys
+    return int(keys.size), keys[:max_witnesses]
 
 
 def unitary_enumerate_oracle(group: Group, inv: GroupInvolution, field: FieldSpec, *,
@@ -279,13 +399,13 @@ def unitary_enumerate_oracle(group: Group, inv: GroupInvolution, field: FieldSpe
     """Filter every normalized unit by x * x^inv = 1 and certify the result."""
     if max_witnesses is not None and max_witnesses < 0:
         raise ValueError(f"max_witnesses {max_witnesses} is negative")
-    keys = _oracle_set(group, inv, field, search_cap)
-    order, space = int(keys.size), oracle_search_space(group, field)
+    order, keys = _oracle_set(group, inv, field, search_cap, max_witnesses)
+    space = oracle_search_space(group, field)
     if order > space:
         raise _inconsistency(group, field, "unitary order exceeds the normalized unit count")
     # a key's base-p digits, m to a coefficient, are the element's digit array
     witnesses = tuple(AlgebraElement(field, group, d) for d in
-                      digits(keys[:max_witnesses], field.p, group.n * field.m).reshape(-1, group.n, field.m))
+                      digits(keys, field.p, group.n * field.m).reshape(-1, group.n, field.m))
     subsidiary = {
         "search_space": space,
         "witnesses_truncated": max_witnesses is not None and order > max_witnesses,

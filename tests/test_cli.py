@@ -259,6 +259,14 @@ GOLDEN_CASES = [
      "compute --group quaternion:8 --field 2^3 --method oracle --format json"),
     ("compute_oracle_d8_gf8.json",
      "compute --group dihedral:8 --field 2^3 --method oracle --format json"),
+    ("compute_oracle_e8_gf8.json",
+     "compute --group elementary_abelian:2:3 --field 2^3 --method oracle --format json"),
+    ("compute_oracle_e4_gf256.json",
+     "compute --group elementary_abelian:2:2 --field 2^8 --method oracle --format json"),
+    ("compute_oracle_c4xc2_gf8.json",
+     "compute --group abelian:2:[1,2] --field 2^3 --method oracle --format json"),
+    ("compute_oracle_d16_gf2.json",
+     "compute --group dihedral:16 --field 2^1 --method oracle --format json"),
     ("compute_oracle_c9_gf3.json",
      "compute --group cyclic:9 --field 3^1 --method oracle --format json"),
     ("compute_oracle_c5_gf25.json",

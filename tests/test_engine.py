@@ -459,23 +459,6 @@ def test_char2_unitary_keys_in_batches_of_several_words(group_name, m):
     _assert_scan_matches_reference(ctx, sigma, (192, 320))
 
 
-def test_char2_scan_with_no_test_left_builds_no_planes(monkeypatch):
-    # E8 under its star: sigma fixes every index and every g sigma(g) is 1, so
-    # every candidate is a hit and no bit-plane is needed
-    ctx = AlgebraContext(make_field(2, 1), build("elementary_abelian:2:3"))
-    sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
-    assert sigma.tolist() == list(range(ctx.n))
-    expected = _reference_unitary_keys(ctx, sigma)
-
-    def refuse(*args):
-        raise AssertionError("candidate planes built")
-
-    monkeypatch.setattr(AlgebraContext, "_candidate_planes", refuse)
-    for batch in (64, DEFAULT_BATCH):
-        got = ctx.unitary_keys(sigma, batch=batch)
-        assert got.size == ctx.q ** (ctx.n - 1) and got.tobytes() == expected.tobytes()
-
-
 def test_char2_fixed_coefficient_sums_drop_candidates():
     # augmentation 1 implies the sums at sigma-fixed coefficients on E4 under the identity,
     # but not on C8: a scan that skipped them would keep every candidate there

@@ -179,19 +179,45 @@ def test_oracle_groups_with_equal_tables_give_results_over_their_own_group():
 
 
 def test_oracle_call_keeps_none_of_its_key_set():
-    # every one of E8's 2^21 normalized units over GF(8) is unitary: 16 MiB of keys,
-    # none of which outlive the call
-    e8 = build("elementary_abelian:2:3")
-    star = ga.canonical_star(e8)
-    un.clear_caches()
-    tracemalloc.start()
-    try:
-        result = un.unitary_enumerate_oracle(e8, star, GF8, max_witnesses=0)
-        retained, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.order == GF8.order ** 7
-    assert retained < 1 << 20, retained
+    # C4 x C2 over GF(8) is scanned: its 2^16 keys (512 KiB) outlive no call.
+    # Every one of the 2^21 normalized units of E8 over GF(8), and of the 2^24 of
+    # C2 x C2 over GF(2^8), is unitary: 16 and 128 MiB of keys, none of which is
+    # even built, as the generators prove the whole space unitary
+    for name, field, full in (("abelian:2:[1,2]", GF8, False), ("elementary_abelian:2:3", GF8, True),
+                              ("elementary_abelian:2:2", make_field(2, 8), True)):
+        group = build(name)
+        un.clear_caches()
+        tracemalloc.start()
+        try:
+            result = un.unitary_enumerate_oracle(group, ga.canonical_star(group), field, max_witnesses=0)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result.order == field.order ** (group.n - 1)) == full, name
+        assert retained < 1 << 16, (name, retained)
+        assert not full or peak < 1 << 20, (name, peak)
+
+
+@pytest.mark.parametrize("name, m", [("elementary_abelian:2:3", 3), ("elementary_abelian:2:2", 8),
+                                     ("elementary_abelian:2:4", 1), ("cyclic:2", 16), ("cyclic:1", 1)])
+def test_full_space_oracle_never_calls_the_scan(monkeypatch, name, m):
+    # an elementary abelian group under its star in characteristic two: every
+    # normalized unit is unitary, and the witnesses are the least candidates,
+    # i's digits at indices 1..n-1 and 1 + their sum at index 0
+    group, field = build(name), make_field(2, m)
+    space = field.order ** (group.n - 1)
+    rows = np.zeros((min(10, space), group.n), dtype=np.uint16)
+    rows[:, 1:] = engine.digits(np.arange(rows.shape[0], dtype=np.uint64), field.order, group.n - 1)
+    rows[:, 0] = 1 ^ np.bitwise_xor.reduce(rows[:, 1:], axis=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle scanned a full space")
+
+    monkeypatch.setattr(AlgebraContext, "unitary_keys", refuse)
+    result = un.unitary_enumerate_oracle(group, ga.canonical_star(group), field, max_witnesses=10)
+    assert result.order == space
+    assert result.elements == tuple(ga.from_codes(field, group, row) for row in rows)
+    assert result.subsidiary["witnesses_truncated"] == (space > 10)
 
 
 def test_oracle_elements_verify_scalar_side():
@@ -228,17 +254,18 @@ def test_oracle_refuses_a_scan_that_adds_the_zero_element(monkeypatch, name, fie
 
 def test_oracle_order_check_names_group_and_field(monkeypatch):
     # with the certificate out of the way, a scan that adds the zero element
-    # reports one element more than there are normalized units
+    # reports one element more than there are normalized units; the trivial
+    # group over GF(3) is scanned, as odd characteristic always is
     _scan_with_zero(monkeypatch)
     monkeypatch.setattr(un, "_subgroup_certificate", lambda *args, **kwargs: None)
-    c2 = build("cyclic:2")
+    c1 = build("cyclic:1")
     un.clear_caches()
     try:
         with pytest.raises(InternalInconsistency) as exc:
-            un.unitary_enumerate_oracle(c2, ga.canonical_star(c2), GF2)
+            un.unitary_enumerate_oracle(c1, ga.canonical_star(c1), GF3)
     finally:
         un.clear_caches()
-    assert str(exc.value) == "unitary order exceeds the normalized unit count (cyclic:2 over 2^1)"
+    assert str(exc.value) == "unitary order exceeds the normalized unit count (cyclic:1 over 3^1)"
 
 
 # --- the subgroup certificate, called directly ------------------------------------------
@@ -341,7 +368,8 @@ def test_certificate_refuses_a_set_without_the_identity():
 
 def test_certificate_of_a_full_space_set_forms_no_product_and_still_needs_1(monkeypatch):
     # E4 over GF(4): every normalized unit is unitary, so the set is the whole
-    # space and is a group with no product formed, yet 1 is still required
+    # space; no walk runs, so no batch product is formed (its generators are
+    # checked on digit arrays), yet 1 is still required
     ctx, sigma, keys = _scan(build("elementary_abelian:2:2"), GF4)
     assert keys.size == ctx.q ** (ctx.n - 1)
     mul = ctx.mul
@@ -425,6 +453,101 @@ def test_certificate_accepts_the_relabeled_d8_oracle_set(field):
     ctx = AlgebraContext(field, relabeled)
     sigma = np.array(inv.sigma, dtype=np.intp)
     _certify(ctx, sigma, ctx.unitary_keys(sigma))
+
+
+# --- the full space: generators of the normalized units ---------------------------------
+
+def _all_normalized_keys(ctx):
+    return np.sort(ctx.pack(np.concatenate(list(ctx.normalized_batches()))))
+
+
+@pytest.mark.parametrize("name, field", [("quaternion:8", GF2), ("cyclic:9", GF3)])
+def test_oracle_refuses_a_scan_that_returns_every_normalized_unit(monkeypatch, name, field):
+    # |V| is 64 of 128 and 81 of 6561, so some generator of the normalized units
+    # is not unitary; the first of them is named
+    group = build(name)
+    star = ga.canonical_star(group)
+    monkeypatch.setattr(AlgebraContext, "unitary_keys", lambda ctx, sigma: _all_normalized_keys(ctx))
+    with pytest.raises(InternalInconsistency) as exc:
+        un.unitary_enumerate_oracle(group, star, field)
+    one = ga.algebra_one(field, group)
+    generators = [ga.AlgebraElement(field, group, d) for d in un._normalized_unit_generators(field, group)]
+    failing = [x for x in generators if x * ga.apply_involution(x, star) != one]
+    assert failing
+    assert str(exc.value) == (f"a generator of the normalized units is not unitary "
+                              f"({name} over {field.literal()}, element {ga.format_algebra_literal(failing[0])})")
+
+
+@pytest.mark.parametrize("name, field", [
+    ("cyclic:4", GF2), ("quaternion:8", GF2), ("dihedral:8", GF2), ("abelian:2:[1,2]", GF2),
+    ("cyclic:4", GF4), ("cyclic:9", GF3), ("elementary_abelian:3:2", GF3),
+])
+def test_normalized_unit_generators_generate_every_normalized_unit(name, field):
+    group = build(name)
+    ctx = AlgebraContext(field, group)
+    d = un._normalized_unit_generators(field, group)
+    assert d.shape == (field.m * (group.n - 1), group.n, field.m)
+    codes = (d @ field.p ** np.arange(field.m)).astype(np.uint16)
+    closure = _closure_keys(ctx, codes)
+    assert closure.size == field.order ** (group.n - 1)
+    assert np.array_equal(closure, _all_normalized_keys(ctx))
+
+
+def _independent_rows(rows, p):
+    """Independent rows spanning what the given rows span over F_p, by a plain
+    elimination: each new row is reduced at the pivots found so far."""
+    basis = []  # (pivot, row with 1 at its pivot and 0 at every earlier pivot)
+    for row in rows:
+        row = [int(v) % p for v in row]
+        for pivot, b in basis:
+            row = [(x - row[pivot] * y) % p for x, y in zip(row, b)]
+        lead = next((i for i, v in enumerate(row) if v), None)
+        if lead is not None:
+            basis.append((lead, [v * pow(row[lead], -1, p) % p for v in row]))
+    return [b for _, b in basis]
+
+
+# Jennings' counts: the weights of an adapted basis are fixed by G
+JENNINGS_WEIGHTS = {
+    "elementary_abelian:2:4": [1] * 4 + [2] * 6 + [3] * 4 + [4],
+    "dihedral:8": [1, 1, 2, 2, 3, 3, 4],
+    "cyclic:9": list(range(1, 9)),
+}
+
+
+@pytest.mark.parametrize("name, p", [
+    ("cyclic:1", 2), ("cyclic:4", 2), ("quaternion:8", 2), ("dihedral:8", 2), ("abelian:2:[1,2]", 2),
+    ("elementary_abelian:2:4", 2), ("dihedral:16", 2), ("cyclic:9", 3), ("elementary_abelian:3:2", 3),
+    ("cyclic:5", 5),
+])
+def test_delta_power_basis_is_adapted_to_the_powers(name, p):
+    # Delta^k is built here from products of g - 1 over all of G; the rows of
+    # weight at least k must be independent and span it, so each row of weight
+    # k lies in Delta^k and not in Delta^(k+1)
+    group = build(name)
+    basis, weights = un._delta_power_basis(group, p)
+    assert basis.shape == (group.n - 1, group.n) and weights.shape == (group.n - 1,)
+    assert (basis.sum(axis=1) % p == 0).all()
+    assert weights.tolist() == sorted(weights.tolist())
+    table = group.table.tolist()
+
+    def times_g_minus_1(g, row):
+        out = [-v for v in row]
+        for h, v in enumerate(row):
+            out[table[g][h]] += v
+        return out
+
+    power = _independent_rows([times_g_minus_1(g, [1] + [0] * (group.n - 1)) for g in range(group.n)], p)
+    k = 1
+    while power:
+        rows = basis[weights >= k].tolist()
+        assert len(rows) == len(power) == len(_independent_rows(power + rows, p)), k
+        assert len(_independent_rows(rows, p)) == len(rows), k
+        power = _independent_rows([times_g_minus_1(g, b) for b in power for g in range(group.n)], p)
+        k += 1
+    assert (weights < k).all()
+    if name in JENNINGS_WEIGHTS:
+        assert weights.tolist() == JENNINGS_WEIGHTS[name]
 
 
 # --- S_H -------------------------------------------------------------------------------
@@ -707,8 +830,8 @@ def test_generators_generate_the_oracle_set(field, max_order):
     for entry in catalog_entries(max_order, 2):
         group = entry.build()
         order, generators, _ = un._unitary_generators(group, field, un.DEFAULT_SEARCH_CAP)
-        oracle = un._oracle_set(group, ga.canonical_star(group), field)
-        assert order == oracle.size, entry.name
+        oracle_order, oracle = un._oracle_set(group, ga.canonical_star(group), field)
+        assert order == oracle_order == oracle.size, entry.name
         closure = _closure_keys(AlgebraContext(field, group), generators)
         assert np.array_equal(closure, oracle), entry.name
 
@@ -742,7 +865,7 @@ def test_oracle_builds_one_context(monkeypatch):
     result = un.unitary_enumerate_oracle(q8, ga.canonical_star(q8), GF8)
     assert built == [8]
     ctx = AlgebraContext(GF8, q8)
-    keys = un._oracle_set(q8, ga.canonical_star(q8), GF8)[:un.DEFAULT_MAX_WITNESSES]
+    _, keys = un._oracle_set(q8, ga.canonical_star(q8), GF8, max_witnesses=un.DEFAULT_MAX_WITNESSES)
     assert result.elements == tuple(ga.from_codes(GF8, q8, row) for row in ctx.unpack(keys))
 
 
