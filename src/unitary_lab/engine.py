@@ -11,8 +11,10 @@ In odd characteristic one function multiplies: `digit_product`, on
 element, unit inversion on a stacked pair, and `AlgebraContext.mul` on a
 batch, whose codes become digits by `digits` and come back by powers of p.
 The odd oracle scan, its candidates, odd sums and span_batches read (q, q)
-tables instead, built once per field, up to q = MAX_TABLE_FIELD_ORDER, from
-the codes' base-p digits: addition and negation digit by digit mod p,
+tables instead, built once per field from the codes' base-p digits, for
+any field whose q^2 m int64 digits fit in MAX_GATHER_BYTES (GF(3^7),
+GF(5^5) and GF(2^11) are the largest of their characteristics; any prime
+field up to GF(8191)): addition and negation digit by digit mod p,
 multiplication by contracting the digits' outer product with the field's
 fold matrix (`finite_field.fold_matrix`, which `digit_product` reduces by
 too). A context builds them on first read (`AlgebraContext.tabs`); no
@@ -39,15 +41,19 @@ Its Schreier generators deduplicate by `row_words`, each row's bits packed
 into uint64 words that sort as the rows' columns do.
 
 The oracle's scan (`AlgebraContext.unitary_keys`) tests x x^sigma = 1 one
-coefficient at a time in odd characteristic: coefficient k is one gather
-from the multiplication table and an addition chain over the rows still in
-play, and a row leaves at its first coefficient that differs from 1's, so
-after coefficient 0 about one row in q is left. Its candidates come from
-`normalized_batches` without a division per candidate: one pattern of the
-low digit columns, built once per scan, repeats in whole runs, and one
-digit expansion of a batch's run indices fills the columns above. The scan
-reads each batch column by column, and every gather, from the raveled
-(q^2,) tables, takes one flat index X q + Y (`row_index`). It stays in
+coefficient at a time in odd characteristic. Its candidates are one
+factored enumeration (`normalized_grid`): a pattern of the low digit
+columns, built once per scan, repeats in whole runs, and the run digits
+above it and column 0 come per batch, on a (runs, pattern) grid.
+Coefficient 0, the sum of x_i x_pi(i) over an involution pi of the
+indices, is split by where i and pi(i) sit: the terms inside the pattern
+are summed once per scan, those inside the run digits once per run, and
+only x_0^2 and the terms across the two are formed per row, broadcast
+over the grid. About one row in q passes it; only those become rows, and
+each further coefficient is one gather from the multiplication table and
+an addition chain over the rows still in play, a row leaving at its first
+coefficient that differs from 1's. Every gather is a take from a raveled
+(q^2,) table at one flat index X q + Y (`row_index`). The scan stays in
 bit-planes in characteristic two: it builds each batch's planes from the
 candidate indices, tests x x^sigma = 1 word by word on one coefficient per
 sigma-orbit, and keys the hits from their indices alone
@@ -82,7 +88,6 @@ from .errors import SearchSpaceTooLarge
 from .finite_field import FieldSpec, fold_matrix
 from .group_core import Group
 
-MAX_TABLE_FIELD_ORDER = 512
 DEFAULT_BATCH = 1 << 16
 WORD_BITS = 64
 PLANE_CHUNK_ROWS = 1 << 14  # rows converted or multiplied at a time: whole words, a transpose
@@ -107,18 +112,31 @@ def field_tables(spec: FieldSpec) -> FieldTables:
 
     add and neg work digit by digit mod p. mul contracts the outer product of
     the digits with the fold matrix, mul[x, y] = sum over a, b of d[x, a]
-    d[y, b] fold[a m + b] mod p, in one einsum that never forms the (q, q, m, m)
-    outer product. Each result is packed back into codes by powers of p."""
+    d[y, b] fold[a m + b] mod p: the (q, m, m) contraction of each y with the
+    fold comes first, then one matrix product per piece of rows x, so the
+    (q, q, m, m) outer product is never formed. Each result is packed back
+    into codes by powers of p.
+
+    The build's int64 digits of a whole table, q^2 m of them, are counted
+    against MAX_GATHER_BYTES, and a field past it is refused before anything
+    is allocated. The rows x run in pieces whose int64 digits take no more
+    bytes than one finished uint16 table, so the build's peak stays near the
+    size of the tables it returns."""
     q, p, m = spec.order, spec.p, spec.m
-    if q > MAX_TABLE_FIELD_ORDER:
-        raise SearchSpaceTooLarge(q, MAX_TABLE_FIELD_ORDER, context="field table build")
+    table_bytes = q * q * m * np.dtype(np.int64).itemsize
+    if table_bytes > MAX_GATHER_BYTES:
+        raise SearchSpaceTooLarge(table_bytes, MAX_GATHER_BYTES, context="field table build")
     d = digits(np.arange(q, dtype=np.uint64), p, m).astype(np.int64)
     powers = p ** np.arange(m)
-    add = (d[:, None, :] + d[None, :, :]) % p @ powers
-    neg = -d % p @ powers
-    fold = fold_matrix(spec).reshape(m, m, m)
-    mul = np.einsum("xa,yb,abk->xyk", d, d, fold, optimize=True) % p @ powers
-    tabs = FieldTables(*(t.astype(np.uint16) for t in (add, mul, neg)))
+    # folded[a, y k] = sum over b of d[y, b] fold[a m + b, k]: the digits of x^a y
+    folded = np.einsum("yb,abk->ayk", d, fold_matrix(spec).reshape(m, m, m)).reshape(m, q * m)
+    add, mul = np.empty((q, q), dtype=np.uint16), np.empty((q, q), dtype=np.uint16)
+    step = max(1, q * np.dtype(np.uint16).itemsize // (m * np.dtype(np.int64).itemsize))
+    for start in range(0, q, step):
+        x = d[start:start + step]
+        add[start:start + step] = (x[:, None, :] + d) % p @ powers
+        mul[start:start + step] = (x @ folded).reshape(-1, q, m) % p @ powers
+    tabs = FieldTables(add, mul, (-d % p @ powers).astype(np.uint16))
     for arr in (tabs.add, tabs.mul, tabs.neg):
         arr.setflags(write=False)
     return tabs
@@ -333,7 +351,7 @@ class AlgebraContext:
     def add(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         if self.char2:
             return X ^ Y
-        return self.tabs.add[X, Y]
+        return self.tabs.add.ravel().take(row_index(X, self.q) + Y)
 
     def mul(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Convolution product of (B, n) code batches, out[g_i g_j] += X[i] Y[j];
@@ -445,12 +463,26 @@ class AlgebraContext:
         and the keys come out in order.
 
         In odd characteristic coefficient k of x x^sigma is the sum over i of
-        x_i x_sigma(j), g_i g_j = g_k: one gather from the multiplication
-        table over the rows still in play, then an addition chain. A row is
-        dropped at its first coefficient that differs from 1's, and only the
-        rows that pass all n are packed. The batch is read as its (n, rows)
-        transpose, so each column's codes are contiguous, and both tables
-        are gathered raveled, entry [X, Y] at the flat index X q + Y.
+        x_i x_sigma(j), g_i g_j = g_k, and the candidates come factored
+        (`normalized_grid`): columns 1..low are a pattern that every run
+        repeats, the columns above are one run's digits, and column 0 is
+        given on a batch's (runs, pattern) grid. Coefficient 0 is
+        x_0^2 + the sum of x_i x_pi(i) over i >= 1, pi(i) = sigma(g_i^-1), an
+        involution that fixes 0 alone, and its terms are formed only as
+        often as they can change:
+        - both indices in the pattern: once per scan, over the pattern;
+        - both among the run digits: once per run;
+        - across the two: per row, broadcast over the grid, a pair
+          {i, pi(i)} as the one term 2 x_i x_pi(i);
+        - x_0^2: per row, one gather from the squares.
+        A row passes when x_0^2 is 1 minus the rest. About one in q does,
+        and only those become (n, rows) rows, each column's codes
+        contiguous. Each further coefficient k is one gather from the
+        multiplication table over the rows still in play, then an addition
+        chain, and a row is dropped at its first coefficient that differs
+        from 1's; the rows that pass all n are packed. The rows stay in
+        candidate order. Every gather is a take from a raveled table, entry
+        [X, Y] at the flat index X q + Y.
 
         In characteristic two a batch never leaves bit-planes: they are built
         from i, and x x^sigma = 1 is tested 64 rows to a word on one
@@ -481,23 +513,7 @@ class AlgebraContext:
         if batch < 1 or batch % WORD_BITS:
             raise ValueError(f"batch {batch} is not a positive multiple of {WORD_BITS}")
         if not self.char2:
-            # partner[k, i] = sigma(left_div[i, k]), the column x_i meets in coefficient k
-            partner = np.ascontiguousarray(sigma[self.left_div].T)
-            q, mul, add = self.q, self.tabs.mul.ravel(), self.tabs.add.ravel()
-            parts = []
-            for X in self.normalized_batches(batch):
-                X = X.T  # (n, rows): each column's codes contiguous
-                for k in range(self.n):
-                    terms = mul[row_index(X, q) + X[partner[k]]]
-                    coeff = terms[0]
-                    for term in terms[1:]:
-                        coeff = add[row_index(coeff, q) + term]
-                    X = X[:, coeff == self.identity[k]]
-                    if not X.shape[1]:
-                        break
-                else:
-                    parts.append(self.pack(X.T))
-            return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+            return self._odd_unitary_keys(sigma, batch)
         total = self.q ** (self.n - 1)
         squares = self.gtable[np.arange(self.n), sigma]  # g sigma(g), which sigma fixes
         linear = [(k, roots) for k in sorted(set(squares.tolist()))
@@ -520,15 +536,78 @@ class AlgebraContext:
 
     def candidate_keys(self, index: np.ndarray) -> np.ndarray:
         """The keys of the normalized candidates with the given uint64
-        indices, in characteristic two. Candidate i carries i's m-bit digits
-        at indices 1..n-1 and, at index 0, 1's code XOR the XOR of those
-        digits, so its key is (i << m) | (1's code ^ XOR of i's digits):
+        indices. Candidate i carries i's base-q digits at indices 1..n-1 and,
+        at index 0, 1 minus their sum, so its key is q i + (that code). In
+        characteristic two the digits are i's m-bit fields and the sum is
+        their XOR, so the key is (i << m) | (1's code ^ XOR of i's digits):
         after XOR-shifts by m, 2m, 4m, ... bits, digit 0 of i is that XOR."""
+        if not self.char2:
+            minus = self.tabs.neg[self.augmentation(digits(index, self.q, self.n - 1))]
+            return index * np.uint64(self.q) + self.tabs.add[self.identity[0], minus]
         m, folded = self.field.m, index.copy()
         for s in range(max(self.n - 2, 0).bit_length()):
             folded ^= folded >> np.uint64(m << s)
         low = (folded & np.uint64(self.q - 1)) ^ np.uint64(self.identity[0])
         return (index << np.uint64(m)) | low
+
+    def _odd_unitary_keys(self, sigma: np.ndarray, batch: int) -> np.ndarray:
+        """unitary_keys in odd characteristic, on the factored candidates of
+        `normalized_grid`: coefficient 0 on their (runs, pattern) grid, the
+        other coefficients on the rows that pass it. Every gather is a take
+        from a raveled table."""
+        q, n, tabs = self.q, self.n, self.tabs
+        mul, add, neg = tabs.mul.ravel(), tabs.add.ravel(), tabs.neg
+        # partner[k, i] = sigma(left_div[i, k]), the column x_i meets in coefficient k
+        partner = np.ascontiguousarray(sigma[self.left_div].T)
+        pattern, grid = self.normalized_grid(batch)
+        low, run = pattern.shape
+
+        def product(X, Y):
+            return mul.take(row_index(X, q) + Y)
+
+        def total(terms, size):
+            out = np.zeros(size, dtype=np.uint16)
+            for term in terms:
+                out = add.take(row_index(out, q) + term)
+            return out
+
+        # coefficient 0 is x_0^2 plus x_i x_pi(i) over i >= 1, where pi =
+        # partner[0] is an involution fixing 0 alone. Index i is pattern row
+        # i - 1 up to low and run digit i - low - 1 above. The terms inside
+        # the pattern are summed once. A pair {i, pi(i)} across the two is
+        # one term 2 x_i x_pi(i), subtracted as -2 x_i, formed once over the
+        # pattern, times the run digit x_pi(i)
+        pi = partner[0]
+        inside = [product(pattern[i - 1], pattern[pi[i] - 1]) for i in range(1, low + 1) if pi[i] <= low]
+        one_minus_inside = add.take(row_index(neg.take(total(inside, run)), q) + self.identity[0])
+        across = [(pi[i] - low - 1, neg.take(add.take(row_index(pattern[i - 1], q) + pattern[i - 1])))
+                  for i in range(1, low + 1) if pi[i] > low]
+        runs_only = [(i - low - 1, pi[i] - low - 1) for i in range(low + 1, n) if pi[i] > low]
+        squares = np.ascontiguousarray(tabs.mul.diagonal())
+        parts = []
+        for D, column0 in grid:
+            # a row passes when x_0^2 equals rest, 1 minus every other term
+            minus_runs = neg.take(total([product(D[i], D[j]) for i, j in runs_only], D.shape[1]))
+            rest = add.take(row_index(minus_runs, q)[:, None] + one_minus_inside)
+            for j, minus_twice in across:
+                rest = add.take(row_index(rest, q) + mul.take(row_index(D[j], q)[:, None] + minus_twice))
+            hits = np.flatnonzero(squares.take(column0) == rest)
+            s, r = np.divmod(hits, run)
+            X = np.empty((n, hits.size), dtype=np.uint16)
+            X[0] = column0.take(hits)
+            X[1:low + 1] = pattern.take(r, axis=1)
+            X[low + 1:] = D.take(s, axis=1)
+            for k in range(1, n):
+                if not X.shape[1]:
+                    break
+                terms = product(X, X[partner[k]])
+                coeff = terms[0]
+                for term in terms[1:]:
+                    coeff = add.take(row_index(coeff, q) + term)
+                X = X.compress(coeff == self.identity[k], axis=1)
+            else:
+                parts.append(self.pack(X.T))
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
 
     def _candidate_planes(self, start: int, rows: int) -> np.ndarray:
         """Bit-planes of the normalized candidates start, ..., start + rows - 1,
@@ -553,21 +632,23 @@ class AlgebraContext:
 
     # --- enumerators ----------------------------------------------------------
 
-    def normalized_batches(self, batch: int = DEFAULT_BATCH) -> Iterator[np.ndarray]:
-        """All elements with augmentation 1, exactly once each, at most batch
-        rows at a time: candidate i carries i's base-q digits at indices
-        1..n-1, in order of i, and the dependent identity coefficient.
+    def normalized_grid(self, batch: int = DEFAULT_BATCH
+                        ) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+        """All elements with augmentation 1, exactly once each, factored: the
+        (low, q^low) codes of columns 1..low, and an iterator over batches of
+        at most batch candidates, each a (high, runs) array of the codes of
+        columns low + 1..n - 1 and the (runs, q^low) codes of column 0.
+        Candidate i carries i's base-q digits at indices 1..n-1, in order of
+        i, and the dependent identity coefficient.
 
         No digit is divided out per candidate. Columns 1..low, as many as keep
-        q^low <= batch, repeat one pattern of q^low rows, built once per call
-        with its sum. Candidate i is then row i mod q^low of run i // q^low,
-        and the run's digits fill the columns above low. A batch is up to
-        batch // q^low whole runs, their digits from one `digits` call. Column
-        0 is 1 - (low sum + run sum), and the run sum is constant along a run,
-        so it takes one gather from the flat add table: (1 - low sum) - run sum.
-
-        Each batch is the transpose of a fresh (n, rows) array, so one
-        column's codes are contiguous."""
+        q^low <= batch, repeat one pattern of q^low rows, counted out by
+        np.indices once per call, with its sum. Candidate i is then row
+        i mod q^low of run i // q^low, and the run's digits fill the columns
+        above low. A batch is up to batch // q^low whole runs, their digits
+        from one `digits` call. Column 0 is 1 - (low sum + run sum), and the
+        run sum is constant along a run, so it takes one gather from the flat
+        add table: (1 - low sum) - run sum. Every array is fresh."""
         if batch < 1:
             raise ValueError(f"batch {batch} is not a positive number of rows")
         q, n, tabs = self.q, self.n, self.tabs
@@ -575,17 +656,31 @@ class AlgebraContext:
         while low < n - 1 and q ** (low + 1) <= batch:
             low += 1
         run, high = q ** low, n - 1 - low
-        pattern = digits(np.arange(run, dtype=np.uint64), q, low)
-        one_minus_low = tabs.add[self.identity[0], tabs.neg[self.augmentation(pattern)]]
-        add, runs, step = tabs.add.ravel(), q ** high, batch // run
-        for start in range(0, runs, step):
-            D = digits(np.arange(start, min(start + step, runs), dtype=np.uint64), q, high)
-            X = np.empty((n, D.shape[0], run), dtype=np.uint16)
-            X[1:low + 1] = pattern.T[:, None, :]
-            X[low + 1:] = D.T[:, :, None]
-            minus_rest = row_index(tabs.neg[self.augmentation(D)], q)
-            X[0] = add[minus_rest[:, None] + one_minus_low]
-            yield X.reshape(n, -1).T
+        # row j is digit j of 0, ..., run - 1: np.indices counts with the last axis fastest
+        pattern = np.indices((q,) * low, dtype=np.uint16).reshape(low, run)[::-1]
+        one_minus_low = tabs.add[self.identity[0], tabs.neg[self.augmentation(pattern.T)]]
+
+        def runs():
+            add, total, step = tabs.add.ravel(), q ** high, batch // run
+            for start in range(0, total, step):
+                D = digits(np.arange(start, min(start + step, total), dtype=np.uint64), q, high)
+                minus_rest = row_index(tabs.neg.take(self.augmentation(D)), q)
+                yield D.T.copy(), add.take(minus_rest[:, None] + one_minus_low)
+
+        return pattern, runs()
+
+    def normalized_batches(self, batch: int = DEFAULT_BATCH) -> Iterator[np.ndarray]:
+        """The candidates of `normalized_grid`, at most batch rows at a time,
+        in order. Each batch is the transpose of a fresh (n, rows) array, so
+        one column's codes are contiguous."""
+        pattern, grid = self.normalized_grid(batch)
+        low = pattern.shape[0]
+        for D, column0 in grid:
+            X = np.empty((self.n,) + column0.shape, dtype=np.uint16)
+            X[0] = column0
+            X[1:low + 1] = pattern[:, None, :]
+            X[low + 1:] = D[:, :, None]
+            yield X.reshape(self.n, -1).T
 
     def span_batches(self, basis: np.ndarray, batch: int = DEFAULT_BATCH,
                      coefficient_codes: np.ndarray | None = None) -> Iterator[np.ndarray]:

@@ -208,9 +208,11 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
     every generator is, and one batched digit_product checks g g^sigma = 1
     on all of them, at most log_p |S|, naming the first that fails.
 
-    When S holds all full_space normalized units, the scan's candidates, it
-    is the group 1 + Delta, Delta the augmentation ideal, and nothing is
-    walked: it is unitary exactly when a generating set of it is. Let
+    When S has full_space members, as many as there are normalized units,
+    each must be the key of a normalized unit (`candidate_keys`), and the
+    first that is not is named. S then holds them all, the scan's
+    candidates: it is the group 1 + Delta, Delta the augmentation ideal, and
+    nothing is walked: it is unitary exactly when a generating set of it is. Let
     b_1, ..., b_(n-1) be an F_p-basis of Delta(F_p G) adapted to its powers
     (`_delta_power_basis`). The products of k elements g - 1 span
     Delta^k(F_p G) over F_p and Delta^k(FG) over F, so the b_j of weight k
@@ -228,6 +230,12 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
     if not keys_contain(S, ctx.identity[:1].astype(np.uint64))[0]:
         raise _inconsistency(group, field, "unitary set misses the identity", ctx.identity)
     if S.size == full_space:
+        # S is repeat-free, so it is the whole space when every member is the
+        # key of the candidate whose index it carries, key // q
+        strays = np.flatnonzero(ctx.candidate_keys(S // np.uint64(ctx.q)) != S)
+        if strays.size:
+            raise _inconsistency(group, field, "a member of the full-space set is not a normalized unit",
+                                 ctx.unpack(S[strays[:1]])[0])
         _certify_full_space(ctx, sigma)
         return
 

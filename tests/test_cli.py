@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from unitary_lab import clear_caches, unitary
+from unitary_lab import group_algebra as ga
 from unitary_lab.cli import main
+from unitary_lab.finite_field import make_field
+from unitary_lab.group_catalog import build
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +282,8 @@ GOLDEN_CASES = [
      "compute --group cyclic:7 --field 7^1 --method oracle --format json"),
     ("compute_oracle_c3_gf243.json",
      "compute --group cyclic:3 --field 3^5 --method oracle --format json"),
+    ("compute_oracle_c3_gf729.json",
+     "compute --group cyclic:3 --field 3^6 --method oracle --format json"),
     ("compute_recursive_d16_gf8.json", "compute --group dihedral:16 --field 2^3 --method recursive"),
     ("groups_list_64.json", "groups list --max-order 64 --format json"),
     ("verify_cayley_seed3.txt", "verify --suite cayley --seed 3"),
@@ -293,6 +298,20 @@ def test_output_matches_golden_file(capsys, name, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_c3_over_gf729_golden_file_holds_the_formula_and_unitary_witnesses():
+    # checked without the oracle: the order is the odd-p formula, and each
+    # witness x has x x^* = 1 by AlgebraElement arithmetic
+    group, field = build("cyclic:3"), make_field(3, 6)
+    star = ga.canonical_star(group)
+    payload = json.loads((GOLDEN / "compute_oracle_c3_gf729.json").read_text())[0]
+    assert payload["order"] == str(unitary.unitary_order_odd(group, star, field)) == "729"
+    one = ga.algebra_one(field, group)
+    witnesses = [ga.parse_algebra_literal(field, group, text) for text in payload["witnesses"]]
+    assert len(set(witnesses)) == len(witnesses) == 8
+    for x in witnesses:
+        assert x * ga.apply_involution(x, star) == one, ga.format_algebra_literal(x)
 
 
 def test_verify_takes_no_search_cap(capsys):

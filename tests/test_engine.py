@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from unitary_lab import group_algebra as ga
 from unitary_lab.engine import (
     DEFAULT_BATCH,
     MAX_GATHER_BYTES,
-    MAX_TABLE_FIELD_ORDER,
     PLANE_CHUNK_ROWS,
     AlgebraContext,
     digits,
@@ -44,10 +44,15 @@ def test_field_tables_match_scalar_ops(p, m):
             assert tabs.mul[a.code, b.code] == (a * b).code
 
 
-@pytest.mark.parametrize("p,m", [(2, 9), (3, 5), (509, 1)])
+def _table_bytes(p, m):
+    """The int64 digits of a whole (q, q) table, which field_tables counts."""
+    return p ** (2 * m) * m * 8
+
+
+@pytest.mark.parametrize("p,m", [(2, 11), (3, 7), (5, 5)])
 def test_field_tables_at_the_size_cap(p, m):
+    assert _table_bytes(p, m) <= MAX_GATHER_BYTES < _table_bytes(p, m + 1)  # the largest table for p
     spec = make_field(p, m)
-    assert spec.order <= MAX_TABLE_FIELD_ORDER < spec.order * p  # the largest table for p
     tabs = field_tables(spec)
     elems = list(spec.elements())
     for a in random.Random(p).sample(elems, 8):
@@ -55,12 +60,23 @@ def test_field_tables_at_the_size_cap(p, m):
         for b in elems:
             assert tabs.add[a.code, b.code] == (a + b).code
             assert tabs.mul[a.code, b.code] == (a * b).code
+    field_tables.cache_clear()  # tens of MiB each, which no later test reads
 
 
 def test_field_tables_refuse_beyond_the_size_cap():
-    with pytest.raises(SearchSpaceTooLarge) as exc:
-        field_tables(make_field(2, 10))
-    assert exc.value.context == "field table build"
+    # refused before any table is allocated: GF(3^8)'s digits alone would be 2.6 GiB
+    for p, m in ((2, 12), (3, 8), (8209, 1)):
+        spec = make_field(p, m)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchSpaceTooLarge) as exc:
+                field_tables(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.size, exc.value.cap) == (_table_bytes(p, m), MAX_GATHER_BYTES), p
+        assert exc.value.context == "field table build"
+        assert peak < 1 << 16, p
 
 
 def _element(ctx, row):
@@ -345,7 +361,7 @@ def test_normalized_batches_match_the_digit_reference(group_name, p, m):
         assert not any(np.shares_memory(a, b) for a, b in zip(batches, batches[1:])), batch
 
 
-@pytest.mark.parametrize("p,m", _odd_fields(MAX_TABLE_FIELD_ORDER))
+@pytest.mark.parametrize("p,m", _odd_fields(512))
 def test_flat_gathers_match_the_two_index_gathers(p, m):
     # X q + Y reaches q^2 - 1, past uint16 from GF(257) on
     q = p ** m
@@ -514,6 +530,32 @@ def test_odd_scan_coefficient_zero_alone_admits_more_rows():
     X = np.concatenate(list(ctx.normalized_batches()))
     Y = _table_product(ctx, X, X[:, sigma])
     assert (Y[:, 0] == ctx.identity[0]).sum() > ctx.is_one(Y).sum() == ctx.unitary_keys(sigma).size
+
+
+def test_odd_scan_memory_stays_within_its_grid():
+    # C5 over GF(25) under its star, 390,625 candidates in batches of 65,536: the
+    # scan forms coefficient 0 on each batch's (runs, pattern) grid and builds
+    # candidate rows only for the one in q that pass it
+    ctx = AlgebraContext(make_field(5, 2), build("cyclic:5"))
+    sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
+    tracemalloc.start()
+    try:
+        keys = ctx.unitary_keys(sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.size == 625
+    assert peak < 1.5 * (1 << 20)
+
+
+@pytest.mark.parametrize("group_name,p,m", [("cyclic:9", 3, 1), ("elementary_abelian:3:2", 3, 1),
+                                            ("cyclic:5", 5, 2), ("cyclic:3", 3, 5), ("cyclic:1", 3, 1),
+                                            ("quaternion:8", 2, 2), ("cyclic:4", 2, 3)])
+def test_candidate_keys_are_the_keys_of_the_enumeration(group_name, p, m):
+    ctx = AlgebraContext(make_field(p, m), build(group_name))
+    index = np.arange(ctx.q ** (ctx.n - 1), dtype=np.uint64)
+    expected = ctx.pack(np.concatenate(list(ctx.normalized_batches())))
+    assert ctx.candidate_keys(index).tobytes() == expected.tobytes()
 
 
 def test_unitary_keys_batch_is_whole_words():

@@ -478,6 +478,21 @@ def test_oracle_refuses_a_scan_that_returns_every_normalized_unit(monkeypatch, n
                               f"({name} over {field.literal()}, element {ga.format_algebra_literal(failing[0])})")
 
 
+@pytest.mark.parametrize("name, field", [("elementary_abelian:2:2", GF4), ("cyclic:9", GF3)])
+def test_certificate_refuses_a_full_space_set_with_a_stray_member(name, field):
+    # every normalized unit but the largest, and 0 in its place: as many keys as
+    # the space has, repeat-free and holding 1; over E4/GF(4) under its star every
+    # generator of the normalized units is unitary, so only the members show it
+    group = build(name)
+    ctx = AlgebraContext(field, group)
+    forged = _all_normalized_keys(ctx)
+    forged[-1] = 0
+    with pytest.raises(InternalInconsistency) as exc:
+        _certify(ctx, np.array(ga.canonical_star(group).sigma, dtype=np.intp), np.sort(forged))
+    assert str(exc.value) == (f"a member of the full-space set is not a normalized unit "
+                              f"({name} over {field.literal()}, element 0)")
+
+
 @pytest.mark.parametrize("name, field", [
     ("cyclic:4", GF2), ("quaternion:8", GF2), ("dihedral:8", GF2), ("abelian:2:[1,2]", GF2),
     ("cyclic:4", GF4), ("cyclic:9", GF3), ("elementary_abelian:3:2", GF3),
@@ -944,8 +959,8 @@ WIDE_FIELD_REFUSALS = {10: {"quaternion:8", "abelian:2:[2,2]", "modular:16", "qu
 
 @pytest.mark.parametrize("m, max_order", [(10, 16), (12, 8)])
 def test_theta_over_fields_past_the_table_cap_matches_the_catalog(monkeypatch, m, max_order):
-    """Characteristic two reads no field table, so GF(2^10) and GF(2^12),
-    whose tables would be refused, fill every row the orbit bound does not."""
+    """Characteristic two reads no field table: with every table build
+    refused, GF(2^10) and GF(2^12) fill every row the orbit bound does not."""
     monkeypatch.setattr(engine, "field_tables", _refuse_tables)
     monkeypatch.setattr(un, "_ORBITS", {})
     field, refused = make_field(2, m), set()
