@@ -53,19 +53,28 @@ over the grid. About one row in q passes it; only those become rows, and
 each further coefficient is one gather from the multiplication table and
 an addition chain over the rows still in play, a row leaving at its first
 coefficient that differs from 1's. Every gather is a take from a raveled
-(q^2,) table at one flat index X q + Y (`row_index`). The scan stays in
-bit-planes in characteristic two: it builds each batch's planes from the
-candidate indices, tests x x^sigma = 1 word by word on one coefficient per
-sigma-orbit, and keys the hits from their indices alone
-(`AlgebraContext.candidate_keys`). x x^sigma is sigma-symmetric, so of each
-moved pair {k, sigma(k)} only k is formed, by the bitsliced product of the
-planes and their permutation by sigma. A sigma-fixed coefficient is the
-square of the sum of the x_g with g sigma(g) = k, so it is tested linearly,
-by an XOR of planes. A test that every candidate passes by construction is
-not run. When none is left (sigma fixes every index and g sigma(g) = 1
-throughout, as for an elementary abelian group under its star) every
-candidate is a hit; the oracle does not scan then, but proves the whole
-space unitary through its generators and keys its witnesses alone.
+(q^2,) table at one flat index X q + Y (`row_index`).
+
+In characteristic two the scan stays in bit-planes and tests x x^sigma = 1
+on one coefficient per sigma-orbit: of each moved pair {k, sigma(k)} only k,
+as x x^sigma is sigma-symmetric, and a sigma-fixed k linearly, as the square
+of the sum of the x_g with g sigma(g) = k. A test that every candidate
+passes by construction is not run. Its candidates are factored too: each is
+x = u + v, u the pattern's digits and 1 plus their sum at index 0, v one
+run's digits and their sum at index 0. Then x x^sigma is u u^sigma +
+v v^sigma + the cross term u v^sigma + v u^sigma, which is GF(2)-linear in
+the run's digit bits, with values on the pattern's rows. So u u^sigma is
+formed once per scan, over the pattern's planes (`index_planes`); the cross
+term is read per run from XOR tables over 4-bit chunks of the run's number,
+built once per scan (the "Method of Four Russians" of Albrecht, Bard and
+Hart, ACM TOMS 2010), one gather per chunk; and v v^sigma is one bitsliced
+product over up to a batch of runs, 64 to a word. Only the plane words with
+a hit are unpacked, and the hits are keyed from their indices alone
+(`AlgebraContext.candidate_keys`). When no test is left (sigma fixes every
+index and g sigma(g) = 1 throughout, as for an elementary abelian group
+under its star) every candidate is a hit; the oracle does not scan then,
+but proves the whole space unitary through its generators and keys its
+witnesses alone.
 
 Keys are uint64 and below 2^63, so `pack` refuses a group algebra with more
 than 2^63 elements when it is first called; a context is built for any size,
@@ -94,9 +103,6 @@ PLANE_CHUNK_ROWS = 1 << 14  # rows converted or multiplied at a time: whole word
                             # that stays in cache, a bounded gather in plane_product
 MAX_GATHER_BYTES = 1 << 29  # the largest temporary one piece of a batch product may gather
 MAX_KEY_SPACE = 1 << 63     # uint64 keys, kept below 2^63
-# bit b of word k is bit k of b: bits 0..5 of the indices of 64 consecutive rows
-LOW_BIT_PATTERNS = (0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
-                    0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,6 +226,23 @@ def to_planes(X: np.ndarray, m: int) -> np.ndarray:
         planes[:, :, first:first + words] = (
             np.packbits(bits, axis=-1, bitorder="little").view(np.uint64))
     return planes
+
+
+def index_planes(rows: int, bits: int) -> np.ndarray:
+    """(bits, ceil(rows / 64)) uint64 planes of bits 0, ..., bits - 1 of the
+    row indices 0, ..., rows - 1; pad rows past rows carry their indices'
+    bits too. Bit k < 6 of a row is bit k of its place in its word, the same
+    word throughout: (2^64 - 1) / (2^s + 1), s = 2^k, is s ones then s zeros
+    repeated, so shifted up by s it has bit p set exactly when bit k of p
+    is. Bit k >= 6 is bit k - 6 of the word's index, so each such word is
+    0 or ~0."""
+    words, low = -(-rows // WORD_BITS), min(bits, 6)
+    P = np.empty((bits, words), dtype=np.uint64)
+    span = np.uint64(1) << np.arange(low, dtype=np.uint64)
+    P[:low] = (~np.uint64(0) // ((np.uint64(1) << span) + np.uint64(1)) << span)[:, None]
+    shifts = np.arange(bits - low, dtype=np.uint64)[:, None]
+    np.negative((np.arange(words, dtype=np.uint64) >> shifts) & np.uint64(1), out=P[low:])
+    return P
 
 
 def constant_planes(row: np.ndarray, m: int) -> np.ndarray:
@@ -430,17 +453,18 @@ class AlgebraContext:
             return self.mul(X, X[:, sigma])
         return from_planes(self.norm_planes(to_planes(X, self.field.m), sigma), X.shape[0])
 
-    def norm_planes(self, xp: np.ndarray, sigma: np.ndarray,
-                    support: np.ndarray | None = None) -> np.ndarray:
-        """x x^sigma over bit-planes, as (n, m, words) planes. xp holds X's
-        planes at the indices support of G (all n by default) and X is 0
-        elsewhere; the planes of X^sigma are X's permuted by sigma, so
-        nothing is converted, and only X's support is summed over."""
+    def norm_planes(self, xp: np.ndarray, sigma: np.ndarray, support: np.ndarray | None = None,
+                    coeffs: np.ndarray | None = None) -> np.ndarray:
+        """x x^sigma over bit-planes, as (n, m, words) planes, or its
+        coefficients coeffs alone, in that order. xp holds X's planes at the
+        indices support of G (all n by default) and X is 0 elsewhere; the
+        planes of X^sigma are X's permuted by sigma, so nothing is converted,
+        and only X's support is summed over."""
         if support is None:
-            return self.plane_product(xp, xp[sigma])
+            return self.plane_product(xp, xp[sigma], coeffs)
         full = np.zeros((self.n,) + xp.shape[1:], dtype=np.uint64)
         full[support] = xp
-        return self.plane_product(xp, full[sigma], support=support)
+        return self.plane_product(xp, full[sigma], coeffs, support)
 
     def augmentation(self, X: np.ndarray) -> np.ndarray:
         """The sum of each row's codes; 0 for rows of no columns."""
@@ -484,20 +508,19 @@ class AlgebraContext:
         candidate order. Every gather is a take from a raveled table, entry
         [X, Y] at the flat index X q + Y.
 
-        In characteristic two a batch never leaves bit-planes: they are built
-        from i, and x x^sigma = 1 is tested 64 rows to a word on one
-        coefficient per sigma-orbit, by two facts:
+        In characteristic two x x^sigma = 1 is tested in bit-planes, 64 rows
+        to a word, on one coefficient per sigma-orbit, by two facts:
         - (x x^sigma)^sigma = (x^sigma)^sigma x^sigma = x x^sigma, so
           coefficient sigma(k) equals coefficient k, in any characteristic.
-          Of each moved pair {k, sigma(k)} only k < sigma(k) is formed, by
-          `plane_product` on X and X^sigma, whose planes are X's permuted.
+          Of each moved pair {k, sigma(k)} only k < sigma(k) is tested: it
+          must be 0.
         - Let sigma(k) = k. The term x_g x_h, g != h, lands on g sigma(h) = k,
           and then x_h x_g lands on h sigma(g) = sigma(g sigma(h)) = k too, so
           in characteristic two the two cancel: (x x^sigma)_k is the sum of
           x_g^2 over g sigma(g) = k, that is (sum of x_g over them)^2.
           Squaring is a bijection of GF(2^m) fixing 0 and 1, so the test is
-          sum of x_g over g sigma(g) = k equal to 1 at k = 1 and 0 elsewhere:
-          an XOR of planes. Every g sigma(g) is sigma-fixed, since
+          sum of x_g over g sigma(g) = k equal to 1 at k = 1 and 0 elsewhere,
+          linear in x. Every g sigma(g) is sigma-fixed, since
           sigma(g sigma(g)) = g sigma(g), and a fixed k that no g sigma(g)
           reaches is 0 in every x x^sigma, so it needs no test.
         One fixed test is decided by construction. At g = 1, g sigma(g) is
@@ -508,31 +531,53 @@ class AlgebraContext:
         identity map and the star (G elementary abelian); every candidate is
         then a hit.
 
+        The candidates are factored as in odd characteristic, in bit-planes.
+        Columns 1..low form a pattern of run = q^low rows, the most with
+        q^low <= min(batch, PLANE_CHUNK_ROWS), or all n - 1 columns when the
+        whole scan fits one batch; candidate i is row i mod run of run number
+        i // run, whose m-bit fields are the digits at low + 1..n - 1. Write
+        x = u + v: u holds the row's digits and, at index 0, 1 plus their
+        sum; v holds the run's digits and, at index 0, their sum. Then x has
+        augmentation 1, and as the product is bilinear,
+            x x^sigma = u u^sigma + v v^sigma + (u v^sigma + v u^sigma).
+        Coefficient k of x y^sigma is the sum over i of x_i y_pi_k(i), where
+        pi_k(i) = sigma(left_div[i, k]): g_i g_j = g_k fixes j, and
+        (y^sigma)_j = y_sigma(j). pi_k permutes the indices, so coefficient k
+        of the cross term is the sum over b of v_b (u_pi_k^-1(b) + u_pi_k(b)),
+        b over v's indices 0 and low + 1..n - 1. v_0 is the sum of the run
+        digits d_j at b_j = low + 1 + j, so it is the sum over j of d_j w_kj,
+        w_kj = u_pi_k^-1(b_j) + u_pi_k(b_j) + u_pi_k^-1(0) + u_pi_k(0), and
+        d_j is the sum of x^c over its bits c. The cross term is therefore
+        GF(2)-linear in the high m bits of the run's number, bit j m + c
+        adding x^c w_kj, a value on the pattern's rows. A fixed test's sum
+        splits the same way: the sum of u_g over its roots, plus x^c at bit
+        j m + c when exactly one of b_j and 0 is a root.
+
+        Once per scan: u's planes over the pattern's rows (`index_planes`),
+        and each test at u, less 1's coefficient there: u u^sigma at the
+        moved k, by `plane_product` over u's indices, and the roots' sums of
+        u at the fixed k. With more than one run also the planes of every
+        bit's term, and XOR tables over 4-bit chunks of the run's number:
+        entry j of chunk c is the XOR of the terms of the bits that j sets,
+        and chunk 0, which every run reads once, carries the tests at u. Per
+        step of batch // run runs: one gather per chunk by the runs' 4-bit
+        fields gives each run's tests at u plus its cross term, and v v^sigma,
+        a constant along the run, flips the moved tests where it is 1; a row
+        passes when every plane of every test is 0 there. v v^sigma comes
+        from one `plane_product` over the planes of up to batch runs, 64 to a
+        word, whole steps of them. Its offset is
+        run number times q^low plus the row, so the hits come out in
+        candidate order. At low = 0 the pattern is the identity alone, each
+        run is one candidate, and v v^sigma is the whole product, as in a
+        scan without the split.
+
         The hits' keys come from their indices alone, never from the planes
         (`candidate_keys`), in order."""
         if batch < 1 or batch % WORD_BITS:
             raise ValueError(f"batch {batch} is not a positive multiple of {WORD_BITS}")
         if not self.char2:
             return self._odd_unitary_keys(sigma, batch)
-        total = self.q ** (self.n - 1)
-        squares = self.gtable[np.arange(self.n), sigma]  # g sigma(g), which sigma fixes
-        linear = [(k, roots) for k in sorted(set(squares.tolist()))
-                  if (roots := np.flatnonzero(squares == k)).size < self.n]
-        moved = np.flatnonzero(np.arange(self.n) < sigma)  # where 1's coefficient is 0
-        identity = constant_planes(self.identity, self.field.m)
-        parts = []
-        for start in range(0, total, batch):
-            rows = min(batch, total - start)
-            P = self._candidate_planes(start, rows)
-            differs = np.zeros(P.shape[2], dtype=np.uint64)
-            for k, roots in linear:
-                differs |= np.bitwise_or.reduce(np.bitwise_xor.reduce(P[roots]) ^ identity[k])
-            if moved.size:
-                product = self.plane_product(P, P[sigma], moved)
-                differs |= np.bitwise_or.reduce(product.reshape(-1, P.shape[2]))
-            hits = np.flatnonzero(row_bits(~differs, rows)).astype(np.uint64)
-            parts.append(self.candidate_keys(hits + np.uint64(start)))
-        return np.concatenate(parts)
+        return self._char2_unitary_keys(sigma, batch)
 
     def candidate_keys(self, index: np.ndarray) -> np.ndarray:
         """The keys of the normalized candidates with the given uint64
@@ -549,6 +594,97 @@ class AlgebraContext:
             folded ^= folded >> np.uint64(m << s)
         low = (folded & np.uint64(self.q - 1)) ^ np.uint64(self.identity[0])
         return (index << np.uint64(m)) | low
+
+    def _char2_unitary_keys(self, sigma: np.ndarray, batch: int) -> np.ndarray:
+        """unitary_keys in characteristic two, on the candidates' (runs,
+        pattern) grid: every test at u once per scan, the cross term of each
+        run from XOR tables over 4-bit chunks of the run's number, and
+        v v^sigma by one product over up to batch runs."""
+        q, n, m = self.q, self.n, self.field.m
+        # one run when the whole scan fits a batch, as then no table is built;
+        # else runs of the q^low <= min(batch, PLANE_CHUNK_ROWS) rows
+        limit = batch if q ** (n - 1) <= batch else min(batch, PLANE_CHUNK_ROWS)
+        low = min(n - 1, (limit.bit_length() - 1) // m)
+        run, high = q ** low, n - 1 - low
+        words = -(-run // WORD_BITS)
+        squares = self.gtable[np.arange(n), sigma]  # g sigma(g), which sigma fixes
+        linear = [(k, roots) for k in sorted(set(squares.tolist()))
+                  if (roots := np.flatnonzero(squares == k)).size < n]
+        moved = np.flatnonzero(np.arange(n) < sigma)  # where 1's coefficient is 0
+        tests = moved.size + len(linear)
+
+        # u over the pattern's rows: the rows' digits at 1..low, 1 plus their sum at 0
+        identity = constant_planes(self.identity, m)
+        U = np.zeros((n, m, words), dtype=np.uint64)
+        U[1:low + 1] = index_planes(run, low * m).reshape(low, m, words)
+        U[0] = np.bitwise_xor.reduce(U[1:low + 1], axis=0) ^ identity[0]
+        # each test at u, less 1's coefficient: (tests, m, words) planes
+        sums = [np.bitwise_xor.reduce(U[roots]) ^ identity[k] for k, roots in linear]
+        base = np.concatenate([self.plane_product(U[:low + 1], U[sigma], moved, np.arange(low + 1)),
+                               np.array(sums, dtype=np.uint64).reshape(-1, m, words)])
+        if high:
+            support = np.concatenate(([0], np.arange(low + 1, n)))  # v's indices
+            # ell[j m + c, t]: what bit c of run digit j adds to test t, so bit j m + c of
+            # the run's number; rows past high m are 0, to whole chunks of 4
+            chunks = -(-high * m // 4)
+            ell = np.zeros((4 * chunks, tests, m, words), dtype=np.uint64)
+            by_bit = ell[:high * m].reshape(high, m, tests, m, words)
+            # moved k: v_b meets u_pi_k^-1(b) + u_pi_k(b), and v_0 is the sum of the digits
+            partner = sigma[self.left_div[:, moved]].T  # row k: pi_k
+            meets = U[np.argsort(partner, axis=1)[:, support]] ^ U[partner[:, support]]
+            w = (meets[:, 1:] ^ meets[:, :1]).transpose(1, 0, 2, 3)  # (high, moved, m, words)
+            for c in range(m):
+                by_bit[:, c, :moved.size] = w
+                shifted = np.zeros_like(w)  # x w
+                shifted[:, :, 1:] = w[:, :, :-1]
+                for t in self.taps:
+                    shifted[:, :, t] ^= w[:, :, m - 1]
+                w = shifted
+            # fixed k: v_b enters the sum over the roots when b is a root
+            plane_c = np.eye(m, dtype=bool)[:, :, None]
+            for t, (k, roots) in enumerate(linear, moved.size):
+                is_root = np.isin(support, roots)
+                by_bit[:, :, t] = np.where((is_root[1:] ^ is_root[0])[:, None, None, None] & plane_c,
+                                           ~np.uint64(0), np.uint64(0))
+            # tables[c, j]: the XOR of the ell rows of chunk c that j's bits pick;
+            # every run picks one entry of chunk 0, which carries the base
+            bits = ell.reshape(chunks, 4, -1)
+            tables = np.zeros((chunks, 16, bits.shape[2]), dtype=np.uint64)
+            for b in range(4):
+                tables[:, 1 << b:2 << b] = tables[:, :1 << b] ^ bits[:, b, None]
+            tables[0] ^= base.reshape(-1)
+        step, runs, parts = batch // run, q ** high, []
+        block = batch // step * step  # runs whose v v^sigma one product forms: whole steps, <= batch
+        stride = min(run, WORD_BITS)  # rows to a word: a run of fewer than 64 pads its word
+        pad = row_mask(stride)
+        for first in range(0, runs, step):
+            r = np.arange(first, min(first + step, runs), dtype=np.uint64)
+            if high:
+                differs = tables[0].take(r & np.uint64(15), axis=0)
+                for c in range(1, chunks):
+                    differs ^= tables[c].take((r >> np.uint64(4 * c)) & np.uint64(15), axis=0)
+                differs = differs.reshape(r.size, tests, m, words)
+                if moved.size:
+                    at = first % block  # the step's first run, in its block
+                    if not at:
+                        v_runs = np.arange(first, min(first + block, runs), dtype=np.uint64)
+                        V = np.empty((high + 1, m, -(-v_runs.size // WORD_BITS)), dtype=np.uint64)
+                        V[1:] = to_planes(v_runs[:, None], high * m).reshape(V[1:].shape)
+                        V[0] = np.bitwise_xor.reduce(V[1:], axis=0)
+                        vv = self.norm_planes(V, sigma, support, moved)
+                    piece = vv[:, :, at // WORD_BITS:-(-(at + r.size) // WORD_BITS)]
+                    per_run = np.unpackbits(piece.view(np.uint8), axis=-1, bitorder="little")
+                    per_run = per_run[:, :, at % WORD_BITS:at % WORD_BITS + r.size]
+                    differs[:, :moved.size] ^= np.negative(per_run.transpose(2, 0, 1)[..., None], dtype=np.uint64)
+            else:
+                differs = base[None]
+            # word i holds the rows from i stride on; only the words with a hit are unpacked
+            passes = ~np.bitwise_or.reduce(differs.reshape(r.size, tests * m, words), axis=1).ravel() & pad
+            nonzero = np.flatnonzero(passes)
+            bit = np.flatnonzero(np.unpackbits(passes[nonzero].view(np.uint8), bitorder="little").view(bool))
+            hits = nonzero[bit >> 6] * stride + (bit & 63) + first * run
+            parts.append(self.candidate_keys(hits.astype(np.uint64)))
+        return np.concatenate(parts)
 
     def _odd_unitary_keys(self, sigma: np.ndarray, batch: int) -> np.ndarray:
         """unitary_keys in odd characteristic, on the factored candidates of
@@ -608,27 +744,6 @@ class AlgebraContext:
             else:
                 parts.append(self.pack(X.T))
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
-
-    def _candidate_planes(self, start: int, rows: int) -> np.ndarray:
-        """Bit-planes of the normalized candidates start, ..., start + rows - 1,
-        in characteristic two, for start a multiple of 64.
-
-        Bit a of column j >= 1 is bit k = m(j - 1) + a of the index. For
-        k < 6 that is bit k of the row's place in its word, a fixed pattern;
-        above it is bit k - 6 of the word's index, so the word is 0 or ~0.
-        Column 0 is the XOR of the others and of the identity's bits, which
-        gives every candidate augmentation 1."""
-        m, words = self.field.m, -(-rows // WORD_BITS)
-        P = np.empty((self.n, m, words), dtype=np.uint64)
-        first = start // WORD_BITS
-        word_index = np.arange(first, first + words, dtype=np.uint64)
-        index_bits = P[1:].reshape(-1, words)  # row k: bit k of the index
-        low = min(len(LOW_BIT_PATTERNS), index_bits.shape[0])
-        index_bits[:low] = np.array(LOW_BIT_PATTERNS[:low], dtype=np.uint64)[:, None]
-        shifts = np.arange(index_bits.shape[0] - low, dtype=np.uint64)[:, None]
-        np.negative((word_index >> shifts) & np.uint64(1), out=index_bits[low:])
-        P[0] = np.bitwise_xor.reduce(P[1:], axis=0) ^ constant_planes(self.identity[:1], m)[0]
-        return P
 
     # --- enumerators ----------------------------------------------------------
 

@@ -270,6 +270,8 @@ GOLDEN_CASES = [
      "compute --group abelian:2:[1,2] --field 2^3 --method oracle --format json"),
     ("compute_oracle_d16_gf2.json",
      "compute --group dihedral:16 --field 2^1 --method oracle --format json"),
+    ("compute_oracle_c4_gf64.json",
+     "compute --group cyclic:4 --field 2^6 --method oracle --format json"),
     ("compute_oracle_c9_gf3.json",
      "compute --group cyclic:9 --field 3^1 --method oracle --format json"),
     ("compute_oracle_c5_gf25.json",

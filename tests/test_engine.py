@@ -18,6 +18,7 @@ from unitary_lab.engine import (
     field_tables,
     first_nonzero_row,
     from_planes,
+    index_planes,
     keys_contain,
     row_index,
     row_mask,
@@ -237,6 +238,13 @@ def test_norm_over_a_support_matches_the_full_norm(group_name, m):
         xp = to_planes(X[:, support], m)
         assert np.array_equal(from_planes(ctx.norm_planes(xp, ctx.star, support), 130),
                               _table_product(ctx, X, X[:, ctx.star]))
+
+
+@pytest.mark.parametrize("rows,bits", [(1, 0), (8, 3), (32, 5), (64, 6), (4096, 12), (1 << 14, 14)])
+def test_index_planes_are_the_planes_of_the_row_indices(rows, bits):
+    # pad rows of a short word carry their indices' bits, where to_planes pads with 0
+    expected = to_planes(np.arange(max(rows, 64), dtype=np.uint64)[:, None], bits)[0]
+    assert index_planes(rows, bits).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 200])
@@ -480,6 +488,32 @@ def test_char2_fixed_coefficient_sums_drop_candidates():
     # but not on C8: a scan that skipped them would keep every candidate there
     ctx = AlgebraContext(make_field(2, 2), build("cyclic:8"))
     assert _reference_unitary_keys(ctx, _identity_involution(ctx.group)).size < ctx.q ** (ctx.n - 1)
+
+
+def test_char2_unitary_keys_when_q_exceeds_the_batch():
+    # GF(2^7) in batches of 64: no pattern column fits, so the pattern is the
+    # identity alone and every run is one candidate, 2^21 of them
+    ctx = AlgebraContext(make_field(2, 7), build("cyclic:4"))
+    sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
+    assert ctx.q > 64
+    _assert_scan_matches_reference(ctx, sigma, (64,))
+
+
+@pytest.mark.parametrize("group_name,hits", [("quaternion:8", 16384), ("abelian:2:[1,2]", 65536)])
+def test_char2_scan_memory_stays_within_its_tables(group_name, hits):
+    # 2^21 candidates over GF(8) under the star, in batches of 65,536: the scan
+    # keeps the pattern's planes and XOR tables over 4-bit chunks of the run
+    # digits, a few hundred KiB; C4 x C2's keys alone take 512 KiB
+    ctx = AlgebraContext(make_field(2, 3), build(group_name))
+    sigma = np.array(ga.canonical_star(ctx.group).sigma, dtype=np.intp)
+    tracemalloc.start()
+    try:
+        keys = ctx.unitary_keys(sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.size == hits
+    assert peak < 1.5 * (1 << 20)
 
 
 # every odd catalog p-group with q^(|G|-1) <= 2^19 over GF(3), GF(5), GF(7), GF(9),
