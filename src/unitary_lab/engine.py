@@ -123,25 +123,37 @@ def field_tables(spec: FieldSpec) -> FieldTables:
     (q, q, m, m) outer product is never formed. Each result is packed back
     into codes by powers of p.
 
-    The build's int64 digits of a whole table, q^2 m of them, are counted
+    The build's 8-byte digits of a whole table, q^2 m of them, are counted
     against MAX_GATHER_BYTES, and a field past it is refused before anything
-    is allocated. The rows x run in pieces whose int64 digits take no more
+    is allocated. The rows x run in pieces whose 8-byte digits take no more
     bytes than one finished uint16 table, so the build's peak stays near the
     size of the tables it returns."""
     q, p, m = spec.order, spec.p, spec.m
     table_bytes = q * q * m * np.dtype(np.int64).itemsize
     if table_bytes > MAX_GATHER_BYTES:
         raise SearchSpaceTooLarge(table_bytes, MAX_GATHER_BYTES, context="field table build")
-    d = digits(np.arange(q, dtype=np.uint64), p, m).astype(np.int64)
-    powers = p ** np.arange(m)
+    # The digits are float64, so that the matrix products run in BLAS. Each
+    # is exact, as every entry is an integer below 2^53: a digit of x^a y is
+    # below m (p-1)^2, of a product below m (p-1) times that, a digit sum
+    # below 2p and a packed code below q. For an integer y with y + p below
+    # 2^53, y / p rounds to an integer only if it is one, so the remainder
+    # y - p floor(y / p) is exact too.
+    assert max(m * m * (p - 1) ** 3 + p, q) < 1 << 53
+    d = digits(np.arange(q, dtype=np.uint64), p, m).astype(np.float64)
+    powers = float(p) ** np.arange(m)
     # folded[a, y k] = sum over b of d[y, b] fold[a m + b, k]: the digits of x^a y
-    folded = np.einsum("yb,abk->ayk", d, fold_matrix(spec).reshape(m, m, m)).reshape(m, q * m)
+    fold = fold_matrix(spec).astype(np.float64).reshape(m, m, m)
+    folded = np.einsum("yb,abk->ayk", d, fold).reshape(m, q * m)
     add, mul = np.empty((q, q), dtype=np.uint16), np.empty((q, q), dtype=np.uint16)
     step = max(1, q * np.dtype(np.uint16).itemsize // (m * np.dtype(np.int64).itemsize))
     for start in range(0, q, step):
         x = d[start:start + step]
-        add[start:start + step] = (x[:, None, :] + d) % p @ powers
-        mul[start:start + step] = (x @ folded).reshape(-1, q, m) % p @ powers
+        sums = x[:, None, :] + d
+        sums -= p * (sums >= p)
+        add[start:start + step] = sums @ powers
+        products = (x @ folded).reshape(-1, q, m)
+        products -= p * np.floor(products / p)
+        mul[start:start + step] = products @ powers
     tabs = FieldTables(add, mul, (-d % p @ powers).astype(np.uint16))
     for arr in (tabs.add, tabs.mul, tabs.neg):
         arr.setflags(write=False)

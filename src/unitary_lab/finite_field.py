@@ -193,7 +193,9 @@ def fold_matrix(field: FieldSpec) -> np.ndarray:
     Reducing modulo the modulus is linear, so a product's unreduced digit
     products (row a m + b weighing x^a x^b) reduce through it in one matrix
     product and one mod p. The scalar algebra product and the batch field
-    tables both multiply this way."""
+    tables both multiply this way. Memoized per field, and emptied by
+    unitary.clear_caches, so that every pass after it does the same field
+    arithmetic."""
     monomials = [field.element([0] * a + [1]) for a in range(field.m)]
     fold = np.array([(xa * xb).coeffs for xa in monomials for xb in monomials], dtype=np.int64)
     fold.setflags(write=False)

@@ -118,14 +118,14 @@ class Group:
     def special_sets(self) -> SpecialSets:
         if self._special is None:
             t = self.table
-            sq = t.diagonal()
-            order_two = tuple(int(i) for i in np.flatnonzero(sq == 0))
-            g2 = set(order_two)  # G{2}
-            squares = tuple(sorted(set(int(s) for s in sq)))
-            square_order_two = tuple(s for s in squares if s in g2)
-            central = tuple(int(g) for g in np.flatnonzero((t == t.T).all(axis=1)))  # row g == column g
-            central_order_two = tuple(g for g in central if g != 0 and g in g2)
-            self._special = SpecialSets(central, order_two, squares, square_order_two, central_order_two)
+            in_g2 = t.diagonal() == 0  # G{2}
+            is_square = np.zeros(self.n, dtype=bool)
+            is_square[t.diagonal()] = True
+            is_central = (t == t.T).all(axis=1)  # row g == column g
+            central_order_two = is_central & in_g2
+            central_order_two[0] = False
+            self._special = SpecialSets(*(tuple(np.flatnonzero(mask).tolist()) for mask in (
+                is_central, in_g2, is_square, is_square & in_g2, central_order_two)))
         return self._special
 
     def square_roots(self, c: int) -> tuple[int, ...]:
@@ -134,12 +134,14 @@ class Group:
         s = self.special_sets()
         if c not in s.central_order_two:
             raise NotCentralInvolution(c)
-        rng = np.arange(self.n)
-        return tuple(int(i) for i in np.flatnonzero(self.table[rng, rng] == c))
+        return tuple(np.flatnonzero(self.table.diagonal() == c).tolist())
 
     def is_pairwise_commuting(self, members: Iterable[int]) -> bool:
-        ms = list(members)
-        return all(self.mul(a, b) == self.mul(b, a) for i, a in enumerate(ms) for b in ms[i + 1:])
+        """Whether the members commute pairwise: their block of the table
+        equals its transpose."""
+        ms = np.fromiter(members, dtype=np.intp)
+        block = self.table[ms[:, None], ms]
+        return bool((block == block.T).all())
 
     def subgroup_generated(self, gens: Iterable[int]) -> "SubgroupHandle":
         gens = list(gens)
@@ -162,15 +164,24 @@ class Group:
         return SubgroupHandle(self, tuple(sorted(members)))
 
     def quotient(self, sub: "SubgroupHandle") -> tuple["Group", tuple[int, ...]]:
-        """Factor group by a normal subgroup, plus the index projection map.
-
-        Coset representatives are the least index in each coset; the quotient
-        reuses validate_group, so the result carries full invariants.
-        """
+        """Factor group by a normal subgroup, plus the index projection map
+        as a tuple (see quotient_by)."""
         if sub.parent is not self and sub.parent != self:
             raise ValueError("subgroup belongs to a different group")
+        gbar, projection, _ = self.quotient_by(np.array(sub.members, dtype=np.intp))
+        return gbar, tuple(projection.tolist())
+
+    def quotient_by(self, members: np.ndarray) -> tuple["Group", np.ndarray, np.ndarray]:
+        """Factor group by the normal subgroup H with the given sorted member
+        indices, the (n,) intp projection g -> index of gH, and the (n/|H|,)
+        intp coset representatives, each the least index in its coset.
+
+        The members must form a subgroup: a SubgroupHandle's, or {1, c} for
+        an involution c, whose members are known without a search.
+        Normality is checked, naming the first g with a conjugate g h g^-1
+        outside H. The quotient reuses validate_group, so the result carries
+        full invariants."""
         t = np.asarray(self.table, dtype=np.intp)
-        members = np.array(sub.members, dtype=np.intp)
         in_sub = np.zeros(self.n, dtype=bool)
         in_sub[members] = True
         # conjugates[g, k] = g h_k g^-1; the first g with one outside H is named
@@ -183,8 +194,8 @@ class Group:
         reps = np.flatnonzero(rep_of_element == np.arange(self.n))
         projection = np.searchsorted(reps, rep_of_element)
         table = projection[t[reps][:, reps]].astype(np.int64)
-        quotient_id = f"{self.id}/{{{','.join(map(str, sub.members))}}}"
-        return validate_group(table, id=quotient_id), tuple(projection.tolist())
+        quotient_id = f"{self.id}/{{{','.join(map(str, members.tolist()))}}}"
+        return validate_group(table, id=quotient_id), projection, reps
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +286,7 @@ def validate_group(table, id: str = "") -> Group:
     if t.min() < 0 or t.max() >= n:
         raise ValueError("table entries must be indices < n")
     rng = np.arange(n)
-    if not (np.array_equal(t[0, :], rng) and np.array_equal(t[:, 0], rng)):
+    if not ((t[0, :] == rng).all() and (t[:, 0] == rng).all()):
         raise NoIdentity("index 0 is not a two-sided identity")
     # entries lie in [0, n), so a row or column is a permutation iff sorted it is 0..n-1
     rows_ok = (np.sort(t, axis=1) == rng).all(axis=1)
@@ -287,7 +298,7 @@ def validate_group(table, id: str = "") -> Group:
     if n <= EXHAUSTIVE_ASSOC_LIMIT:
         left = t[t, :]            # left[i,j,k] = (ij)k
         right = t[:, t]           # right[i,j,k] = i(jk)
-        if not np.array_equal(left, right):
+        if not (left == right).all():
             i, j, k = np.argwhere(left != right)[0]
             raise NotAssociative(int(i), int(j), int(k))
     else:

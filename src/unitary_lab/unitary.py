@@ -60,7 +60,7 @@ from .group_algebra import (
     _inverse_scaling,
     _invert_digits,
 )
-from .group_core import Group, coset_representatives
+from .group_core import Group
 
 DEFAULT_SEARCH_CAP = 1 << 24
 DEFAULT_MAX_WITNESSES = 64
@@ -112,10 +112,18 @@ class UnitaryResult:
 
 
 def clear_caches():
-    """Empty the characteristic-two orbit cache and the memoized chi^-1
-    scaling matrices. An oracle call keeps nothing, so it has none to empty."""
+    """Empty the characteristic-two memos (the orbits, the level records and
+    the contexts of FG), the memoized chi^-1 scaling matrices, and the field
+    arithmetic memoized per field: the fold matrix and tau's codes. So a
+    computation after it does the same field arithmetic as the first. The
+    field tables (engine.field_tables) are kept; they are built once per
+    process. An oracle call keeps nothing, so it has none to empty."""
     _ORBITS.clear()
+    _LEVELS.clear()
+    _CONTEXTS.clear()
     _inverse_scaling.cache_clear()
+    fold_matrix.cache_clear()
+    _tau_codes.cache_clear()
 
 
 # --- pointwise operations ------------------------------------------------------
@@ -431,6 +439,79 @@ def _least_central_involution(group: Group) -> int:
     return centrals[0]
 
 
+@dataclass(frozen=True, eq=False)
+class _Quotient:
+    """Gb = G/H for H = <c> and the coordinates of _coset_orbit on it."""
+
+    gbar: Group              # Gb
+    reps: np.ndarray         # the least member of each coset {g, gc}, indexed by Gb
+    reps_c: np.ndarray       # reps times c
+    pairs: np.ndarray        # one h of each pair h != h^-1 of Gb, the lesser
+    t_bar: np.ndarray        # Tb, the images of T_c
+    over_g2: np.ndarray      # the images of G{2}
+    gamma_cols: np.ndarray   # the columns of gamma: pairs, then Tb
+    support: np.ndarray      # (k, 4) indices of G under each S_H key field (see _CosetOrbit)
+    sym_basis: np.ndarray    # the rows g + g^-1 over g <= g^-1 of Gb, a basis of its symmetric elements
+
+
+@dataclass(eq=False)
+class _Level:
+    """The field-independent set-up of the recursion step over H = <c> in G,
+    built once per (G, c) by _level. T_c and its flag come at once, as the
+    bounds read them for every central c; the quotient is built when an
+    orbit over the level first reads it."""
+
+    group: Group
+    c: int
+    t_c: tuple[int, ...]     # T_c = {g : g^2 = c}, ascending
+    commuting: bool          # whether T_c commutes pairwise
+
+    @functools.cached_property
+    def quotient(self) -> _Quotient:
+        """Gb is the one Group.quotient_by of G by {1, c}, whose
+        representatives are the lift's section."""
+        group, c = self.group, self.c
+        gbar, _, reps = group.quotient_by(np.array([0, c], dtype=np.intp))
+        table, bstar = np.asarray(group.table, dtype=np.intp), gbar.left_division()[:, 0]
+        reps_c, squares = table[reps, c], table[reps, reps]
+        pairs = np.flatnonzero(np.arange(gbar.n) < bstar)
+        t_bar, over_g2 = np.flatnonzero(squares == c), np.flatnonzero(squares == 0)
+        gamma_cols = np.concatenate([pairs, t_bar])
+        lifts = np.stack([reps, reps_c, reps[bstar], reps_c[bstar]], axis=1)  # of h and h^-1
+        lifts = lifts[gamma_cols]
+        lifts.setflags(write=False)  # every orbit over the level hands it out
+        eye = np.eye(gbar.n, dtype=np.uint16)
+        return _Quotient(gbar, reps, reps_c, pairs, t_bar, over_g2, gamma_cols, lifts,
+                         (eye | eye[bstar])[np.arange(gbar.n) <= bstar])
+
+
+_LEVELS: dict[tuple, _Level] = {}
+
+
+def _level(group: Group, c: int) -> _Level:
+    """The level record of (G, c), memoized; a c that is not a central
+    involution is refused by Group.square_roots, which reads T_c off the
+    table's diagonal."""
+    key = (group, group.id, c)  # the id too: Gb's id, in messages, is built from it
+    level = _LEVELS.get(key)
+    if level is None:
+        t_c = group.square_roots(c)
+        level = _LEVELS[key] = _Level(group, c, t_c, group.is_pairwise_commuting(t_c))
+    return level
+
+
+_CONTEXTS: dict[tuple, AlgebraContext] = {}
+
+
+def _context(field: FieldSpec, group: Group) -> AlgebraContext:
+    """The batch arithmetic of FG, one per (field, group) between clear_caches."""
+    key = (field, group, group.id)
+    ctx = _CONTEXTS.get(key)
+    if ctx is None:
+        ctx = _CONTEXTS[key] = AlgebraContext(field, group)
+    return ctx
+
+
 @dataclass(eq=False)
 class _CosetOrbit:
     """The recursion step over H = <c> for one (G, c, F); see _coset_orbit."""
@@ -442,6 +523,7 @@ class _CosetOrbit:
     w_size: int              # |W| = q^(pairs h != h^-1 of Gb)
     s_h_size: int            # |S_H| = index |W|
     generators: np.ndarray   # code rows generating V_*(FG)
+    generator_planes: np.ndarray  # their bit-planes, which the level above multiplies
     support: np.ndarray      # (k, 4) indices of G under each S_H key field: the pairs, then Tb
 
     def elements(self, keys: np.ndarray) -> np.ndarray:
@@ -455,15 +537,23 @@ class _CosetOrbit:
 _ORBITS: dict[tuple, _CosetOrbit] = {}
 
 
+def _generating_set(group: Group, field: FieldSpec, search_cap: int
+                    ) -> tuple[int, np.ndarray, np.ndarray, AlgebraContext]:
+    """|V_*(FG)|, code rows generating it in characteristic two and their
+    bit-planes, by the recursion over the least central involution down to
+    order 1, and the batch arithmetic of FG that the recursion built."""
+    if group.n == 1:
+        generators = np.empty((0, 1), dtype=np.uint16)
+        return 1, generators, to_planes(generators, field.m), _context(field, group)
+    orbit = _coset_orbit(group, _least_central_involution(group), field, search_cap)
+    return orbit.order, orbit.generators, orbit.generator_planes, orbit.ctx
+
+
 def _unitary_generators(group: Group, field: FieldSpec,
                         search_cap: int) -> tuple[int, np.ndarray, AlgebraContext]:
-    """|V_*(FG)|, code rows generating it in characteristic two, by the
-    recursion over the least central involution down to order 1, and the
-    batch arithmetic of FG that the recursion built."""
-    if group.n == 1:
-        return 1, np.empty((0, 1), dtype=np.uint16), AlgebraContext(field, group)
-    orbit = _coset_orbit(group, _least_central_involution(group), field, search_cap)
-    return orbit.order, orbit.generators, orbit.ctx
+    """|V_*(FG)|, code rows generating it and the context of FG (see _generating_set)."""
+    order, generators, _, ctx = _generating_set(group, field, search_cap)
+    return order, generators, ctx
 
 
 def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _CosetOrbit:
@@ -544,23 +634,20 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     hit = _ORBITS.get(cache_key)
     if hit is not None:
         return hit
-    t_c = group.square_roots(c)  # also validates c
-    ctx = AlgebraContext(field, group)
-    gbar, projection = group.quotient(group.subgroup_generated([c]))
-    vbar_order, vbar_gens, bctx = _unitary_generators(gbar, field, search_cap)
+    level = _level(group, c)
+    t_c, quo = level.t_c, level.quotient
+    ctx = _context(field, group)
+    vbar_order, vbar_gens, vbar_planes, bctx = _generating_set(quo.gbar, field, search_cap)
+    reps, reps_c, pairs, gamma_cols = quo.reps, quo.reps_c, quo.pairs, quo.gamma_cols
     work = field.order ** (len(t_c) // 2) * vbar_gens.shape[0]
     if work > search_cap:
         raise SearchSpaceTooLarge(work, search_cap, context=f"S_H coset orbit over {group.id}")
     require_key_space(field.order ** (len(t_c) // 2), f"S_H coset keys over {group.id}")
 
-    q, m, n, nbar = field.order, field.m, group.n, gbar.n
-    reps = np.array(coset_representatives(projection, nbar), dtype=np.intp)
-    reps_c = ctx.gtable[reps, c]
-    squares = ctx.gtable[reps, reps]
-    pairs = np.flatnonzero(np.arange(nbar) < bctx.star)  # one h per pair h != h^-1
-    t_bar, over_g2 = np.flatnonzero(squares == c), np.flatnonzero(squares == 0)
-    gamma_cols = np.concatenate([pairs, t_bar])
-    powers = np.uint64(q) ** np.arange(t_bar.size, dtype=np.uint64)  # a point holds gamma in m-bit fields
+    q, m, n, nbar = field.order, field.m, group.n, quo.gbar.n
+    powers = np.uint64(q) ** np.arange(quo.t_bar.size, dtype=np.uint64)  # a point holds gamma in m-bit fields
+    checks = ("Psi(L L*) is not 1", "gamma of L L* is not symmetric",
+              "gamma of L L* is not 0 on the image of G{2}")
 
     def lift(u):  # the witness L of a row u
         L = np.zeros(n, dtype=np.uint16)
@@ -573,18 +660,17 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     def point_keys(Up, U):
         """The points of L L* over the rows u of U, whose planes are Up, and
         gamma on the pairs and on Tb. L's planes are Up at reps, and the
-        checks read L L*'s planes, over U's rows only."""
+        checks read L L*'s planes, over U's rows only: all three at once,
+        one by one only when one fails, for its message and witness."""
         Yp = ctx.norm_planes(Up, ctx.star, reps)
         gp = Yp[reps_c]
-        psi = Yp[reps] ^ gp
-        psi[0, 0] ^= row_mask(U.shape[0])  # 1 on U's rows: 1's code is 1, and reps[0] = 0
-        for what, differs in (
-                ("Psi(L L*) is not 1", psi),
-                ("gamma of L L* is not symmetric", gp ^ gp[bctx.star]),
-                ("gamma of L L* is not 0 on the image of G{2}", gp[over_g2])):
-            row = first_nonzero_row(differs, U.shape[0])
-            if row is not None:
-                raise _inconsistency(group, field, what, lift(U[row]), c)
+        differs = (Yp[reps] ^ gp, gp ^ gp[bctx.star], gp[quo.over_g2])
+        differs[0][0, 0] ^= row_mask(U.shape[0])  # 1 on U's rows: 1's code is 1, and reps[0] = 0
+        if np.concatenate(differs).any():
+            for what, planes in zip(checks, differs):
+                row = first_nonzero_row(planes, U.shape[0])
+                if row is not None:
+                    raise _inconsistency(group, field, what, lift(U[row]), c)
         gamma = from_planes(gp[gamma_cols], U.shape[0])
         return point_of(gamma), gamma
 
@@ -606,8 +692,7 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
         grown = transversal.shape[0]
         for start in range(0, frontier.size, chunk):
             if grown == 1:  # the frontier is point 0, so P is the generators
-                P = vbar_gens
-                Pp = to_planes(P, m)
+                P, Pp = vbar_gens, vbar_planes
             else:
                 T = transversal[frontier[start:start + chunk]]
                 Pp = bctx.plane_product(to_planes(np.repeat(vbar_gens, T.shape[0], axis=0), m),
@@ -660,24 +745,23 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
         raise _inconsistency(group, field, "a Schreier generator is not solvable", lift(S[bad[0]]), c)
     b0 = np.zeros((S.shape[0], nbar), dtype=np.uint16)
     b0[:, pairs] = gamma[:, :pairs.size]
-    eye = np.eye(nbar, dtype=np.uint16)
-    sym_basis = (eye | eye[bctx.star])[np.arange(nbar) <= bctx.star]  # g + g^-1, g <= g^-1
     powers_of_x = np.array([1 << a for a in range(m)], dtype=np.uint16)
-    k_parts = (powers_of_x[:, None, None] * sym_basis[None, :, :]).reshape(-1, nbar)
+    k_parts = (powers_of_x[:, None, None] * quo.sym_basis[None, :, :]).reshape(-1, nbar)
     U = np.concatenate([S, np.repeat(bctx.identity[None, :], k_parts.shape[0], axis=0)])
     A = np.concatenate([bctx.mul(b0, S) if b0.any() else b0, k_parts])  # b0 = 0 when Gb has no pairs
     X = np.empty((U.shape[0], n), dtype=np.uint16)
     X[:, reps] = bctx.add(U, A)
     X[:, reps_c] = A
-    differs = ctx.norm_planes(to_planes(X, m), ctx.star)
+    Xp = to_planes(X, m)
+    Xp.setflags(write=False)  # kept for the level above
+    differs = ctx.norm_planes(Xp, ctx.star)
     differs[0, 0] ^= row_mask(X.shape[0])  # x x* - 1
     row = first_nonzero_row(differs, X.shape[0])
     if row is not None:
         raise _inconsistency(group, field, "a generator is not unitary", X[row], c)
 
-    lifts = np.stack([reps, reps_c, reps[bctx.star], reps_c[bctx.star]], axis=1)  # of h and h^-1
     orbit = _CosetOrbit(ctx, q ** (nbar - pairs.size) * vbar_order // index, vbar_order, points,
-                        q ** pairs.size, index * q ** pairs.size, X, lifts[gamma_cols])
+                        q ** pairs.size, index * q ** pairs.size, X, Xp, quo.support)
     _ORBITS[cache_key] = orbit
     return orbit
 
@@ -722,8 +806,8 @@ def _s_h_bounds(group: Group, c: int, field: FieldSpec
     """The paper's bracket of |S_H| for H = <c>: T_c, whether T_c commutes,
     the upper bound q^((|G| - |G{2}| + |T_c|)/4), and the lower bound
     upper / 2^(|T_c|/2), which is proved only when T_c commutes (else None)."""
-    t_c = group.square_roots(c)
-    commuting = group.is_pairwise_commuting(t_c)
+    level = _level(group, c)
+    t_c, commuting = level.t_c, level.commuting
     num = group.n - len(group.special_sets().order_two) + len(t_c)
     if num % 4:
         raise _inconsistency(group, field, "bound exponent is not an integer", c=c)

@@ -287,6 +287,10 @@ GOLDEN_CASES = [
     ("compute_oracle_c3_gf729.json",
      "compute --group cyclic:3 --field 3^6 --method oracle --format json"),
     ("compute_recursive_d16_gf8.json", "compute --group dihedral:16 --field 2^3 --method recursive"),
+    ("theta_table_32_gf4.json", "theta-table --max-order 32 --field 2^2 --format json"),
+    ("compute_recursive_2groups_gf2_gf4.json",
+     "compute --group quaternion:32 --group semidihedral:16 --group abelian:2:[1,1,2] "
+     "--group elementary_abelian:2:4 --field 2^1 --field 2^2 --method recursive --format json"),
     ("groups_list_64.json", "groups list --max-order 64 --format json"),
     ("verify_cayley_seed3.txt", "verify --suite cayley --seed 3"),
     ("verify_bounds.txt", "verify --suite bounds"),

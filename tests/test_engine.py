@@ -26,7 +26,7 @@ from unitary_lab.engine import (
     to_planes,
 )
 from unitary_lab.errors import SearchSpaceTooLarge
-from unitary_lab.finite_field import is_prime, make_field
+from unitary_lab.finite_field import fold_matrix, is_prime, make_field
 from unitary_lab.group_catalog import build, catalog_entries
 from unitary_lab.verify import _swap_inverse_involution
 
@@ -43,6 +43,26 @@ def test_field_tables_match_scalar_ops(p, m):
         for b in elems:
             assert tabs.add[a.code, b.code] == (a + b).code
             assert tabs.mul[a.code, b.code] == (a * b).code
+
+
+def _int64_field_tables(spec):
+    """add, mul and neg by the same digit contraction as field_tables, in
+    int64 arithmetic and in one piece."""
+    q, p, m = spec.order, spec.p, spec.m
+    d = digits(np.arange(q, dtype=np.uint64), p, m).astype(np.int64)
+    powers = p ** np.arange(m)
+    folded = np.einsum("yb,abk->ayk", d, fold_matrix(spec).reshape(m, m, m)).reshape(m, q * m)
+    return ((d[:, None, :] + d) % p @ powers, (d @ folded).reshape(q, q, m) % p @ powers,
+            -d % p @ powers)
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 2), (3, 6), (2, 8)])
+def test_field_tables_equal_the_int64_construction(p, m):
+    # the float64 products are exact: every entry is an integer below 2^53
+    tabs = field_tables(make_field(p, m))
+    for table, reference in zip((tabs.add, tabs.mul, tabs.neg), _int64_field_tables(make_field(p, m))):
+        assert table.dtype == np.uint16 and not table.flags.writeable
+        assert np.array_equal(table, reference), (p, m)
 
 
 def _table_bytes(p, m):

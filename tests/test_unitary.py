@@ -18,6 +18,7 @@ from unitary_lab import unitary as un
 from unitary_lab.engine import AlgebraContext, constant_planes, keys_contain
 from unitary_lab.errors import (
     EvenCharacteristic,
+    IndexOutOfRange,
     InternalInconsistency,
     NotCentralInvolution,
     NotInvertible,
@@ -29,7 +30,7 @@ from unitary_lab.errors import (
 )
 from unitary_lab.finite_field import make_field
 from unitary_lab.group_catalog import abelian, build, catalog_entries
-from unitary_lab.group_core import validate_group
+from unitary_lab.group_core import coset_representatives, validate_group
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -864,6 +865,108 @@ def test_char2_recursion_builds_one_context_per_level(monkeypatch):
     un.clear_caches()
     un.unitary_order_char2(d16, GF2)
     assert sorted(built) == [1, 2, 4, 8, 16]
+
+
+def _commute_pairwise(group, members):
+    return all(group.mul(a, b) == group.mul(b, a) for a in members for b in members)
+
+
+def test_level_record_matches_the_quotient_and_square_roots():
+    # every catalog 2-group up to order 64 and every central involution: Gb,
+    # its representatives and projection against the subgroup search and
+    # coset_representatives, T_c and its flag against square_roots and a loop
+    un.clear_caches()
+    count = 0
+    for entry in catalog_entries(64, 2):
+        group = build(entry.name)
+        for c in group.special_sets().central_order_two:
+            level = un._level(group, c)
+            quo = level.quotient
+            gbar, projection = group.quotient(group.subgroup_generated([c]))
+            reps = coset_representatives(projection, gbar.n)
+            assert quo.gbar.id == gbar.id == f"{entry.name}/{{0,{c}}}"
+            assert quo.gbar.table.tobytes() == gbar.table.tobytes(), (entry.name, c)
+            assert quo.reps.tolist() == reps, (entry.name, c)
+            qbar, array_projection, array_reps = group.quotient_by(np.array([0, c]))
+            assert qbar == gbar and array_projection.tolist() == list(projection)
+            assert array_reps.tolist() == reps
+            assert level.t_c == group.square_roots(c)
+            assert level.commuting == group.is_pairwise_commuting(level.t_c) == \
+                _commute_pairwise(group, level.t_c), (entry.name, c)
+            squares = [group.mul(r, r) for r in reps]
+            assert quo.reps_c.tolist() == [group.mul(r, c) for r in reps]
+            assert quo.pairs.tolist() == [h for h in range(gbar.n) if h < gbar.inverse(h)]
+            assert quo.t_bar.tolist() == [h for h, s in enumerate(squares) if s == c]
+            assert quo.over_g2.tolist() == [h for h, s in enumerate(squares) if s == 0]
+            assert un._level(group, c) is level and level.quotient is quo
+            count += 1
+    assert count > 100
+
+
+@pytest.mark.parametrize("name, c, error, message", [
+    ("dihedral:8", 4, NotCentralInvolution, "element 4 is not a central element of order two"),
+    ("dihedral:8", 1, NotCentralInvolution, "element 1 is not a central element of order two"),
+    ("cyclic:4", 1, NotCentralInvolution, "element 1 is not a central element of order two"),
+    ("quaternion:8", 0, NotCentralInvolution, "element 0 is not a central element of order two"),
+    ("quaternion:8", 8, IndexOutOfRange, "element index 8 outside [0, 8)"),
+    ("cyclic:2", -1, IndexOutOfRange, "element index -1 outside [0, 2)"),
+], ids=["reflection", "rotation", "central-order-4", "identity", "past-the-end", "negative"])
+def test_every_entry_point_refuses_a_c_that_is_not_a_central_involution(name, c, error, message):
+    group = build(name)
+    un.clear_caches()
+    for call in (lambda: un.unitary_order_char2(group, GF2, c=c),
+                 lambda: un.s_h_enumerate(group, c, GF2),
+                 lambda: un.bounds_and_constructions(group, c, GF2)):
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+    assert not un._LEVELS and not un._ORBITS
+
+
+def test_bounds_refuse_a_bound_before_any_orbit_work(monkeypatch):
+    # |G{2}| one short makes (|G| - |G{2}| + |T_c|)/4 fractional; the refusal
+    # comes from T_c in the level record, before the quotient or any orbit
+    d8 = build("dihedral:8")
+    special = d8.special_sets()
+    monkeypatch.setattr(d8, "special_sets",
+                        lambda: dataclasses.replace(special, order_two=special.order_two[:-1]))
+    monkeypatch.setattr(un, "_coset_orbit", lambda *args: pytest.fail("orbit work before the bound"))
+    un.clear_caches()
+    with pytest.raises(InternalInconsistency) as exc:
+        un.bounds_and_constructions(d8, 2, GF2)
+    assert str(exc.value) == "bound exponent is not an integer (dihedral:8 over 2^1, c = g2)"
+    assert "quotient" not in vars(un._level(d8, 2))
+
+
+def test_a_level_converts_no_generator_of_the_level_below(monkeypatch):
+    # E16 over GF(2), its lower level cached: the generators of V(F E8) are
+    # multiplied from the planes their own unitarity check built, so the only
+    # conversion is that of the new generators, for their check
+    un.clear_caches()
+    group = build("elementary_abelian:2:4")
+    c = un._least_central_involution(group)
+    gbar = un._level(group, c).quotient.gbar
+    below = un._coset_orbit(gbar, un._least_central_involution(gbar), GF2, un.DEFAULT_SEARCH_CAP)
+    assert np.array_equal(below.generator_planes, engine.to_planes(below.generators, 1))
+    converted, to_planes = [], un.to_planes
+    monkeypatch.setattr(un, "to_planes", lambda X, m: converted.append(X.shape) or to_planes(X, m))
+    orbit = un._coset_orbit(group, c, GF2, un.DEFAULT_SEARCH_CAP)
+    assert converted == [orbit.generators.shape]
+
+
+def test_clear_caches_empties_the_memos_of_field_arithmetic():
+    # the fold matrix and tau's codes are rebuilt after it; the field tables,
+    # built once per process, are kept
+    un.unitary_order_char2(build("quaternion:8"), GF4)
+    assert finite_field.fold_matrix(GF4) is finite_field.fold_matrix(GF4)
+    engine.field_tables(GF4)
+    un.bounds_and_constructions(build("dihedral:8"), 2, GF4)  # T_c commutes: N2 reads tau
+    assert un._tau_codes.cache_info().currsize and un._LEVELS and un._CONTEXTS
+    un.clear_caches()
+    assert finite_field.fold_matrix.cache_info().currsize == 0
+    assert un._tau_codes.cache_info().currsize == 0
+    assert not un._LEVELS and not un._CONTEXTS and not un._ORBITS
+    assert engine.field_tables.cache_info().currsize > 0
 
 
 def test_oracle_builds_one_context(monkeypatch):
