@@ -458,13 +458,6 @@ class AlgebraContext:
                 out[:, k - m + t] ^= out[:, k]
         return out[:, :m]
 
-    def norm(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """x x^sigma for every row x of X. In characteristic two X becomes
-        bit-planes once (see norm_planes)."""
-        if not self.char2:
-            return self.mul(X, X[:, sigma])
-        return from_planes(self.norm_planes(to_planes(X, self.field.m), sigma), X.shape[0])
-
     def norm_planes(self, xp: np.ndarray, sigma: np.ndarray, support: np.ndarray | None = None,
                     coeffs: np.ndarray | None = None) -> np.ndarray:
         """x x^sigma over bit-planes, as (n, m, words) planes, or its

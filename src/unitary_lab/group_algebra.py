@@ -41,7 +41,7 @@ from .finite_field import (
     is_power_of,
     parse_element_literal,
 )
-from .group_core import Group, SubgroupHandle, coset_representatives
+from .group_core import Group, SubgroupHandle
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
@@ -56,7 +56,8 @@ class AlgebraElement:
     digits: np.ndarray
 
     def __post_init__(self):
-        array = np.array(self.digits, dtype=np.int64)  # a copy, so no caller's array is frozen
+        # digits are read mod p, and the result is a new array, so no caller's array is frozen
+        array = np.asarray(self.digits, dtype=np.int64) % self.field.p
         if array.shape != (self.group.n, self.field.m):
             raise ValueError(f"digits of shape {array.shape}, not ({self.group.n}, {self.field.m})")
         array.setflags(write=False)
@@ -85,14 +86,14 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.field, self.group, (self.digits + other.digits) % self.field.p)
+        return AlgebraElement(self.field, self.group, self.digits + other.digits)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.field, self.group, (self.digits - other.digits) % self.field.p)
+        return AlgebraElement(self.field, self.group, self.digits - other.digits)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.field, self.group, -self.digits % self.field.p)
+        return AlgebraElement(self.field, self.group, -self.digits)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
@@ -101,8 +102,7 @@ class AlgebraElement:
     def scale(self, alpha: FieldElement) -> "AlgebraElement":
         if alpha.spec != self.field:
             raise SpecMismatch("scalar from a different field")
-        return AlgebraElement(self.field, self.group,
-                              self.digits @ _multiplication_matrix(self.field, alpha.coeffs) % self.field.p)
+        return AlgebraElement(self.field, self.group, self.digits @ _multiplication_matrix(self.field, alpha.coeffs))
 
     def augmentation(self) -> FieldElement:
         """chi(x), the sum of the coefficients: a column sum of the digits mod p."""
@@ -360,15 +360,14 @@ def ideal_and_quotient(
     lift supports an element of F[G/H] on the least-index representatives, so
     Psi(lift(u)) = u.
     """
-    quotient_group, projection = group.quotient(subgroup)
-    reps = coset_representatives(projection, quotient_group.n)
+    quotient_group, projection, reps = group.quotient(subgroup)
 
     def psi(x: AlgebraElement) -> AlgebraElement:
         if x.group != group or x.field != field:
             raise SpecMismatch("element from a different algebra")
         out = np.zeros((quotient_group.n, field.m), dtype=np.int64)
-        np.add.at(out, list(projection), x.digits)
-        return AlgebraElement(field, quotient_group, out % field.p)
+        np.add.at(out, projection, x.digits)
+        return AlgebraElement(field, quotient_group, out)
 
     def lift(xbar: AlgebraElement) -> AlgebraElement:
         if xbar.group != quotient_group or xbar.field != field:
@@ -377,7 +376,8 @@ def ideal_and_quotient(
         out[reps] = xbar.digits
         return AlgebraElement(field, group, out)
 
-    return IdealHandle(field, group, quotient_group, projection, tuple(reps)), psi, lift
+    handle = IdealHandle(field, group, quotient_group, tuple(projection.tolist()), tuple(reps.tolist()))
+    return handle, psi, lift
 
 
 # --- literals ("a0*g0 + a1*g1 + ...") ------------------------------------------

@@ -9,7 +9,7 @@ quotients) all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -163,24 +163,17 @@ class Group:
                     frontier.append(y)
         return SubgroupHandle(self, tuple(sorted(members)))
 
-    def quotient(self, sub: "SubgroupHandle") -> tuple["Group", tuple[int, ...]]:
-        """Factor group by a normal subgroup, plus the index projection map
-        as a tuple (see quotient_by)."""
-        if sub.parent is not self and sub.parent != self:
-            raise ValueError("subgroup belongs to a different group")
-        gbar, projection, _ = self.quotient_by(np.array(sub.members, dtype=np.intp))
-        return gbar, tuple(projection.tolist())
+    def quotient(self, sub: "SubgroupHandle") -> tuple["Group", np.ndarray, np.ndarray]:
+        """Factor group by a normal subgroup H of this group, the (n,) intp
+        projection g -> index of gH, and the (n/|H|,) intp coset
+        representatives, each the least index in its coset.
 
-    def quotient_by(self, members: np.ndarray) -> tuple["Group", np.ndarray, np.ndarray]:
-        """Factor group by the normal subgroup H with the given sorted member
-        indices, the (n,) intp projection g -> index of gH, and the (n/|H|,)
-        intp coset representatives, each the least index in its coset.
-
-        The members must form a subgroup: a SubgroupHandle's, or {1, c} for
-        an involution c, whose members are known without a search.
         Normality is checked, naming the first g with a conjugate g h g^-1
         outside H. The quotient reuses validate_group, so the result carries
         full invariants."""
+        if sub.parent is not self and sub.parent != self:
+            raise ValueError("subgroup belongs to a different group")
+        members = np.array(sub.members, dtype=np.intp)
         t = np.asarray(self.table, dtype=np.intp)
         in_sub = np.zeros(self.n, dtype=bool)
         in_sub[members] = True
@@ -194,7 +187,7 @@ class Group:
         reps = np.flatnonzero(rep_of_element == np.arange(self.n))
         projection = np.searchsorted(reps, rep_of_element)
         table = projection[t[reps][:, reps]].astype(np.int64)
-        quotient_id = f"{self.id}/{{{','.join(map(str, members.tolist()))}}}"
+        quotient_id = f"{self.id}/{{{','.join(map(str, sub.members))}}}"
         return validate_group(table, id=quotient_id), projection, reps
 
 
@@ -220,19 +213,13 @@ class SubgroupHandle:
         return len(self.members)
 
 
-def coset_representatives(projection: Sequence[int], quotient_order: int) -> list[int]:
-    """Least-index representative per coset; the lift section used downstream."""
-    reps = [-1] * quotient_order
-    for g, k in enumerate(projection):
-        if reps[k] < 0:
-            reps[k] = g
-    return reps
-
-
 def _magma_generators(t: np.ndarray) -> list[int]:
     """Greedy generators of the table under its product alone: each is the least
     index not yet reached, and the reached set is closed under products of its
-    members, so neither associativity nor inverses are assumed."""
+    members, so neither associativity nor inverses are assumed. The closure
+    runs in rounds: the elements a round reached are multiplied, on both
+    sides, by every member reached so far, themselves included. So each
+    product of two members is formed in the round of the later of them."""
     n = t.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
@@ -241,14 +228,14 @@ def _magma_generators(t: np.ndarray) -> list[int]:
         a = int(np.argmin(reached))
         gens.append(a)
         reached[a] = True
-        fresh = [a]
-        while fresh:
-            z = fresh.pop()
+        fresh = np.array([a])
+        while fresh.size:
             members = np.flatnonzero(reached)
-            new = np.unique(np.concatenate([t[z, members], t[members, z]]))
-            new = new[~reached[new]]
-            reached[new] = True
-            fresh.extend(int(x) for x in new)
+            new = np.zeros(n, dtype=bool)
+            new[t[fresh[:, None], members]] = True
+            new[t[members[:, None], fresh]] = True
+            fresh = np.flatnonzero(new & ~reached)
+            reached[fresh] = True
     return gens
 
 

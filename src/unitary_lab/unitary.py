@@ -48,7 +48,7 @@ from .errors import (
     SearchSpaceTooLarge,
     Ambiguous,
 )
-from .finite_field import FieldSpec, fold_matrix
+from .finite_field import FieldSpec, fold_matrix, is_power_of
 from .group_algebra import (
     AlgebraElement,
     GroupInvolution,
@@ -60,7 +60,7 @@ from .group_algebra import (
     _inverse_scaling,
     _invert_digits,
 )
-from .group_core import Group
+from .group_core import Group, SubgroupHandle, _magma_generators
 
 DEFAULT_SEARCH_CAP = 1 << 24
 DEFAULT_MAX_WITNESSES = 64
@@ -155,7 +155,7 @@ def cayley(x: AlgebraElement) -> AlgebraElement:
         raise NotInvertible("1+x has augmentation zero")
     require_p_group(group, field)
     inverse = _invert_digits(field, group, plus, chi)
-    return AlgebraElement(field, group, (2 * inverse - one) % field.p)
+    return AlgebraElement(field, group, 2 * inverse - one)
 
 
 # --- odd characteristic ---------------------------------------------------------
@@ -305,7 +305,7 @@ def _delta_power_basis(group: Group, p: int) -> tuple[np.ndarray, np.ndarray]:
     Delta^(k+1)'s are independent modulo Delta^(k+1) and complete its basis
     to one of Delta^k. For a p-group the powers reach 0."""
     n = group.n
-    left_div = group.left_division()[_generators(group)]
+    left_div = group.left_division()[_magma_generators(group.table)]
     form, pivots = np.eye(n - 1, dtype=np.int64), list(range(n - 1))
     basis, weights, k = [np.empty((0, n), dtype=np.int64)], [], 1
     while pivots:
@@ -317,24 +317,6 @@ def _delta_power_basis(group: Group, p: int) -> tuple[np.ndarray, np.ndarray]:
         weights += [k] * len(kept)
         pivots, k = next_pivots, k + 1
     return np.concatenate(basis), np.array(weights, dtype=np.intp)
-
-
-def _generators(group: Group) -> list[int]:
-    """A generating set of G, greedily: each g not yet reached is added, and
-    the subgroup reached grows by right multiplication with every generator."""
-    table, gens, reached = group.table.tolist(), [], {0}
-    for g in range(1, group.n):
-        if g in reached:
-            continue
-        gens.append(g)
-        frontier = list(reached)
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                if table[x][s] not in reached:
-                    reached.add(table[x][s])
-                    frontier.append(table[x][s])
-    return gens
 
 
 def _echelon_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -468,10 +450,10 @@ class _Level:
 
     @functools.cached_property
     def quotient(self) -> _Quotient:
-        """Gb is the one Group.quotient_by of G by {1, c}, whose
+        """Gb is the one Group.quotient of G by {1, c}, whose
         representatives are the lift's section."""
         group, c = self.group, self.c
-        gbar, _, reps = group.quotient_by(np.array([0, c], dtype=np.intp))
+        gbar, _, reps = group.quotient(SubgroupHandle(group, (0, c)))
         table, bstar = np.asarray(group.table, dtype=np.intp), gbar.left_division()[:, 0]
         reps_c, squares = table[reps, c], table[reps, reps]
         pairs = np.flatnonzero(np.arange(gbar.n) < bstar)
@@ -547,13 +529,6 @@ def _generating_set(group: Group, field: FieldSpec, search_cap: int
         return 1, generators, to_planes(generators, field.m), _context(field, group)
     orbit = _coset_orbit(group, _least_central_involution(group), field, search_cap)
     return orbit.order, orbit.generators, orbit.generator_planes, orbit.ctx
-
-
-def _unitary_generators(group: Group, field: FieldSpec,
-                        search_cap: int) -> tuple[int, np.ndarray, AlgebraContext]:
-    """|V_*(FG)|, code rows generating it and the context of FG (see _generating_set)."""
-    order, generators, _, ctx = _generating_set(group, field, search_cap)
-    return order, generators, ctx
 
 
 def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _CosetOrbit:
@@ -966,7 +941,8 @@ def _check_generator_identity(ctx: AlgebraContext, c: int, pair_reps: np.ndarray
     X[:, 0] = R[:, 0] = ctx.identity[0]
     for Z, at, value in ((X, g, w), (X, ctx.gtable[g, g], w), (R, g, tau), (R, ctx.gtable[g, c], tau)):
         Z[rows, at] ^= value  # one at a time, so coinciding indices add
-    return bool(np.array_equal(ctx.norm(X, ctx.star), R))
+    m = ctx.field.m
+    return bool(np.array_equal(ctx.norm_planes(to_planes(X, m), ctx.star), to_planes(R, m)))
 
 
 # --- order recovery -----------------------------------------------------------------
@@ -976,11 +952,15 @@ def recover_group_order(order_v: int, field: FieldSpec, p: int) -> int:
 
     Odd p: |G| = 2 log_|F|(order) + 1. p = 2: the unique 2-power n with
     |F|^(n/2) <= order <= |F|^(n-1); the lower exponent uses theta >= 1 and
-    |G{2}| >= 2, which removes the boundary collision between n and 2n."""
+    |G{2}| >= 2, which removes the boundary collision between n and 2n.
+    V is a p-group and so is G, so an order that is not a power of p, or an
+    odd |G| that is not one, is refused."""
     if field.p != p:
         raise ValueError(f"field characteristic {field.p} != p = {p}")
     if order_v < 1:
         raise ValueError("order must be positive")
+    if not is_power_of(order_v, p):
+        raise ValueError(f"{order_v} is not a power of p = {p}")
     q = field.order
     if p != 2:
         k = 0
@@ -990,6 +970,8 @@ def recover_group_order(order_v: int, field: FieldSpec, p: int) -> int:
             k += 1
         if v != 1:
             raise ValueError(f"{order_v} is not a power of |F| = {q}")
+        if not is_power_of(2 * k + 1, p):
+            raise ValueError(f"{order_v} gives |G| = {2 * k + 1}, not a power of p = {p}")
         return 2 * k + 1
     if order_v == 1:
         return 1

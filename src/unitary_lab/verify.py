@@ -133,8 +133,7 @@ def suite_lemma1() -> list[CheckResult]:
         star = canonical_star(group)
         full = unitary_enumerate_oracle(group, star, gf2).order
         for c in group.special_sets().central_order_two:
-            sub = group.subgroup_generated([c])
-            gbar, _ = group.quotient(sub)
+            gbar, _, _ = group.quotient(group.subgroup_generated([c]))
             bar = unitary_enumerate_oracle(gbar, canonical_star(gbar), gf2).order
             s_h, _ = s_h_enumerate(group, c, gf2)
             numerator = gf2.order ** (group.n // 2) * bar

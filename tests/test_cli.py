@@ -295,6 +295,8 @@ GOLDEN_CASES = [
     ("verify_cayley_seed3.txt", "verify --suite cayley --seed 3"),
     ("verify_bounds.txt", "verify --suite bounds"),
     ("verify_thm1.txt", "verify --suite thm1"),
+    ("verify_lemma1.txt", "verify --suite lemma1"),
+    ("verify_cor1.txt", "verify --suite cor1"),
 ]
 
 

@@ -113,6 +113,11 @@ def _random_codes(rng, ctx, rows):
                     dtype=np.uint16)
 
 
+def _plane_norm(ctx, X, sigma):
+    """x x^sigma for every row x of X over GF(2^m), through bit-planes."""
+    return from_planes(ctx.norm_planes(to_planes(X, ctx.field.m), sigma), X.shape[0])
+
+
 def _table_product(ctx, X, Y):
     """The product of (B, n) code batches through the field tables,
     out[g_i g_j] += X[i] Y[j]: the independent reference that the batch
@@ -307,7 +312,8 @@ def test_norm_matches_table_kernel(p, m, rows):
     assert ctx.star.tolist() == list(ga.canonical_star(d8).sigma) != list(inv.sigma)
     X = np.random.default_rng(rows).integers(0, ctx.q, size=(rows, ctx.n)).astype(np.uint16)
     for sigma in (ctx.star, np.array(inv.sigma, dtype=np.intp)):
-        assert np.array_equal(ctx.norm(X, sigma), _table_product(ctx, X, X[:, sigma]))
+        norms = _plane_norm(ctx, X, sigma) if ctx.char2 else ctx.mul(X, X[:, sigma])
+        assert np.array_equal(norms, _table_product(ctx, X, X[:, sigma]))
 
 
 @pytest.mark.parametrize("radix", [1, 2, 3, 4, 5, 8])
@@ -663,7 +669,7 @@ def test_pack_and_is_one_match_axis_reductions(group_name, p, m):
 def test_pack_refuses_more_than_2_63_elements_but_the_context_builds():
     # 2^64 elements of F D64: the arithmetic runs, only the keys would wrap
     ctx = AlgebraContext(make_field(2, 1), build("dihedral:64"))
-    assert ctx.is_one(ctx.norm(ctx.identity[None, :], ctx.star)).all()
+    assert ctx.is_one(_plane_norm(ctx, ctx.identity[None, :], ctx.star)).all()
     with pytest.raises(SearchSpaceTooLarge) as exc:
         ctx.pack(ctx.identity[None, :])
     assert (exc.value.size, exc.value.cap) == (1 << 64, 1 << 63)
@@ -674,10 +680,10 @@ def test_plane_product_refuses_a_gather_past_its_byte_cap():
     # 2048 rows are 32 words; Y[left_div] over D2048 would be 2048^2 * 32 words, 1 GiB
     ctx = AlgebraContext(make_field(2, 1), build("dihedral:2048"))
     with pytest.raises(SearchSpaceTooLarge) as exc:
-        ctx.norm(np.zeros((2048, ctx.n), dtype=np.uint16), ctx.star)
+        _plane_norm(ctx, np.zeros((2048, ctx.n), dtype=np.uint16), ctx.star)
     assert (exc.value.size, exc.value.cap) == (2048 * 2048 * 32 * 8, MAX_GATHER_BYTES)
     assert exc.value.context == "bit-plane product"
-    one_word = ctx.norm(np.zeros((64, ctx.n), dtype=np.uint16), ctx.star)  # 32 MiB
+    one_word = _plane_norm(ctx, np.zeros((64, ctx.n), dtype=np.uint16), ctx.star)  # 32 MiB
     assert not one_word.any()
 
 

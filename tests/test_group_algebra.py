@@ -455,6 +455,19 @@ def test_digits_are_read_only_and_shape_checked():
         ga.from_codes(field, group, [0, 1])  # one code per group element
 
 
+def test_digits_outside_zero_to_p_are_read_mod_p():
+    # as from_coeffs reads integers: equality, hash and the literal see x alone
+    group, gf9 = build("cyclic:3"), make_field(3, 2)
+    x = ga.from_coeffs(GF3, group, [0, 1, 2])
+    y = ga.AlgebraElement(GF3, group, [[3], [1], [-1]])
+    assert y == x + ga.algebra_zero(GF3, group) and hash(y) == hash(x)
+    assert ga.format_algebra_literal(y) == "1*g1 + 2*g2"
+    digits = np.array([[4, -2], [0, 3], [-3, 7]], dtype=np.int64)
+    z = ga.AlgebraElement(gf9, group, digits)
+    assert z == ga.AlgebraElement(gf9, group, [[1, 1], [0, 0], [0, 1]]) and hash(z) == hash(z - z + z)
+    assert digits.flags.writeable and digits[0, 0] == 4  # the caller's array is neither frozen nor reduced
+
+
 def test_psi_and_lift_match_their_coefficientwise_forms():
     """Psi sums the coefficients over each coset and lift places them on the
     least representatives, checked one FieldElement at a time over GF(9)."""

@@ -15,7 +15,7 @@ from unitary_lab.errors import (
 from unitary_lab.group_core import (
     SpecialSets,
     SubgroupHandle,
-    coset_representatives,
+    _magma_generators,
     validate_group,
 )
 
@@ -196,6 +196,12 @@ def test_subgroup_generated():
     assert q8.subgroup_generated([2]).members == (0, 2)
 
 
+def test_magma_generators_generate_every_catalog_group():
+    for g in cat.sweep(64, 2) + cat.sweep(27, 3) + cat.sweep(25, 5):
+        gens = _magma_generators(g.table)
+        assert g.subgroup_generated(gens).members == tuple(g.elements()), g.id
+
+
 def test_subgroup_handle_rejects_non_closed():
     d8 = cat.build("dihedral:8")
     with pytest.raises(ValueError):
@@ -205,7 +211,7 @@ def test_subgroup_handle_rejects_non_closed():
 def test_quotient_d8_by_center_is_klein():
     d8 = cat.build("dihedral:8")
     center = d8.subgroup_generated([2])
-    gbar, proj = d8.quotient(center)
+    gbar, proj, _ = d8.quotient(center)
     assert gbar.n == 4
     assert all(gbar.mul(g, g) == 0 for g in gbar.elements())
     assert proj[0] == 0
@@ -213,16 +219,16 @@ def test_quotient_d8_by_center_is_klein():
 
 def test_quotient_c4_by_squares_is_c2():
     c4 = cat.build("cyclic:4")
-    gbar, proj = c4.quotient(c4.subgroup_generated([2]))
+    gbar, proj, reps = c4.quotient(c4.subgroup_generated([2]))
     assert gbar.n == 2
-    assert proj == (0, 1, 0, 1)
+    assert proj.tolist() == [0, 1, 0, 1] and reps.tolist() == [0, 1]
 
 
 def test_quotient_by_trivial_is_same_table():
     d8 = cat.build("dihedral:8")
-    gbar, proj = d8.quotient(SubgroupHandle(d8, (0,)))
+    gbar, proj, reps = d8.quotient(SubgroupHandle(d8, (0,)))
     assert np.array_equal(gbar.table, d8.table)
-    assert proj == tuple(range(8))
+    assert proj.tolist() == reps.tolist() == list(range(8))
 
 
 def test_quotient_rejects_non_normal():
@@ -233,8 +239,8 @@ def test_quotient_rejects_non_normal():
 
 def _reference_quotient(g, sub):
     """Group.quotient element by element: the normality loop, then the least
-    member of each coset g H as its representative; (table, projection) or
-    the NotNormal witness."""
+    member of each coset g H as its representative; (table, projection,
+    representatives) or the NotNormal witness."""
     members = set(sub.members)
     for x in g.elements():
         for h in sub.members:
@@ -244,7 +250,7 @@ def _reference_quotient(g, sub):
     reps = sorted(set(rep_of_element))
     projection = tuple(reps.index(r) for r in rep_of_element)
     table = np.array([[projection[g.mul(a, b)] for b in reps] for a in reps], dtype=np.int64)
-    return table, projection
+    return table, projection, reps
 
 
 def test_quotient_matches_the_loop_reference():
@@ -261,9 +267,10 @@ def test_quotient_matches_the_loop_reference():
                 assert exc.value.witness == expected, (g.id, c)
                 refused += 1
                 continue
-            gbar, proj = g.quotient(sub)
+            gbar, proj, reps = g.quotient(sub)
             assert gbar.table.dtype == np.int64 and gbar.table.tobytes() == expected[0].tobytes(), (g.id, c)
-            assert proj == expected[1] and all(type(k) is int for k in proj), (g.id, c)
+            assert proj.dtype == reps.dtype == np.intp, (g.id, c)
+            assert tuple(proj.tolist()) == expected[1] and reps.tolist() == expected[2], (g.id, c)
             assert gbar.id == f"{g.id}/{{0,{c}}}"
     assert refused > 0
 
@@ -272,9 +279,8 @@ def test_projection_lift_round_trip():
     for name in ("dihedral:8", "cyclic:16", "quaternion:16"):
         g = cat.build(name)
         for c in g.special_sets().central_order_two:
-            gbar, proj = g.quotient(g.subgroup_generated([c]))
-            reps = coset_representatives(proj, gbar.n)
-            assert [proj[r] for r in reps] == list(range(gbar.n))
+            gbar, proj, reps = g.quotient(g.subgroup_generated([c]))
+            assert proj[reps].tolist() == list(range(gbar.n))
 
 
 def test_quotient_order_two_count_identity():
@@ -283,7 +289,7 @@ def test_quotient_order_two_count_identity():
         g2 = len(g.special_sets().order_two)
         for c in g.special_sets().central_order_two:
             t_c = len(g.square_roots(c))
-            gbar, _ = g.quotient(g.subgroup_generated([c]))
+            gbar, _, _ = g.quotient(g.subgroup_generated([c]))
             assert len(gbar.special_sets().order_two) == (g2 + t_c) // 2, g.id
 
 

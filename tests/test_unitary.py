@@ -30,7 +30,7 @@ from unitary_lab.errors import (
 )
 from unitary_lab.finite_field import make_field
 from unitary_lab.group_catalog import abelian, build, catalog_entries
-from unitary_lab.group_core import coset_representatives, validate_group
+from unitary_lab.group_core import validate_group
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -630,14 +630,15 @@ def _batch_s_h(group, c, field):
     """Sorted keys of S_H = {x x* : x normalized, Psi(x) unitary}, over every
     normalized unit of FG in batches: Psi adds the coefficients of each coset of <c>."""
     ctx = AlgebraContext(field, group)
-    gbar, projection = group.quotient(group.subgroup_generated([c]))
+    gbar, projection, _ = group.quotient(group.subgroup_generated([c]))
     bctx = AlgebraContext(field, gbar)
     parts = []
     for X in ctx.normalized_batches():
         U = np.zeros((X.shape[0], gbar.n), dtype=np.uint16)
         for g, h in enumerate(projection):
             U[:, h] ^= X[:, g]
-        parts.append(ctx.pack(ctx.norm(X[bctx.is_one(bctx.norm(U, bctx.star))], ctx.star)))
+        unitary = bctx.is_one(bctx.mul(U, U[:, bctx.star]))
+        parts.append(ctx.pack(ctx.mul(X[unitary], X[unitary][:, ctx.star])))
     return np.unique(np.concatenate(parts))
 
 
@@ -765,7 +766,7 @@ def test_char2_recursion_runs_down_to_order_one():
     assert (res.subsidiary["c"], res.subsidiary["vbar_order"], res.subsidiary["s_h_size"]) == (2, 2, 1)
     trivial = un.unitary_order_char2(build("cyclic:1"), GF4)
     assert (trivial.order, trivial.subsidiary) == (1, None)
-    assert un._unitary_generators(build("cyclic:1"), GF4, un.DEFAULT_SEARCH_CAP)[1].shape[0] == 0
+    assert un._generating_set(build("cyclic:1"), GF4, un.DEFAULT_SEARCH_CAP)[1].shape[0] == 0
 
 
 def test_an_index_one_level_forms_only_the_products_construction_leaves(monkeypatch):
@@ -778,7 +779,7 @@ def test_an_index_one_level_forms_only_the_products_construction_leaves(monkeypa
     monkeypatch.setattr(un, "_ORBITS", {})
     group = build("elementary_abelian:2:4")
     c = un._least_central_involution(group)
-    un._unitary_generators(group.quotient(group.subgroup_generated([c]))[0], GF2, un.DEFAULT_SEARCH_CAP)
+    un._generating_set(group.quotient(group.subgroup_generated([c]))[0], GF2, un.DEFAULT_SEARCH_CAP)
     calls, product = [], AlgebraContext.plane_product
     monkeypatch.setattr(AlgebraContext, "plane_product",
                         lambda self, *args, **kwargs: calls.append(self.n) or product(self, *args, **kwargs))
@@ -845,7 +846,7 @@ def _closure_keys(ctx, generators):
 def test_generators_generate_the_oracle_set(field, max_order):
     for entry in catalog_entries(max_order, 2):
         group = entry.build()
-        order, generators, _ = un._unitary_generators(group, field, un.DEFAULT_SEARCH_CAP)
+        order, generators, _, _ = un._generating_set(group, field, un.DEFAULT_SEARCH_CAP)
         oracle_order, oracle = un._oracle_set(group, ga.canonical_star(group), field)
         assert order == oracle_order == oracle.size, entry.name
         closure = _closure_keys(AlgebraContext(field, group), generators)
@@ -872,9 +873,10 @@ def _commute_pairwise(group, members):
 
 
 def test_level_record_matches_the_quotient_and_square_roots():
-    # every catalog 2-group up to order 64 and every central involution: Gb,
-    # its representatives and projection against the subgroup search and
-    # coset_representatives, T_c and its flag against square_roots and a loop
+    # every catalog 2-group up to order 64 and every central involution: Gb
+    # against the quotient by the subgroup search, its representatives and
+    # projection against the least members of the cosets {g, gc}, T_c and its
+    # flag against square_roots and a loop
     un.clear_caches()
     count = 0
     for entry in catalog_entries(64, 2):
@@ -882,14 +884,13 @@ def test_level_record_matches_the_quotient_and_square_roots():
         for c in group.special_sets().central_order_two:
             level = un._level(group, c)
             quo = level.quotient
-            gbar, projection = group.quotient(group.subgroup_generated([c]))
-            reps = coset_representatives(projection, gbar.n)
+            gbar, projection, _ = group.quotient(group.subgroup_generated([c]))
+            least = [min(g, group.mul(g, c)) for g in group.elements()]
+            reps = sorted(set(least))
             assert quo.gbar.id == gbar.id == f"{entry.name}/{{0,{c}}}"
             assert quo.gbar.table.tobytes() == gbar.table.tobytes(), (entry.name, c)
             assert quo.reps.tolist() == reps, (entry.name, c)
-            qbar, array_projection, array_reps = group.quotient_by(np.array([0, c]))
-            assert qbar == gbar and array_projection.tolist() == list(projection)
-            assert array_reps.tolist() == reps
+            assert projection.tolist() == [reps.index(r) for r in least], (entry.name, c)
             assert level.t_c == group.square_roots(c)
             assert level.commuting == group.is_pairwise_commuting(level.t_c) == \
                 _commute_pairwise(group, level.t_c), (entry.name, c)
@@ -1113,7 +1114,7 @@ def test_lemma1_identity_spot_checks():
         group = build(name)
         star = ga.canonical_star(group)
         full = un.unitary_enumerate_oracle(group, star, GF2).order
-        gbar, _ = group.quotient(group.subgroup_generated([c]))
+        gbar, _, _ = group.quotient(group.subgroup_generated([c]))
         bar = un.unitary_enumerate_oracle(gbar, ga.canonical_star(gbar), GF2).order
         s_h, _ = un.s_h_enumerate(group, c, GF2)
         assert full * s_h == GF2.order ** (group.n // 2) * bar, name
@@ -1349,6 +1350,23 @@ def test_recover_rejects_non_power_odd():
         un.recover_group_order(10, GF3, 3)
 
 
+@pytest.mark.parametrize("order, field, message", [
+    (6, GF2, "6 is not a power of p = 2"),
+    (384, GF2, "384 is not a power of p = 2"),
+    (3, GF2, "3 is not a power of p = 2"),
+    (12, GF4, "12 is not a power of p = 2"),
+    (10, GF5, "10 is not a power of p = 5"),
+    (9, GF3, "9 gives |G| = 5, not a power of p = 3"),
+    (3 ** 3, GF3, "27 gives |G| = 7, not a power of p = 3"),
+    (5, GF5, "5 gives |G| = 3, not a power of p = 5"),
+    (3 ** 4, make_field(3, 2), "81 gives |G| = 5, not a power of p = 3"),
+])
+def test_recover_refuses_an_order_no_p_group_has(order, field, message):
+    with pytest.raises(ValueError) as exc:
+        un.recover_group_order(order, field, field.p)
+    assert str(exc.value) == message
+
+
 def test_recover_field_char_must_match():
     with pytest.raises(ValueError):
         un.recover_group_order(4, GF2, 3)
@@ -1368,7 +1386,7 @@ def test_result_to_dict_uses_decimal_strings():
 def test_recover_surfaces_empty_candidate_set():
     from unitary_lab.errors import Ambiguous
     with pytest.raises(Ambiguous) as exc:
-        un.recover_group_order(3, GF2, 2)  # no 2-power bracket contains 3
+        un.recover_group_order(2, GF4, 2)  # no bracket [4^(n/2), 4^(n-1)] contains 2
     assert exc.value.candidates == []
 
 
