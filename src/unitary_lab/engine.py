@@ -802,22 +802,17 @@ class AlgebraContext:
             X[low + 1:] = D[:, :, None]
             yield X.reshape(self.n, -1).T
 
-    def span_batches(self, basis: np.ndarray, batch: int = DEFAULT_BATCH,
-                     coefficient_codes: np.ndarray | None = None) -> Iterator[np.ndarray]:
-        """All linear combinations of the given (k, n) basis rows.
-
-        coefficient_codes restricts every coefficient to a sublist of field
-        codes (used for the im(tau) construction); defaults to the full field."""
+    def span_batches(self, basis: np.ndarray, batch: int = DEFAULT_BATCH) -> Iterator[np.ndarray]:
+        """All linear combinations of the given (k, n) basis rows, with every
+        coefficient over the whole field."""
         if batch < 1:
             raise ValueError(f"batch {batch} is not a positive number of rows")
         k = basis.shape[0]
-        coeffs = coefficient_codes if coefficient_codes is not None else np.arange(self.q, dtype=np.uint16)
-        radix = coeffs.size
-        total = radix ** k
+        total = self.q ** k
         for start in range(0, total, batch):
             stop = min(start + batch, total)
             X = np.zeros((stop - start, self.n), dtype=np.uint16)
-            D = coeffs[digits(np.arange(start, stop, dtype=np.uint64), radix, k)]
+            D = digits(np.arange(start, stop, dtype=np.uint64), self.q, k)
             for j in range(k):
                 scaled = self.tabs.mul[D[:, j, None], basis[j][None, :]]
                 X = self.add(X, scaled)

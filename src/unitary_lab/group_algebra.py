@@ -266,14 +266,16 @@ def from_codes(field: FieldSpec, group: Group, codes: np.ndarray | Sequence[int]
 
 @dataclass(frozen=True, eq=False)
 class GroupInvolution:
-    """An anti-automorphism of G of order two, as an index permutation."""
+    """An anti-automorphism of G of order two. sigma is a read-only intp
+    array of indices, as Group.table is: sigma[g] is the index of sigma(g).
+    canonical_star and involution_from_map build it."""
 
     group: Group
-    sigma: tuple[int, ...]
+    sigma: np.ndarray
     name: str = "sigma"
 
     def fixed_points(self) -> tuple[int, ...]:
-        return tuple(g for g in self.group.elements() if self.sigma[g] == g)
+        return tuple(np.flatnonzero(self.sigma == np.arange(self.group.n)).tolist())
 
     def require_group(self, group: Group):
         """Refuse a group whose table differs from the one sigma permutes."""
@@ -285,23 +287,26 @@ class GroupInvolution:
 
 
 def canonical_star(group: Group) -> GroupInvolution:
-    """The involution induced by g -> g^-1."""
-    sigma = tuple(group.left_division()[:, 0].tolist())  # g^-1 g_0 = g^-1
-    return GroupInvolution(group, sigma, name="*")
+    """The involution induced by g -> g^-1: a view of column 0 of the left
+    division table, g^-1 g_0 = g^-1."""
+    return GroupInvolution(group, group.left_division()[:, 0], name="*")
 
 
 def involution_from_map(group: Group, sigma: Sequence[int], name: str = "sigma") -> GroupInvolution:
-    """Validate that sigma is an order-two anti-automorphism of the group."""
-    sig = tuple(int(s) for s in sigma)
+    """Validate that sigma is an order-two anti-automorphism of the group;
+    a refusal names the least witness g, or the least (g, h) in row order."""
+    sig = [int(s) for s in sigma]
     if sorted(sig) != list(group.elements()):
         raise ValueError("sigma is not a permutation of the group indices")
-    for g in group.elements():
-        if sig[sig[g]] != g:
-            raise NotOrderTwo(g)
-    for g in group.elements():
-        for h in group.elements():
-            if sig[group.mul(g, h)] != group.mul(sig[h], sig[g]):
-                raise NotAntiAutomorphism((g, h))
+    sig = np.array(sig, dtype=np.intp)
+    wrong = np.flatnonzero(sig[sig] != np.arange(group.n))
+    if wrong.size:
+        raise NotOrderTwo(int(wrong[0]))
+    # row g, column h: sigma(g h) against sigma(h) sigma(g)
+    wrong = np.argwhere(sig[group.table] != group.table[np.ix_(sig, sig)].T)
+    if wrong.size:
+        raise NotAntiAutomorphism(tuple(wrong[0].tolist()))
+    sig.setflags(write=False)
     return GroupInvolution(group, sig, name=name)
 
 

@@ -4,7 +4,7 @@ Name grammar (all orders/parameters validated):
 
     cyclic:n                    C_n
     elementary_abelian:p:k      (C_p)^k
-    abelian:p:[k1,k2,...]       C_{p^k1} x C_{p^k2} x ...
+    abelian:p:[k1,k2,...]       C_{p^k1} x C_{p^k2} x ... (or bare k1,k2,...)
     dihedral:2^n   (n >= 3)     <r,s | r^{2^{n-1}}, s^2, srs^-1 = r^-1>
     quaternion:2^n (n >= 3)     <r,s | r^{2^{n-1}}, s^2 = r^{2^{n-2}}, srs^-1 = r^-1>
     semidihedral:16             <r,s | r^8, s^2, srs^-1 = r^3>
@@ -125,7 +125,8 @@ def product(a: Group, b: Group) -> Group:
     return validate_group(table, id=f"product:{a.id}*{b.id}")
 
 
-_ABELIAN_RE = re.compile(r"^abelian:(\d+):\[?([0-9,]+)\]?$")
+# one or more comma-separated integers, in brackets or bare: ] is read iff [ was
+_ABELIAN_RE = re.compile(r"^abelian:(\d+):(\[)?(\d+(?:,\d+)*)(?(2)\])$")
 
 
 def build(name: str) -> Group:
@@ -141,7 +142,7 @@ def build(name: str) -> Group:
     m = _ABELIAN_RE.match(name)
     if m:
         p = int(m.group(1))
-        ks = [int(x) for x in m.group(2).split(",") if x]
+        ks = [int(x) for x in m.group(3).split(",")]
         return abelian(p, ks)
     parts = name.split(":")
     family, args = parts[0], parts[1:]

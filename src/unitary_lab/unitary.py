@@ -112,15 +112,14 @@ class UnitaryResult:
 
 
 def clear_caches():
-    """Empty the characteristic-two memos (the orbits, the level records and
-    the contexts of FG), the memoized chi^-1 scaling matrices, and the field
+    """Empty the characteristic-two memos (the orbits and the level
+    records), the memoized chi^-1 scaling matrices, and the field
     arithmetic memoized per field: the fold matrix and tau's codes. So a
     computation after it does the same field arithmetic as the first. The
     field tables (engine.field_tables) are kept; they are built once per
     process. An oracle call keeps nothing, so it has none to empty."""
     _ORBITS.clear()
     _LEVELS.clear()
-    _CONTEXTS.clear()
     _inverse_scaling.cache_clear()
     fold_matrix.cache_clear()
     _tau_codes.cache_clear()
@@ -380,8 +379,7 @@ def _oracle_set(group: Group, inv: GroupInvolution, field: FieldSpec,
     if space > search_cap:
         raise SearchSpaceTooLarge(space, search_cap, context=f"oracle over {group.id}")
     require_key_space(field.order ** group.n, "uint64 key packing")
-    ctx = AlgebraContext(field, group)
-    sigma = np.array(inv.sigma, dtype=np.intp)
+    ctx, sigma = AlgebraContext(field, group), inv.sigma
     if ctx.char2 and np.array_equal(sigma, np.arange(ctx.n)) and not ctx.gtable.diagonal().any():
         _certify_full_space(ctx, sigma)
         shown = space if max_witnesses is None else min(max_witnesses, space)
@@ -482,18 +480,6 @@ def _level(group: Group, c: int) -> _Level:
     return level
 
 
-_CONTEXTS: dict[tuple, AlgebraContext] = {}
-
-
-def _context(field: FieldSpec, group: Group) -> AlgebraContext:
-    """The batch arithmetic of FG, one per (field, group) between clear_caches."""
-    key = (field, group, group.id)
-    ctx = _CONTEXTS.get(key)
-    if ctx is None:
-        ctx = _CONTEXTS[key] = AlgebraContext(field, group)
-    return ctx
-
-
 @dataclass(eq=False)
 class _CosetOrbit:
     """The recursion step over H = <c> for one (G, c, F); see _coset_orbit."""
@@ -526,7 +512,7 @@ def _generating_set(group: Group, field: FieldSpec, search_cap: int
     order 1, and the batch arithmetic of FG that the recursion built."""
     if group.n == 1:
         generators = np.empty((0, 1), dtype=np.uint16)
-        return 1, generators, to_planes(generators, field.m), _context(field, group)
+        return 1, generators, to_planes(generators, field.m), AlgebraContext(field, group)
     orbit = _coset_orbit(group, _least_central_involution(group), field, search_cap)
     return orbit.order, orbit.generators, orbit.generator_planes, orbit.ctx
 
@@ -605,13 +591,17 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     the paper's bound |S_H| <= q^((|G| - |G{2}| + |T_c|)/4) bounds the
     points by q^(|T_c|/2), as |Gb{2}| = (|G{2}| + |T_c|)/2, and that
     product is refused beyond search_cap before any arithmetic here."""
+    # The table, not the id: an orbit's contents are read for arithmetic, never
+    # for a message, and quotients of different groups often have equal tables
+    # (57 of 214 calls in a seed-7 char2_recursion pass are served so). Messages
+    # name the caller's group: every refusal is raised before the store.
     cache_key = (group, c, field, search_cap)
     hit = _ORBITS.get(cache_key)
     if hit is not None:
         return hit
     level = _level(group, c)
     t_c, quo = level.t_c, level.quotient
-    ctx = _context(field, group)
+    ctx = AlgebraContext(field, group)
     vbar_order, vbar_gens, vbar_planes, bctx = _generating_set(quo.gbar, field, search_cap)
     reps, reps_c, pairs, gamma_cols = quo.reps, quo.reps_c, quo.pairs, quo.gamma_cols
     work = field.order ** (len(t_c) // 2) * vbar_gens.shape[0]

@@ -250,57 +250,19 @@ def test_verify_suite_cayley(capsys):
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# (file under tests/golden holding the stdout, command line); every command exits 0
-GOLDEN_CASES = [
-    ("theta_table_64_gf2.json", "theta-table --max-order 64 --field 2^1 --format json"),
-    ("theta_table_16_gf16.md", "theta-table --max-order 16 --field 2^4 --format markdown"),
-    ("theta_table_8_gf128_gf256.json",
-     "theta-table --max-order 8 --field 2^7 --field 2^8 --format json"),
-    ("compute_multi_cell.csv",
-     "compute --group dihedral:8 --group cyclic:8 --field 2^2 --field 2^1 --format csv"),
-    ("compute_oracle_q8_gf8.json",
-     "compute --group quaternion:8 --field 2^3 --method oracle --format json"),
-    ("compute_oracle_d8_gf8.json",
-     "compute --group dihedral:8 --field 2^3 --method oracle --format json"),
-    ("compute_oracle_e8_gf8.json",
-     "compute --group elementary_abelian:2:3 --field 2^3 --method oracle --format json"),
-    ("compute_oracle_e4_gf256.json",
-     "compute --group elementary_abelian:2:2 --field 2^8 --method oracle --format json"),
-    ("compute_oracle_c4xc2_gf8.json",
-     "compute --group abelian:2:[1,2] --field 2^3 --method oracle --format json"),
-    ("compute_oracle_d16_gf2.json",
-     "compute --group dihedral:16 --field 2^1 --method oracle --format json"),
-    ("compute_oracle_c4_gf64.json",
-     "compute --group cyclic:4 --field 2^6 --method oracle --format json"),
-    ("compute_oracle_c9_gf3.json",
-     "compute --group cyclic:9 --field 3^1 --method oracle --format json"),
-    ("compute_oracle_c5_gf25.json",
-     "compute --group cyclic:5 --field 5^2 --method oracle --format json"),
-    ("compute_oracle_c3_gf81.json",
-     "compute --group cyclic:3 --field 3^4 --method oracle --format json"),
-    ("compute_oracle_e9_gf3.json",
-     "compute --group elementary_abelian:3:2 --field 3^1 --method oracle --format json"),
-    ("compute_oracle_c7_gf7.json",
-     "compute --group cyclic:7 --field 7^1 --method oracle --format json"),
-    ("compute_oracle_c3_gf243.json",
-     "compute --group cyclic:3 --field 3^5 --method oracle --format json"),
-    ("compute_oracle_c3_gf729.json",
-     "compute --group cyclic:3 --field 3^6 --method oracle --format json"),
-    ("compute_recursive_d16_gf8.json", "compute --group dihedral:16 --field 2^3 --method recursive"),
-    ("theta_table_32_gf4.json", "theta-table --max-order 32 --field 2^2 --format json"),
-    ("compute_recursive_2groups_gf2_gf4.json",
-     "compute --group quaternion:32 --group semidihedral:16 --group abelian:2:[1,1,2] "
-     "--group elementary_abelian:2:4 --field 2^1 --field 2^2 --method recursive --format json"),
-    ("groups_list_64.json", "groups list --max-order 64 --format json"),
-    ("verify_cayley_seed3.txt", "verify --suite cayley --seed 3"),
-    ("verify_bounds.txt", "verify --suite bounds"),
-    ("verify_thm1.txt", "verify --suite thm1"),
-    ("verify_lemma1.txt", "verify --suite lemma1"),
-    ("verify_cor1.txt", "verify --suite cor1"),
-]
+# one (file under tests/golden holding the stdout, command line) pair a line; CI runs the
+# same lines through the installed entry point, and every command exits 0
+MANIFEST = [tuple(line.split(maxsplit=1))
+            for line in (GOLDEN / "manifest.txt").read_text().splitlines()]
 
 
-@pytest.mark.parametrize("name, command", GOLDEN_CASES, ids=[name for name, _ in GOLDEN_CASES])
+def test_manifest_names_each_golden_file_once():
+    names = [name for name, _ in MANIFEST]
+    files = sorted(path.name for path in GOLDEN.iterdir() if path.name != "manifest.txt")
+    assert sorted(names) == files
+
+
+@pytest.mark.parametrize("name, command", MANIFEST, ids=[name for name, _ in MANIFEST])
 def test_output_matches_golden_file(capsys, name, command):
     clear_caches()
     code, out, _ = run_cli(capsys, *command.split())

@@ -463,7 +463,7 @@ def test_char2_unitary_keys_match_table_kernel_scan(group_name, m):
 def test_char2_unitary_keys_under_a_non_canonical_involution():
     d8 = build("dihedral:8")
     inv = ga.involution_from_map(d8, [d8.mul(d8.mul(1, d8.inverse(g)), 3) for g in d8.elements()])
-    assert inv.sigma != ga.canonical_star(d8).sigma
+    assert not np.array_equal(inv.sigma, ga.canonical_star(d8).sigma)
     sigma = np.array(inv.sigma, dtype=np.intp)
     for m in (1, 2, 3):
         ctx = AlgebraContext(make_field(2, m), d8)
@@ -717,16 +717,6 @@ def test_span_batches_counts():
     rows = np.concatenate(list(ctx.span_batches(basis, batch=7)), axis=0)
     assert rows.shape[0] == 16
     assert len(np.unique(ctx.pack(rows))) == 16
-
-
-def test_span_batches_with_restricted_coefficients():
-    spec, group = make_field(2, 2), build("cyclic:4")
-    ctx = AlgebraContext(spec, group)
-    basis = np.array([[0, 1, 0, 0]], dtype=np.uint16)
-    rows = np.concatenate(list(ctx.span_batches(
-        basis, coefficient_codes=np.array([0, 1], dtype=np.uint16))), axis=0)
-    assert rows.shape[0] == 2
-    assert set(rows[:, 1].tolist()) == {0, 1}
 
 
 def test_keys_contain():

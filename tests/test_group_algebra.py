@@ -526,6 +526,37 @@ def test_involution_from_map_rejects_non_permutation():
         ga.involution_from_map(c4, [0, 0, 1, 2])
 
 
+@pytest.mark.parametrize("name, sigma, error, message, witness", [
+    ("dihedral:8", [0, 0, 1, 2, 3, 4, 5, 6], ValueError,
+     "sigma is not a permutation of the group indices", None),
+    ("dihedral:8", [0, 1, 3, 4, 2, 5, 6, 7], NotOrderTwo, "sigma(sigma(g2)) != g2", 2),
+    ("dihedral:8", [0, 3, 2, 1, 4, 5, 7, 6], NotAntiAutomorphism,
+     "sigma(g1*g5) != sigma(g5)*sigma(g1)", (1, 5)),
+    ("elementary_abelian:3:2", [0, 1, 2, 3, 4, 5, 6, 7, 9], ValueError,
+     "sigma is not a permutation of the group indices", None),
+    ("elementary_abelian:3:2", [0, 1, 2, 4, 5, 3, 6, 7, 8], NotOrderTwo,
+     "sigma(sigma(g3)) != g3", 3),
+    ("elementary_abelian:3:2", [0, 1, 2, 3, 4, 5, 6, 8, 7], NotAntiAutomorphism,
+     "sigma(g1*g6) != sigma(g6)*sigma(g1)", (1, 6)),
+])
+def test_involution_from_map_names_the_least_witness(name, sigma, error, message, witness):
+    # a map that is neither of order two nor an anti-automorphism fails the
+    # order first; each refusal names the least g, or the least (g, h) by rows
+    with pytest.raises(error) as exc:
+        ga.involution_from_map(build(name), sigma)
+    assert type(exc.value) is error and str(exc.value) == message
+    assert getattr(exc.value, "witness", None) == witness
+
+
+def test_involutions_are_read_only_index_arrays():
+    d8 = build("dihedral:8")
+    star = ga.canonical_star(d8)
+    assert np.shares_memory(star.sigma, d8.left_division())
+    for inv in (star, ga.involution_from_map(d8, star.sigma.tolist())):
+        assert inv.sigma.dtype == np.intp and not inv.sigma.flags.writeable
+        assert inv.sigma.tolist() == [d8.inverse(g) for g in d8.elements()]
+
+
 def test_apply_involution_relabels_coefficients():
     c4 = build("cyclic:4")
     star = ga.canonical_star(c4)

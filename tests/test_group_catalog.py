@@ -59,6 +59,19 @@ def test_bad_parameters():
         cat.build("frobnicate:3")
 
 
+@pytest.mark.parametrize("name", ["abelian:2:[1,,2]", "abelian:2:[1,2", "abelian:2:1,2]",
+                                  "abelian:2:,1"])
+def test_malformed_abelian_names_are_refused_not_renamed(name):
+    with pytest.raises(UnknownName) as exc:
+        cat.build(name)
+    assert str(exc.value) == f"unknown catalog name {name!r}"
+
+
+def test_abelian_names_take_both_brackets_or_neither():
+    for name in ("abelian:2:[1,2]", "abelian:2:1,2"):
+        assert cat.build(name).id == "abelian:2:[1,2]"
+
+
 def test_sweep_order_8():
     names = {g.id for g in cat.sweep(8, 2)}
     assert names == {

@@ -904,6 +904,24 @@ def test_level_record_matches_the_quotient_and_square_roots():
     assert count > 100
 
 
+def test_an_equal_table_under_another_id_reuses_the_orbits_and_keeps_its_name():
+    # _ORBITS is keyed by the table: D16's table under the id "other" computes
+    # no orbit, and its result and its refusals still name "other"
+    un.clear_caches()
+    d16 = build("dihedral:16")
+    expected = un.unitary_order_char2(d16, GF2).order
+    computed = len(un._ORBITS)
+    other = validate_group(d16.table, id="other")
+    result = un.unitary_order_char2(other, GF2)
+    assert len(un._ORBITS) == computed
+    assert (result.group_id, result.order) == ("other", expected)
+    for cap, where in ((8, "other"), (4, "other/{0,4}")):
+        with pytest.raises(SearchSpaceTooLarge) as exc:
+            un.unitary_order_char2(other, GF2, search_cap=cap)
+        assert str(exc.value).endswith(f"exceeds cap {cap} (S_H coset orbit over {where})")
+    un.clear_caches()
+
+
 @pytest.mark.parametrize("name, c, error, message", [
     ("dihedral:8", 4, NotCentralInvolution, "element 4 is not a central element of order two"),
     ("dihedral:8", 1, NotCentralInvolution, "element 1 is not a central element of order two"),
@@ -962,11 +980,11 @@ def test_clear_caches_empties_the_memos_of_field_arithmetic():
     assert finite_field.fold_matrix(GF4) is finite_field.fold_matrix(GF4)
     engine.field_tables(GF4)
     un.bounds_and_constructions(build("dihedral:8"), 2, GF4)  # T_c commutes: N2 reads tau
-    assert un._tau_codes.cache_info().currsize and un._LEVELS and un._CONTEXTS
+    assert un._tau_codes.cache_info().currsize and un._LEVELS and un._ORBITS
     un.clear_caches()
     assert finite_field.fold_matrix.cache_info().currsize == 0
     assert un._tau_codes.cache_info().currsize == 0
-    assert not un._LEVELS and not un._CONTEXTS and not un._ORBITS
+    assert not un._LEVELS and not un._ORBITS
     assert engine.field_tables.cache_info().currsize > 0
 
 
@@ -1396,7 +1414,7 @@ def test_oracle_with_non_canonical_involution_char2():
     d8 = build("dihedral:8")
     sigma = [d8.mul(d8.mul(1, d8.inverse(g)), 3) for g in d8.elements()]
     inv = ga.involution_from_map(d8, sigma, name="conj-inverse")
-    assert inv.sigma != ga.canonical_star(d8).sigma
+    assert not np.array_equal(inv.sigma, ga.canonical_star(d8).sigma)
     res = un.unitary_enumerate_oracle(d8, inv, GF2, max_witnesses=None)
     one = ga.algebra_one(GF2, d8)
     for x in res.elements:
