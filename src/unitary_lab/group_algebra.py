@@ -41,7 +41,7 @@ from .finite_field import (
     is_power_of,
     parse_element_literal,
 )
-from .group_core import Group, SubgroupHandle
+from .group_core import Group, SubgroupHandle, _int64_entries
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
@@ -268,11 +268,27 @@ def from_codes(field: FieldSpec, group: Group, codes: np.ndarray | Sequence[int]
 class GroupInvolution:
     """An anti-automorphism of G of order two. sigma is a read-only intp
     array of indices, as Group.table is: sigma[g] is the index of sigma(g).
-    canonical_star and involution_from_map build it."""
+    canonical_star and involution_from_map build it; one built otherwise is
+    checked for integer entries, its shape and its range, not for being an
+    anti-automorphism."""
 
     group: Group
     sigma: np.ndarray
     name: str = "sigma"
+
+    def __post_init__(self):
+        # a read-only intp array is kept, so canonical_star's view shares
+        # left_division's memory; anything else is copied, so no caller's
+        # array is frozen
+        sigma, n = self.sigma, self.group.n
+        if not (isinstance(sigma, np.ndarray) and sigma.dtype == np.intp and not sigma.flags.writeable):
+            sigma = _int64_entries(sigma, "sigma").astype(np.intp)
+            sigma.setflags(write=False)
+        if sigma.shape != (n,):
+            raise ValueError(f"sigma of shape {sigma.shape}, not ({n},)")
+        if sigma.min() < 0 or sigma.max() >= n:
+            raise ValueError(f"sigma entry {sigma.min() if sigma.min() < 0 else sigma.max()} outside [0, {n})")
+        object.__setattr__(self, "sigma", sigma)
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.sigma == np.arange(self.group.n)).tolist())
@@ -295,10 +311,9 @@ def canonical_star(group: Group) -> GroupInvolution:
 def involution_from_map(group: Group, sigma: Sequence[int], name: str = "sigma") -> GroupInvolution:
     """Validate that sigma is an order-two anti-automorphism of the group;
     a refusal names the least witness g, or the least (g, h) in row order."""
-    sig = [int(s) for s in sigma]
-    if sorted(sig) != list(group.elements()):
+    sig = _int64_entries(sigma, "sigma").astype(np.intp)
+    if sig.shape != (group.n,) or not np.array_equal(np.sort(sig), np.arange(group.n)):
         raise ValueError("sigma is not a permutation of the group indices")
-    sig = np.array(sig, dtype=np.intp)
     wrong = np.flatnonzero(sig[sig] != np.arange(group.n))
     if wrong.size:
         raise NotOrderTwo(int(wrong[0]))

@@ -52,7 +52,6 @@ class Group:
         self.id = id or f"group:{self.n}"
         self._left_division: np.ndarray | None = None
         self._left_division_t: np.ndarray | None = None
-        self._orders: list[int] | None = None
         self._special: SpecialSets | None = None
         # equality compares tables, so the hash is of the table alone
         self._hash = hash(np.asarray(table, dtype=np.int64).tobytes())
@@ -102,15 +101,11 @@ class Group:
 
     def order_of(self, g: int) -> int:
         self._bounds(g)
-        if self._orders is None:
-            self._orders = [0] * self.n
-        if self._orders[g] == 0:
-            k, x = 1, g
-            while x != 0:
-                x = self.mul(x, g)
-                k += 1
-            self._orders[g] = k
-        return self._orders[g]
+        k, x = 1, g
+        while x != 0:
+            x = self.mul(x, g)
+            k += 1
+        return k
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
@@ -239,19 +234,21 @@ def _magma_generators(t: np.ndarray) -> list[int]:
     return gens
 
 
-def _int64_table(table) -> np.ndarray:
-    """The table as int64. Before the cast, refuse every entry that is not an
-    integer: a float, a str, a bool, or the row a ragged table nests as an entry."""
-    if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
-        return table.astype(np.int64, copy=False)
-    entries = np.array(table, dtype=object)
+def _int64_entries(values, what: str) -> np.ndarray:
+    """The values (a table, or a map of indices) as int64, what naming them
+    in a refusal. Before the cast, refuse every entry that is not an
+    integer: a float, a str, a bool, or the row a ragged table nests as an
+    entry."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    entries = np.array(values, dtype=object)
     if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
                for x in entries.flat):
-        raise ValueError("table entries must be integers")
+        raise ValueError(f"{what} entries must be integers")
     try:
         return entries.astype(np.int64)
     except OverflowError:
-        raise ValueError("table entries must be indices < n") from None
+        raise ValueError(f"{what} entries must be indices < n") from None
 
 
 def validate_group(table, id: str = "") -> Group:
@@ -264,7 +261,7 @@ def validate_group(table, id: str = "") -> Group:
     under the product, so the test holds for every z once it holds on A
     (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1, 1961).
     """
-    t = _int64_table(table)
+    t = _int64_entries(table, "table")
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("table must be square")
     n = t.shape[0]

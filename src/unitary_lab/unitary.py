@@ -112,14 +112,13 @@ class UnitaryResult:
 
 
 def clear_caches():
-    """Empty the characteristic-two memos (the orbits and the level
-    records), the memoized chi^-1 scaling matrices, and the field
-    arithmetic memoized per field: the fold matrix and tau's codes. So a
-    computation after it does the same field arithmetic as the first. The
-    field tables (engine.field_tables) are kept; they are built once per
-    process. An oracle call keeps nothing, so it has none to empty."""
+    """Empty the characteristic-two memo of orbits, the memoized chi^-1
+    scaling matrices, and the field arithmetic memoized per field: the fold
+    matrix and tau's codes. So a computation after it does the same field
+    arithmetic as the first. The field tables (engine.field_tables) are
+    kept; they are built once per process. An oracle call keeps nothing, so
+    it has none to empty."""
     _ORBITS.clear()
-    _LEVELS.clear()
     _inverse_scaling.cache_clear()
     fold_matrix.cache_clear()
     _tau_codes.cache_clear()
@@ -434,50 +433,22 @@ class _Quotient:
     sym_basis: np.ndarray    # the rows g + g^-1 over g <= g^-1 of Gb, a basis of its symmetric elements
 
 
-@dataclass(eq=False)
-class _Level:
-    """The field-independent set-up of the recursion step over H = <c> in G,
-    built once per (G, c) by _level. T_c and its flag come at once, as the
-    bounds read them for every central c; the quotient is built when an
-    orbit over the level first reads it."""
-
-    group: Group
-    c: int
-    t_c: tuple[int, ...]     # T_c = {g : g^2 = c}, ascending
-    commuting: bool          # whether T_c commutes pairwise
-
-    @functools.cached_property
-    def quotient(self) -> _Quotient:
-        """Gb is the one Group.quotient of G by {1, c}, whose
-        representatives are the lift's section."""
-        group, c = self.group, self.c
-        gbar, _, reps = group.quotient(SubgroupHandle(group, (0, c)))
-        table, bstar = np.asarray(group.table, dtype=np.intp), gbar.left_division()[:, 0]
-        reps_c, squares = table[reps, c], table[reps, reps]
-        pairs = np.flatnonzero(np.arange(gbar.n) < bstar)
-        t_bar, over_g2 = np.flatnonzero(squares == c), np.flatnonzero(squares == 0)
-        gamma_cols = np.concatenate([pairs, t_bar])
-        lifts = np.stack([reps, reps_c, reps[bstar], reps_c[bstar]], axis=1)  # of h and h^-1
-        lifts = lifts[gamma_cols]
-        lifts.setflags(write=False)  # every orbit over the level hands it out
-        eye = np.eye(gbar.n, dtype=np.uint16)
-        return _Quotient(gbar, reps, reps_c, pairs, t_bar, over_g2, gamma_cols, lifts,
-                         (eye | eye[bstar])[np.arange(gbar.n) <= bstar])
-
-
-_LEVELS: dict[tuple, _Level] = {}
-
-
-def _level(group: Group, c: int) -> _Level:
-    """The level record of (G, c), memoized; a c that is not a central
-    involution is refused by Group.square_roots, which reads T_c off the
-    table's diagonal."""
-    key = (group, group.id, c)  # the id too: Gb's id, in messages, is built from it
-    level = _LEVELS.get(key)
-    if level is None:
-        t_c = group.square_roots(c)
-        level = _LEVELS[key] = _Level(group, c, t_c, group.is_pairwise_commuting(t_c))
-    return level
+def _quotient(group: Group, c: int) -> _Quotient:
+    """Gb = G/<c> and the coordinates of _coset_orbit on it. Gb is the one
+    Group.quotient of G by {1, c}, whose representatives are the lift's
+    section."""
+    gbar, _, reps = group.quotient(SubgroupHandle(group, (0, c)))
+    table, bstar = np.asarray(group.table, dtype=np.intp), gbar.left_division()[:, 0]
+    reps_c, squares = table[reps, c], table[reps, reps]
+    pairs = np.flatnonzero(np.arange(gbar.n) < bstar)
+    t_bar, over_g2 = np.flatnonzero(squares == c), np.flatnonzero(squares == 0)
+    gamma_cols = np.concatenate([pairs, t_bar])
+    lifts = np.stack([reps, reps_c, reps[bstar], reps_c[bstar]], axis=1)  # of h and h^-1
+    lifts = lifts[gamma_cols]
+    lifts.setflags(write=False)  # the orbit hands it out
+    eye = np.eye(gbar.n, dtype=np.uint16)
+    return _Quotient(gbar, reps, reps_c, pairs, t_bar, over_g2, gamma_cols, lifts,
+                     (eye | eye[bstar])[np.arange(gbar.n) <= bstar])
 
 
 @dataclass(eq=False)
@@ -599,8 +570,8 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     hit = _ORBITS.get(cache_key)
     if hit is not None:
         return hit
-    level = _level(group, c)
-    t_c, quo = level.t_c, level.quotient
+    t_c = group.square_roots(c)  # refuses a c that is not a central involution
+    quo = _quotient(group, c)
     ctx = AlgebraContext(field, group)
     vbar_order, vbar_gens, vbar_planes, bctx = _generating_set(quo.gbar, field, search_cap)
     reps, reps_c, pairs, gamma_cols = quo.reps, quo.reps_c, quo.pairs, quo.gamma_cols
@@ -771,8 +742,8 @@ def _s_h_bounds(group: Group, c: int, field: FieldSpec
     """The paper's bracket of |S_H| for H = <c>: T_c, whether T_c commutes,
     the upper bound q^((|G| - |G{2}| + |T_c|)/4), and the lower bound
     upper / 2^(|T_c|/2), which is proved only when T_c commutes (else None)."""
-    level = _level(group, c)
-    t_c, commuting = level.t_c, level.commuting
+    t_c = group.square_roots(c)
+    commuting = group.is_pairwise_commuting(t_c)
     num = group.n - len(group.special_sets().order_two) + len(t_c)
     if num % 4:
         raise _inconsistency(group, field, "bound exponent is not an integer", c=c)

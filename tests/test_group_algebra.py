@@ -538,10 +538,15 @@ def test_involution_from_map_rejects_non_permutation():
      "sigma(sigma(g3)) != g3", 3),
     ("elementary_abelian:3:2", [0, 1, 2, 3, 4, 5, 6, 8, 7], NotAntiAutomorphism,
      "sigma(g1*g6) != sigma(g6)*sigma(g1)", (1, 6)),
+    ("cyclic:3", [0, 2.9, 1], ValueError, "sigma entries must be integers", None),
+    ("cyclic:3", [0, 2, 1.0], ValueError, "sigma entries must be integers", None),
+    ("cyclic:3", [False, 2, True], ValueError, "sigma entries must be integers", None),
+    ("cyclic:3", ["0", "2", "1"], ValueError, "sigma entries must be integers", None),
 ])
 def test_involution_from_map_names_the_least_witness(name, sigma, error, message, witness):
     # a map that is neither of order two nor an anti-automorphism fails the
-    # order first; each refusal names the least g, or the least (g, h) by rows
+    # order first; each refusal names the least g, or the least (g, h) by rows;
+    # an entry that is not an integer is refused as a table's is, not truncated
     with pytest.raises(error) as exc:
         ga.involution_from_map(build(name), sigma)
     assert type(exc.value) is error and str(exc.value) == message
@@ -555,6 +560,33 @@ def test_involutions_are_read_only_index_arrays():
     for inv in (star, ga.involution_from_map(d8, star.sigma.tolist())):
         assert inv.sigma.dtype == np.intp and not inv.sigma.flags.writeable
         assert inv.sigma.tolist() == [d8.inverse(g) for g in d8.elements()]
+
+
+@pytest.mark.parametrize("name, field, order", [("quaternion:8", GF2, 64), ("cyclic:9", GF3, 81)])
+def test_an_involution_built_by_hand_takes_a_sequence(name, field, order):
+    # a tuple or a list sigma is stored as the read-only intp array that
+    # canonical_star holds, a copy, and the oracle answers as with the star
+    group = build(name)
+    star = ga.canonical_star(group).sigma
+    for sigma in (tuple(star.tolist()), star.tolist(), star.copy()):
+        inv = ga.GroupInvolution(group, sigma, "*")
+        assert inv.sigma.dtype == np.intp and not inv.sigma.flags.writeable
+        assert np.array_equal(inv.sigma, star) and not np.shares_memory(inv.sigma, star)
+        assert un.unitary_enumerate_oracle(group, inv, field).order == order
+    assert np.asarray(sigma).flags.writeable  # the caller's array is not frozen
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ([0, 3, 2], "sigma of shape (3,), not (4,)"),
+    ([[0, 3], [2, 1]], "sigma of shape (2, 2), not (4,)"),
+    ([0, 3, 2, -1], "sigma entry -1 outside [0, 4)"),
+    ([0, 3, 2, 4], "sigma entry 4 outside [0, 4)"),
+    ([0, 3, 2, 1.0], "sigma entries must be integers"),
+])
+def test_an_involution_built_by_hand_refuses_a_bad_sigma(sigma, message):
+    with pytest.raises(ValueError) as exc:
+        ga.GroupInvolution(build("cyclic:4"), sigma)
+    assert str(exc.value) == message
 
 
 def test_apply_involution_relabels_coefficients():

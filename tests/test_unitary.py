@@ -30,7 +30,7 @@ from unitary_lab.errors import (
 )
 from unitary_lab.finite_field import make_field
 from unitary_lab.group_catalog import abelian, build, catalog_entries
-from unitary_lab.group_core import validate_group
+from unitary_lab.group_core import Group, validate_group
 
 GF2 = make_field(2, 1)
 GF3 = make_field(3, 1)
@@ -872,18 +872,18 @@ def _commute_pairwise(group, members):
     return all(group.mul(a, b) == group.mul(b, a) for a in members for b in members)
 
 
-def test_level_record_matches_the_quotient_and_square_roots():
+def test_quotient_coordinates_match_the_quotient_and_square_roots():
     # every catalog 2-group up to order 64 and every central involution: Gb
     # against the quotient by the subgroup search, its representatives and
-    # projection against the least members of the cosets {g, gc}, T_c and its
-    # flag against square_roots and a loop
+    # projection against the least members of the cosets {g, gc}, and the
+    # bounds' T_c and its flag against square_roots and a loop
     un.clear_caches()
     count = 0
     for entry in catalog_entries(64, 2):
         group = build(entry.name)
         for c in group.special_sets().central_order_two:
-            level = un._level(group, c)
-            quo = level.quotient
+            quo = un._quotient(group, c)
+            t_c, commuting = un._s_h_bounds(group, c, GF2)[:2]
             gbar, projection, _ = group.quotient(group.subgroup_generated([c]))
             least = [min(g, group.mul(g, c)) for g in group.elements()]
             reps = sorted(set(least))
@@ -891,17 +891,34 @@ def test_level_record_matches_the_quotient_and_square_roots():
             assert quo.gbar.table.tobytes() == gbar.table.tobytes(), (entry.name, c)
             assert quo.reps.tolist() == reps, (entry.name, c)
             assert projection.tolist() == [reps.index(r) for r in least], (entry.name, c)
-            assert level.t_c == group.square_roots(c)
-            assert level.commuting == group.is_pairwise_commuting(level.t_c) == \
-                _commute_pairwise(group, level.t_c), (entry.name, c)
+            assert t_c == group.square_roots(c)
+            assert commuting == group.is_pairwise_commuting(t_c) == \
+                _commute_pairwise(group, t_c), (entry.name, c)
             squares = [group.mul(r, r) for r in reps]
             assert quo.reps_c.tolist() == [group.mul(r, c) for r in reps]
             assert quo.pairs.tolist() == [h for h in range(gbar.n) if h < gbar.inverse(h)]
             assert quo.t_bar.tolist() == [h for h, s in enumerate(squares) if s == c]
             assert quo.over_g2.tolist() == [h for h, s in enumerate(squares) if s == 0]
-            assert un._level(group, c) is level and level.quotient is quo
             count += 1
     assert count > 100
+
+
+def test_an_orbit_miss_builds_one_quotient_and_a_hit_none(monkeypatch):
+    # D16 over GF(2), then over GF(4): each orbit computed builds its own Gb;
+    # the bounds and S_H over a (G, c) whose orbit is known build none
+    built, quotient = [], Group.quotient
+    monkeypatch.setattr(Group, "quotient", lambda self, sub: built.append(self.n) or quotient(self, sub))
+    un.clear_caches()
+    d16 = build("dihedral:16")
+    for field in (GF2, GF4):
+        un.unitary_order_char2(d16, field)
+    misses = len(un._ORBITS)
+    assert misses == 8 and len(built) == misses
+    c = un._least_central_involution(d16)
+    un.bounds_and_constructions(d16, c, GF4)
+    un.s_h_enumerate(d16, c, GF2)
+    assert len(un._ORBITS) == misses and len(built) == misses
+    un.clear_caches()
 
 
 def test_an_equal_table_under_another_id_reuses_the_orbits_and_keeps_its_name():
@@ -939,22 +956,22 @@ def test_every_entry_point_refuses_a_c_that_is_not_a_central_involution(name, c,
         with pytest.raises(error) as exc:
             call()
         assert type(exc.value) is error and str(exc.value) == message
-    assert not un._LEVELS and not un._ORBITS
+    assert not un._ORBITS
 
 
 def test_bounds_refuse_a_bound_before_any_orbit_work(monkeypatch):
     # |G{2}| one short makes (|G| - |G{2}| + |T_c|)/4 fractional; the refusal
-    # comes from T_c in the level record, before the quotient or any orbit
+    # comes from T_c, before the quotient or any orbit
     d8 = build("dihedral:8")
     special = d8.special_sets()
     monkeypatch.setattr(d8, "special_sets",
                         lambda: dataclasses.replace(special, order_two=special.order_two[:-1]))
     monkeypatch.setattr(un, "_coset_orbit", lambda *args: pytest.fail("orbit work before the bound"))
+    monkeypatch.setattr(un, "_quotient", lambda *args: pytest.fail("a quotient before the bound"))
     un.clear_caches()
     with pytest.raises(InternalInconsistency) as exc:
         un.bounds_and_constructions(d8, 2, GF2)
     assert str(exc.value) == "bound exponent is not an integer (dihedral:8 over 2^1, c = g2)"
-    assert "quotient" not in vars(un._level(d8, 2))
 
 
 def test_a_level_converts_no_generator_of_the_level_below(monkeypatch):
@@ -964,7 +981,7 @@ def test_a_level_converts_no_generator_of_the_level_below(monkeypatch):
     un.clear_caches()
     group = build("elementary_abelian:2:4")
     c = un._least_central_involution(group)
-    gbar = un._level(group, c).quotient.gbar
+    gbar = un._quotient(group, c).gbar
     below = un._coset_orbit(gbar, un._least_central_involution(gbar), GF2, un.DEFAULT_SEARCH_CAP)
     assert np.array_equal(below.generator_planes, engine.to_planes(below.generators, 1))
     converted, to_planes = [], un.to_planes
@@ -980,11 +997,11 @@ def test_clear_caches_empties_the_memos_of_field_arithmetic():
     assert finite_field.fold_matrix(GF4) is finite_field.fold_matrix(GF4)
     engine.field_tables(GF4)
     un.bounds_and_constructions(build("dihedral:8"), 2, GF4)  # T_c commutes: N2 reads tau
-    assert un._tau_codes.cache_info().currsize and un._LEVELS and un._ORBITS
+    assert un._tau_codes.cache_info().currsize and un._ORBITS
     un.clear_caches()
     assert finite_field.fold_matrix.cache_info().currsize == 0
     assert un._tau_codes.cache_info().currsize == 0
-    assert not un._LEVELS and not un._ORBITS
+    assert not un._ORBITS
     assert engine.field_tables.cache_info().currsize > 0
 
 
