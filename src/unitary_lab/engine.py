@@ -10,17 +10,19 @@ In odd characteristic one function multiplies: `digit_product`, on
 (..., |G|, m) arrays of base-p digits. AlgebraElement runs it on one
 element, unit inversion on a stacked pair, and `AlgebraContext.mul` on a
 batch, whose codes become digits by `digits` and come back by powers of p.
-The odd oracle scan, its candidates, odd sums and span_batches read (q, q)
-tables instead, built once per field from the codes' base-p digits, for
-any field whose q^2 m int64 digits fit in MAX_GATHER_BYTES (GF(3^7),
-GF(5^5) and GF(2^11) are the largest of their characteristics; any prime
-field up to GF(8191)): addition and negation digit by digit mod p,
-multiplication by contracting the digits' outer product with the field's
-fold matrix (`finite_field.fold_matrix`, which `digit_product` reduces by
-too). A context builds them on first read (`AlgebraContext.tabs`); no
-product and no characteristic-two route reads them, so characteristic two
-reaches every field up to GF(2^16). The tests check every table entry
-against FieldElement's polynomial arithmetic.
+The odd oracle scan (`_odd_unitary_keys`), its candidates
+(`normalized_grid`) and their sums (`augmentation`) read (q, q) tables
+instead, and nothing else does. They are built once per field from the
+codes' base-p digits, for any field whose q^2 m int64 digits fit in
+MAX_GATHER_BYTES (GF(3^7), GF(5^5) and GF(2^11) are the largest of their
+characteristics; any prime field up to GF(8191)): addition and negation
+digit by digit mod p, multiplication by contracting the digits' outer
+product with the field's fold matrix (`finite_field.fold_matrix`, which
+`digit_product` and `span_batches` reduce by too). A context builds them on
+first read (`AlgebraContext.tabs`); no product and no characteristic-two
+route reads them, so characteristic two reaches every field up to
+GF(2^16). The tests check every table entry against FieldElement's
+polynomial arithmetic.
 
 In characteristic two a code's bit a is the coefficient of x^a, so addition
 is XOR and products run bitsliced: a batch becomes bit-planes, one bit per
@@ -342,8 +344,7 @@ class AlgebraContext:
     """Batch arithmetic for one (field, group) pair.
 
     Characteristic two multiplies bitsliced and adds by XOR; odd
-    characteristic multiplies digit arrays (`digit_product`) and adds
-    through the field tables."""
+    characteristic multiplies digit arrays (`digit_product`)."""
 
     def __init__(self, field: FieldSpec, group: Group):
         self.field = field
@@ -363,10 +364,10 @@ class AlgebraContext:
 
     @functools.cached_property
     def tabs(self) -> FieldTables:
-        """The field tables, built on first read: only the odd oracle scan
-        and its candidates, odd add and augmentation, and span_batches read
-        them, so no product and no characteristic-two route has a field-size
-        ceiling from them."""
+        """The field tables, built on first read: only `_odd_unitary_keys`,
+        `normalized_grid` and `augmentation` read them, so no product, no
+        span and no characteristic-two route has a field-size ceiling from
+        them."""
         return field_tables(self.field)
 
     # --- conversions ---------------------------------------------------------
@@ -382,11 +383,6 @@ class AlgebraContext:
         return digits(np.asarray(keys, dtype=np.uint64), self.q, self.n)
 
     # --- arithmetic ----------------------------------------------------------
-
-    def add(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        if self.char2:
-            return X ^ Y
-        return self.tabs.add.ravel().take(row_index(X, self.q) + Y)
 
     def mul(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Convolution product of (B, n) code batches, out[g_i g_j] += X[i] Y[j];
@@ -472,10 +468,11 @@ class AlgebraContext:
         return self.plane_product(xp, full[sigma], coeffs, support)
 
     def augmentation(self, X: np.ndarray) -> np.ndarray:
-        """The sum of each row's codes; 0 for rows of no columns."""
-        s = np.zeros(X.shape[0], dtype=np.uint16)
+        """The sum of each row's codes, through the add table; 0 for rows of
+        no columns."""
+        add, s = self.tabs.add.ravel(), np.zeros(X.shape[0], dtype=np.uint16)
         for column in X.T:
-            s = self.add(s, column)
+            s = add.take(row_index(s, self.q) + column)
         return s
 
     def is_one(self, Y: np.ndarray) -> np.ndarray:
@@ -586,14 +583,10 @@ class AlgebraContext:
 
     def candidate_keys(self, index: np.ndarray) -> np.ndarray:
         """The keys of the normalized candidates with the given uint64
-        indices. Candidate i carries i's base-q digits at indices 1..n-1 and,
-        at index 0, 1 minus their sum, so its key is q i + (that code). In
-        characteristic two the digits are i's m-bit fields and the sum is
-        their XOR, so the key is (i << m) | (1's code ^ XOR of i's digits):
+        indices, in characteristic two only. Candidate i carries i's base-q
+        digits, its m-bit fields, at indices 1..n-1 and, at index 0, 1 plus
+        their XOR, so its key is (i << m) | (1's code ^ XOR of i's digits):
         after XOR-shifts by m, 2m, 4m, ... bits, digit 0 of i is that XOR."""
-        if not self.char2:
-            minus = self.tabs.neg[self.augmentation(digits(index, self.q, self.n - 1))]
-            return index * np.uint64(self.q) + self.tabs.add[self.identity[0], minus]
         m, folded = self.field.m, index.copy()
         for s in range(max(self.n - 2, 0).bit_length()):
             folded ^= folded >> np.uint64(m << s)
@@ -804,16 +797,21 @@ class AlgebraContext:
 
     def span_batches(self, basis: np.ndarray, batch: int = DEFAULT_BATCH) -> Iterator[np.ndarray]:
         """All linear combinations of the given (k, n) basis rows, with every
-        coefficient over the whole field."""
+        coefficient over the whole field, combination i taking i's base-q
+        digit j as the coefficient of row j.
+
+        Digit a of coefficient j is i's base-p digit j m + a, and the fold
+        matrix gives the digits of x^a times each basis row once, as a
+        (k m, n m) matrix; each batch of combinations is then one product of
+        its digits with it, mod p, packed back by powers of p. No field table
+        is read."""
         if batch < 1:
             raise ValueError(f"batch {batch} is not a positive number of rows")
-        k = basis.shape[0]
-        total = self.q ** k
+        (k, n), p, m = basis.shape, self.field.p, self.field.m
+        rows = digits(basis.astype(np.uint64).ravel(), p, m).reshape(k, n, m).astype(np.int64)
+        # scaled[j a, i c] = digit c of x^a times basis[j, i]
+        scaled = np.einsum("jib,abc->jaic", rows, fold_matrix(self.field).reshape(m, m, m))
+        scaled, powers, total = scaled.reshape(k * m, n * m), p ** np.arange(m), self.q ** k
         for start in range(0, total, batch):
-            stop = min(start + batch, total)
-            X = np.zeros((stop - start, self.n), dtype=np.uint16)
-            D = digits(np.arange(start, stop, dtype=np.uint64), self.q, k)
-            for j in range(k):
-                scaled = self.tabs.mul[D[:, j, None], basis[j][None, :]]
-                X = self.add(X, scaled)
-            yield X
+            D = digits(np.arange(start, min(start + batch, total), dtype=np.uint64), p, k * m)
+            yield ((D.astype(np.int64) @ scaled % p).reshape(-1, n, m) @ powers).astype(np.uint16)

@@ -28,16 +28,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParameter, UnknownName
+from .engine import MAX_GATHER_BYTES
+from .errors import BadParameter, SearchSpaceTooLarge, UnknownName
 from .finite_field import is_power_of, is_prime
 from .group_core import Group, validate_group
 
 MAX_SWEEP_ORDER = 64
 
 
+def _require_table(n: int, name: str) -> None:
+    """Refuse the n x n int64 Cayley table of name before it is allocated
+    when its n^2 8 bytes pass MAX_GATHER_BYTES, that is n > 8192."""
+    size = n * n * np.dtype(np.int64).itemsize
+    if size > MAX_GATHER_BYTES:
+        raise SearchSpaceTooLarge(size, MAX_GATHER_BYTES, context=f"Cayley table of {name}")
+
+
 def cyclic(n: int) -> Group:
     if n < 1:
         raise BadParameter(f"cyclic order must be positive, got {n}")
+    _require_table(n, f"cyclic:{n}")
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     return validate_group(table, id=f"cyclic:{n}")
 
@@ -66,6 +76,7 @@ def _two_generator_group(order: int, family: str, conj_exp: int, s_square_rot: i
 
     s r^b s^-1 = r^{conj_exp * b}; s^2 = r^{s_square_rot}.
     """
+    _require_table(order, f"{family}:{order}")
     q = order // 2
     a, b = np.arange(q)[:, None], np.arange(q)[None, :]
     rot = (a + b) % q                  # r^a r^b = r^rot, r^a (r^b s) = r^rot s
@@ -111,6 +122,7 @@ def heisenberg(p: int) -> Group:
     upper unitriangular 3x3 matrices over Z/p, encoded (a,b,c) -> a + p*b + p^2*c."""
     if not is_prime(p) or p == 2:
         raise BadParameter(f"heisenberg requires an odd prime, got {p}")
+    _require_table(p ** 3, f"heisenberg:{p}")
     i = np.arange(p ** 3)
     a, b, c = i % p, i // p % p, i // (p * p)
     table = ((a[:, None] + a) % p + p * ((b[:, None] + b) % p)
@@ -120,6 +132,7 @@ def heisenberg(p: int) -> Group:
 
 def product(a: Group, b: Group) -> Group:
     n = a.n * b.n
+    _require_table(n, f"product:{a.id}*{b.id}")
     ia, ib = np.divmod(np.arange(n), b.n)
     table = a.table[ia[:, None], ia] * b.n + b.table[ib[:, None], ib]
     return validate_group(table, id=f"product:{a.id}*{b.id}")
@@ -172,7 +185,7 @@ class CatalogEntry:
 
     name: str
     order: int
-    expected_facts: dict = field(default_factory=dict)
+    expected_facts: dict = field(default_factory=dict, hash=False)  # compared, not hashed
 
     def build(self) -> Group:
         return build(self.name)
@@ -208,7 +221,7 @@ def catalog_entries(max_order: int, p: int) -> list[CatalogEntry]:
         raise BadParameter(f"max_order {max_order} is not a power of {p}")
     entries: dict[str, CatalogEntry] = {}
 
-    def add(name, order, **facts):
+    def record(name, order, **facts):
         entries.setdefault(name, CatalogEntry(name, order, dict(facts)))
 
     e, power = 1, p
@@ -218,24 +231,24 @@ def catalog_entries(max_order: int, p: int) -> list[CatalogEntry]:
             if p == 2:
                 g2 = 2 ** len(ks)
                 theta = 2 ** sum(1 for k in ks if k >= 2)  # |G^2{2}|: one involution per C_{p^k} with k >= 2
-                add(name, power, order_two=g2, theta=theta)
+                record(name, power, order_two=g2, theta=theta)
             else:
-                add(name, power, order_two=1)
+                record(name, power, order_two=1)
         e += 1
         power *= p
     if p == 2:
         order = 8
         while order <= max_order:
             n_exp = order.bit_length() - 1
-            add(f"dihedral:{order}", order, order_two=2 ** (n_exp - 1) + 2, theta=1)
-            add(f"quaternion:{order}", order, order_two=2, theta=4)
+            record(f"dihedral:{order}", order, order_two=2 ** (n_exp - 1) + 2, theta=1)
+            record(f"quaternion:{order}", order, order_two=2, theta=4)
             order *= 2
         if max_order >= 16:
-            add("semidihedral:16", 16, order_two=6, theta=2)
-            add("modular:16", 16, order_two=4)
+            record("semidihedral:16", 16, order_two=6, theta=2)
+            record("modular:16", 16, order_two=4)
     else:
         if p ** 3 <= max_order:
-            add(f"heisenberg:{p}", p ** 3, order_two=1)
+            record(f"heisenberg:{p}", p ** 3, order_two=1)
     return sorted(entries.values(), key=lambda entry: (entry.order, entry.name))
 
 

@@ -19,6 +19,7 @@ characteristic two; the bound constructions N1, N2 bracket |S_H|.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,7 +90,7 @@ class UnitaryResult:
     order: int
     theta: Fraction
     elements: tuple[AlgebraElement, ...] | None = None
-    subsidiary: dict | None = None
+    subsidiary: dict | None = dataclasses.field(default=None, hash=False)  # a dict: compared, not hashed
 
     def to_dict(self) -> dict:
         out = {
@@ -184,8 +185,7 @@ def _inconsistency(group: Group, field: FieldSpec, what: str, row: np.ndarray | 
     return InternalInconsistency(f"{what} ({where})")
 
 
-def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.ndarray,
-                          full_space: int):
+def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.ndarray):
     """Prove the sorted, repeat-free key set S is a subgroup of the unitary
     group: it holds 1, it is closed under multiplication and every member x
     has x x^sigma = 1.
@@ -212,38 +212,10 @@ def _subgroup_certificate(ctx: AlgebraContext, uset_keys: np.ndarray, sigma: np.
     x^sigma, a one-sided inverse being two-sided in the finite ring FG, with
     x^sigma (x^sigma)^sigma = x^sigma x = 1. So S is unitary exactly when
     every generator is, and one batched digit_product checks g g^sigma = 1
-    on all of them, at most log_p |S|, naming the first that fails.
-
-    When S has full_space members, as many as there are normalized units,
-    each must be the key of a normalized unit (`candidate_keys`), and the
-    first that is not is named. S then holds them all, the scan's
-    candidates: it is the group 1 + Delta, Delta the augmentation ideal, and
-    nothing is walked: it is unitary exactly when a generating set of it is. Let
-    b_1, ..., b_(n-1) be an F_p-basis of Delta(F_p G) adapted to its powers
-    (`_delta_power_basis`). The products of k elements g - 1 span
-    Delta^k(F_p G) over F_p and Delta^k(FG) over F, so the b_j of weight k
-    span Delta^k(FG) over F modulo Delta^(k+1)(FG). Then the m(n - 1)
-    elements 1 + x^a b_j, a < m (`_normalized_unit_generators`), generate
-    1 + Delta. Let u lie in Delta^k. Modulo Delta^(k+1), u is a sum of
-    c_(j,a) x^a b_j over the b_j of weight k, with c_(j,a) in F_p, and the
-    product P of the (1 + x^a b_j)^(c_(j,a)) is 1 + u, since a product of
-    two elements of Delta^k lies in Delta^(2k). So
-    P^-1 (1 + u) = 1 + P^-1 (1 + u - P) lies in 1 + Delta^(k+1), and
-    Delta^k is 0 for k large, G being a p-group: 1 + u is a product of the
-    generators. One batched digit_product over them decides S, naming the
-    first that fails."""
+    on all of them, at most log_p |S|, naming the first that fails."""
     S, group, field = uset_keys, ctx.group, ctx.field
     if not keys_contain(S, ctx.identity[:1].astype(np.uint64))[0]:
         raise _inconsistency(group, field, "unitary set misses the identity", ctx.identity)
-    if S.size == full_space:
-        # S is repeat-free, so it is the whole space when every member is the
-        # key of the candidate whose index it carries, key // q
-        strays = np.flatnonzero(ctx.candidate_keys(S // np.uint64(ctx.q)) != S)
-        if strays.size:
-            raise _inconsistency(group, field, "a member of the full-space set is not a normalized unit",
-                                 ctx.unpack(S[strays[:1]])[0])
-        _certify_full_space(ctx, sigma)
-        return
 
     def positions(products: np.ndarray, in_order: bool = False) -> np.ndarray:
         # the positions in S of the products' keys, ascending unless in_order
@@ -338,21 +310,29 @@ def _echelon_mod_p(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def _normalized_unit_generators(field: FieldSpec, group: Group) -> np.ndarray:
     """The m(|G| - 1) generators 1 + x^a b_j of the normalized units of FG,
-    b_j over _delta_power_basis and a < m (see _subgroup_certificate), as
-    (m(|G| - 1), |G|, m) digit arrays, 1 + x^a b_j at row j m + a."""
+    b_j over _delta_power_basis and a < m, as (m(|G| - 1), |G|, m) digit
+    arrays, 1 + x^a b_j at row j m + a.
+
+    The normalized units are the group 1 + Delta, Delta the augmentation
+    ideal. Let b_1, ..., b_(n-1) be an F_p-basis of Delta(F_p G) adapted to
+    its powers (`_delta_power_basis`). The products of k elements g - 1 span
+    Delta^k(F_p G) over F_p and Delta^k(FG) over F, so the b_j of weight k
+    span Delta^k(FG) over F modulo Delta^(k+1)(FG). Then the 1 + x^a b_j
+    generate 1 + Delta. Let u lie in Delta^k. Modulo Delta^(k+1), u is a sum
+    of c_(j,a) x^a b_j over the b_j of weight k, with c_(j,a) in F_p, and the
+    product P of the (1 + x^a b_j)^(c_(j,a)) is 1 + u, since a product of
+    two elements of Delta^k lies in Delta^(2k). So
+    P^-1 (1 + u) = 1 + P^-1 (1 + u - P) lies in 1 + Delta^(k+1), and
+    Delta^k is 0 for k large, G being a p-group: 1 + u is a product of the
+    generators. As the x with x x^sigma = 1 form a group (see
+    _subgroup_certificate), 1 + Delta is unitary exactly when every one of
+    them is."""
     n, m = group.n, field.m
     basis, _ = _delta_power_basis(group, field.p)
     d = np.zeros((basis.shape[0], m, n, m), dtype=np.int64)
     d[:, np.arange(m), :, np.arange(m)] = basis  # x^a b_j at [j, a]
     d[:, :, 0, 0] += 1
     return d.reshape(-1, n, m) % field.p
-
-
-def _certify_full_space(ctx: AlgebraContext, sigma: np.ndarray):
-    """Prove every normalized unit of FG unitary under sigma through its
-    generators, refusing the first that is not unitary."""
-    _require_unitary(ctx, _normalized_unit_generators(ctx.field, ctx.group), sigma,
-                     "a generator of the normalized units is not unitary")
 
 
 def oracle_search_space(group: Group, field: FieldSpec) -> int:
@@ -380,11 +360,12 @@ def _oracle_set(group: Group, inv: GroupInvolution, field: FieldSpec,
     require_key_space(field.order ** group.n, "uint64 key packing")
     ctx, sigma = AlgebraContext(field, group), inv.sigma
     if ctx.char2 and np.array_equal(sigma, np.arange(ctx.n)) and not ctx.gtable.diagonal().any():
-        _certify_full_space(ctx, sigma)
+        _require_unitary(ctx, _normalized_unit_generators(field, group), sigma,
+                         "a generator of the normalized units is not unitary")
         shown = space if max_witnesses is None else min(max_witnesses, space)
         return space, ctx.candidate_keys(np.arange(shown, dtype=np.uint64))
     keys = ctx.unitary_keys(sigma)
-    _subgroup_certificate(ctx, keys, sigma, full_space=space)
+    _subgroup_certificate(ctx, keys, sigma)
     return int(keys.size), keys[:max_witnesses]
 
 
@@ -686,7 +667,7 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     U = np.concatenate([S, np.repeat(bctx.identity[None, :], k_parts.shape[0], axis=0)])
     A = np.concatenate([bctx.mul(b0, S) if b0.any() else b0, k_parts])  # b0 = 0 when Gb has no pairs
     X = np.empty((U.shape[0], n), dtype=np.uint16)
-    X[:, reps] = bctx.add(U, A)
+    X[:, reps] = U ^ A  # U + A: the route is characteristic two
     X[:, reps_c] = A
     Xp = to_planes(X, m)
     Xp.setflags(write=False)  # kept for the level above

@@ -328,3 +328,14 @@ def test_oracle_refuses_more_than_2_63_elements_before_its_scan(capsys):
     assert (code, out) == (1, "")
     assert err == ("error: search space of size 18446744073709551616 exceeds cap "
                    "9223372036854775808 (uint64 key packing)\n")
+
+
+@pytest.mark.parametrize("name, field", [
+    ("dihedral:16384", "2^1"), ("heisenberg:31", "31^1"),
+    ("product:cyclic:128*cyclic:128", "2^1"), ("abelian:2:[7,7]", "2^1"),
+])
+def test_a_group_past_the_table_cap_is_one_error_line(capsys, name, field):
+    code, out, err = run_cli(capsys, "compute", "--group", name, "--field", field)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: search space of size ") and err.count("\n") == 1
+    assert "(Cayley table of " in err

@@ -1,10 +1,13 @@
 """Catalog constructions: presentations, indexing conventions, sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from unitary_lab import group_catalog as cat
-from unitary_lab.errors import BadParameter, UnknownName
+from unitary_lab.engine import MAX_GATHER_BYTES
+from unitary_lab.errors import BadParameter, SearchSpaceTooLarge, UnknownName
 
 
 def test_dihedral_8():
@@ -220,3 +223,37 @@ def test_non_abelian_builders_match_the_entry_by_entry_reference():
         g = cat.build(name)
         assert g.id == name
         assert g.table.dtype == np.int64 and g.table.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("name, n, table_of", [
+    ("dihedral:16384", 16384, "dihedral:16384"),
+    ("quaternion:16384", 16384, "quaternion:16384"),
+    ("cyclic:8193", 8193, "cyclic:8193"),
+    ("heisenberg:31", 31 ** 3, "heisenberg:31"),
+    ("product:cyclic:128*cyclic:128", 16384, "product:cyclic:128*cyclic:128"),
+    ("abelian:2:[7,7]", 16384, "product:cyclic:128*cyclic:128"),
+])
+def test_a_cayley_table_past_the_gather_cap_is_refused_before_it_is_built(name, n, table_of):
+    # n^2 int64 entries pass MAX_GATHER_BYTES exactly when n > 8192
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge) as exc:
+            cat.build(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.size, exc.value.cap) == (n * n * 8, MAX_GATHER_BYTES)
+    assert exc.value.context == f"Cayley table of {table_of}"
+    assert peak < 1 << 20, (name, peak)
+
+
+def test_a_large_table_under_the_gather_cap_still_builds():
+    assert cat.build("dihedral:2048").n == 2048
+
+
+def test_equal_catalog_entries_hash_equal():
+    # expected_facts is a dict: it takes part in equality, not in the hash
+    first, again = cat.catalog_entries(8, 2)[0], cat.catalog_entries(8, 2)[0]
+    assert first == again and first.expected_facts
+    assert hash(first) == hash(again)
+    assert len({first, again}) == 1

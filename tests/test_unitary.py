@@ -221,6 +221,17 @@ def test_full_space_oracle_never_calls_the_scan(monkeypatch, name, m):
     assert result.subsidiary["witnesses_truncated"] == (space > 10)
 
 
+def test_equal_results_hash_equal():
+    # subsidiary is a dict: it takes part in equality, not in the hash
+    d8 = build("dihedral:8")
+    for compute in (lambda: un.unitary_order_char2(d8, GF2),
+                    lambda: un.unitary_enumerate_oracle(d8, ga.canonical_star(d8), GF2)):
+        first, again = compute(), compute()
+        assert first == again and first.subsidiary
+        assert hash(first) == hash(again)
+        assert len({first, again}) == 1
+
+
 def test_oracle_elements_verify_scalar_side():
     # independent of the engine: subgroup laws re-checked with AlgebraElement ops
     c4 = build("cyclic:4")
@@ -279,7 +290,7 @@ def _scan(group, field):
 
 
 def _certify(ctx, sigma, keys):
-    un._subgroup_certificate(ctx, keys, sigma, full_space=ctx.q ** (ctx.n - 1))
+    un._subgroup_certificate(ctx, keys, sigma)
 
 
 @pytest.mark.parametrize("name, field", [
@@ -368,20 +379,23 @@ def test_certificate_refuses_a_set_without_the_identity():
 
 
 def test_certificate_of_a_full_space_set_forms_no_product_and_still_needs_1(monkeypatch):
-    # E4 over GF(4): every normalized unit is unitary, so the set is the whole
-    # space; no walk runs, so no batch product is formed (its generators are
-    # checked on digit arrays), yet 1 is still required
-    ctx, sigma, keys = _scan(build("elementary_abelian:2:2"), GF4)
-    assert keys.size == ctx.q ** (ctx.n - 1)
-    mul = ctx.mul
+    # E4 over GF(4): every normalized unit is unitary. The oracle does not scan,
+    # and proves the space through its generators on digit arrays, so it forms
+    # no batch product; a scanned set of all 64 keys is walked and certified,
+    # yet 1 is still required
+    group = build("elementary_abelian:2:2")
     calls = []
-    monkeypatch.setattr(ctx, "mul", lambda *a: calls.append(a) or mul(*a))
+    mul = AlgebraContext.mul
+    monkeypatch.setattr(AlgebraContext, "mul", lambda *a: calls.append(a) or mul(*a))
+    assert un.unitary_enumerate_oracle(group, ga.canonical_star(group), GF4).order == 64
+    assert calls == []
+    ctx, sigma, keys = _scan(group, GF4)
+    assert keys.size == ctx.q ** (ctx.n - 1) == 64
     _certify(ctx, sigma, keys)
     with pytest.raises(InternalInconsistency) as exc:
         _certify(ctx, sigma, keys[keys != ctx.identity[0]])
     assert str(exc.value) == ("unitary set misses the identity "
                               "(elementary_abelian:2:2 over 2^2, element 10*g0)")
-    assert calls == []
 
 
 def test_certificate_names_the_first_escaping_product_of_a_coset():
@@ -462,36 +476,42 @@ def _all_normalized_keys(ctx):
     return np.sort(ctx.pack(np.concatenate(list(ctx.normalized_batches()))))
 
 
+def _named_element(exc, what, name, field, group):
+    """The element that the refusal "what (name over field, element ...)" names."""
+    prefix = f"{what} ({name} over {field.literal()}, element "
+    message = str(exc.value)
+    assert message.startswith(prefix) and message.endswith(")"), message
+    return ga.parse_algebra_literal(field, group, message[len(prefix):-1])
+
+
 @pytest.mark.parametrize("name, field", [("quaternion:8", GF2), ("cyclic:9", GF3)])
 def test_oracle_refuses_a_scan_that_returns_every_normalized_unit(monkeypatch, name, field):
-    # |V| is 64 of 128 and 81 of 6561, so some generator of the normalized units
-    # is not unitary; the first of them is named
+    # |V| is 64 of 128 and 81 of 6561: the whole space is a group, so the walk
+    # accepts it, and some generator it took is not unitary; that one is named
     group = build(name)
     star = ga.canonical_star(group)
     monkeypatch.setattr(AlgebraContext, "unitary_keys", lambda ctx, sigma: _all_normalized_keys(ctx))
     with pytest.raises(InternalInconsistency) as exc:
         un.unitary_enumerate_oracle(group, star, field)
-    one = ga.algebra_one(field, group)
-    generators = [ga.AlgebraElement(field, group, d) for d in un._normalized_unit_generators(field, group)]
-    failing = [x for x in generators if x * ga.apply_involution(x, star) != one]
-    assert failing
-    assert str(exc.value) == (f"a generator of the normalized units is not unitary "
-                              f"({name} over {field.literal()}, element {ga.format_algebra_literal(failing[0])})")
+    named = _named_element(exc, "a generator of the unitary set is not unitary", name, field, group)
+    assert named.is_normalized_unit()
+    assert not un.is_unitary(named, star)
 
 
 @pytest.mark.parametrize("name, field", [("elementary_abelian:2:2", GF4), ("cyclic:9", GF3)])
 def test_certificate_refuses_a_full_space_set_with_a_stray_member(name, field):
     # every normalized unit but the largest, and 0 in its place: as many keys as
     # the space has, repeat-free and holding 1; over E4/GF(4) under its star every
-    # generator of the normalized units is unitary, so only the members show it
+    # generator of the normalized units is unitary, so only closure shows it
     group = build(name)
     ctx = AlgebraContext(field, group)
     forged = _all_normalized_keys(ctx)
     forged[-1] = 0
+    forged = np.sort(forged)
     with pytest.raises(InternalInconsistency) as exc:
-        _certify(ctx, np.array(ga.canonical_star(group).sigma, dtype=np.intp), np.sort(forged))
-    assert str(exc.value) == (f"a member of the full-space set is not a normalized unit "
-                              f"({name} over {field.literal()}, element 0)")
+        _certify(ctx, np.array(ga.canonical_star(group).sigma, dtype=np.intp), forged)
+    named = _named_element(exc, "product of two claimed unitary elements escapes the set", name, field, group)
+    assert not keys_contain(forged, ctx.pack(np.array([[a.code for a in named.coeffs]], dtype=np.uint16)))[0]
 
 
 @pytest.mark.parametrize("name, field", [
@@ -671,7 +691,7 @@ def test_sum_keys_match_row_sums(name, m):
         w = np.concatenate(list(ctx.span_batches(basis)))
         assert w.shape[0] == orbit.w_size, (name, c)
         point_rows = orbit.elements(orbit.points * np.uint64(orbit.w_size))
-        sums = ctx.add(point_rows[:, None, :], w[None, :, :]).reshape(-1, group.n)
+        sums = (point_rows[:, None, :] ^ w[None, :, :]).reshape(-1, group.n)
         assert np.array_equal(np.unique(ctx.pack(sums)), np.sort(ctx.pack(orbit.elements(keys)))), (name, c)
         assert np.array_equal(keys, np.sort(keys)), (name, c)
 
