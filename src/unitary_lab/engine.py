@@ -58,12 +58,13 @@ coefficient that differs from 1's. Every gather is a take from a raveled
 (q^2,) table at one flat index X q + Y (`row_index`).
 
 In characteristic two the scan stays in bit-planes and tests x x^sigma = 1
-on one coefficient per sigma-orbit: of each moved pair {k, sigma(k)} only k,
-as x x^sigma is sigma-symmetric, and a sigma-fixed k linearly, as the square
-of the sum of the x_g with g sigma(g) = k. A test that every candidate
-passes by construction is not run. Its candidates are factored too: each is
-x = u + v, u the pattern's digits and 1 plus their sum at index 0, v one
-run's digits and their sum at index 0. Then x x^sigma is u u^sigma +
+at one coefficient per sigma-orbit, each tested coefficient formed the same
+way. Of each moved pair {k, sigma(k)} only k is tested, as x x^sigma is
+sigma-symmetric. A sigma-fixed k is tested when some but not every
+g sigma(g) is k: at any other fixed k every candidate passes by
+construction. The scan's candidates are factored too: each is x = u + v,
+u the pattern's digits and 1 plus their sum at index 0, v one run's digits
+and their sum at index 0. Then x x^sigma is u u^sigma +
 v v^sigma + the cross term u v^sigma + v u^sigma, which is GF(2)-linear in
 the run's digit bits, with values on the pattern's rows. So u u^sigma is
 formed once per scan, over the pattern's planes (`index_planes`); the cross
@@ -511,7 +512,7 @@ class AlgebraContext:
         [X, Y] at the flat index X q + Y.
 
         In characteristic two x x^sigma = 1 is tested in bit-planes, 64 rows
-        to a word, on one coefficient per sigma-orbit, by two facts:
+        to a word, at one coefficient per sigma-orbit, by two facts:
         - (x x^sigma)^sigma = (x^sigma)^sigma x^sigma = x x^sigma, so
           coefficient sigma(k) equals coefficient k, in any characteristic.
           Of each moved pair {k, sigma(k)} only k < sigma(k) is tested: it
@@ -519,29 +520,27 @@ class AlgebraContext:
         - Let sigma(k) = k. The term x_g x_h, g != h, lands on g sigma(h) = k,
           and then x_h x_g lands on h sigma(g) = sigma(g sigma(h)) = k too, so
           in characteristic two the two cancel: (x x^sigma)_k is the sum of
-          x_g^2 over g sigma(g) = k, that is (sum of x_g over them)^2.
-          Squaring is a bijection of GF(2^m) fixing 0 and 1, so the test is
-          sum of x_g over g sigma(g) = k equal to 1 at k = 1 and 0 elsewhere,
-          linear in x. Every g sigma(g) is sigma-fixed, since
-          sigma(g sigma(g)) = g sigma(g), and a fixed k that no g sigma(g)
-          reaches is 0 in every x x^sigma, so it needs no test.
-        One fixed test is decided by construction. At g = 1, g sigma(g) is
-        sigma(1) = 1, as sigma is an anti-automorphism, so when the roots
-        g with g sigma(g) = k are all of G, k = 1 and the test is augmentation
-        1, which every candidate has; it is skipped. No test is left exactly
-        when no index moves and every g sigma(g) is 1, that is sigma is the
-        identity map and the star (G elementary abelian); every candidate is
-        then a hit.
+          x_g^2 over g sigma(g) = k, that is (sum of x_g over them)^2. Every
+          g sigma(g) is sigma-fixed, since sigma(g sigma(g)) = g sigma(g).
+          A fixed k that no g sigma(g) reaches is 0 in every x x^sigma. When
+          every g sigma(g) is k, k is the identity, as 1 sigma(1) = 1 (sigma
+          is an anti-automorphism), and the coefficient is the augmentation
+          squared, 1 in every candidate. Neither is tested; every other
+          fixed k is, against 1's coefficient, as a moved k is.
+        No test is left exactly when no index moves and every g sigma(g) is
+        1, that is sigma is the identity map and the star (G elementary
+        abelian); every candidate is then a hit.
 
         The candidates are factored as in odd characteristic, in bit-planes.
         Columns 1..low form a pattern of run = q^low rows, the most with
         q^low <= min(batch, PLANE_CHUNK_ROWS), or all n - 1 columns when the
-        whole scan fits one batch; candidate i is row i mod run of run number
-        i // run, whose m-bit fields are the digits at low + 1..n - 1. Write
-        x = u + v: u holds the row's digits and, at index 0, 1 plus their
-        sum; v holds the run's digits and, at index 0, their sum. Then x has
-        augmentation 1, and as the product is bilinear,
-            x x^sigma = u u^sigma + v v^sigma + (u v^sigma + v u^sigma).
+        whole scan fits one batch, as one run of number 0; candidate i is row
+        i mod run of run number i // run, whose m-bit fields are the digits
+        at low + 1..n - 1. Write x = u + v: u holds the row's digits and, at
+        index 0, 1 plus their sum; v holds the run's digits and, at index 0,
+        their sum. Then x has augmentation 1, and as the product is bilinear,
+            x x^sigma = u u^sigma + v v^sigma + (u v^sigma + v u^sigma)
+        at every coefficient k, moved or fixed.
         Coefficient k of x y^sigma is the sum over i of x_i y_pi_k(i), where
         pi_k(i) = sigma(left_div[i, k]): g_i g_j = g_k fixes j, and
         (y^sigma)_j = y_sigma(j). pi_k permutes the indices, so coefficient k
@@ -551,27 +550,25 @@ class AlgebraContext:
         w_kj = u_pi_k^-1(b_j) + u_pi_k(b_j) + u_pi_k^-1(0) + u_pi_k(0), and
         d_j is the sum of x^c over its bits c. The cross term is therefore
         GF(2)-linear in the high m bits of the run's number, bit j m + c
-        adding x^c w_kj, a value on the pattern's rows. A fixed test's sum
-        splits the same way: the sum of u_g over its roots, plus x^c at bit
-        j m + c when exactly one of b_j and 0 is a root.
+        adding x^c w_kj, a value on the pattern's rows.
 
-        Once per scan: u's planes over the pattern's rows (`index_planes`),
-        and each test at u, less 1's coefficient there: u u^sigma at the
-        moved k, by `plane_product` over u's indices, and the roots' sums of
-        u at the fixed k. With more than one run also the planes of every
-        bit's term, and XOR tables over 4-bit chunks of the run's number:
+        Once per scan: u's planes over the pattern's rows (`index_planes`);
+        each test at u, u u^sigma at the tested k less 1's coefficient there,
+        by `plane_product` over u's indices; the planes of every bit's term;
+        and XOR tables over 4-bit chunks of the run's number, at least one:
         entry j of chunk c is the XOR of the terms of the bits that j sets,
-        and chunk 0, which every run reads once, carries the tests at u. Per
-        step of batch // run runs: one gather per chunk by the runs' 4-bit
-        fields gives each run's tests at u plus its cross term, and v v^sigma,
-        a constant along the run, flips the moved tests where it is 1; a row
-        passes when every plane of every test is 0 there. v v^sigma comes
-        from one `plane_product` over the planes of up to batch runs, 64 to a
-        word, whole steps of them. Its offset is
-        run number times q^low plus the row, so the hits come out in
-        candidate order. At low = 0 the pattern is the identity alone, each
-        run is one candidate, and v v^sigma is the whole product, as in a
-        scan without the split.
+        and chunk 0, which every run reads once, carries the tests at u. A
+        scan of one run has no bits, and its one chunk holds the tests at u
+        alone. Per step of batch // run runs: one gather per chunk by the
+        runs' 4-bit fields gives each run's tests at u plus its cross term,
+        and v v^sigma, a constant along the run, flips the tests where it is
+        1; a row passes when every plane of every test is 0 there. v v^sigma
+        comes from one `plane_product` over the planes of up to batch runs,
+        64 to a word, whole steps of them. A hit's offset is run number times
+        q^low plus the row, so the hits come out in candidate order. At
+        low = 0 the pattern is the identity alone, each run is one
+        candidate, and v v^sigma is the whole product, as in a scan without
+        the split.
 
         The hits' keys come from their indices alone, never from the planes
         (`candidate_keys`), in order."""
@@ -599,17 +596,16 @@ class AlgebraContext:
         run from XOR tables over 4-bit chunks of the run's number, and
         v v^sigma by one product over up to batch runs."""
         q, n, m = self.q, self.n, self.field.m
-        # one run when the whole scan fits a batch, as then no table is built;
+        # one run when the whole scan fits a batch, its one chunk of tables the tests at u;
         # else runs of the q^low <= min(batch, PLANE_CHUNK_ROWS) rows
         limit = batch if q ** (n - 1) <= batch else min(batch, PLANE_CHUNK_ROWS)
         low = min(n - 1, (limit.bit_length() - 1) // m)
         run, high = q ** low, n - 1 - low
         words = -(-run // WORD_BITS)
-        squares = self.gtable[np.arange(n), sigma]  # g sigma(g), which sigma fixes
-        linear = [(k, roots) for k in sorted(set(squares.tolist()))
-                  if (roots := np.flatnonzero(squares == k)).size < n]
-        moved = np.flatnonzero(np.arange(n) < sigma)  # where 1's coefficient is 0
-        tests = moved.size + len(linear)
+        # the tested k: k < sigma(k), and each k that some but not every g sigma(g) equals
+        reached = np.bincount(self.gtable[np.arange(n), sigma], minlength=n)
+        tested = np.flatnonzero((np.arange(n) < sigma) | ((reached > 0) & (reached < n)))
+        support = np.concatenate(([0], np.arange(low + 1, n)))  # v's indices
 
         # u over the pattern's rows: the rows' digits at 1..low, 1 plus their sum at 0
         identity = constant_planes(self.identity, m)
@@ -617,67 +613,53 @@ class AlgebraContext:
         U[1:low + 1] = index_planes(run, low * m).reshape(low, m, words)
         U[0] = np.bitwise_xor.reduce(U[1:low + 1], axis=0) ^ identity[0]
         # each test at u, less 1's coefficient: (tests, m, words) planes
-        sums = [np.bitwise_xor.reduce(U[roots]) ^ identity[k] for k, roots in linear]
-        base = np.concatenate([self.plane_product(U[:low + 1], U[sigma], moved, np.arange(low + 1)),
-                               np.array(sums, dtype=np.uint64).reshape(-1, m, words)])
-        if high:
-            support = np.concatenate(([0], np.arange(low + 1, n)))  # v's indices
-            # ell[j m + c, t]: what bit c of run digit j adds to test t, so bit j m + c of
-            # the run's number; rows past high m are 0, to whole chunks of 4
-            chunks = -(-high * m // 4)
-            ell = np.zeros((4 * chunks, tests, m, words), dtype=np.uint64)
-            by_bit = ell[:high * m].reshape(high, m, tests, m, words)
-            # moved k: v_b meets u_pi_k^-1(b) + u_pi_k(b), and v_0 is the sum of the digits
-            partner = sigma[self.left_div[:, moved]].T  # row k: pi_k
-            meets = U[np.argsort(partner, axis=1)[:, support]] ^ U[partner[:, support]]
-            w = (meets[:, 1:] ^ meets[:, :1]).transpose(1, 0, 2, 3)  # (high, moved, m, words)
-            for c in range(m):
-                by_bit[:, c, :moved.size] = w
-                shifted = np.zeros_like(w)  # x w
-                shifted[:, :, 1:] = w[:, :, :-1]
-                for t in self.taps:
-                    shifted[:, :, t] ^= w[:, :, m - 1]
-                w = shifted
-            # fixed k: v_b enters the sum over the roots when b is a root
-            plane_c = np.eye(m, dtype=bool)[:, :, None]
-            for t, (k, roots) in enumerate(linear, moved.size):
-                is_root = np.isin(support, roots)
-                by_bit[:, :, t] = np.where((is_root[1:] ^ is_root[0])[:, None, None, None] & plane_c,
-                                           ~np.uint64(0), np.uint64(0))
-            # tables[c, j]: the XOR of the ell rows of chunk c that j's bits pick;
-            # every run picks one entry of chunk 0, which carries the base
-            bits = ell.reshape(chunks, 4, -1)
-            tables = np.zeros((chunks, 16, bits.shape[2]), dtype=np.uint64)
-            for b in range(4):
-                tables[:, 1 << b:2 << b] = tables[:, :1 << b] ^ bits[:, b, None]
-            tables[0] ^= base.reshape(-1)
+        base = self.plane_product(U[:low + 1], U[sigma], tested, np.arange(low + 1)) ^ identity[tested]
+        # ell[j m + c, t]: what bit c of run digit j adds to test t, so bit j m + c of
+        # the run's number; rows past high m are 0, to whole chunks of 4, at least one
+        chunks = max(1, -(-high * m // 4))
+        ell = np.zeros((4 * chunks, tested.size, m, words), dtype=np.uint64)
+        by_bit = ell[:high * m].reshape(high, m, tested.size, m, words)
+        # v_b meets u_pi_k^-1(b) + u_pi_k(b), and v_0 is the sum of the digits
+        partner = sigma[self.left_div[:, tested]].T  # row k: pi_k
+        meets = U[np.argsort(partner, axis=1)[:, support]] ^ U[partner[:, support]]
+        w = (meets[:, 1:] ^ meets[:, :1]).transpose(1, 0, 2, 3)  # (high, tests, m, words)
+        for c in range(m):
+            by_bit[:, c] = w
+            shifted = np.zeros_like(w)  # x w
+            shifted[:, :, 1:] = w[:, :, :-1]
+            for t in self.taps:
+                shifted[:, :, t] ^= w[:, :, m - 1]
+            w = shifted
+        # tables[c, j]: the XOR of the ell rows of chunk c that j's bits pick;
+        # every run picks one entry of chunk 0, which carries the base
+        bits = ell.reshape(chunks, 4, -1)
+        tables = np.zeros((chunks, 16, bits.shape[2]), dtype=np.uint64)
+        for b in range(4):
+            tables[:, 1 << b:2 << b] = tables[:, :1 << b] ^ bits[:, b, None]
+        tables[0] ^= base.reshape(-1)
         step, runs, parts = batch // run, q ** high, []
         block = batch // step * step  # runs whose v v^sigma one product forms: whole steps, <= batch
         stride = min(run, WORD_BITS)  # rows to a word: a run of fewer than 64 pads its word
         pad = row_mask(stride)
         for first in range(0, runs, step):
             r = np.arange(first, min(first + step, runs), dtype=np.uint64)
-            if high:
-                differs = tables[0].take(r & np.uint64(15), axis=0)
-                for c in range(1, chunks):
-                    differs ^= tables[c].take((r >> np.uint64(4 * c)) & np.uint64(15), axis=0)
-                differs = differs.reshape(r.size, tests, m, words)
-                if moved.size:
-                    at = first % block  # the step's first run, in its block
-                    if not at:
-                        v_runs = np.arange(first, min(first + block, runs), dtype=np.uint64)
-                        V = np.empty((high + 1, m, -(-v_runs.size // WORD_BITS)), dtype=np.uint64)
-                        V[1:] = to_planes(v_runs[:, None], high * m).reshape(V[1:].shape)
-                        V[0] = np.bitwise_xor.reduce(V[1:], axis=0)
-                        vv = self.norm_planes(V, sigma, support, moved)
-                    piece = vv[:, :, at // WORD_BITS:-(-(at + r.size) // WORD_BITS)]
-                    per_run = np.unpackbits(piece.view(np.uint8), axis=-1, bitorder="little")
-                    per_run = per_run[:, :, at % WORD_BITS:at % WORD_BITS + r.size]
-                    differs[:, :moved.size] ^= np.negative(per_run.transpose(2, 0, 1)[..., None], dtype=np.uint64)
-            else:
-                differs = base[None]
+            differs = tables[0].take(r & np.uint64(15), axis=0)
+            for c in range(1, chunks):
+                differs ^= tables[c].take((r >> np.uint64(4 * c)) & np.uint64(15), axis=0)
+            differs = differs.reshape(r.size, tested.size, m, words)
+            at = first % block  # the step's first run, in its block
+            if not at:
+                v_runs = np.arange(first, min(first + block, runs), dtype=np.uint64)
+                V = np.empty((high + 1, m, -(-v_runs.size // WORD_BITS)), dtype=np.uint64)
+                V[1:] = to_planes(v_runs[:, None], high * m).reshape(V[1:].shape)
+                V[0] = np.bitwise_xor.reduce(V[1:], axis=0)
+                vv = self.norm_planes(V, sigma, support, tested)
+            piece = vv[:, :, at // WORD_BITS:-(-(at + r.size) // WORD_BITS)]
+            per_run = np.unpackbits(piece.view(np.uint8), axis=-1, bitorder="little")
+            per_run = per_run[:, :, at % WORD_BITS:at % WORD_BITS + r.size]
+            differs ^= np.negative(per_run.transpose(2, 0, 1)[..., None], dtype=np.uint64)
             # word i holds the rows from i stride on; only the words with a hit are unpacked
-            passes = ~np.bitwise_or.reduce(differs.reshape(r.size, tests * m, words), axis=1).ravel() & pad
+            passes = ~np.bitwise_or.reduce(differs.reshape(r.size, tested.size * m, words), axis=1).ravel() & pad
             nonzero = np.flatnonzero(passes)
             bit = np.flatnonzero(np.unpackbits(passes[nonzero].view(np.uint8), bitorder="little").view(bool))
             hits = nonzero[bit >> 6] * stride + (bit & 63) + first * run

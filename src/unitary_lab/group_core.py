@@ -287,10 +287,10 @@ def validate_group(table, id: str = "") -> Group:
             raise NotAssociative(int(i), int(j), int(k))
     else:
         for a in _magma_generators(t):
-            left = t[t[:, a], :]  # left[x,y] = (xa)y
-            right = t[:, t[a, :]]  # right[x,y] = x(ay)
-            if not np.array_equal(left, right):
-                x, y = np.argwhere(left != right)[0]
+            # (xa)y against x(ay), neither gather kept past its comparison, so the
+            # check peaks near twice the table; a failure gathers them again
+            if not np.array_equal(t[t[:, a], :], t[:, t[a, :]]):
+                x, y = np.argwhere(t[t[:, a], :] != t[:, t[a, :]])[0]
                 raise NotAssociative(int(x), a, int(y))
     t = t.copy()
     t.setflags(write=False)

@@ -470,8 +470,9 @@ def test_char2_unitary_keys_under_a_non_canonical_involution():
 
 
 # abelian 2-groups under the identity involution, over GF(2), GF(4) and GF(8): every
-# coefficient is sigma-fixed (g sigma(g) = g^2), so the scan forms no product at all
-# and tests sums of coefficients only; q^(|G|-1) is at most 2^21 on each
+# coefficient is sigma-fixed (g sigma(g) = g^2), so the scan tests only the k that
+# some but not every square is, each formed as a moved one is; q^(|G|-1) is at most
+# 2^21 on each
 FIXED_SCAN_CELLS = [(name, m) for name in ("cyclic:4", "cyclic:8", "elementary_abelian:2:2", "abelian:2:[1,2]")
                     for m in (1, 2, 3)]
 
@@ -509,10 +510,60 @@ def test_char2_unitary_keys_in_batches_of_several_words(group_name, m):
 
 
 def test_char2_fixed_coefficient_sums_drop_candidates():
-    # augmentation 1 implies the sums at sigma-fixed coefficients on E4 under the identity,
-    # but not on C8: a scan that skipped them would keep every candidate there
+    # augmentation 1 implies the sigma-fixed coefficients of x x^sigma on E4 under the
+    # identity, but not on C8: a scan that skipped them would keep every candidate there
     ctx = AlgebraContext(make_field(2, 2), build("cyclic:8"))
     assert _reference_unitary_keys(ctx, _identity_involution(ctx.group)).size < ctx.q ** (ctx.n - 1)
+
+
+def _spy_tested_coefficients(monkeypatch, stop=False):
+    # the coeffs of every plane_product call, each a list; with stop, the first
+    # call raises StopIteration, so a scan too large to run names its tests alone
+    calls, product = [], AlgebraContext.plane_product
+
+    def spy(self, xp, yp, coeffs=None, support=None):
+        calls.append(coeffs.tolist())
+        if stop:
+            raise StopIteration
+        return product(self, xp, yp, coeffs, support)
+
+    monkeypatch.setattr(AlgebraContext, "plane_product", spy)
+    return calls
+
+
+@pytest.mark.parametrize("group_name,involution,tested", [
+    ("quaternion:8", "star", [1, 4, 5]),
+    ("abelian:2:[1,2]", "star", [2, 3]),
+    ("dihedral:8", "star", [1]),
+    ("dihedral:8", "non-canonical", [0, 1, 2, 4, 5]),
+    ("cyclic:4", "identity", [0, 2]),
+])
+def test_char2_scan_tests_these_coefficients(monkeypatch, group_name, involution, tested):
+    # u u^sigma and v v^sigma are formed at the tested k alone: of each moved pair
+    # the lesser, and each fixed k that some but not every g sigma(g) reaches
+    group = build(group_name)
+    if involution == "star":
+        sigma = ga.canonical_star(group).sigma
+    elif involution == "identity":
+        sigma = _identity_involution(group)
+    else:  # g -> g1 g^-1 g3, as in test_char2_unitary_keys_under_a_non_canonical_involution
+        sigma = ga.involution_from_map(group, [group.mul(group.mul(1, group.inverse(g)), 3)
+                                               for g in group.elements()]).sigma
+    ctx = AlgebraContext(make_field(2, 1), group)
+    calls = _spy_tested_coefficients(monkeypatch)
+    ctx.unitary_keys(np.array(sigma, dtype=np.intp))
+    assert calls and all(coeffs == tested for coeffs in calls)
+
+
+def test_char2_scan_under_the_star_tests_each_lesser_of_k_and_its_inverse(monkeypatch):
+    # under the star every g sigma(g) is 1, so no fixed k is tested, and the tests
+    # are the k < k^-1, as in a scan that tested moved coefficients alone
+    calls = _spy_tested_coefficients(monkeypatch, stop=True)
+    for entry in catalog_entries(64, 2):
+        ctx = AlgebraContext(make_field(2, 1), build(entry.name))
+        with pytest.raises(StopIteration):
+            ctx.unitary_keys(ctx.star)
+        assert calls.pop() == np.flatnonzero(np.arange(ctx.n) < ctx.star).tolist(), entry.name
 
 
 def test_char2_unitary_keys_when_q_exceeds_the_batch():

@@ -1,5 +1,7 @@
 """Cayley-table validation and the structural queries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,19 @@ def test_light_associativity_catches_large_loop():
         validate_group(table)
     i, j, k = exc.value.witness
     assert table[table[i, j], k] != table[i, table[j, k]]
+
+
+def test_light_associativity_peaks_near_twice_the_table():
+    # the two gathers of a generator are dropped once compared, so they are
+    # never alive beside the next generator's or the returned copy
+    table = cat.build("dihedral:1024").table
+    tracemalloc.start()
+    try:
+        validate_group(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * table.nbytes, peak / table.nbytes
 
 
 def test_light_associativity_catches_one_swapped_intercalate():
