@@ -5,10 +5,11 @@ Three routes to |V(FG)| under an involution arising from G:
 * odd characteristic: the closed formula |F|^((|G|-|G_sigma|)/2), with the
   Cayley transform realizing the bijection behind it;
 * characteristic two: the recursion |V(FG)| = |F|^(|G|/2) * |V(F[G/H])| / |S_H|
-  over H generated by a central involution, down to order 1. Each level
-  returns |V| and generators of V; Schreier's orbit algorithm on the cosets
-  of S_H counts the next level and lifts its generators, so no unitary
-  group is listed;
+  over H generated by a central involution, down to order 1. Schreier's
+  orbit algorithm on the cosets of S_H counts each level from generators
+  of V over the level below. A level's generators are lifted, and checked
+  unitary, when the level above first reads them, so the top level lifts
+  none, and no unitary group is listed;
 * any characteristic: the exhaustive oracle over all normalized units, which
   certifies its output is a subgroup, or proves them all unitary through
   their generators where the scan would test nothing.
@@ -411,7 +412,6 @@ class _Quotient:
     over_g2: np.ndarray      # the images of G{2}
     gamma_cols: np.ndarray   # the columns of gamma: pairs, then Tb
     support: np.ndarray      # (k, 4) indices of G under each S_H key field (see _CosetOrbit)
-    sym_basis: np.ndarray    # the rows g + g^-1 over g <= g^-1 of Gb, a basis of its symmetric elements
 
 
 def _quotient(group: Group, c: int) -> _Quotient:
@@ -427,24 +427,69 @@ def _quotient(group: Group, c: int) -> _Quotient:
     lifts = np.stack([reps, reps_c, reps[bstar], reps_c[bstar]], axis=1)  # of h and h^-1
     lifts = lifts[gamma_cols]
     lifts.setflags(write=False)  # the orbit hands it out
-    eye = np.eye(gbar.n, dtype=np.uint16)
-    return _Quotient(gbar, reps, reps_c, pairs, t_bar, over_g2, gamma_cols, lifts,
-                     (eye | eye[bstar])[np.arange(gbar.n) <= bstar])
+    return _Quotient(gbar, reps, reps_c, pairs, t_bar, over_g2, gamma_cols, lifts)
 
 
 @dataclass(eq=False)
 class _CosetOrbit:
-    """The recursion step over H = <c> for one (G, c, F); see _coset_orbit."""
+    """The recursion step over H = <c> for one (G, c, F); see _coset_orbit.
+    Its generators of V_*(FG) are lifted and checked unitary when the level
+    above first reads them (`lift`); until then it holds what the lift reads."""
 
     ctx: AlgebraContext      # batch arithmetic of FG, shared with the level above
+    bctx: AlgebraContext     # that of F[Gb], in which the lift multiplies
+    c: int                   # H = <c>; a lift's refusal names it
+    quo: _Quotient           # Gb and the coordinates on it
     order: int               # |V_*(FG)|
     vbar_order: int          # |V_*(F[Gb])|
     points: np.ndarray       # sorted keys of gamma on Tb, one per coset of W in S_H; W is 0
     w_size: int              # |W| = q^(pairs h != h^-1 of Gb)
     s_h_size: int            # |S_H| = index |W|
-    generators: np.ndarray   # code rows generating V_*(FG)
-    generator_planes: np.ndarray  # their bit-planes, which the level above multiplies
     support: np.ndarray      # (k, 4) indices of G under each S_H key field: the pairs, then Tb
+    schreier: np.ndarray | None        # the nontrivial Schreier generators S, until lifted
+    schreier_gamma: np.ndarray | None  # gamma of their L L* on the pairs and on Tb, until lifted
+    lifted: tuple[np.ndarray, np.ndarray] | None = None  # the generators and their planes, once lifted
+
+    @property
+    def generators(self) -> np.ndarray:
+        """Code rows generating V_*(FG); see lift."""
+        return self.lift(self.ctx.group)[0]
+
+    @property
+    def generator_planes(self) -> np.ndarray:
+        """The generators' bit-planes, which the level above multiplies."""
+        return self.lift(self.ctx.group)[1]
+
+    def lift(self, group: Group) -> tuple[np.ndarray, np.ndarray]:
+        """Code rows generating V_*(FG) and their bit-planes: the lifted
+        Schreier generators x = L + (1+c) lift(b0 u), then the generators
+        1 + (1+c) lift(x^a k) of K (see _coset_orbit). They are formed and
+        checked unitary on the first call, which then drops S and gamma; a
+        generator that is not unitary is refused naming group, the reader,
+        as the record is shared by every group with G's table."""
+        if self.lifted is None:
+            ctx, bctx, quo, S = self.ctx, self.bctx, self.quo, self.schreier
+            field, nbar = ctx.field, quo.gbar.n
+            b0 = np.zeros((S.shape[0], nbar), dtype=np.uint16)
+            b0[:, quo.pairs] = self.schreier_gamma[:, :quo.pairs.size]
+            eye = np.eye(nbar, dtype=np.uint16)
+            sym_basis = (eye | eye[bctx.star])[np.arange(nbar) <= bctx.star]  # g + g^-1 over g <= g^-1
+            powers_of_x = np.array([1 << a for a in range(field.m)], dtype=np.uint16)
+            k_parts = (powers_of_x[:, None, None] * sym_basis[None, :, :]).reshape(-1, nbar)
+            U = np.concatenate([S, np.repeat(bctx.identity[None, :], k_parts.shape[0], axis=0)])
+            A = np.concatenate([bctx.mul(b0, S) if b0.any() else b0, k_parts])  # b0 = 0 when Gb has no pairs
+            X = np.empty((U.shape[0], ctx.n), dtype=np.uint16)
+            X[:, quo.reps] = U ^ A  # U + A: the route is characteristic two
+            X[:, quo.reps_c] = A
+            Xp = to_planes(X, field.m)
+            Xp.setflags(write=False)  # kept for the level above
+            differs = ctx.norm_planes(Xp, ctx.star)
+            differs[0, 0] ^= row_mask(X.shape[0])  # x x* - 1
+            row = first_nonzero_row(differs, X.shape[0])
+            if row is not None:
+                raise _inconsistency(group, field, "a generator is not unitary", X[row], self.c)
+            self.lifted, self.schreier, self.schreier_gamma = (X, Xp), None, None
+        return self.lifted
 
     def elements(self, keys: np.ndarray) -> np.ndarray:
         """The code rows 1 + (1+c) lift(beta) of S_H keys (see _fiber_scan)."""
@@ -466,7 +511,7 @@ def _generating_set(group: Group, field: FieldSpec, search_cap: int
         generators = np.empty((0, 1), dtype=np.uint16)
         return 1, generators, to_planes(generators, field.m), AlgebraContext(field, group)
     orbit = _coset_orbit(group, _least_central_involution(group), field, search_cap)
-    return orbit.order, orbit.generators, orbit.generator_planes, orbit.ctx
+    return (orbit.order, *orbit.lift(group), orbit.ctx)
 
 
 def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _CosetOrbit:
@@ -511,7 +556,9 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
       Psi(V) (a unitary element's inverse is its involute). Each lifts to
       the unitary x = L + (1+c) lift(b0 u), and these with the generators
       1 + (1+c) lift(x^a k) of K, over a < m and a basis of the symmetric
-      k, generate V.
+      k, generate V. Only the level above reads them, so they are lifted,
+      and checked unitary, when it first does (`_CosetOrbit.lift`); the
+      orbit keeps the Schreier generators and their gamma until then.
 
     Psi(L L*) = 1, gamma symmetric and gamma 0 on the images of G{2} are
     checked on every orbit product and every Schreier generator, with L as
@@ -546,7 +593,9 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     # The table, not the id: an orbit's contents are read for arithmetic, never
     # for a message, and quotients of different groups often have equal tables
     # (57 of 214 calls in a seed-7 char2_recursion pass are served so). Messages
-    # name the caller's group: every refusal is raised before the store.
+    # name the caller's group: every refusal of the orbit is raised before the
+    # store, and the lift, run when the level above first reads the generators,
+    # names the group that reads them.
     cache_key = (group, c, field, search_cap)
     hit = _ORBITS.get(cache_key)
     if hit is not None:
@@ -654,31 +703,16 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
         raise _inconsistency(group, field, f"the orbit's {index} points do not divide "
                                            f"|Vb| = {vbar_order}", c=c)
 
-    # lifted Schreier generators, then the generators of K; all checked unitary
+    # the nontrivial Schreier generators, each solvable; the orbit lifts them
+    # when the level above reads its generators
     nontrivial = ~bctx.is_one(schreier)
     S, gamma = schreier[nontrivial], schreier_gamma[nontrivial]
     bad = np.flatnonzero(point_of(gamma))
     if bad.size:
         raise _inconsistency(group, field, "a Schreier generator is not solvable", lift(S[bad[0]]), c)
-    b0 = np.zeros((S.shape[0], nbar), dtype=np.uint16)
-    b0[:, pairs] = gamma[:, :pairs.size]
-    powers_of_x = np.array([1 << a for a in range(m)], dtype=np.uint16)
-    k_parts = (powers_of_x[:, None, None] * quo.sym_basis[None, :, :]).reshape(-1, nbar)
-    U = np.concatenate([S, np.repeat(bctx.identity[None, :], k_parts.shape[0], axis=0)])
-    A = np.concatenate([bctx.mul(b0, S) if b0.any() else b0, k_parts])  # b0 = 0 when Gb has no pairs
-    X = np.empty((U.shape[0], n), dtype=np.uint16)
-    X[:, reps] = U ^ A  # U + A: the route is characteristic two
-    X[:, reps_c] = A
-    Xp = to_planes(X, m)
-    Xp.setflags(write=False)  # kept for the level above
-    differs = ctx.norm_planes(Xp, ctx.star)
-    differs[0, 0] ^= row_mask(X.shape[0])  # x x* - 1
-    row = first_nonzero_row(differs, X.shape[0])
-    if row is not None:
-        raise _inconsistency(group, field, "a generator is not unitary", X[row], c)
 
-    orbit = _CosetOrbit(ctx, q ** (nbar - pairs.size) * vbar_order // index, vbar_order, points,
-                        q ** pairs.size, index * q ** pairs.size, X, Xp, quo.support)
+    orbit = _CosetOrbit(ctx, bctx, c, quo, q ** (nbar - pairs.size) * vbar_order // index, vbar_order,
+                        points, q ** pairs.size, index * q ** pairs.size, quo.support, S, gamma)
     _ORBITS[cache_key] = orbit
     return orbit
 
@@ -777,7 +811,7 @@ class BoundsReport:
 
     group_id: str
     field: FieldSpec
-    c: int
+    c: int                   # H = <c>; a lift's refusal names it
     t_c_size: int
     t_c_commuting: bool
     s_h_size: int

@@ -746,13 +746,29 @@ def test_s_h_check_names_the_element_that_breaks_it(monkeypatch, flip, what):
 def test_unitarity_check_names_the_generator_that_breaks_it(monkeypatch):
     # 1 added at the orbit {g1, g1^-1, g1 c, g1^-1 c} of every L L* moves gamma
     # within W: the points and the three gamma facts hold, and so do the lifted
-    # Schreier generators, but a generator 1 + (1+c) lift(k) of K does not
+    # Schreier generators, but a generator 1 + (1+c) lift(k) of K does not.
+    # S_H reads no generator, so it is unforged; reading them refuses
     q16, c = build("quaternion:16"), 4
     assert sorted({1, q16.inverse(1), q16.mul(1, c), q16.mul(q16.inverse(1), c)}) == [1, 3, 5, 7]
     _forge_norm_at_order(monkeypatch, 16, (1, 3, 5, 7))
+    assert un.s_h_enumerate(q16, c, GF4)[0] == 1024
     with pytest.raises(InternalInconsistency) as exc:
-        un.s_h_enumerate(q16, c, GF4)
+        un._generating_set(q16, GF4, un.DEFAULT_SEARCH_CAP)
     assert str(exc.value) == "a generator is not unitary (quaternion:16 over 2^2, c = g4, element 10*g4)"
+
+
+def test_a_lift_refusal_names_the_group_that_reads_it(monkeypatch):
+    # under the same forge the orbit of Q32/{0,8}'s table is computed, and not
+    # lifted, under another id; Q32's level then reads its generators, and the
+    # refusal names that reader
+    _forge_norm_at_order(monkeypatch, 16, (1, 3, 5, 7))
+    q32 = build("quaternion:32")
+    other = validate_group(un._quotient(q32, 8).gbar.table, id="other")
+    un.s_h_enumerate(other, 4, GF4)
+    with pytest.raises(InternalInconsistency) as exc:
+        un.unitary_order_char2(q32, GF4)
+    assert str(exc.value) == ("a generator is not unitary "
+                              "(quaternion:32/{0,8} over 2^2, c = g4, element 10*g4)")
 
 
 # --- characteristic-two recursion -----------------------------------------------------
@@ -793,9 +809,9 @@ def test_an_index_one_level_forms_only_the_products_construction_leaves(monkeypa
     # E16 over GF(2), its lower level cached: the orbit is point 0 alone, so P
     # is the generators (no product by 1) and each is its own Schreier
     # generator (no t* P), and Gb = E8 has no pairs h != h^-1, so b0 = 0 (no
-    # b0 S). Left are the norm of the generators' lifts and the closing
-    # unitarity check; the recursion formed 6 here before it kept the orbit
-    # in bit-planes.
+    # b0 S). Left are the norm of the generators' lifts, and once the
+    # generators are read, the closing unitarity check of their own lift; the
+    # recursion formed 6 here before it kept the orbit in bit-planes.
     monkeypatch.setattr(un, "_ORBITS", {})
     group = build("elementary_abelian:2:4")
     c = un._least_central_involution(group)
@@ -805,7 +821,64 @@ def test_an_index_one_level_forms_only_the_products_construction_leaves(monkeypa
                         lambda self, *args, **kwargs: calls.append(self.n) or product(self, *args, **kwargs))
     orbit = un._coset_orbit(group, c, GF2, un.DEFAULT_SEARCH_CAP)
     assert orbit.points.size == 1 and orbit.order == 2 ** 15
-    assert calls == [16, 16]
+    assert calls == [16]
+    assert orbit.generators.shape[0] and calls == [16, 16]
+
+
+def _spy_on_lifts(monkeypatch):
+    """The order of each group whose orbit lifts its generators, in order."""
+    lifted, lift = [], un._CosetOrbit.lift
+
+    def spy(self, group):
+        if self.lifted is None:
+            lifted.append(self.ctx.n)
+        return lift(self, group)
+
+    monkeypatch.setattr(un._CosetOrbit, "lift", spy)
+    monkeypatch.setattr(un, "_ORBITS", {})
+    return lifted
+
+
+@pytest.mark.parametrize("name, field", [("dihedral:16", GF2), ("quaternion:16", GF4)])
+def test_only_the_level_above_lifts_generators(monkeypatch, name, field):
+    # 16 -> 8 -> 4 -> 2 -> 1: the top level's generators have no reader, and
+    # each level below is lifted once, by the first entry point to reach it
+    lifted = _spy_on_lifts(monkeypatch)
+    group = build(name)
+    c = un._least_central_involution(group)
+    result = un.unitary_order_char2(group, field)
+    assert lifted == [2, 4, 8]
+    assert un.s_h_enumerate(group, c, field)[0] == result.subsidiary["s_h_size"]
+    assert un.bounds_and_constructions(group, c, field).s_h_size == result.subsidiary["s_h_size"]
+    assert lifted == [2, 4, 8]
+    orbit = un._coset_orbit(group, c, field, un.DEFAULT_SEARCH_CAP)
+    assert orbit.lifted is None and orbit.schreier is not None
+
+
+def test_reading_the_generators_twice_lifts_once(monkeypatch):
+    lifted = _spy_on_lifts(monkeypatch)
+    d16 = build("dihedral:16")
+    orbit = un._coset_orbit(d16, un._least_central_involution(d16), GF2, un.DEFAULT_SEARCH_CAP)
+    generators = orbit.generators
+    assert orbit.generators is generators and orbit.lift(d16)[0] is generators
+    assert np.array_equal(orbit.generator_planes, engine.to_planes(generators, 1))
+    assert lifted == [2, 4, 8, 16]
+    assert orbit.schreier is None and orbit.schreier_gamma is None
+
+
+def test_the_recursion_on_dihedral_512_peaks_under_16_tables(monkeypatch):
+    # no level above reads the top level's 970 generators, so their norm, a
+    # gather over every pair of G, is never formed: about 9 tables, against 35
+    # when the top level lifted them too
+    group = build("dihedral:512")
+    monkeypatch.setattr(un, "_ORBITS", {})
+    tracemalloc.start()
+    try:
+        un.unitary_order_char2(group, GF2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * group.table.nbytes, peak / group.table.nbytes
 
 
 # sha256 of every orbit below, as the recursion computed it before the orbit
