@@ -74,6 +74,9 @@ class Group:
         return int(self.table[i, j])
 
     def _bounds(self, g: int):
+        # an index is an int or a numpy integer; a bool or a float is none
+        if isinstance(g, bool) or not (isinstance(g, int) or isinstance(g, np.integer)):
+            raise IndexOutOfRange(f"element index {g!r} is not an integer")
         if not 0 <= g < self.n:
             raise IndexOutOfRange(f"element index {g} outside [0, {self.n})")
 

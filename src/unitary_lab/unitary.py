@@ -9,7 +9,9 @@ Three routes to |V(FG)| under an involution arising from G:
   orbit algorithm on the cosets of S_H counts each level from generators
   of V over the level below. A level's generators are lifted, and checked
   unitary, when the level above first reads them, so the top level lifts
-  none, and no unitary group is listed;
+  none, and no unitary group is listed. Where no g has g^2 = c, S_H is
+  read off G/H, and the orbit, with the levels below, is computed only
+  when the order or the generators are read;
 * any characteristic: the exhaustive oracle over all normalized units, which
   certifies its output is a subgroup, or proves them all unitary through
   their generators where the scan would test nothing.
@@ -20,6 +22,7 @@ characteristic two; the bound constructions N1, N2 bracket |S_H|.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 from dataclasses import dataclass
@@ -433,21 +436,26 @@ def _quotient(group: Group, c: int) -> _Quotient:
 @dataclass(eq=False)
 class _CosetOrbit:
     """The recursion step over H = <c> for one (G, c, F); see _coset_orbit.
-    Its generators of V_*(FG) are lifted and checked unitary when the level
-    above first reads them (`lift`); until then it holds what the lift reads."""
+    S_H is known once the points are. Where Tb is empty there is one point,
+    and the orbit of Vb, which only the order and the generators need, is
+    walked when one of them is first read (`_walk_orbit`); until then the
+    fields from order to schreier_gamma are None. The generators of V_*(FG) are lifted and
+    checked unitary when the level above first reads them (`lift`); until
+    then the record holds what the lift reads."""
 
     ctx: AlgebraContext      # batch arithmetic of FG, shared with the level above
-    bctx: AlgebraContext     # that of F[Gb], in which the lift multiplies
-    c: int                   # H = <c>; a lift's refusal names it
+    c: int                   # H = <c>; a refusal of the walk or the lift names it
     quo: _Quotient           # Gb and the coordinates on it
-    order: int               # |V_*(FG)|
-    vbar_order: int          # |V_*(F[Gb])|
+    search_cap: int          # the cap of the record's key, which the walk applies
     points: np.ndarray       # sorted keys of gamma on Tb, one per coset of W in S_H; W is 0
     w_size: int              # |W| = q^(pairs h != h^-1 of Gb)
     s_h_size: int            # |S_H| = index |W|
     support: np.ndarray      # (k, 4) indices of G under each S_H key field: the pairs, then Tb
-    schreier: np.ndarray | None        # the nontrivial Schreier generators S, until lifted
-    schreier_gamma: np.ndarray | None  # gamma of their L L* on the pairs and on Tb, until lifted
+    order: int | None = None               # |V_*(FG)|, once walked
+    vbar_order: int | None = None          # |V_*(F[Gb])|, once walked
+    bctx: AlgebraContext | None = None     # that of F[Gb], in which the lift multiplies, once walked
+    schreier: np.ndarray | None = None        # the nontrivial Schreier generators S, from the walk until lifted
+    schreier_gamma: np.ndarray | None = None  # gamma of their L L* on the pairs and on Tb, likewise
     lifted: tuple[np.ndarray, np.ndarray] | None = None  # the generators and their planes, once lifted
 
     @property
@@ -466,8 +474,11 @@ class _CosetOrbit:
         1 + (1+c) lift(x^a k) of K (see _coset_orbit). They are formed and
         checked unitary on the first call, which then drops S and gamma; a
         generator that is not unitary is refused naming group, the reader,
-        as the record is shared by every group with G's table."""
+        as the record is shared by every group with G's table. A record
+        whose orbit is not yet walked is walked first."""
         if self.lifted is None:
+            if self.order is None:
+                _walk_orbit(self, group)
             ctx, bctx, quo, S = self.ctx, self.bctx, self.quo, self.schreier
             field, nbar = ctx.field, quo.gbar.n
             b0 = np.zeros((S.shape[0], nbar), dtype=np.uint16)
@@ -499,6 +510,9 @@ class _CosetOrbit:
         return rows
 
 
+# one record per (G's table, c, F, search cap), stored by the first reader;
+# a record an S_H read stored unwalked is walked in place when its order or
+# generators are first read (see _coset_orbit)
 _ORBITS: dict[tuple, _CosetOrbit] = {}
 
 
@@ -514,10 +528,12 @@ def _generating_set(group: Group, field: FieldSpec, search_cap: int
     return (orbit.order, *orbit.lift(group), orbit.ctx)
 
 
-def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _CosetOrbit:
+def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int,
+                 vbar: bool = True) -> _CosetOrbit:
     """|V_*(FG)|, a generating set of it, and the cosets making up S_H, from
     the orbit of Psi(V) under Vb = V_*(F[Gb]), Gb = G/H, H = <c>, where
-    Psi: FG -> F[Gb] and V = V_*(FG).
+    Psi: FG -> F[Gb] and V = V_*(FG). A reader of S_H alone passes vbar
+    False: where Tb is empty, the record it gets has S_H and no orbit.
 
     Proof. Let char F = 2, lift the section supported on the least coset
     representatives, and L = lift(u) for u in Vb. The kernel of Psi is
@@ -552,6 +568,11 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
       on the points by left multiplication, and the orbit of point 0 under
       generators of Vb has index = [Vb : Psi(V)] points.
       Hence |S_H| = index |W| and |V| = |K| |Vb| / index.
+    * Where Tb is empty, gamma on Tb has no entries: every u has point 0,
+      the orbit is that one point, of index 1, and S_H = W, whose size
+      q^((|G| - |G{2}|)/4) meets the paper's bound. So S_H needs no element
+      of Vb, and the orbit, which the order and the generators still need,
+      is walked when one of them is first read (`_walk_orbit`).
     * By Schreier's lemma the t_k* g t_j, for g t_j in t_k Psi(V), generate
       Psi(V) (a unitary element's inverse is its involute). Each lifts to
       the unitary x = L + (1+c) lift(b0 u), and these with the generators
@@ -563,7 +584,36 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     Psi(L L*) = 1, gamma symmetric and gamma 0 on the images of G{2} are
     checked on every orbit product and every Schreier generator, with L as
     the witness. Every element of S_H is such an L L* (or 1) plus an element
-    of W, and W has all three properties, so the checks cover all of S_H.
+    of W, and W has all three properties, so the checks cover all of S_H."""
+    # The table, not the id: an orbit's contents are read for arithmetic, never
+    # for a message, and quotients of different groups often have equal tables
+    # (26 of 167 calls in a seed-7 char2_recursion pass are served so). Messages
+    # name the caller's group: the miss raises its refusals before the store,
+    # and the walk of a stored record and the lift, run when a reader first
+    # needs them, name the group that reads them.
+    cache_key = (group, c, field, search_cap)
+    orbit = _ORBITS.get(cache_key)
+    if orbit is None:
+        group.square_roots(c)  # refuses a c that is not a central involution
+        quo = _quotient(group, c)
+        w_size = field.order ** quo.pairs.size
+        orbit = _CosetOrbit(AlgebraContext(field, group), c, quo, search_cap,
+                            np.zeros(1, dtype=np.uint64), w_size, w_size, quo.support)
+        if quo.t_bar.size:  # the points are the orbit's
+            _walk_orbit(orbit, group)
+        _ORBITS[cache_key] = orbit
+    if vbar and orbit.order is None:
+        _walk_orbit(orbit, group)
+    return orbit
+
+
+def _walk_orbit(orbit: _CosetOrbit, group: Group) -> None:
+    """Complete the record: walk the orbit of point 0 under generators of Vb,
+    computed by the recursion below, and fill in the points, |S_H|, the
+    orders and the Schreier generators (see _coset_orbit). Where Tb is
+    empty, the walk is checked to find the record's one point 0.
+    Refusals name group, the reader, and below it group's quotient, as the
+    record is shared by every group with G's table.
 
     Each round stays in bit-planes. The products P = g t of generators and
     frontier elements come out as planes; L's planes are P's at reps, and
@@ -590,25 +640,17 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     the paper's bound |S_H| <= q^((|G| - |G{2}| + |T_c|)/4) bounds the
     points by q^(|T_c|/2), as |Gb{2}| = (|G{2}| + |T_c|)/2, and that
     product is refused beyond search_cap before any arithmetic here."""
-    # The table, not the id: an orbit's contents are read for arithmetic, never
-    # for a message, and quotients of different groups often have equal tables
-    # (57 of 214 calls in a seed-7 char2_recursion pass are served so). Messages
-    # name the caller's group: every refusal of the orbit is raised before the
-    # store, and the lift, run when the level above first reads the generators,
-    # names the group that reads them.
-    cache_key = (group, c, field, search_cap)
-    hit = _ORBITS.get(cache_key)
-    if hit is not None:
-        return hit
-    t_c = group.square_roots(c)  # refuses a c that is not a central involution
-    quo = _quotient(group, c)
-    ctx = AlgebraContext(field, group)
-    vbar_order, vbar_gens, vbar_planes, bctx = _generating_set(quo.gbar, field, search_cap)
+    ctx, c, quo, search_cap = orbit.ctx, orbit.c, orbit.quo, orbit.search_cap
+    field, gbar = ctx.field, quo.gbar
+    if group.id != ctx.group.id:
+        gbar = copy.copy(gbar)  # shares the table and its memos, under the reader's name
+        gbar.id = f"{group.id}/{{0,{c}}}"
+    vbar_order, vbar_gens, vbar_planes, bctx = _generating_set(gbar, field, search_cap)
     reps, reps_c, pairs, gamma_cols = quo.reps, quo.reps_c, quo.pairs, quo.gamma_cols
-    work = field.order ** (len(t_c) // 2) * vbar_gens.shape[0]
+    work = field.order ** quo.t_bar.size * vbar_gens.shape[0]
     if work > search_cap:
         raise SearchSpaceTooLarge(work, search_cap, context=f"S_H coset orbit over {group.id}")
-    require_key_space(field.order ** (len(t_c) // 2), f"S_H coset keys over {group.id}")
+    require_key_space(field.order ** quo.t_bar.size, f"S_H coset keys over {group.id}")
 
     q, m, n, nbar = field.order, field.m, group.n, quo.gbar.n
     powers = np.uint64(q) ** np.arange(quo.t_bar.size, dtype=np.uint64)  # a point holds gamma in m-bit fields
@@ -699,6 +741,9 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
             schreier_gamma = np.concatenate([schreier_gamma, R_gamma])[order]
         frontier = np.arange(grown, transversal.shape[0])
     index = points.size
+    if not quo.t_bar.size and index != 1:
+        raise _inconsistency(group, field, f"the orbit has {index} points, not the one "
+                                           f"point 0 of an empty Tb", c=c)
     if vbar_order % index:
         raise _inconsistency(group, field, f"the orbit's {index} points do not divide "
                                            f"|Vb| = {vbar_order}", c=c)
@@ -711,15 +756,15 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _Co
     if bad.size:
         raise _inconsistency(group, field, "a Schreier generator is not solvable", lift(S[bad[0]]), c)
 
-    orbit = _CosetOrbit(ctx, bctx, c, quo, q ** (nbar - pairs.size) * vbar_order // index, vbar_order,
-                        points, q ** pairs.size, index * q ** pairs.size, quo.support, S, gamma)
-    _ORBITS[cache_key] = orbit
-    return orbit
+    orbit.points, orbit.s_h_size = points, index * orbit.w_size
+    orbit.vbar_order, orbit.bctx, orbit.schreier, orbit.schreier_gamma = vbar_order, bctx, S, gamma
+    orbit.order = q ** (nbar - pairs.size) * vbar_order // index
 
 
 def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
                 search_cap: int) -> tuple[_CosetOrbit, np.ndarray]:
-    """S_H for H = <c>, the points of the orbit times W (see _coset_orbit).
+    """S_H for H = <c>, the points of the orbit times W (see _coset_orbit);
+    where Tb is empty, W itself, and no orbit is walked.
 
     Returns (the orbit, the sorted S_H keys). The key of
     1 + (1+c) lift(beta) holds beta in m-bit fields: on one h of each pair
@@ -727,7 +772,7 @@ def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
     are each point's key above every key of W, listed in order with no
     arithmetic; orbit.elements turns them into code rows. A key wider than
     63 bits is refused, as is a listing longer than search_cap."""
-    orbit = _coset_orbit(group, c, field, search_cap)
+    orbit = _coset_orbit(group, c, field, search_cap, False)  # reads S_H alone
     require_key_space(field.order ** orbit.support.shape[0], f"S_H keys over {group.id}")
     if orbit.s_h_size > search_cap:
         raise SearchSpaceTooLarge(orbit.s_h_size, search_cap, context=f"S_H cosets over {group.id}")
@@ -858,7 +903,7 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
         raise OddCharacteristic("bound constructions require characteristic 2")
     require_p_group(group, field)
     t_c, commuting, upper, lower = _s_h_bounds(group, c, field)
-    orbit = _coset_orbit(group, c, field, search_cap)
+    orbit = _coset_orbit(group, c, field, search_cap, False)  # reads S_H and the points alone
     ctx = orbit.ctx
 
     orbits = _n1_orbits(group, c, field)

@@ -886,20 +886,40 @@ def test_the_recursion_on_dihedral_512_peaks_under_16_tables(monkeypatch):
 ORBIT_DIGEST = "777125cfa002f944ec8d3740b1d540697db5fc9b886d358956f814f9b6763d2b"
 
 
-def test_char2_orbits_are_byte_identical_to_the_pinned_digest():
-    digest, count = hashlib.sha256(), 0
+def _digest_cells():
+    """Every (catalog name, m, group, c, field) the digest covers."""
     for m, max_order in ((1, 16), (2, 8), (3, 8)):
         field = make_field(2, m)
         for entry in catalog_entries(max_order, 2):
             group = build(entry.name)
             for c in group.special_sets().central_order_two:
-                o = un._coset_orbit(group, c, field, un.DEFAULT_SEARCH_CAP)
-                digest.update(f"{entry.name}|{m}|{c}|{o.order}|{o.vbar_order}|{o.w_size}|{o.s_h_size}|".encode())
-                for array, dtype in ((o.points, np.uint64), (o.generators, np.uint16), (o.support, np.int64)):
-                    digest.update(str(array.shape).encode())
-                    digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
-                count += 1
-    assert (count, digest.hexdigest()) == (87, ORBIT_DIGEST)
+                yield entry.name, m, group, c, field
+
+
+def _orbit_digest():
+    digest, count = hashlib.sha256(), 0
+    for name, m, group, c, field in _digest_cells():
+        o = un._coset_orbit(group, c, field, un.DEFAULT_SEARCH_CAP)
+        digest.update(f"{name}|{m}|{c}|{o.order}|{o.vbar_order}|{o.w_size}|{o.s_h_size}|".encode())
+        for array, dtype in ((o.points, np.uint64), (o.generators, np.uint16), (o.support, np.int64)):
+            digest.update(str(array.shape).encode())
+            digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+        count += 1
+    return count, digest.hexdigest()
+
+
+def test_char2_orbits_are_byte_identical_to_the_pinned_digest():
+    assert _orbit_digest() == (87, ORBIT_DIGEST)
+
+
+def test_orbits_read_for_s_h_first_complete_to_the_pinned_digest(monkeypatch):
+    # S_H of every (G, c) first leaves the levels with an empty Tb unwalked;
+    # reading their orders and generators then walks them to the same bytes
+    monkeypatch.setattr(un, "_ORBITS", {})
+    for _, _, group, c, field in _digest_cells():
+        un.s_h_enumerate(group, c, field)
+    assert any(o.order is None for o in un._ORBITS.values())
+    assert _orbit_digest() == (87, ORBIT_DIGEST)
 
 
 def test_char2_choice_of_central_involution_does_not_matter():
@@ -1030,6 +1050,106 @@ def test_an_equal_table_under_another_id_reuses_the_orbits_and_keeps_its_name():
             un.unitary_order_char2(other, GF2, search_cap=cap)
         assert str(exc.value).endswith(f"exceeds cap {cap} (S_H coset orbit over {where})")
     un.clear_caches()
+
+
+def _e16_relabeled():
+    """E16 on permuted non-identity indices, its table rebuilt through validate_group."""
+    e16 = build("elementary_abelian:2:4")
+    perm = np.concatenate(([0], 1 + np.random.default_rng(5).permutation(e16.n - 1)))
+    table = np.empty_like(e16.table)
+    table[np.ix_(perm, perm)] = perm[e16.table]
+    return validate_group(table, id="e16")
+
+
+def test_s_h_and_the_bounds_at_an_empty_tb_walk_no_orbit(monkeypatch):
+    # no c of E16 has a square root, so every Tb is empty and S_H = W: S_H and
+    # the N1/N2 report over all 15 c build one quotient each and read nothing
+    # of Vb; the values are those of the recursion that walked every orbit
+    group = _e16_relabeled()
+    built, quotient = [], Group.quotient
+    monkeypatch.setattr(Group, "quotient", lambda self, sub: built.append(self.n) or quotient(self, sub))
+    monkeypatch.setattr(un, "_generating_set", lambda *args: pytest.fail("Vb was built"))
+    monkeypatch.setattr(un, "_ORBITS", {})
+    centrals = group.special_sets().central_order_two
+    assert centrals == tuple(range(1, 16))
+    assert [un.s_h_enumerate(group, c, GF2)[0] for c in centrals] == [1] * 15
+    reports = [un.bounds_and_constructions(group, c, GF2) for c in centrals]
+    assert built == [16] * 15 and len(un._ORBITS) == 15
+    assert {dataclasses.astuple(r)[3:] for r in reports} == {
+        (0, True, 1, 1, Fraction(1), 1, 1, True, True, True, True)}
+    assert all(o.order is None and o.points.tolist() == [0] for o in un._ORBITS.values())
+
+
+def test_an_order_read_completes_the_record_s_h_left(monkeypatch):
+    # after S_H at every c, the order at one c walks the stored record: no
+    # quotient of G itself is built again, and the result is a fresh one's
+    group = _e16_relabeled()
+    monkeypatch.setattr(un, "_ORBITS", {})
+    for c in group.special_sets().central_order_two:
+        un.s_h_enumerate(group, c, GF2)
+    built, quotient = [], Group.quotient
+    monkeypatch.setattr(Group, "quotient", lambda self, sub: built.append(self.n) or quotient(self, sub))
+    record = un._ORBITS[(group, 6, GF2, un.DEFAULT_SEARCH_CAP)]
+    result = un.unitary_order_char2(group, GF2, c=6)
+    assert 16 not in built and built
+    assert un._ORBITS[(group, 6, GF2, un.DEFAULT_SEARCH_CAP)] is record
+    assert (record.order, record.vbar_order, record.points.tolist()) == (2 ** 15, 2 ** 7, [0])
+    monkeypatch.setattr(un, "_ORBITS", {})
+    assert result == un.unitary_order_char2(group, GF2, c=6)
+    assert (result.order, result.subsidiary["vbar_order"], result.subsidiary["s_h_size"]) == (2 ** 15, 2 ** 7, 1)
+
+
+@pytest.mark.parametrize("cap, where", [(3, "other"), (2, "other/{0,1}")])
+def test_a_walk_an_s_h_read_deferred_names_the_group_that_reads_it(monkeypatch, cap, where):
+    # S_H of E16 at c = g1 fits the cap, and its record is stored unwalked;
+    # E16's table under the id "other" then reads the order, and the walk, at
+    # E16's level (7 generators of V(F E8)) or at E8's (3 of V(F E4)), is
+    # refused naming that reader
+    monkeypatch.setattr(un, "_ORBITS", {})
+    e16 = build("elementary_abelian:2:4")
+    assert un.s_h_enumerate(e16, 1, GF2, search_cap=cap)[0] == 1
+    other = validate_group(e16.table, id="other")
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        un.unitary_order_char2(other, GF2, c=1, search_cap=cap)
+    assert str(exc.value).endswith(f"exceeds cap {cap} (S_H coset orbit over {where})")
+    assert un._ORBITS[(e16, 1, GF2, cap)].order is None
+
+
+def test_an_s_h_read_at_an_empty_tb_meets_only_the_listing_bound():
+    # S_H of E4 at c = g1 walks no orbit, so the orbit's bound (one point
+    # times V(F C2)'s one generator) is not met; the listing of its one coset
+    # is. The N1/N2 report lists nothing and answers; the order still walks
+    e4 = build("elementary_abelian:2:2")
+    un.clear_caches()
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        un.s_h_enumerate(e4, 1, GF2, search_cap=0)
+    assert str(exc.value) == ("search space of size 1 exceeds cap 0 "
+                              "(S_H cosets over elementary_abelian:2:2)")
+    report = un.bounds_and_constructions(e4, 1, GF2, search_cap=0)
+    assert (report.s_h_size, report.n1_size, report.n1_inside_s_h) == (1, 1, True)
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        un.unitary_order_char2(e4, GF2, c=1, search_cap=0)
+    assert str(exc.value) == ("search space of size 1 exceeds cap 0 "
+                              "(S_H coset orbit over elementary_abelian:2:2)")
+    un.clear_caches()
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "1"], ids=["true", "false", "float", "str"])
+def test_an_element_index_that_is_not_an_integer_is_refused(index):
+    # True == 1 and 1.0 == 1 pass a range test, and 1 is a central involution of E4
+    e4 = build("elementary_abelian:2:2")
+    un.clear_caches()
+    message = f"element index {index!r} is not an integer"
+    for call in (lambda: un.s_h_enumerate(e4, index, GF2),
+                 lambda: un.unitary_order_char2(e4, GF2, c=index),
+                 lambda: un.bounds_and_constructions(e4, index, GF2),
+                 lambda: e4.inverse(index),
+                 lambda: e4.order_of(index)):
+        with pytest.raises(IndexOutOfRange) as exc:
+            call()
+        assert str(exc.value) == message
+    assert not un._ORBITS
+    assert e4.inverse(np.int64(1)) == 1 and e4.order_of(np.uint8(3)) == 2
 
 
 @pytest.mark.parametrize("name, c, error, message", [
