@@ -113,6 +113,14 @@ def _poly_is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def require_integer(value, what: str) -> int:
+    """value as an int: a bool, a float or any other non-integer is refused,
+    naming it as what, and a numpy integer becomes an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """GF(p^m) presented as Z/p[x] modulo a monic irreducible of degree m."""
@@ -122,6 +130,8 @@ class FieldSpec:
     modulus: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "p", require_integer(self.p, "characteristic"))
+        object.__setattr__(self, "m", require_integer(self.m, "extension degree"))
         if not is_prime(self.p):
             raise NonPrime(self.p)
         if not 1 <= self.m <= MAX_EXTENSION_DEGREE:
@@ -209,6 +219,7 @@ def make_field(p: int, m: int) -> FieldSpec:
     monic with the smallest little-endian packed coefficient value, found
     by exhaustive search.
     """
+    p, m = require_integer(p, "characteristic"), require_integer(m, "extension degree")
     if not is_prime(p):
         raise NonPrime(p)
     if not 1 <= m <= MAX_EXTENSION_DEGREE:

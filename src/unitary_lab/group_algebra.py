@@ -40,6 +40,7 @@ from .finite_field import (
     format_element_literal,
     is_power_of,
     parse_element_literal,
+    require_integer,
 )
 from .group_core import Group, SubgroupHandle, _int64_entries
 
@@ -56,8 +57,12 @@ class AlgebraElement:
     digits: np.ndarray
 
     def __post_init__(self):
-        # digits are read mod p, and the result is a new array, so no caller's array is frozen
-        array = np.asarray(self.digits, dtype=np.int64) % self.field.p
+        # digits are read mod p, and the result is a new array, so no caller's array is frozen;
+        # a float or bool array is refused, not truncated
+        array = np.asarray(self.digits)
+        if array.dtype.kind not in "iu":
+            raise ValueError(f"digits of dtype {array.dtype}, not integers")
+        array = array.astype(np.int64, copy=False) % self.field.p
         if array.shape != (self.group.n, self.field.m):
             raise ValueError(f"digits of shape {array.shape}, not ({self.group.n}, {self.field.m})")
         array.setflags(write=False)
@@ -231,7 +236,7 @@ def basis_element(field: FieldSpec, group: Group, g: int) -> AlgebraElement:
 
 
 def _check_basis_index(group: Group, g: int):
-    if not 0 <= g < group.n:
+    if not 0 <= require_integer(g, "basis index") < group.n:
         raise ValueError(f"basis index {g} outside group of order {group.n}")
 
 

@@ -22,7 +22,7 @@ from .errors import (
     NotNormal,
 )
 
-EXHAUSTIVE_ASSOC_LIMIT = 64
+EXHAUSTIVE_ASSOC_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,8 @@ class Group:
         return range(self.n)
 
     def mul(self, i: int, j: int) -> int:
+        self._bounds(i)
+        self._bounds(j)
         return int(self.table[i, j])
 
     def _bounds(self, g: int):
@@ -258,7 +260,7 @@ def validate_group(table, id: str = "") -> Group:
     """Check integer entries, identity position, Latin property and
     associativity; wrap the table under the id.
 
-    Associativity is checked on every triple up to order 64, and above by
+    Associativity is checked on every triple up to order 32, and above by
     Light's test over magma generators A: (x a) y = x (a y) for all x, y and
     every a in A. The elements z with (x z) y = x (z y) for all x, y are closed
     under the product, so the test holds for every z once it holds on A

@@ -10,8 +10,7 @@ Three routes to |V(FG)| under an involution arising from G:
   of V over the level below. A level's generators are lifted, and checked
   unitary, when the level above first reads them, so the top level lifts
   none, and no unitary group is listed. Where no g has g^2 = c, S_H is
-  read off G/H, and the orbit, with the levels below, is computed only
-  when the order or the generators are read;
+  read off G/H without the orbit (see _CosetOrbit);
 * any characteristic: the exhaustive oracle over all normalized units, which
   certifies its output is a subgroup, or proves them all unitary through
   their generators where the scan would test nothing.
@@ -414,7 +413,7 @@ class _Quotient:
     t_bar: np.ndarray        # Tb, the images of T_c
     over_g2: np.ndarray      # the images of G{2}
     gamma_cols: np.ndarray   # the columns of gamma: pairs, then Tb
-    support: np.ndarray      # (k, 4) indices of G under each S_H key field (see _CosetOrbit)
+    support: np.ndarray      # (k, 4) indices of G under each S_H key field: the pairs, then Tb
 
 
 def _quotient(group: Group, c: int) -> _Quotient:
@@ -435,13 +434,20 @@ def _quotient(group: Group, c: int) -> _Quotient:
 
 @dataclass(eq=False)
 class _CosetOrbit:
-    """The recursion step over H = <c> for one (G, c, F); see _coset_orbit.
-    S_H is known once the points are. Where Tb is empty there is one point,
-    and the orbit of Vb, which only the order and the generators need, is
-    walked when one of them is first read (`_walk_orbit`); until then the
-    fields from order to schreier_gamma are None. The generators of V_*(FG) are lifted and
-    checked unitary when the level above first reads them (`lift`); until
-    then the record holds what the lift reads."""
+    """The recursion step over H = <c> for one (G, c, F); the proof is in
+    _coset_orbit, and how a record is completed is told here alone.
+
+    `_coset_orbit` stores the record with the quotient, W and the points,
+    and walks it at once (`_walk_orbit`) where Tb is not empty, as the
+    points are then the orbit's. Where Tb is empty, the one point is 0 and
+    S_H = W, so a reader of S_H alone uses the record as stored, and
+    neither the orbit of Vb nor the levels below are computed. Each reader
+    of the order or the generators calls `_walk_orbit`, which walks the
+    record once, filling in the fields from order to schreier_gamma, and
+    returns a walked record as it is. `lift` forms the generators of
+    V_*(FG) when the level above first reads them. The walk and the lift
+    run for the first reader that needs them, so their refusals name that
+    reader, not the group that stored the record."""
 
     ctx: AlgebraContext      # batch arithmetic of FG, shared with the level above
     c: int                   # H = <c>; a refusal of the walk or the lift names it
@@ -449,8 +455,6 @@ class _CosetOrbit:
     search_cap: int          # the cap of the record's key, which the walk applies
     points: np.ndarray       # sorted keys of gamma on Tb, one per coset of W in S_H; W is 0
     w_size: int              # |W| = q^(pairs h != h^-1 of Gb)
-    s_h_size: int            # |S_H| = index |W|
-    support: np.ndarray      # (k, 4) indices of G under each S_H key field: the pairs, then Tb
     order: int | None = None               # |V_*(FG)|, once walked
     vbar_order: int | None = None          # |V_*(F[Gb])|, once walked
     bctx: AlgebraContext | None = None     # that of F[Gb], in which the lift multiplies, once walked
@@ -459,14 +463,9 @@ class _CosetOrbit:
     lifted: tuple[np.ndarray, np.ndarray] | None = None  # the generators and their planes, once lifted
 
     @property
-    def generators(self) -> np.ndarray:
-        """Code rows generating V_*(FG); see lift."""
-        return self.lift(self.ctx.group)[0]
-
-    @property
-    def generator_planes(self) -> np.ndarray:
-        """The generators' bit-planes, which the level above multiplies."""
-        return self.lift(self.ctx.group)[1]
+    def s_h_size(self) -> int:
+        """|S_H| = index |W|."""
+        return self.points.size * self.w_size
 
     def lift(self, group: Group) -> tuple[np.ndarray, np.ndarray]:
         """Code rows generating V_*(FG) and their bit-planes: the lifted
@@ -474,11 +473,10 @@ class _CosetOrbit:
         1 + (1+c) lift(x^a k) of K (see _coset_orbit). They are formed and
         checked unitary on the first call, which then drops S and gamma; a
         generator that is not unitary is refused naming group, the reader,
-        as the record is shared by every group with G's table. A record
-        whose orbit is not yet walked is walked first."""
+        as the record is shared by every group with G's table. The record
+        is walked first (see _CosetOrbit)."""
         if self.lifted is None:
-            if self.order is None:
-                _walk_orbit(self, group)
+            _walk_orbit(self, group)
             ctx, bctx, quo, S = self.ctx, self.bctx, self.quo, self.schreier
             field, nbar = ctx.field, quo.gbar.n
             b0 = np.zeros((S.shape[0], nbar), dtype=np.uint16)
@@ -504,15 +502,15 @@ class _CosetOrbit:
 
     def elements(self, keys: np.ndarray) -> np.ndarray:
         """The code rows 1 + (1+c) lift(beta) of S_H keys (see _fiber_scan)."""
+        support = self.quo.support
         rows = np.zeros((keys.size, self.ctx.n), dtype=np.uint16)
-        rows[:, self.support] = digits(keys, self.ctx.q, self.support.shape[0])[:, :, None]
+        rows[:, support] = digits(keys, self.ctx.q, support.shape[0])[:, :, None]
         rows[:, 0] = self.ctx.identity[0]
         return rows
 
 
 # one record per (G's table, c, F, search cap), stored by the first reader;
-# a record an S_H read stored unwalked is walked in place when its order or
-# generators are first read (see _coset_orbit)
+# when it is walked and lifted is told in _CosetOrbit
 _ORBITS: dict[tuple, _CosetOrbit] = {}
 
 
@@ -524,16 +522,15 @@ def _generating_set(group: Group, field: FieldSpec, search_cap: int
     if group.n == 1:
         generators = np.empty((0, 1), dtype=np.uint16)
         return 1, generators, to_planes(generators, field.m), AlgebraContext(field, group)
-    orbit = _coset_orbit(group, _least_central_involution(group), field, search_cap)
+    orbit = _walk_orbit(_coset_orbit(group, _least_central_involution(group), field, search_cap), group)
     return (orbit.order, *orbit.lift(group), orbit.ctx)
 
 
-def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int,
-                 vbar: bool = True) -> _CosetOrbit:
-    """|V_*(FG)|, a generating set of it, and the cosets making up S_H, from
-    the orbit of Psi(V) under Vb = V_*(F[Gb]), Gb = G/H, H = <c>, where
-    Psi: FG -> F[Gb] and V = V_*(FG). A reader of S_H alone passes vbar
-    False: where Tb is empty, the record it gets has S_H and no orbit.
+def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int) -> _CosetOrbit:
+    """The record of |V_*(FG)|, a generating set of it, and the cosets
+    making up S_H, from the orbit of Psi(V) under Vb = V_*(F[Gb]),
+    Gb = G/H, H = <c>, where Psi: FG -> F[Gb] and V = V_*(FG). The record
+    is walked where Tb is not empty; see _CosetOrbit.
 
     Proof. Let char F = 2, lift the section supported on the least coset
     representatives, and L = lift(u) for u in Vb. The kernel of Psi is
@@ -571,8 +568,7 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int,
     * Where Tb is empty, gamma on Tb has no entries: every u has point 0,
       the orbit is that one point, of index 1, and S_H = W, whose size
       q^((|G| - |G{2}|)/4) meets the paper's bound. So S_H needs no element
-      of Vb, and the orbit, which the order and the generators still need,
-      is walked when one of them is first read (`_walk_orbit`).
+      of Vb, and the orbit is walked only for the order and the generators.
     * By Schreier's lemma the t_k* g t_j, for g t_j in t_k Psi(V), generate
       Psi(V) (a unitary element's inverse is its involute). Each lifts to
       the unitary x = L + (1+c) lift(b0 u), and these with the generators
@@ -589,8 +585,7 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int,
     # for a message, and quotients of different groups often have equal tables
     # (26 of 167 calls in a seed-7 char2_recursion pass are served so). Messages
     # name the caller's group: the miss raises its refusals before the store,
-    # and the walk of a stored record and the lift, run when a reader first
-    # needs them, name the group that reads them.
+    # and the walk and the lift name their reader (see _CosetOrbit).
     cache_key = (group, c, field, search_cap)
     orbit = _ORBITS.get(cache_key)
     if orbit is None:
@@ -598,22 +593,20 @@ def _coset_orbit(group: Group, c: int, field: FieldSpec, search_cap: int,
         quo = _quotient(group, c)
         w_size = field.order ** quo.pairs.size
         orbit = _CosetOrbit(AlgebraContext(field, group), c, quo, search_cap,
-                            np.zeros(1, dtype=np.uint64), w_size, w_size, quo.support)
+                            np.zeros(1, dtype=np.uint64), w_size)
         if quo.t_bar.size:  # the points are the orbit's
             _walk_orbit(orbit, group)
         _ORBITS[cache_key] = orbit
-    if vbar and orbit.order is None:
-        _walk_orbit(orbit, group)
     return orbit
 
 
-def _walk_orbit(orbit: _CosetOrbit, group: Group) -> None:
-    """Complete the record: walk the orbit of point 0 under generators of Vb,
-    computed by the recursion below, and fill in the points, |S_H|, the
-    orders and the Schreier generators (see _coset_orbit). Where Tb is
-    empty, the walk is checked to find the record's one point 0.
-    Refusals name group, the reader, and below it group's quotient, as the
-    record is shared by every group with G's table.
+def _walk_orbit(orbit: _CosetOrbit, group: Group) -> _CosetOrbit:
+    """The record, completed: walk the orbit of point 0 under generators of
+    Vb, computed by the recursion below, and fill in the points, the orders
+    and the Schreier generators (see _coset_orbit). A walked record is
+    returned as it is (see _CosetOrbit). Refusals name group, the reader,
+    and below it group's quotient, as the record is shared by every group
+    with G's table.
 
     Each round stays in bit-planes. The products P = g t of generators and
     frontier elements come out as planes; L's planes are P's at reps, and
@@ -640,6 +633,8 @@ def _walk_orbit(orbit: _CosetOrbit, group: Group) -> None:
     the paper's bound |S_H| <= q^((|G| - |G{2}| + |T_c|)/4) bounds the
     points by q^(|T_c|/2), as |Gb{2}| = (|G{2}| + |T_c|)/2, and that
     product is refused beyond search_cap before any arithmetic here."""
+    if orbit.order is not None:
+        return orbit
     ctx, c, quo, search_cap = orbit.ctx, orbit.c, orbit.quo, orbit.search_cap
     field, gbar = ctx.field, quo.gbar
     if group.id != ctx.group.id:
@@ -741,9 +736,6 @@ def _walk_orbit(orbit: _CosetOrbit, group: Group) -> None:
             schreier_gamma = np.concatenate([schreier_gamma, R_gamma])[order]
         frontier = np.arange(grown, transversal.shape[0])
     index = points.size
-    if not quo.t_bar.size and index != 1:
-        raise _inconsistency(group, field, f"the orbit has {index} points, not the one "
-                                           f"point 0 of an empty Tb", c=c)
     if vbar_order % index:
         raise _inconsistency(group, field, f"the orbit's {index} points do not divide "
                                            f"|Vb| = {vbar_order}", c=c)
@@ -756,9 +748,10 @@ def _walk_orbit(orbit: _CosetOrbit, group: Group) -> None:
     if bad.size:
         raise _inconsistency(group, field, "a Schreier generator is not solvable", lift(S[bad[0]]), c)
 
-    orbit.points, orbit.s_h_size = points, index * orbit.w_size
-    orbit.vbar_order, orbit.bctx, orbit.schreier, orbit.schreier_gamma = vbar_order, bctx, S, gamma
+    orbit.points, orbit.vbar_order, orbit.bctx = points, vbar_order, bctx
+    orbit.schreier, orbit.schreier_gamma = S, gamma
     orbit.order = q ** (nbar - pairs.size) * vbar_order // index
+    return orbit
 
 
 def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
@@ -772,8 +765,8 @@ def _fiber_scan(group: Group, c: int, field: FieldSpec, *,
     are each point's key above every key of W, listed in order with no
     arithmetic; orbit.elements turns them into code rows. A key wider than
     63 bits is refused, as is a listing longer than search_cap."""
-    orbit = _coset_orbit(group, c, field, search_cap, False)  # reads S_H alone
-    require_key_space(field.order ** orbit.support.shape[0], f"S_H keys over {group.id}")
+    orbit = _coset_orbit(group, c, field, search_cap)
+    require_key_space(field.order ** orbit.quo.support.shape[0], f"S_H keys over {group.id}")
     if orbit.s_h_size > search_cap:
         raise SearchSpaceTooLarge(orbit.s_h_size, search_cap, context=f"S_H cosets over {group.id}")
     w_keys = np.arange(orbit.w_size, dtype=np.uint64)
@@ -825,7 +818,7 @@ def unitary_order_char2(group: Group, field: FieldSpec, *, c: int | None = None,
             return UnitaryResult(group.id, field, "*", "recursive", 1,
                                  theta_from_order(1, field, group))
         c = _least_central_involution(group)
-    orbit = _coset_orbit(group, c, field, search_cap)
+    orbit = _walk_orbit(_coset_orbit(group, c, field, search_cap), group)
     t_c, commuting, upper, lower = _s_h_bounds(group, c, field)
     subsidiary = {
         "c": c,
@@ -903,7 +896,7 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
         raise OddCharacteristic("bound constructions require characteristic 2")
     require_p_group(group, field)
     t_c, commuting, upper, lower = _s_h_bounds(group, c, field)
-    orbit = _coset_orbit(group, c, field, search_cap, False)  # reads S_H and the points alone
+    orbit = _coset_orbit(group, c, field, search_cap)
     ctx = orbit.ctx
 
     orbits = _n1_orbits(group, c, field)
@@ -919,7 +912,7 @@ def bounds_and_constructions(group: Group, c: int, field: FieldSpec, *,
 
     n2_size = n2_inside = product_inside = identity_ok = None
     if commuting:
-        in_tau, t_bar = np.zeros(field.order, dtype=bool), orbit.support.shape[0] - expected_k1
+        in_tau, t_bar = np.zeros(field.order, dtype=bool), orbit.quo.t_bar.size
         in_tau[_tau_codes(field)] = True
         n2_size = int(in_tau.sum()) ** t_bar
         expected_n2 = (field.order // 2) ** (len(t_c) // 2)

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from unitary_lab import finite_field as ff
@@ -70,6 +71,25 @@ def test_make_field_degree_bounds():
         ff.make_field(2, 0)
     with pytest.raises(ValueError):
         ff.make_field(2, 17)
+
+
+@pytest.mark.parametrize("p, m, message", [
+    (2, True, "extension degree True is not an integer"),
+    (True, 1, "characteristic True is not an integer"),
+    (2.0, 1, "characteristic 2.0 is not an integer"),
+    (2, 1.0, "extension degree 1.0 is not an integer"),
+    ("2", 1, "characteristic '2' is not an integer"),
+], ids=["bool-m", "bool-p", "float-p", "float-m", "str-p"])
+def test_field_parameters_that_are_not_integers_are_refused(p, m, message):
+    # GF(2^True) would equal and hash as GF(2), and GF(2.0) would have order 2.0
+    for call in (lambda: ff.make_field(p, m), lambda: ff.FieldSpec(p, m, (1, 1))):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    spec = ff.make_field(np.int64(2), np.int64(2))
+    assert spec == ff.make_field(2, 2) and spec.literal() == "2^2"
+    assert type(spec.p) is type(spec.m) is int
+    assert type(ff.FieldSpec(np.int8(3), np.uint8(1), (1, 1)).p) is int
 
 
 def test_char2_addition():

@@ -12,6 +12,7 @@ from unitary_lab import unitary as un
 from unitary_lab.errors import (
     EvenCharacteristic,
     FieldMismatch,
+    IndexOutOfRange,
     InternalInconsistency,
     NotAntiAutomorphism,
     NotAUnit,
@@ -769,6 +770,30 @@ def test_basis_element_refuses_index_outside_group(g):
     with pytest.raises(ValueError) as exc:
         ga.basis_element(GF3, build("cyclic:9"), g)
     assert str(exc.value) == f"basis index {g} outside group of order 9"
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "1"], ids=["true", "false", "float", "str"])
+def test_a_basis_or_product_index_that_is_not_an_integer_is_refused(index):
+    # True == 1 and 1.0 == 1 pass a range test, numpy reads True as a mask and
+    # a float digit array would be truncated
+    c4 = build("cyclic:4")
+    with pytest.raises(ValueError) as exc:
+        ga.basis_element(GF2, c4, index)
+    assert str(exc.value) == f"basis index {index!r} is not an integer"
+    for call in (lambda: c4.mul(index, 1), lambda: c4.mul(1, index)):
+        with pytest.raises(IndexOutOfRange) as exc:
+            call()
+        assert str(exc.value) == f"element index {index!r} is not an integer"
+    digits = np.full((4, 1), index)
+    with pytest.raises(ValueError) as exc:
+        ga.AlgebraElement(GF3, c4, digits)
+    assert str(exc.value) == f"digits of dtype {digits.dtype}, not integers"
+    for i, j in ((-1, 1), (4, 0)):
+        with pytest.raises(IndexOutOfRange) as exc:
+            c4.mul(i, j)
+        assert str(exc.value) == f"element index {i} outside [0, 4)"
+    assert c4.mul(np.int64(1), np.uint8(3)) == 0
+    assert ga.basis_element(GF2, c4, np.int64(1)).support() == (1,)
 
 
 def test_from_coeffs_refuses_coefficients_from_another_field():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from unitary_lab import group_catalog as cat
+from unitary_lab import group_core
 from unitary_lab.errors import (
     IndexOutOfRange,
     NoIdentity,
@@ -354,13 +355,12 @@ def test_light_associativity_peaks_near_twice_the_table():
     assert peak < 2.5 * table.nbytes, peak / table.nbytes
 
 
-def test_light_associativity_catches_one_swapped_intercalate():
+def _refuse_one_swapped_intercalate(name: str, n: int):
     # rows g, g u and columns h, u h of a group table, u an involution, form a
     # 2x2 Latin subsquare; swapping its two symbols keeps the table a loop
-    import unitary_lab.group_catalog as cat
-    t = np.array(cat.build("product:dihedral:64*cyclic:2").table)
-    assert t.shape == (128, 128)
-    u = next(x for x in range(2, 128) if t[x, x] == 0)
+    t = np.array(cat.build(name).table)
+    assert t.shape == (n, n)
+    u = next(x for x in range(2, n) if t[x, x] == 0)
     rows, cols = [1, t[1, u]], [1, t[u, 1]]  # g = h = g1
     block = t[np.ix_(rows, cols)]
     assert block[0, 0] == block[1, 1] != block[0, 1] == block[1, 0]
@@ -369,3 +369,24 @@ def test_light_associativity_catches_one_swapped_intercalate():
         validate_group(t)
     i, j, k = exc.value.witness
     assert t[t[i, j], k] != t[i, t[j, k]]
+
+
+def test_light_associativity_catches_one_swapped_intercalate():
+    _refuse_one_swapped_intercalate("product:dihedral:64*cyclic:2", 128)
+
+
+def test_light_associativity_catches_one_swapped_intercalate_at_order_64():
+    # the least order that takes Light's test
+    _refuse_one_swapped_intercalate("product:dihedral:32*cyclic:2", 64)
+
+
+def test_only_a_table_past_order_32_takes_lights_test(monkeypatch):
+    # every triple costs about as much as Light's test at order 32 and about
+    # 20 times as much at order 64, so only the order-64 table finds generators
+    tables = [cat.build(name).table for name in ("product:dihedral:16*cyclic:2",
+                                                 "product:dihedral:32*cyclic:2")]
+    seen, generators = [], group_core._magma_generators
+    monkeypatch.setattr(group_core, "_magma_generators", lambda t: seen.append(t.shape[0]) or generators(t))
+    for table in tables:
+        assert np.array_equal(validate_group(table).table, table)
+    assert seen == [64]

@@ -819,10 +819,34 @@ def test_an_index_one_level_forms_only_the_products_construction_leaves(monkeypa
     calls, product = [], AlgebraContext.plane_product
     monkeypatch.setattr(AlgebraContext, "plane_product",
                         lambda self, *args, **kwargs: calls.append(self.n) or product(self, *args, **kwargs))
-    orbit = un._coset_orbit(group, c, GF2, un.DEFAULT_SEARCH_CAP)
+    orbit = un._walk_orbit(un._coset_orbit(group, c, GF2, un.DEFAULT_SEARCH_CAP), group)
     assert orbit.points.size == 1 and orbit.order == 2 ** 15
     assert calls == [16]
-    assert orbit.generators.shape[0] and calls == [16, 16]
+    assert orbit.lift(group)[0].shape[0] and calls == [16, 16]
+
+
+def test_a_record_is_completed_once(monkeypatch):
+    # _walk_orbit completes a record and then returns it as it is: E16's record
+    # is stored unwalked (Tb is empty), and only its first walk forms products;
+    # D16's is walked when stored, so S_H and the order then form none
+    monkeypatch.setattr(un, "_ORBITS", {})
+    calls, product = [], AlgebraContext.plane_product
+    monkeypatch.setattr(AlgebraContext, "plane_product",
+                        lambda self, *args, **kwargs: calls.append(self.n) or product(self, *args, **kwargs))
+    e16 = build("elementary_abelian:2:4")
+    orbit = un._coset_orbit(e16, 1, GF2, un.DEFAULT_SEARCH_CAP)
+    assert orbit.order is None and not calls
+    assert un._walk_orbit(orbit, e16) is orbit and orbit.order == 2 ** 15 and calls
+    walked = len(calls)
+    assert un._walk_orbit(orbit, e16) is orbit and len(calls) == walked
+    d16 = build("dihedral:16")
+    c = un._least_central_involution(d16)
+    orbit = un._coset_orbit(d16, c, GF2, un.DEFAULT_SEARCH_CAP)
+    assert orbit.order is not None and orbit.lifted is None
+    del calls[:]
+    assert un.s_h_enumerate(d16, c, GF2)[0] == orbit.s_h_size
+    assert un.unitary_order_char2(d16, GF2).order == orbit.order
+    assert calls == [] and orbit.lifted is None
 
 
 def _spy_on_lifts(monkeypatch):
@@ -859,9 +883,9 @@ def test_reading_the_generators_twice_lifts_once(monkeypatch):
     lifted = _spy_on_lifts(monkeypatch)
     d16 = build("dihedral:16")
     orbit = un._coset_orbit(d16, un._least_central_involution(d16), GF2, un.DEFAULT_SEARCH_CAP)
-    generators = orbit.generators
-    assert orbit.generators is generators and orbit.lift(d16)[0] is generators
-    assert np.array_equal(orbit.generator_planes, engine.to_planes(generators, 1))
+    generators, planes = orbit.lift(d16)
+    assert orbit.lift(d16)[0] is generators and orbit.lift(d16)[1] is planes
+    assert np.array_equal(planes, engine.to_planes(generators, 1))
     assert lifted == [2, 4, 8, 16]
     assert orbit.schreier is None and orbit.schreier_gamma is None
 
@@ -899,9 +923,9 @@ def _digest_cells():
 def _orbit_digest():
     digest, count = hashlib.sha256(), 0
     for name, m, group, c, field in _digest_cells():
-        o = un._coset_orbit(group, c, field, un.DEFAULT_SEARCH_CAP)
+        o = un._walk_orbit(un._coset_orbit(group, c, field, un.DEFAULT_SEARCH_CAP), group)
         digest.update(f"{name}|{m}|{c}|{o.order}|{o.vbar_order}|{o.w_size}|{o.s_h_size}|".encode())
-        for array, dtype in ((o.points, np.uint64), (o.generators, np.uint16), (o.support, np.int64)):
+        for array, dtype in ((o.points, np.uint64), (o.lift(group)[0], np.uint16), (o.quo.support, np.int64)):
             digest.update(str(array.shape).encode())
             digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
         count += 1
@@ -1196,11 +1220,11 @@ def test_a_level_converts_no_generator_of_the_level_below(monkeypatch):
     c = un._least_central_involution(group)
     gbar = un._quotient(group, c).gbar
     below = un._coset_orbit(gbar, un._least_central_involution(gbar), GF2, un.DEFAULT_SEARCH_CAP)
-    assert np.array_equal(below.generator_planes, engine.to_planes(below.generators, 1))
+    assert np.array_equal(below.lift(gbar)[1], engine.to_planes(below.lift(gbar)[0], 1))
     converted, to_planes = [], un.to_planes
     monkeypatch.setattr(un, "to_planes", lambda X, m: converted.append(X.shape) or to_planes(X, m))
     orbit = un._coset_orbit(group, c, GF2, un.DEFAULT_SEARCH_CAP)
-    assert converted == [orbit.generators.shape]
+    assert converted == [orbit.lift(group)[0].shape]
 
 
 def test_clear_caches_empties_the_memos_of_field_arithmetic():
@@ -1431,7 +1455,7 @@ def test_bounds_look_n1_and_n2_up_among_the_points(monkeypatch, points, n1_insid
     # D8 over GF(4), c = g2: the orbit has the 4 points 0..3 of one 2-bit field on Tb
     d8 = build("dihedral:8")
     orbit = un._coset_orbit(d8, 2, GF4, un.DEFAULT_SEARCH_CAP)
-    assert orbit.points.tolist() == [0, 1, 2, 3] and orbit.support.shape[0] == 1
+    assert orbit.points.tolist() == [0, 1, 2, 3] and orbit.quo.support.shape[0] == 1
     forged = dataclasses.replace(orbit, points=np.array(points, dtype=np.uint64))
     monkeypatch.setattr(un, "_coset_orbit", lambda *args: forged)
     rep = un.bounds_and_constructions(d8, 2, GF4)
